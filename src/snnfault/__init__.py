@@ -1,78 +1,21 @@
 """snnfault: bit-level stuck-at fault-injection campaigns for spiking
 neural networks, with statistically sampled fault lists and silent-data-
-corruption classification against a golden reference."""
+corruption classification against a golden reference. The top level exports
+the synth -> gen-fl -> inject -> report pipeline; the rest is in submodules."""
 
-from .campaign import (
-    CampaignConfig,
-    CampaignResult,
-    GoldenReference,
-    RawOutcome,
-    read_golden,
-    read_outcomes,
-    run_campaign,
-    run_faulty,
-    run_golden,
-    write_golden,
-)
-from .classify import SdcClass, classify_pair, relative_deviation_pct
-from .core import (
-    DTYPE,
-    LayerKind,
-    LayerSpec,
-    LifState,
-    Network,
-    avgpool2d_forward,
-    conv2d_forward,
-    lif_step,
-    linear_forward,
-    network_forward,
-    recurrent_forward,
-    reset_state,
-)
-from .dataio import (
-    SpikeDataset,
-    SpikeSample,
-    load_dataset,
-    load_model,
-    save_dataset,
-    save_model,
-    synth_dataset,
-    synth_model,
-)
-from .errors import (
-    AddressError,
-    CompatibilityError,
-    ConsistencyError,
-    DimensionError,
-    FaultKindError,
-    FormatError,
-    ResumeError,
-    SessionError,
-    SnnFaultError,
-)
+from .campaign import CampaignConfig, CampaignResult, read_golden, read_outcomes, run_campaign
+from .classify import SdcClass, classify_pair
+from .core import DTYPE, LayerKind, LayerSpec, Network
+from .dataio import load_dataset, load_model, save_dataset, save_model, synth_dataset, synth_model
+from .errors import SnnFaultError
 from .faultlist import (
-    FaultList,
-    FaultUniverse,
     SamplingSpec,
-    enumerate_universe,
     generate_fault_list,
-    quantile_for_confidence,
     read_fault_list,
     sample_size,
     write_fault_list,
 )
-from .faults import (
-    FaultDescriptor,
-    FaultMode,
-    InjectionSession,
-    ParameterKind,
-    apply_bit_stuck,
-    inject_static,
-    make_refresh_hook,
-    refresh_dynamic,
-    release,
-    target_tensor,
-)
+from .faults import FaultDescriptor, FaultMode, ParameterKind, apply_bit_stuck, target_tensor
 from .report import aggregate, render_report
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ checkpoint covers and which form complete per-fault groups; torn or
 un-checkpointed trailing rows are discarded and re-run. The final
 ``outcomes.csv`` is written in one pass sorted by (fault_id, input_id), so its
 bytes are identical no matter the worker count or how many times the campaign
-was interrupted.
+was interrupted. It, ``golden.csv``, ``campaign.json`` and the checkpoint are
+each written to a temporary file, fsynced and renamed into place, so a kill
+never leaves a truncated one behind.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -27,11 +29,13 @@ import os
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .core import Network, network_forward, reset_state
+from .core import Network, StateHook, network_forward, reset_state
 from .dataio import (
     SpikeDataset,
     f32_to_hex,
@@ -68,7 +72,9 @@ class CampaignConfig:
 
 
 @dataclass
-class GoldenEntry:
+class Prediction:
+    """One inference: the score vector and its top class and score."""
+
     input_id: int
     scores: np.ndarray
     top_class: int
@@ -77,25 +83,15 @@ class GoldenEntry:
 
 @dataclass
 class GoldenReference:
-    entries: list[GoldenEntry]
+    entries: list[Prediction]
 
-    def by_id(self) -> dict[int, GoldenEntry]:
+    def by_id(self) -> dict[int, Prediction]:
         return {e.input_id: e for e in self.entries}
-
-
-@dataclass
-class RawOutcome:
-    fault_id: int
-    input_id: int
-    scores: np.ndarray | None
-    top_class: int
-    top_score: np.float32
 
 
 @dataclass(frozen=True)
 class OutcomeRow:
-    """One parsed outcomes.csv row. top_class/top_score mirror the faulty side
-    so classification code can consume rows and RawOutcomes alike."""
+    """One parsed outcomes.csv row."""
 
     fault_id: int
     input_id: int
@@ -103,14 +99,6 @@ class OutcomeRow:
     faulty_class: int
     golden_top: np.float32
     faulty_top: np.float32
-
-    @property
-    def top_class(self) -> int:
-        return self.faulty_class
-
-    @property
-    def top_score(self) -> np.float32:
-        return self.faulty_top
 
 
 @dataclass
@@ -140,21 +128,25 @@ def _subset_count(dataset: SpikeDataset, subset: int | None) -> int:
     return int(subset)
 
 
+def _predict(
+    net: Network, dataset: SpikeDataset, subset: int | None, refresh: StateHook | None = None
+) -> list[Prediction]:
+    predictions = []
+    for i in range(_subset_count(dataset, subset)):
+        reset_state(net)
+        scores = network_forward(net, dataset.sample(i).spikes, refresh=refresh)
+        predictions.append(Prediction(i, scores, *_top(scores)))
+    return predictions
+
+
 def run_golden(net: Network, dataset: SpikeDataset, subset: int | None = None) -> GoldenReference:
     """Fault-free reference over the first `subset` inputs of a fresh network."""
-    k = _subset_count(dataset, subset)
-    entries = []
-    for i in range(k):
-        reset_state(net)
-        scores = network_forward(net, dataset.sample(i).spikes)
-        top_class, top_score = _top(scores)
-        entries.append(GoldenEntry(i, scores, top_class, top_score))
-    return GoldenReference(entries)
+    return GoldenReference(_predict(net, dataset, subset))
 
 
 def run_faulty(
     template: Network, d: FaultDescriptor, dataset: SpikeDataset, subset: int | None = None
-) -> list[RawOutcome]:
+) -> list[Prediction]:
     """One fault, all inputs, on a private copy of the template network."""
     net = template.copy()
     try:
@@ -166,14 +158,17 @@ def run_faulty(
         hook = make_refresh_hook(d)
     else:
         inject_static(net, d)
-    k = _subset_count(dataset, subset)
-    outcomes = []
-    for i in range(k):
-        reset_state(net)
-        scores = network_forward(net, dataset.sample(i).spikes, refresh=hook)
-        top_class, top_score = _top(scores)
-        outcomes.append(RawOutcome(d.fault_id, i, scores, top_class, top_score))
-    return outcomes
+    return _predict(net, dataset, subset, hook)
+
+
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    # Readers see the old file or the whole new one, never a torn write.
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 # -- golden reference persistence ----------------------------------------------
@@ -187,7 +182,7 @@ def write_golden(ref: GoldenReference, path) -> None:
     for e in ref.entries:
         vector = ";".join(f32_to_hex(v) for v in e.scores)
         lines.append(f"{e.input_id},{e.top_class},{render_score(e.top_score)},{vector}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(Path(path), lines)
 
 
 def read_golden(path) -> GoldenReference:
@@ -199,7 +194,7 @@ def read_golden(path) -> GoldenReference:
     body = [ln for ln in lines if not ln.startswith("#")]
     if not body or body[0] != GOLDEN_HEADER:
         raise FormatError(f"expected golden header '{GOLDEN_HEADER}'")
-    entries: list[GoldenEntry] = []
+    entries: list[Prediction] = []
     classes = None
     for lineno, line in enumerate(body[1:], start=2):
         fields = line.split(",")
@@ -225,7 +220,7 @@ def read_golden(path) -> GoldenReference:
         want_class, want_score = _top(scores)
         if top_class != want_class or f32_to_hex(top_score) != f32_to_hex(want_score):
             raise FormatError("top class/score disagree with the score vector", line=lineno)
-        entries.append(GoldenEntry(input_id, scores, top_class, top_score))
+        entries.append(Prediction(input_id, scores, top_class, top_score))
     if not entries:
         raise FormatError("golden reference holds no inputs")
     return GoldenReference(entries)
@@ -234,7 +229,7 @@ def read_golden(path) -> GoldenReference:
 # -- outcome rows ---------------------------------------------------------------
 
 
-def _render_row(fid: int, iid: int, golden: GoldenEntry, f_class: int, f_score) -> str:
+def _render_row(fid: int, iid: int, golden: Prediction, f_class: int, f_score) -> str:
     return (
         f"{fid},{iid},{golden.top_class},{f_class},"
         f"{render_score(golden.top_score)},{render_score(f_score)}"
@@ -282,12 +277,7 @@ def _write_checkpoint(path: Path, completed: set[int]) -> None:
             j += 1
         lines.append(f"{ids[i]}-{ids[j]}")
         i = j + 1
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    _write_atomic(path, lines)
 
 
 def _load_resume_state(
@@ -361,9 +351,14 @@ def _worker_init(net: Network, dataset: SpikeDataset, subset: int) -> None:
     _WORKER["subset"] = subset
 
 
-def _worker_run(d: FaultDescriptor):
-    outs = run_faulty(_WORKER["net"], d, _WORKER["dataset"], _WORKER["subset"])
+def _run_fault(net: Network, d: FaultDescriptor, dataset: SpikeDataset, k: int):
+    # (fault_id, [(input_id, faulty class, faulty top score)]): what record() takes.
+    outs = run_faulty(net, d, dataset, k)
     return d.fault_id, [(o.input_id, o.top_class, o.top_score) for o in outs]
+
+
+def _worker_run(d: FaultDescriptor):
+    return _run_fault(_WORKER["net"], d, _WORKER["dataset"], _WORKER["subset"])
 
 
 def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResult:
@@ -426,8 +421,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
         if cfg.workers == 1:
             for d in pending:
-                outs = run_faulty(net, d, dataset, k)
-                record(d.fault_id, [(o.input_id, o.top_class, o.top_score) for o in outs])
+                record(*_run_fault(net, d, dataset, k))
         elif pending:
             with multiprocessing.Pool(
                 cfg.workers, initializer=_worker_init, initargs=(net, dataset, k)
@@ -441,10 +435,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     outcomes_path = None
     if status == "complete":
         rows.sort(key=lambda r: (r[0], r[1]))
-        with open(final_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(OUTCOME_HEADER + "\n")
-            for _, _, line in rows:
-                f.write(line + "\n")
+        _write_atomic(final_path, chain([OUTCOME_HEADER], (line for _, _, line in rows)))
         outcomes_path = final_path
 
     wall = time.monotonic() - t0
@@ -456,7 +447,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         "workers": cfg.workers,
         "wall_seconds": wall,
     }
-    (out_dir / "campaign.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(out_dir / "campaign.json", [json.dumps(summary, indent=2)])
     return CampaignResult(
         status=status,
         processed=len(pending),

@@ -42,16 +42,6 @@ class SdcClass(Enum):
     MASKED = "masked"
 
 
-# Same-class severity order, least to most severe; used by monotonicity checks.
-SAME_CLASS_SEVERITY = (
-    SdcClass.MASKED,
-    SdcClass.SDC_0_5,
-    SdcClass.SDC_5_10,
-    SdcClass.SDC_10_20,
-    SdcClass.SDC_20,
-)
-
-
 def relative_deviation_pct(golden_score: float, faulty_score: float) -> float:
     g = float(np.float32(golden_score))
     f = float(np.float32(faulty_score))

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage (bad flags), 3 configuration (missing or
 malformed files, incompatible requests, bad values), 4 runtime (addressing,
-session, consistency, resume failures). Errors print exactly one
+consistency, resume failures). Errors print exactly one
 machine-parseable line on stderr: `snnfault: error: <Type>: <message>`.
 The default worker count for `inject` comes from SNNFAULT_WORKERS.
 """
@@ -17,23 +17,14 @@ from pathlib import Path
 
 from .campaign import (
     CampaignConfig,
+    read_golden,
     read_outcomes,
     run_campaign,
     run_golden,
     write_golden,
 )
 from .dataio import load_dataset, load_model, save_dataset, save_model, synth_dataset, synth_model
-from .errors import (
-    AddressError,
-    CompatibilityError,
-    ConsistencyError,
-    DimensionError,
-    FaultKindError,
-    FormatError,
-    ResumeError,
-    SessionError,
-    SnnFaultError,
-)
+from .errors import CompatibilityError, DimensionError, FormatError, SnnFaultError
 from .faultlist import (
     POLARITIES,
     SPIKE_MODES,
@@ -47,7 +38,6 @@ from .faults import ParameterKind
 from .report import REPORT_FORMATS, aggregate, render_report
 
 _CONFIG_ERRORS = (FormatError, CompatibilityError, DimensionError, ValueError, OSError)
-_RUNTIME_ERRORS = (AddressError, FaultKindError, SessionError, ConsistencyError, ResumeError)
 
 
 def _parse_points(text: str) -> set[ParameterKind]:
@@ -110,13 +100,17 @@ def _cmd_golden(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    env = os.environ.get("SNNFAULT_WORKERS", "1")
+    if args.workers is None and not env.isdigit():
+        raise ValueError(f"SNNFAULT_WORKERS must be a positive integer, got {env!r}")
+    workers = args.workers if args.workers is not None else int(env)
     cfg = CampaignConfig(
         model=Path(args.model),
         dataset=Path(args.dataset),
         fault_list=Path(args.fl),
         out_dir=Path(args.out),
         subset=args.subset,
-        workers=args.workers,
+        workers=workers,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
@@ -129,8 +123,6 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .campaign import read_golden
-
     golden = read_golden(args.golden)
     fl = read_fault_list(args.fl)
     outcomes = read_outcomes(Path(args.outcomes) / "outcomes.csv")
@@ -199,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--fl", required=True)
     p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--workers", type=int, default=int(os.environ.get("SNNFAULT_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: $SNNFAULT_WORKERS, else 1)")
     p.add_argument("--checkpoint-every", type=int, default=100, dest="checkpoint_every")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
@@ -255,9 +248,6 @@ def dispatch(argv: list[str]) -> int:
     except _CONFIG_ERRORS as exc:
         _fail(exc)
         return 3
-    except _RUNTIME_ERRORS as exc:
-        _fail(exc)
-        return 4
     except SnnFaultError as exc:
         _fail(exc)
         return 4

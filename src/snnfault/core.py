@@ -27,11 +27,15 @@ Both branches condition on the *previous* potential, so a spike is emitted on
 the step after the crossing and reset-by-subtraction happens on that same
 step. Ties take the sub-threshold branch. NaN potentials compare false and
 therefore decay; non-finite values propagate per IEEE-754 and never trap.
+
+The kernels trust their operands: ``Network`` validates every shape once, at
+construction, and ``network_forward`` runs all of them under a single
+``np.errstate(all="ignore")``, so faults that drive arithmetic to Inf/NaN
+propagate silently. Callers outside ``network_forward`` own both duties.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -43,16 +47,6 @@ from .errors import AddressError, DimensionError
 
 DTYPE = np.dtype(np.float32)
 
-
-def _ieee_quiet(fn):
-    # Faults legitimately drive arithmetic to Inf/NaN; propagate silently
-    # instead of tripping numpy's overflow/invalid warnings.
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
 
 # Hook protocol: called as hook(layer_name, state_kind, tensor) after every
 # write of a LIF state tensor ("potential" or "spike"), before the value feeds
@@ -275,70 +269,43 @@ def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return np.take(np.cumsum(terms, axis=axis, dtype=DTYPE), -1, axis=axis)
 
 
-@_ieee_quiet
-def linear_forward(
-    weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray, layer: str = "?"
-) -> np.ndarray:
+def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
     """out[i] = sum_j weight[i,j]*input[j] (+ bias[i]), j ascending, binary32."""
-    if weight.ndim != 2 or input.ndim != 1 or weight.shape[1] != input.shape[0]:
-        raise _dim_error(layer, f"cannot apply weight {weight.shape} to input {input.shape}")
     out = _ordered_sum(weight * input[None, :], axis=1)
     if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise _dim_error(layer, f"bias shape {bias.shape} != ({weight.shape[0]},)")
         out = out + bias
     return out
 
 
-@_ieee_quiet
 def recurrent_forward(spec: LayerSpec, input: np.ndarray, prev_spike: np.ndarray) -> np.ndarray:
     """Forward dot product plus feedback dot product over the layer's own
     previous-timestep spikes (all-zero on the first step), summed elementwise."""
-    fwd = linear_forward(spec.params["weight"], spec.params.get("bias"), input, spec.name)
+    fwd = linear_forward(spec.params["weight"], spec.params.get("bias"), input)
     rec = linear_forward(
-        spec.params["feedback_weight"], spec.params.get("feedback_bias"), prev_spike, spec.name
+        spec.params["feedback_weight"], spec.params.get("feedback_bias"), prev_spike
     )
     return fwd + rec
 
 
-@_ieee_quiet
-def conv2d_forward(
-    weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray, layer: str = "?"
-) -> np.ndarray:
+def conv2d_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
     """Valid (no padding) stride-1 cross-correlation plus per-channel bias.
 
     Window terms accumulate in-channel-major, then kernel row, then column.
     """
-    if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
-        raise _dim_error(layer, f"conv weight must be [oc,ic,k,k], got {weight.shape}")
     oc, ic, k, _ = weight.shape
-    if input.ndim != 3 or input.shape[0] != ic:
-        raise _dim_error(layer, f"conv expects ({ic},H,W) input, got {input.shape}")
-    if input.shape[1] < k or input.shape[2] < k:
-        raise _dim_error(layer, f"kernel {k} larger than input {input.shape[1]}x{input.shape[2]}")
     win = sliding_window_view(input, (k, k), axis=(1, 2))  # (ic, Ho, Wo, k, k)
     ho, wo = win.shape[1], win.shape[2]
     patches = win.transpose(0, 3, 4, 1, 2).reshape(ic * k * k, ho, wo)
     terms = weight.reshape(oc, ic * k * k)[:, :, None, None] * patches[None, :, :, :]
     out = _ordered_sum(terms, axis=1)
     if bias is not None:
-        if bias.shape != (oc,):
-            raise _dim_error(layer, f"bias shape {bias.shape} != ({oc},)")
         out = out + bias[:, None, None]
     return out
 
 
-@_ieee_quiet
-def avgpool2d_forward(input: np.ndarray, pool: int, layer: str = "?") -> np.ndarray:
+def avgpool2d_forward(input: np.ndarray, pool: int) -> np.ndarray:
     """Non-overlapping window means: row-major window sum / float32(pool*pool)."""
-    pool = int(pool)
-    if pool < 1:
-        raise _dim_error(layer, "pool size must be a positive integer")
-    if input.ndim != 3:
-        raise _dim_error(layer, f"pooling expects a (c,H,W) input, got {input.shape}")
     c, h, w = input.shape
-    if h % pool or w % pool:
-        raise _dim_error(layer, f"input {h}x{w} not divisible by pool {pool}")
     windows = (
         input.reshape(c, h // pool, pool, w // pool, pool)
         .transpose(0, 1, 3, 2, 4)
@@ -347,7 +314,6 @@ def avgpool2d_forward(input: np.ndarray, pool: int, layer: str = "?") -> np.ndar
     return _ordered_sum(windows, axis=3) / DTYPE.type(pool * pool)
 
 
-@_ieee_quiet
 def lif_step(
     state: LifState, current: np.ndarray, beta: np.ndarray, threshold: np.ndarray
 ) -> tuple[LifState, np.ndarray]:
@@ -357,8 +323,6 @@ def lif_step(
     array as the returned spikes.
     """
     v_prev = state.potential
-    if current.shape != v_prev.shape:
-        raise DimensionError(f"current shape {current.shape} != state shape {v_prev.shape}")
     fired = v_prev > threshold  # NaN compares false: sub-threshold branch
     decayed = beta * v_prev
     after_reset = v_prev - threshold
@@ -374,7 +338,6 @@ def reset_state(net: Network) -> None:
         st.spike[...] = 0.0
 
 
-@_ieee_quiet
 def network_forward(net: Network, sample, refresh: StateHook | None = None) -> np.ndarray:
     """Run a full T-step inference and return the class score vector.
 
@@ -392,29 +355,28 @@ def network_forward(net: Network, sample, refresh: StateHook | None = None) -> n
     seq = spikes_in.astype(DTYPE, copy=False)
 
     scores = np.zeros(net.num_classes, DTYPE)
-    for n in range(net.timesteps):
-        x = seq[n]
-        for spec in net.layers:
-            kind = spec.kind
-            if kind is LayerKind.FULLY_CONNECTED:
-                x = linear_forward(
-                    spec.params["weight"], spec.params.get("bias"), x.reshape(-1), spec.name
-                )
-            elif kind is LayerKind.RECURRENT:
-                prev = net.states[net.paired_lif[spec.name]].spike
-                x = recurrent_forward(spec, x.reshape(-1), prev)
-            elif kind is LayerKind.CONV2D:
-                x = conv2d_forward(spec.params["weight"], spec.params.get("bias"), x, spec.name)
-            elif kind is LayerKind.AVGPOOL2D:
-                x = avgpool2d_forward(x, spec.hyper["pool"], spec.name)
-            else:
-                st = net.states[spec.name]
-                new_state, spike = lif_step(st, x, spec.params["beta"], spec.params["threshold"])
-                st.potential = new_state.potential
-                st.spike = spike
-                if refresh is not None:
-                    refresh(spec.name, "potential", st.potential)
-                    refresh(spec.name, "spike", st.spike)
-                x = st.spike
-        scores = scores + x
+    with np.errstate(all="ignore"):
+        for n in range(net.timesteps):
+            x = seq[n]
+            for spec in net.layers:
+                kind, p = spec.kind, spec.params
+                if kind is LayerKind.FULLY_CONNECTED:
+                    x = linear_forward(p["weight"], p.get("bias"), x.reshape(-1))
+                elif kind is LayerKind.RECURRENT:
+                    prev = net.states[net.paired_lif[spec.name]].spike
+                    x = recurrent_forward(spec, x.reshape(-1), prev)
+                elif kind is LayerKind.CONV2D:
+                    x = conv2d_forward(p["weight"], p.get("bias"), x)
+                elif kind is LayerKind.AVGPOOL2D:
+                    x = avgpool2d_forward(x, spec.hyper["pool"])
+                else:
+                    st = net.states[spec.name]
+                    new_state, spike = lif_step(st, x, p["beta"], p["threshold"])
+                    st.potential = new_state.potential
+                    st.spike = spike
+                    if refresh is not None:
+                        refresh(spec.name, "potential", st.potential)
+                        refresh(spec.name, "spike", st.spike)
+                    x = st.spike
+            scores = scores + x
     return scores

@@ -36,10 +36,6 @@ class CompatibilityError(SnnFaultError):
     """A requested injection point does not exist anywhere in the network."""
 
 
-class SessionError(SnnFaultError):
-    """Misuse of an injection session (e.g. releasing twice)."""
-
-
 class ConsistencyError(SnnFaultError):
     """Cross-file disagreement, e.g. an outcome row referencing an unknown fault."""
 

@@ -34,30 +34,19 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LayerKind, Network
+from .core import PARAMETERIZED, LayerKind, Network
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, ParameterKind, target_tensor
 
 RNG_ID = "np-pcg64-fy1"  # numpy PCG64 + the partial Fisher-Yates below
 BITS_PER_ELEMENT = 32
 
-# Canonical kind order per layer kind; drives universe index assignment.
+# Canonical kind order per layer kind; drives universe index assignment. The
+# parameters keep core's declaration order; a LIF's state follows them.
 KIND_ORDER: dict[LayerKind, tuple[ParameterKind, ...]] = {
-    LayerKind.FULLY_CONNECTED: (ParameterKind.WEIGHT, ParameterKind.BIAS),
-    LayerKind.RECURRENT: (
-        ParameterKind.WEIGHT,
-        ParameterKind.BIAS,
-        ParameterKind.FEEDBACK_WEIGHT,
-        ParameterKind.FEEDBACK_BIAS,
-    ),
-    LayerKind.CONV2D: (ParameterKind.WEIGHT, ParameterKind.BIAS),
-    LayerKind.AVGPOOL2D: (),
-    LayerKind.LIF: (
-        ParameterKind.BETA,
-        ParameterKind.THRESHOLD,
-        ParameterKind.POTENTIAL,
-        ParameterKind.SPIKE,
-    ),
+    kind: tuple(ParameterKind(name) for name in names)
+    + ((ParameterKind.POTENTIAL, ParameterKind.SPIKE) if kind is LayerKind.LIF else ())
+    for kind, names in PARAMETERIZED.items()
 }
 
 POLARITIES = ("random", "0", "1", "both")

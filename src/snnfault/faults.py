@@ -12,13 +12,13 @@ mode that pins the emitted spike to exactly 0.0 (dead neuron) or 1.0
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import LifState, Network, StateHook
-from .errors import AddressError, FaultKindError, SessionError
+from .errors import AddressError, FaultKindError
 
 _U32 = np.dtype("<u4") if np.little_endian else np.dtype(">u4")
 
@@ -43,7 +43,6 @@ class ParameterKind(str, Enum):
 
 
 DYNAMIC_KINDS = frozenset({ParameterKind.POTENTIAL, ParameterKind.SPIKE})
-STATIC_KINDS = frozenset(ParameterKind) - DYNAMIC_KINDS
 
 
 class FaultMode(str, Enum):
@@ -77,22 +76,6 @@ class FaultDescriptor:
             )
 
 
-@dataclass
-class InjectionSession:
-    """Handle for one applied static fault; release() undoes it bitwise."""
-
-    descriptor: FaultDescriptor
-    original_value: np.float32
-    refresh_hook: StateHook | None = None
-    _net: Network | None = None
-    _original_bits: int = 0
-    _released: bool = field(default=False, repr=False)
-
-
-def _mask(bit: int) -> tuple[np.uint32, np.uint32]:
-    return np.uint32(1 << bit), np.uint32(~(1 << bit) & 0xFFFFFFFF)
-
-
 def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:
     """Pin one bit of a binary32 value. Total over all values, NaN/Inf included.
 
@@ -102,23 +85,17 @@ def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:
     if not 0 <= bit <= 31:
         raise AddressError(f"bit {bit} outside 0..31")
     a = np.array(value, dtype=np.float32)
-    u = a.view(_U32)
-    setm, clearm = _mask(bit)
-    if stuck:
-        u |= setm
-    else:
-        u &= clearm
+    set_bit_inplace(a, (), bit, stuck)
     return a[()]
 
 
 def set_bit_inplace(tensor: np.ndarray, coords: tuple[int, ...], bit: int, stuck: int) -> None:
-    """apply_bit_stuck on one element of a float32 array, in place."""
+    """Pin one bit of one element of a float32 array, in place."""
     u = tensor.view(_U32)
-    setm, clearm = _mask(bit)
     if stuck:
-        u[coords] |= setm
+        u[coords] |= np.uint32(1 << bit)
     else:
-        u[coords] &= clearm
+        u[coords] &= np.uint32(~(1 << bit) & 0xFFFFFFFF)
 
 
 def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
@@ -145,31 +122,17 @@ def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
     return tensor
 
 
-def inject_static(net: Network, d: FaultDescriptor) -> InjectionSession:
+def inject_static(net: Network, d: FaultDescriptor) -> None:
     """Corrupt the addressed static parameter once, in place.
 
-    The network should be a working copy; the session remembers the original
-    bits so release() can restore them exactly.
+    The network should be a working copy: nothing records the original bits.
     """
     if d.parameter.is_dynamic:
         raise FaultKindError(
             f"'{d.parameter.value}' is rewritten every timestep; "
             "use make_refresh_hook, not inject_static"
         )
-    tensor = target_tensor(net, d)
-    bits = int(tensor.view(_U32)[d.coords])
-    set_bit_inplace(tensor, d.coords, d.bit, d.stuck)
-    original = np.array(bits, dtype=_U32).view(np.float32)[()]
-    return InjectionSession(descriptor=d, original_value=original, _net=net, _original_bits=bits)
-
-
-def refresh_dynamic(state_value, d: FaultDescriptor) -> np.float32:
-    """The per-write corruption a dynamic fault applies to one state value."""
-    if d.parameter.is_static:
-        raise FaultKindError(f"'{d.parameter.value}' is static; use inject_static")
-    if d.mode is FaultMode.VALUE_STUCK:
-        return np.float32(d.stuck)
-    return apply_bit_stuck(state_value, d.bit, d.stuck)
+    set_bit_inplace(target_tensor(net, d), d.coords, d.bit, d.stuck)
 
 
 def make_refresh_hook(d: FaultDescriptor) -> StateHook:
@@ -191,11 +154,3 @@ def make_refresh_hook(d: FaultDescriptor) -> StateHook:
 
     return hook
 
-
-def release(session: InjectionSession) -> None:
-    """Restore the corrupted element to its pre-injection bits, exactly once."""
-    if session._released or session._net is None:
-        raise SessionError("injection session already released (or never applied)")
-    tensor = target_tensor(session._net, session.descriptor)
-    tensor.view(_U32)[session.descriptor.coords] = np.uint32(session._original_bits)
-    session._released = True

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from .campaign import GoldenReference, OutcomeRow
 from .classify import SdcClass, classify_pair
 from .dataio import f32_to_hex
 from .errors import ConsistencyError
@@ -68,18 +69,18 @@ class Report:
 
 
 def aggregate(
-    outcomes: Iterable,
-    golden,
+    outcomes: Iterable[OutcomeRow],
+    golden: GoldenReference,
     fl: FaultList,
     universe: FaultUniverse | None = None,
     strict_masked: bool = False,
 ) -> Report:
     """Classify every outcome and fold into per-(layer, parameter) rows.
 
-    ``outcomes`` may be parsed OutcomeRows or in-memory RawOutcomes; rows that
-    carry golden columns are cross-checked against the golden reference.
-    Unknown fault or input ids, and golden disagreements, raise a consistency
-    error.
+    Each row's golden columns are cross-checked against the golden reference.
+    Unknown fault or input ids, golden disagreements, and any (fault, input)
+    pair of fault list x golden inputs that is missing or appears twice raise
+    a consistency error.
     """
     universe = universe if universe is not None else fl.universe
     by_fault = fl.by_id()
@@ -88,6 +89,7 @@ def aggregate(
 
     counts: dict[tuple[str, str], Counter] = {}
     pairs: Counter = Counter()
+    seen: Counter = Counter()  # rows per (fault_id, input_id)
     for o in outcomes:
         d = by_fault.get(o.fault_id)
         if d is None:
@@ -95,22 +97,26 @@ def aggregate(
         ge = golden_by.get(o.input_id)
         if ge is None:
             raise ConsistencyError(f"outcome references unknown input_id {o.input_id}")
-        row_golden_class = getattr(o, "golden_class", None)
-        if row_golden_class is not None:
-            if int(row_golden_class) != ge.top_class or f32_to_hex(o.golden_top) != f32_to_hex(
-                ge.top_score
-            ):
-                raise ConsistencyError(
-                    f"outcome ({o.fault_id},{o.input_id}) disagrees with the golden reference"
-                )
+        if o.golden_class != ge.top_class or f32_to_hex(o.golden_top) != f32_to_hex(ge.top_score):
+            raise ConsistencyError(
+                f"outcome ({o.fault_id},{o.input_id}) disagrees with the golden reference"
+            )
+        seen[(o.fault_id, o.input_id)] += 1
         cls = classify_pair(
             (ge.top_class, float(ge.top_score)),
-            (int(o.top_class), float(o.top_score)),
+            (o.faulty_class, float(o.faulty_top)),
             strict_masked=strict_masked,
         )
         key = (d.layer, d.parameter.value)
         counts.setdefault(key, Counter())[cls] += 1
         pairs[key] += 1
+
+    duplicate = next((pair for pair, n in seen.items() if n > 1), None)
+    if duplicate is not None:
+        raise ConsistencyError(f"outcome {duplicate} appears more than once")
+    if len(seen) != len(by_fault) * len(golden_by):
+        fid, iid = next((f, i) for f in by_fault for i in golden_by if (f, i) not in seen)
+        raise ConsistencyError(f"no outcome for fault_id {fid}, input_id {iid}")
 
     injected: Counter = Counter((d.layer, d.parameter.value) for d in fl.descriptors)
     for key in counts:

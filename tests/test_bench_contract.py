@@ -1,0 +1,76 @@
+"""The benchmark harness in bench/ reaches into the package; pin what it uses.
+
+bench/ is run outside this suite, so a refactor that drops a name it imports,
+or bypasses a module-global name its tracer patches, would otherwise only
+show up as a broken benchmark or as per-layer metrics that silently read 0.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from snnfault import campaign, core
+from snnfault.dataio import synth_dataset, synth_model
+from snnfault.faults import FaultDescriptor, FaultMode, ParameterKind
+
+ROOT = Path(__file__).resolve().parent.parent
+CLIENTS = [ROOT / "bench" / "run.py", ROOT / "tests" / "test_acceptance.py"]
+
+
+def _snnfault_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "snnfault":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: p.name)
+def test_client_imports_resolve(path):
+    names = list(_snnfault_imports(path))
+    assert names, f"{path.name} imports nothing from snnfault"
+    missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_sees_every_layer_and_restores():
+    tracing = _load_tracing()
+    originals = {k: getattr(core, k) for k in tracing.KERNELS}
+    nets = [
+        synth_model(1, "RFC(4->4)-LIF-FC(4->3)-LIF", 2),
+        synth_model(2, "CONV(1x4x4->2,k3)-LIF-POOL(2)-FC(2->3)-LIF", 2),
+    ]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for net in nets:
+            ds = synth_dataset(3, 1, 2, net.input_shape, 3, 0.5)
+            lif = net.layers[1].name
+            coords = (0,) * len(net.states[lif].potential.shape)
+            campaign.run_golden(net.copy(), ds)
+            campaign.run_faulty(net, FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, 1), ds)
+            campaign.run_faulty(
+                net,
+                FaultDescriptor(1, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK),
+                ds,
+            )
+    seen = {name for name, spans in tracer.spans().items() if spans.calls}
+    want = {f"core.{k}" for k in tracing.KERNELS} | {
+        "core.Network.copy",
+        "core.network_forward",
+        "core.reset_state",
+        "faults.inject_static",
+        "faults.target_tensor",
+        "faults.refresh_hook",
+        "campaign.run_golden",
+        "campaign.run_faulty",
+    }
+    assert want - seen == set()
+    assert {k: getattr(core, k) for k in tracing.KERNELS} == originals

@@ -1,35 +1,35 @@
 """Campaign engine: golden reference, outcome files, checkpoint/resume."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import bits_of, two_layer_net
-from snnfault import (
+from snnfault import campaign
+from snnfault.campaign import (
     CampaignConfig,
-    FaultDescriptor,
-    FaultList,
-    FaultMode,
-    FormatError,
-    ParameterKind,
-    ResumeError,
-    SamplingSpec,
-    generate_fault_list,
-    read_fault_list,
+    GOLDEN_HEADER,
+    OUTCOME_HEADER,
+    _top,
     read_golden,
     read_outcomes,
     run_campaign,
     run_faulty,
     run_golden,
-    save_dataset,
-    save_model,
-    synth_dataset,
-    synth_model,
-    write_fault_list,
     write_golden,
 )
-from snnfault.campaign import GOLDEN_HEADER, OUTCOME_HEADER, _top
-from snnfault.dataio import f32_to_hex
-from snnfault.faultlist import enumerate_universe
+from snnfault.dataio import f32_to_hex, save_dataset, save_model, synth_dataset, synth_model
+from snnfault.errors import FormatError, ResumeError
+from snnfault.faultlist import (
+    FaultList,
+    SamplingSpec,
+    enumerate_universe,
+    generate_fault_list,
+    read_fault_list,
+    write_fault_list,
+)
+from snnfault.faults import FaultDescriptor, FaultMode, ParameterKind
 
 ARCH = "FC(6->5)-LIF-FC(5->3)-LIF"
 T = 6
@@ -169,6 +169,59 @@ def test_campaign_subset_restricts_inputs(workdir):
     assert {r.input_id for r in rows} == {0, 1}
     golden = read_golden(res.golden_path)
     assert len(golden.entries) == 2
+
+
+class _Killed(Exception):
+    pass
+
+
+class _TornFile:
+    """Passes writes through until `budget` characters, then dies mid-write."""
+
+    def __init__(self, f, budget):
+        self._f, self._budget = f, budget
+
+    def write(self, text):
+        if len(text) > self._budget:
+            self._f.write(text[: self._budget])
+            self._f.flush()
+            raise _Killed()
+        self._budget -= len(text)
+        return self._f.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
+    straight = run_campaign(cfg_for(workdir, "tw_straight"))
+    reference = straight.outcomes_path.read_bytes()
+    real_open = open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith("outcomes.csv") and "w" in mode:
+            return _TornFile(f, len(reference) // 2)
+        return f
+
+    monkeypatch.setattr(campaign, "open", torn_open, raising=False)
+    with pytest.raises(_Killed):
+        run_campaign(cfg_for(workdir, "tw_killed"))
+    monkeypatch.undo()
+    out = cfg_for(workdir, "tw_killed").out_dir
+    assert not (out / "outcomes.csv").exists()
+    resumed = run_campaign(cfg_for(workdir, "tw_killed", resume=True))
+    assert resumed.outcomes_path.read_bytes() == reference
 
 
 # -- resume-state validation ------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snnfault import SdcClass, classify_pair, relative_deviation_pct
+from snnfault.classify import SdcClass, classify_pair, relative_deviation_pct
 
 F32 = np.float32
 

@@ -4,10 +4,12 @@ import json
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from snnfault.cli import build_parser, dispatch
+from snnfault import cli
+from snnfault.cli import dispatch
 from snnfault.faultlist import SamplingSpec, read_fault_list, sample_size
 
 ARCH = "FC(6->4)-LIF-FC(4->3)-LIF"
@@ -141,12 +143,40 @@ def test_dirty_out_dir_exits_4(pipeline, capsys):
     assert err.count("\n") == 1
 
 
+def _inject_workers(monkeypatch, extra=()):
+    """The worker count `inject` hands to run_campaign, without running it."""
+    seen = []
+
+    def fake_run_campaign(cfg):
+        seen.append(cfg.workers)
+        return SimpleNamespace(status="complete", processed=0, total=0, wall_seconds=0.0,
+                               out_dir=cfg.out_dir)
+
+    monkeypatch.setattr(cli, "run_campaign", fake_run_campaign)
+    code = dispatch(["inject", "--model", "m", "--dataset", "d", "--fl", "f", "--out", "o",
+                     *extra])
+    return code, seen
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("SNNFAULT_WORKERS", "6")
-    args = build_parser().parse_args(
-        ["inject", "--model", "m", "--dataset", "d", "--fl", "f", "--out", "o"]
-    )
-    assert args.workers == 6
+    assert _inject_workers(monkeypatch) == (0, [6])
+    assert _inject_workers(monkeypatch, ["--workers", "2"]) == (0, [2])
+    monkeypatch.delenv("SNNFAULT_WORKERS")
+    assert _inject_workers(monkeypatch) == (0, [1])
+
+
+def test_bad_workers_env_exits_3_only_for_inject(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SNNFAULT_WORKERS", "abc")
+    code, seen = _inject_workers(monkeypatch)
+    assert code == 3 and seen == []
+    err = capsys.readouterr().err
+    assert err.startswith("snnfault: error: ValueError: SNNFAULT_WORKERS")
+    assert err.count("\n") == 1
+    # other subcommands never read the variable
+    assert dispatch(["synth", "dataset", "--samples", "1", "--timesteps", "2", "--shape", "3",
+                     "--classes", "2", "--rate", "0.5", "--seed", "1",
+                     "--out", str(tmp_path / "d.sjd")]) == 0
 
 
 def test_module_entry_point():

@@ -20,9 +20,8 @@ from helpers import (
     spike_train,
     two_layer_net,
 )
-from snnfault import (
+from snnfault.core import (
     DTYPE,
-    DimensionError,
     LayerKind,
     LayerSpec,
     LifState,
@@ -35,6 +34,7 @@ from snnfault import (
     recurrent_forward,
     reset_state,
 )
+from snnfault.errors import DimensionError
 
 F32 = np.float32
 
@@ -69,7 +69,7 @@ def test_linear_fraction_example():
 
 def test_linear_shape_mismatch_names_layer():
     with pytest.raises(DimensionError, match="fc7"):
-        linear_forward(arr([[1, 2]]), None, arr([1, 2, 3]), layer="fc7")
+        Network([fc_layer("fc7", [[1, 2]]), lif_layer("lif1")], timesteps=1, input_shape=(3,))
 
 
 @given(
@@ -139,8 +139,9 @@ def test_conv_zero_weight_gives_constant_bias_map():
 
 
 def test_conv_kernel_larger_than_input_rejected():
+    conv = LayerSpec("conv9", LayerKind.CONV2D, {"weight": np.ones((1, 1, 3, 3))})
     with pytest.raises(DimensionError, match="conv9"):
-        conv2d_forward(arr(np.ones((1, 1, 3, 3))), None, arr(np.ones((1, 2, 2))), layer="conv9")
+        Network([conv, lif_layer("lif1")], timesteps=1, input_shape=(1, 2, 2))
 
 
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2), st.data())
@@ -200,8 +201,10 @@ def test_pool_constant_stays_constant():
 
 
 def test_pool_nondivisible_rejected():
-    with pytest.raises(DimensionError):
-        avgpool2d_forward(arr(np.ones((1, 3, 3))), 2)
+    conv = LayerSpec("conv1", LayerKind.CONV2D, {"weight": np.ones((1, 1, 1, 1))})
+    pool = LayerSpec("pool1", LayerKind.AVGPOOL2D, hyper={"pool": 2})
+    with pytest.raises(DimensionError, match="pool1"):
+        Network([conv, lif_layer("lif1"), pool], timesteps=1, input_shape=(1, 3, 3))
 
 
 @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), st.data())
@@ -280,12 +283,6 @@ def test_lif_spike_is_binary_f32():
     assert spike.dtype == DTYPE
     assert set(spike.tolist()) <= {0.0, 1.0}
     np.testing.assert_array_equal(spike, arr([0, 1, 0]))
-
-
-def test_lif_shape_mismatch_rejected():
-    state = LifState(potential=arr([0.0, 0.0]), spike=arr([0, 0]))
-    with pytest.raises(DimensionError):
-        lif_step(state, arr([1.0]), arr([0.9]), arr([1.0]))
 
 
 @given(finite_f32, finite_f32, st.floats(0.0, 1.0, width=32), finite_f32)

@@ -9,21 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bits_of, f32_from_bits, two_layer_net
-from snnfault import (
-    DTYPE,
-    DimensionError,
-    FormatError,
-    LayerKind,
-    SnnFaultError,
+from snnfault.core import DTYPE, LayerKind
+from snnfault.dataio import (
     SpikeDataset,
+    f32_to_hex,
+    hex_to_f32,
     load_dataset,
     load_model,
+    parse_score,
+    render_score,
     save_dataset,
     save_model,
     synth_dataset,
     synth_model,
 )
-from snnfault.dataio import f32_to_hex, hex_to_f32, parse_score, render_score
+from snnfault.errors import DimensionError, FormatError, SnnFaultError
 
 
 # -- hex score cells -----------------------------------------------------------

@@ -20,21 +20,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fc_layer, lif_layer, two_layer_net
-from snnfault import (
-    AddressError,
-    CompatibilityError,
-    FaultMode,
-    FormatError,
-    Network,
-    ParameterKind,
+from snnfault.core import Network
+from snnfault.errors import AddressError, CompatibilityError, FormatError
+from snnfault.faultlist import (
     SamplingSpec,
+    enumerate_universe,
     generate_fault_list,
     quantile_for_confidence,
     read_fault_list,
     sample_size,
     write_fault_list,
 )
-from snnfault.faultlist import enumerate_universe
+from snnfault.faults import FaultMode, ParameterKind
 
 WEIGHTS_AND_BIAS = {ParameterKind.WEIGHT, ParameterKind.BIAS}
 ALL_LIF = {

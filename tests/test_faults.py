@@ -1,4 +1,4 @@
-"""Bit-stuck mechanics and injection sessions.
+"""Bit-stuck mechanics, static injection and dynamic refresh hooks.
 
 The reference for every bit manipulation is the integer mask oracle:
 (pattern | (1 << bit)) or (pattern & ~(1 << bit)) on the raw 32-bit view.
@@ -10,20 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bits_of, f32_from_bits, single_neuron_net, spike_train, two_layer_net
-from snnfault import (
-    AddressError,
+from snnfault.core import network_forward, reset_state
+from snnfault.errors import AddressError, FaultKindError
+from snnfault.faults import (
     FaultDescriptor,
-    FaultKindError,
     FaultMode,
     ParameterKind,
-    SessionError,
     apply_bit_stuck,
     inject_static,
     make_refresh_hook,
-    network_forward,
-    refresh_dynamic,
-    release,
-    reset_state,
     target_tensor,
 )
 
@@ -133,7 +128,7 @@ def test_inject_static_single_element_discipline():
     net = two_layer_net(seed=21)
     golden = net.copy()
     d = FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (2, 3), 30, 1)
-    session = inject_static(net, d)
+    inject_static(net, d)
 
     diffs = 0
     for name in ("fc1", "fc2"):
@@ -144,7 +139,6 @@ def test_inject_static_single_element_discipline():
     got = net.layer("fc1").params["weight"][2, 3]
     want = apply_bit_stuck(golden.layer("fc1").params["weight"][2, 3], 30, 1)
     assert bits_of(got) == bits_of(want)
-    assert bits_of(session.original_value) == bits_of(golden.layer("fc1").params["weight"][2, 3])
 
 
 def test_inject_static_masked_when_bit_matches():
@@ -171,27 +165,6 @@ def test_inject_static_rejects_dynamic_kinds():
             inject_static(net, FaultDescriptor(0, "lif1", kind, (0,), 0, 1))
 
 
-def test_release_restores_bitwise_and_is_single_shot():
-    net = two_layer_net(seed=24)
-    golden_bytes = net.layer("fc1").params["weight"].tobytes()
-    d = FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (1, 1), 31, 1)
-    session = inject_static(net, d)
-    assert net.layer("fc1").params["weight"].tobytes() != golden_bytes
-    release(session)
-    assert net.layer("fc1").params["weight"].tobytes() == golden_bytes
-    with pytest.raises(SessionError):
-        release(session)
-
-
-def test_release_without_injection_rejected():
-    d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 0, 1)
-    from snnfault import InjectionSession
-
-    bare = InjectionSession(descriptor=d, original_value=np.float32(0.0))
-    with pytest.raises(SessionError):
-        release(bare)
-
-
 def test_faulty_then_fresh_copy_gives_original_golden():
     template = two_layer_net(seed=25)
     x = spike_train(31, template.timesteps, (4,), rate=0.7)
@@ -210,16 +183,23 @@ def test_faulty_then_fresh_copy_gives_original_golden():
 # -- dynamic refresh ----------------------------------------------------------
 
 
-def test_refresh_dynamic_value_stuck_levels():
+def _refresh_one(state_value, d):
+    """Apply a dynamic descriptor's hook to a one-element state tensor."""
+    tensor = np.array([state_value], np.float32)
+    make_refresh_hook(d)(d.layer, d.parameter.value, tensor)
+    return tensor[0]
+
+
+def test_refresh_hook_value_stuck_levels():
     dead = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 0, 0, FaultMode.VALUE_STUCK)
     sat = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 0, 1, FaultMode.VALUE_STUCK)
-    assert refresh_dynamic(np.float32(1.0), dead) == np.float32(0.0)
-    assert refresh_dynamic(np.float32(0.0), sat) == np.float32(1.0)
+    assert _refresh_one(np.float32(1.0), dead) == np.float32(0.0)
+    assert _refresh_one(np.float32(0.0), sat) == np.float32(1.0)
 
 
-def test_refresh_dynamic_sign_bit_negates():
+def test_refresh_hook_sign_bit_negates():
     d = FaultDescriptor(0, "lif1", ParameterKind.POTENTIAL, (0,), 31, 1)
-    out = refresh_dynamic(np.float32(0.7), d)
+    out = _refresh_one(np.float32(0.7), d)
     assert bits_of(out) == bits_of(np.float32(-0.7))
 
 

@@ -8,19 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import two_layer_net
-from snnfault import (
-    ConsistencyError,
-    FaultDescriptor,
-    FaultList,
-    ParameterKind,
-    SamplingSpec,
-    SdcClass,
-    aggregate,
-    render_report,
-)
-from snnfault.campaign import GoldenEntry, GoldenReference, OutcomeRow
-from snnfault.faultlist import enumerate_universe
-from snnfault.report import COLUMN_ORDER, TABLE_LABELS
+from snnfault.campaign import GoldenReference, OutcomeRow, Prediction
+from snnfault.classify import SdcClass
+from snnfault.errors import ConsistencyError
+from snnfault.faultlist import FaultList, SamplingSpec, enumerate_universe
+from snnfault.faults import FaultDescriptor, ParameterKind
+from snnfault.report import COLUMN_ORDER, TABLE_LABELS, aggregate, render_report
 
 F32 = np.float32
 POINTS = {ParameterKind.WEIGHT, ParameterKind.BIAS}
@@ -31,7 +24,7 @@ def make_golden(k=2, top_class=1, top=4.0):
     for i in range(k):
         scores = np.zeros(3, F32)
         scores[top_class] = F32(top)
-        entries.append(GoldenEntry(i, scores, top_class, F32(top)))
+        entries.append(Prediction(i, scores, top_class, F32(top)))
     return GoldenReference(entries)
 
 
@@ -124,6 +117,24 @@ def test_unknown_input_id_rejected():
     rows = rows_for(fl, golden, {0: (1, 4.0), 1: (1, 4.0), 2: (1, 4.0)})
     rows.append(OutcomeRow(0, 57, 1, 1, F32(4.0), F32(4.0)))
     with pytest.raises(ConsistencyError):
+        aggregate(rows, golden, fl)
+
+
+def test_missing_pair_rejected():
+    fl = make_fl(descriptors_two_groups())
+    golden = make_golden()
+    rows = rows_for(fl, golden, {0: (1, 4.0), 1: (1, 4.0), 2: (1, 4.0)})
+    del rows[3]  # fault 1, input 1
+    with pytest.raises(ConsistencyError, match="fault_id 1, input_id 1"):
+        aggregate(rows, golden, fl)
+
+
+def test_duplicated_pair_rejected():
+    fl = make_fl(descriptors_two_groups())
+    golden = make_golden()
+    rows = rows_for(fl, golden, {0: (1, 4.0), 1: (1, 4.0), 2: (1, 4.0)})
+    rows.append(rows[2])
+    with pytest.raises(ConsistencyError, match="more than once"):
         aggregate(rows, golden, fl)
 
 
