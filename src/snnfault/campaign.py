@@ -2,17 +2,16 @@
 
 Every fault runs on a fresh copy of the template network against the first K
 dataset inputs (state reset between inputs), so each (fault, input) outcome is
-a pure function of (model, descriptor, input). Results stream into
-``outcomes.partial.csv`` and a ``checkpoint.txt`` of completed fault_id ranges
-(rows are flushed and fsynced BEFORE the checkpoint acknowledges them, and the
-checkpoint is replaced atomically). Resume trusts only rows whose fault_id the
-checkpoint covers and which form complete per-fault groups; torn or
-un-checkpointed trailing rows are discarded and re-run. The final
-``outcomes.csv`` is written in one pass sorted by (fault_id, input_id), so its
-bytes are identical no matter the worker count or how many times the campaign
-was interrupted. It, ``golden.csv``, ``campaign.json`` and the checkpoint are
-each written to a temporary file, fsynced and renamed into place, so a kill
-never leaves a truncated one behind.
+a pure function of (model, descriptor, input). Results stream into the
+``outcomes.partial.csv`` log, their only record; once rows are fsynced,
+``checkpoint.txt`` acknowledges the log's byte length, bound to the sha256 of
+the model, dataset and fault list and to K. Resume refuses changed inputs,
+cuts the log back to that length (a torn or unacknowledged tail is re-run,
+never appended to) and parses it strictly. ``outcomes.csv`` is the same strict
+reading of the log sorted by (fault_id, input_id), so its bytes are identical
+for any worker count or interruption history. It, ``golden.csv``,
+``campaign.json`` and the checkpoint are each written to a temporary file,
+fsynced and renamed into place, so a kill never leaves a truncated one behind.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -23,10 +22,10 @@ hex patterns.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
-import re
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -264,80 +263,63 @@ def read_outcomes(path) -> list[OutcomeRow]:
 
 # -- checkpointing ---------------------------------------------------------------
 
-_RANGE_RE = re.compile(r"^(\d+)-(\d+)$")
+
+def _input_binding(cfg: CampaignConfig, k: int) -> dict:
+    def sha256(path: Path) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    return {
+        "model_sha256": sha256(cfg.model),
+        "dataset_sha256": sha256(cfg.dataset),
+        "fault_list_sha256": sha256(cfg.fault_list),
+        "inputs": k,
+    }
 
 
-def _write_checkpoint(path: Path, completed: set[int]) -> None:
-    ids = sorted(completed)
-    lines = []
-    i = 0
-    while i < len(ids):
-        j = i
-        while j + 1 < len(ids) and ids[j + 1] == ids[j] + 1:
-            j += 1
-        lines.append(f"{ids[i]}-{ids[j]}")
-        i = j + 1
-    _write_atomic(path, lines)
-
-
-def _load_resume_state(
-    ckpt: Path, partial: Path, k: int, valid_ids: set[int]
-) -> tuple[set[int], list[tuple[int, int, str]]]:
-    if not ckpt.exists():
-        if partial.exists() and partial.stat().st_size > 0:
-            raise ResumeError(f"{partial} holds outcome rows but no checkpoint acknowledges them")
-        return set(), []
-    completed: set[int] = set()
+def _read_checkpoint(path: Path, binding: dict) -> int:
+    """The log length the checkpoint acknowledges, provided the inputs are unchanged."""
     try:
-        ckpt_text = ckpt.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ResumeError(f"checkpoint is not UTF-8: {exc}") from None
-    for lineno, line in enumerate(ckpt_text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        m = _RANGE_RE.match(line)
-        if not m:
-            raise ResumeError(f"corrupt checkpoint: bad range {line!r} (line {lineno})")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise ResumeError(f"corrupt checkpoint: inverted range {line!r} (line {lineno})")
-        completed.update(range(lo, hi + 1))
-    unknown = completed - valid_ids
-    if unknown:
-        raise ResumeError(
-            f"checkpoint references fault ids not in the fault list (e.g. {min(unknown)})"
-        )
-    if not completed:
-        return set(), []
-    if not partial.exists():
-        raise ResumeError("checkpoint exists but the partial outcome file is missing")
+        record = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise ResumeError(f"corrupt checkpoint: {exc}") from None
+    if not isinstance(record, dict) or record.keys() != {"log_bytes", *binding}:
+        raise ResumeError(f"corrupt checkpoint: want the fields log_bytes, {', '.join(binding)}")
+    changed = [key for key in binding if record[key] != binding[key]]
+    if changed:
+        raise ResumeError(f"{', '.join(changed)} changed since the checkpoint was written")
+    length = record["log_bytes"]
+    if type(length) is not int or length < 0:
+        raise ResumeError(f"corrupt checkpoint: log_bytes {length!r} is not a byte count")
+    return length
 
-    # Keep only fully parseable rows of checkpointed faults; anything else is a
-    # torn or un-acknowledged tail and will simply be re-run. Duplicate
-    # (fault, input) rows (flush raced a crash) collapse to the last copy --
-    # determinism makes the copies byte-identical anyway.
-    groups: dict[int, dict[int, str]] = {}
-    # errors="replace": garbage bytes in a torn tail become unparseable rows.
-    for line in partial.read_text(encoding="utf-8", errors="replace").split("\n"):
-        if not line:
-            continue
+
+def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int, list[str]]:
+    """Parse the log's first ``length`` bytes strictly: fault id -> its K rows."""
+    with open(path, "rb") as f:
+        data = f.read(length)
+    if len(data) < length:
+        raise ResumeError(f"checkpoint acknowledges {length} bytes, the log holds {len(data)}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
+    if text and not text.endswith("\n"):
+        raise ResumeError("corrupt acknowledged outcome row: the acknowledged bytes end mid-row")
+    groups: dict[int, list[str]] = {}
+    inputs: dict[int, list[int]] = {}
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         try:
-            row = _parse_outcome_line(line)
-        except FormatError:
-            continue
-        if row.fault_id in completed:
-            groups.setdefault(row.fault_id, {})[row.input_id] = line
-    kept: list[tuple[int, int, str]] = []
-    for fid in sorted(completed):
-        g = groups.get(fid)
-        if g is None or set(g) != set(range(k)):
-            raise ResumeError(
-                f"checkpointed fault {fid} is missing outcome rows (have "
-                f"{sorted(g) if g else []}, need 0..{k - 1}); refusing to re-run silently"
-            )
-        kept.extend((fid, iid, g[iid]) for iid in range(k))
-    return completed, kept
+            row = _parse_outcome_line(line, lineno)
+        except FormatError as exc:
+            raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
+        if row.fault_id not in valid_ids:
+            raise ResumeError(f"acknowledged row names unknown fault {row.fault_id}")
+        groups.setdefault(row.fault_id, []).append(line)
+        inputs.setdefault(row.fault_id, []).append(row.input_id)
+    for fid, iids in inputs.items():
+        if iids != list(range(k)):
+            raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
+    return groups
 
 
 # -- the campaign loop ------------------------------------------------------------
@@ -385,17 +367,25 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     partial_path = out_dir / "outcomes.partial.csv"
     final_path = out_dir / "outcomes.csv"
     valid_ids = {d.fault_id for d in fl.descriptors}
+    binding = _input_binding(cfg, k)
 
-    if cfg.resume:
-        completed, rows = _load_resume_state(ckpt_path, partial_path, k, valid_ids)
-    else:
+    acked = 0  # bytes of the log the checkpoint vouches for
+    done: set[int] = set()
+    if not cfg.resume:
         if ckpt_path.exists() or partial_path.exists():
             raise ResumeError(
                 f"{out_dir} already holds campaign state; resume it or clean the directory"
             )
-        completed, rows = set(), []
+    elif ckpt_path.exists():
+        acked = _read_checkpoint(ckpt_path, binding)
+        if not partial_path.exists():
+            raise ResumeError("checkpoint exists but the partial outcome file is missing")
+        done = set(_read_log(partial_path, acked, k, valid_ids))
+        os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
+    elif partial_path.exists() and partial_path.stat().st_size > 0:
+        raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
 
-    pending = [d for d in fl.descriptors if d.fault_id not in completed]
+    pending = [d for d in fl.descriptors if d.fault_id not in done]
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
@@ -403,17 +393,16 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         unacknowledged = 0
 
         def checkpoint() -> None:
+            nonlocal acked
             pf.flush()
             os.fsync(pf.fileno())
-            _write_checkpoint(ckpt_path, completed)
+            acked = os.fstat(pf.fileno()).st_size
+            _write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
         def record(fid: int, triples) -> None:
             nonlocal unacknowledged
             for iid, f_class, f_score in triples:
-                line = _render_row(fid, iid, golden_by[iid], f_class, f_score)
-                rows.append((fid, iid, line))
-                pf.write(line + "\n")
-            completed.add(fid)
+                pf.write(_render_row(fid, iid, golden_by[iid], f_class, f_score) + "\n")
             unacknowledged += 1
             if unacknowledged >= cfg.checkpoint_every:
                 checkpoint()
@@ -431,18 +420,19 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         if unacknowledged:
             checkpoint()
 
-    status = "complete" if completed == valid_ids else "partial"
+    groups = _read_log(partial_path, acked, k, valid_ids)
+    status = "complete" if groups.keys() == valid_ids else "partial"
     outcomes_path = None
     if status == "complete":
-        rows.sort(key=lambda r: (r[0], r[1]))
-        _write_atomic(final_path, chain([OUTCOME_HEADER], (line for _, _, line in rows)))
+        rows = (line for fid in sorted(groups) for line in groups[fid])
+        _write_atomic(final_path, chain([OUTCOME_HEADER], rows))
         outcomes_path = final_path
 
     wall = time.monotonic() - t0
     summary = {
         "status": status,
         "faults_total": len(valid_ids),
-        "faults_completed": len(completed),
+        "faults_completed": len(groups),
         "inputs": k,
         "workers": cfg.workers,
         "wall_seconds": wall,

@@ -259,8 +259,18 @@ class Network:
         return self.shapes[self.layers[-1].name][0]
 
     def copy(self) -> "Network":
-        """Independent deep copy with freshly reset state."""
-        return Network([s.copy() for s in self.layers], self.timesteps, self.input_shape)
+        """Independent copy with zeroed state, not re-validated: parameter tensors
+        are cloned, the read-only shape tables shared."""
+        dup = Network.__new__(Network)
+        dup.layers = [s.copy() for s in self.layers]
+        dup.timesteps, dup.input_shape = self.timesteps, self.input_shape
+        dup.by_name = {s.name: s for s in dup.layers}
+        dup.shapes, dup.paired_lif = self.shapes, self.paired_lif
+        dup.states = {
+            name: LifState(np.zeros(self.shapes[name], DTYPE), np.zeros(self.shapes[name], DTYPE))
+            for name in self.states
+        }
+        return dup
 
 
 def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -338,21 +348,19 @@ def reset_state(net: Network) -> None:
         st.spike[...] = 0.0
 
 
-def network_forward(net: Network, sample, refresh: StateHook | None = None) -> np.ndarray:
+def network_forward(net: Network, spikes, refresh: StateHook | None = None) -> np.ndarray:
     """Run a full T-step inference and return the class score vector.
 
-    ``sample`` is a [T, *input_shape] spike array (anything with a ``.spikes``
-    attribute of that shape is unwrapped). Scores are the per-class sums of
-    output-layer spikes over all T steps, accumulated in timestep order.
-    State is NOT reset here; call reset_state first for a fresh run. The
-    optional ``refresh`` hook is invoked after every LIF state write, before
-    that value feeds anything downstream (see StateHook).
+    ``spikes`` is a [T, *input_shape] spike array. Scores are the per-class
+    sums of output-layer spikes over all T steps, accumulated in timestep
+    order. State is NOT reset here; call reset_state first for a fresh run.
+    The optional ``refresh`` hook is invoked after every LIF state write,
+    before that value feeds anything downstream (see StateHook).
     """
-    spikes_in = np.asarray(getattr(sample, "spikes", sample))
     expected = (net.timesteps, *net.input_shape)
-    if spikes_in.shape != expected:
-        raise _dim_error(net.layers[0].name, f"sample shape {spikes_in.shape} != {expected}")
-    seq = spikes_in.astype(DTYPE, copy=False)
+    if spikes.shape != expected:
+        raise _dim_error(net.layers[0].name, f"sample shape {spikes.shape} != {expected}")
+    seq = spikes.astype(DTYPE, copy=False)
 
     scores = np.zeros(net.num_classes, DTYPE)
     with np.errstate(all="ignore"):

@@ -73,7 +73,6 @@ def aggregate(
     golden: GoldenReference,
     fl: FaultList,
     universe: FaultUniverse | None = None,
-    strict_masked: bool = False,
 ) -> Report:
     """Classify every outcome and fold into per-(layer, parameter) rows.
 
@@ -103,9 +102,7 @@ def aggregate(
             )
         seen[(o.fault_id, o.input_id)] += 1
         cls = classify_pair(
-            (ge.top_class, float(ge.top_score)),
-            (o.faulty_class, float(o.faulty_top)),
-            strict_masked=strict_masked,
+            (ge.top_class, float(ge.top_score)), (o.faulty_class, float(o.faulty_top))
         )
         key = (d.layer, d.parameter.value)
         counts.setdefault(key, Counter())[cls] += 1

@@ -1,5 +1,7 @@
 """Campaign engine: golden reference, outcome files, checkpoint/resume."""
 
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -247,19 +249,40 @@ def test_resume_rejects_checkpoint_without_partial(workdir):
         run_campaign(cfg_for(workdir, "rs_nopartial", resume=True))
 
 
+def _set_checkpoint(out, **fields):
+    record = json.loads((out / "checkpoint.txt").read_text())
+    record.update(fields)
+    (out / "checkpoint.txt").write_text(json.dumps(record) + "\n")
+
+
+def _acknowledge_whole_log(out):
+    _set_checkpoint(out, log_bytes=(out / "outcomes.partial.csv").stat().st_size)
+
+
 def test_resume_rejects_unknown_fault_ids(workdir):
     out = _state_dir(workdir, "rs_unknown")
-    (out / "checkpoint.txt").write_text("0-99999\n")
-    with pytest.raises(ResumeError):
+    partial = out / "outcomes.partial.csv"
+    # fault 0's complete group, re-labelled with an id the fault list lacks
+    group = [ln for ln in partial.read_text().splitlines() if ln.startswith("0,")]
+    with open(partial, "a") as f:
+        f.writelines("99999" + ln[ln.index(","):] + "\n" for ln in group)
+    _acknowledge_whole_log(out)
+    with pytest.raises(ResumeError, match="names unknown fault 99999"):
         run_campaign(cfg_for(workdir, "rs_unknown", resume=True))
 
 
 def test_resume_rejects_malformed_ranges(workdir):
+    # the checkpoint's range is now a byte length of the log: an integer that
+    # must not run past the file
     out = _state_dir(workdir, "rs_badrange")
-    for garbage in ("5-2\n", "abc\n", "3-\n"):
-        (out / "checkpoint.txt").write_text(garbage)
-        with pytest.raises(ResumeError):
+    size = (out / "outcomes.partial.csv").stat().st_size
+    for garbage in ("abc", "12", 1.5, -3, None, True):
+        _set_checkpoint(out, log_bytes=garbage)
+        with pytest.raises(ResumeError, match="is not a byte count"):
             run_campaign(cfg_for(workdir, "rs_badrange", resume=True))
+    _set_checkpoint(out, log_bytes=size + 1)
+    with pytest.raises(ResumeError, match=f"acknowledges {size + 1} bytes"):
+        run_campaign(cfg_for(workdir, "rs_badrange", resume=True))
 
 
 def test_resume_rejects_checkpointed_fault_with_missing_rows(workdir):
@@ -270,8 +293,19 @@ def test_resume_rejects_checkpointed_fault_with_missing_rows(workdir):
     victim = next(i for i, ln in enumerate(lines) if ln.startswith("2,"))
     del lines[victim]
     partial.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ResumeError):
+    _acknowledge_whole_log(out)
+    with pytest.raises(ResumeError, match=r"fault 2: acknowledged inputs \[1, 2, 3\]"):
         run_campaign(cfg_for(workdir, "rs_torngroup", resume=True))
+
+
+def test_resume_rejects_corrupt_acknowledged_row(workdir):
+    out = _state_dir(workdir, "rs_corrupt_row")
+    partial = out / "outcomes.partial.csv"
+    data = partial.read_bytes()
+    cut = data.index(b":")  # inside the first row's golden score cell
+    partial.write_bytes(data[:cut] + b"?" + data[cut + 1:])  # same length: still acknowledged
+    with pytest.raises(ResumeError, match="corrupt acknowledged outcome row"):
+        run_campaign(cfg_for(workdir, "rs_corrupt_row", resume=True))
 
 
 def test_resume_discards_torn_tail_and_still_matches(workdir):
@@ -282,6 +316,19 @@ def test_resume_discards_torn_tail_and_still_matches(workdir):
         f.write("11,0,1,1,3f800000:1.0,3f800000:1.0\n")  # flushed but never acknowledged
         f.write("12,0,1,1,3f800000:1.0,3f8000")  # torn mid-write
     resumed = run_campaign(cfg_for(workdir, "rs_tail", resume=True))
+    assert resumed.status == "complete"
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+
+
+def test_resume_twice_after_torn_tail_completes(workdir):
+    # A torn row with no newline, then two interrupted resumes: the first one
+    # must not glue its rows onto the torn line.
+    straight = run_campaign(cfg_for(workdir, "rs_twice_straight"))
+    out = _state_dir(workdir, "rs_twice", limit=9, checkpoint_every=3)
+    with open(out / "outcomes.partial.csv", "a") as f:
+        f.write("9,0,1,1,3f800000:1.0,3f8000")
+    assert run_campaign(cfg_for(workdir, "rs_twice", resume=True), limit=3).status == "partial"
+    resumed = run_campaign(cfg_for(workdir, "rs_twice", resume=True))
     assert resumed.status == "complete"
     assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
 
@@ -297,9 +344,49 @@ def test_resume_tolerates_garbage_bytes_in_partial_tail(workdir):
 
 def test_resume_rejects_corrupt_checkpoint_bytes(workdir):
     out = _state_dir(workdir, "rs_ckpt_bytes")
-    (out / "checkpoint.txt").write_bytes(b"\xff\xfe0-3\n")
-    with pytest.raises(ResumeError):
-        run_campaign(cfg_for(workdir, "rs_ckpt_bytes", resume=True))
+    for garbage in (b"\xff\xfe0-3\n", b"0-8\n", b"[]\n", b'{"log_bytes": 10}\n'):
+        (out / "checkpoint.txt").write_bytes(garbage)
+        with pytest.raises(ResumeError, match="corrupt checkpoint"):
+            run_campaign(cfg_for(workdir, "rs_ckpt_bytes", resume=True))
+
+
+def _replace_model(d):
+    save_model(synth_model(seed=99, arch=ARCH, timesteps=T), d / "m.sjm")
+
+
+def _replace_dataset(d):
+    ds = synth_dataset(seed=99, samples=K, timesteps=T, shape=(6,), classes=3, firing_rate=0.5)
+    save_dataset(ds, d / "d.sjd")
+
+
+def _replace_fault_list(d):
+    net = synth_model(seed=31, arch=ARCH, timesteps=T)
+    spec = SamplingSpec(error_margin=0.2, quantile=2.576, seed=99)
+    write_fault_list(generate_fault_list(net, spec, POINTS), d / "fl.csv")
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (_replace_model, "model_sha256"),
+        (_replace_dataset, "dataset_sha256"),
+        (_replace_fault_list, "fault_list_sha256"),
+        (None, "inputs"),
+    ],
+    ids=["model", "dataset", "fault_list", "subset"],
+)
+def test_resume_rejects_changed_inputs(workdir, tmp_path, change, named):
+    for name in ("m.sjm", "d.sjd", "fl.csv"):
+        shutil.copy(workdir[0] / name, tmp_path / name)
+    cfg = dict(model=tmp_path / "m.sjm", dataset=tmp_path / "d.sjd",
+               fault_list=tmp_path / "fl.csv", out_dir=tmp_path / "out", checkpoint_every=3)
+    assert run_campaign(CampaignConfig(**cfg), limit=9).status == "partial"
+    if change is None:
+        cfg["subset"] = 2
+    else:
+        change(tmp_path)
+    with pytest.raises(ResumeError, match=f"^{named} changed since the checkpoint"):
+        run_campaign(CampaignConfig(**cfg, resume=True))
 
 
 # -- outcome reader ----------------------------------------------------------------

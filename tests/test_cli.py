@@ -143,6 +143,22 @@ def test_dirty_out_dir_exits_4(pipeline, capsys):
     assert err.count("\n") == 1
 
 
+def test_resume_with_changed_model_exits_4(pipeline, capsys):
+    d, model, dataset = pipeline
+    fl_path = gen_fl(d, model)
+    out_dir = d / "rebound"
+    inject = ["inject", "--dataset", str(dataset), "--fl", str(fl_path), "--out", str(out_dir)]
+    assert dispatch(inject + ["--model", str(model)]) == 0
+    other = d / "other_model.sjm"  # same architecture, other weights
+    assert dispatch(["synth", "model", "--arch", ARCH, "--seed", "70",
+                     "--timesteps", "5", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert dispatch(inject + ["--model", str(other), "--resume"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("snnfault: error: ResumeError: model_sha256 changed")
+    assert err.count("\n") == 1
+
+
 def _inject_workers(monkeypatch, extra=()):
     """The worker count `inject` hands to run_campaign, without running it."""
     seen = []

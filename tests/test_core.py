@@ -34,7 +34,9 @@ from snnfault.core import (
     recurrent_forward,
     reset_state,
 )
+from snnfault.dataio import synth_model
 from snnfault.errors import DimensionError
+from snnfault.faults import FaultDescriptor, ParameterKind, inject_static
 
 F32 = np.float32
 
@@ -453,3 +455,28 @@ def test_network_copy_is_independent():
     dup = net.copy()
     dup.layer("fc1").params["weight"][0, 0] = 99.0
     assert net.layer("fc1").params["weight"][0, 0] != 99.0
+
+
+def test_network_copy_owns_params_and_zeroed_states():
+    net = synth_model(5, "RFC(4->4)-LIF-FC(4->3)-LIF", 6)
+    x = spike_train(2, 6, (4,), rate=0.7)
+    network_forward(net, x)  # leave the template's state dirty
+    assert any(st.potential.any() for st in net.states.values())
+    bits = {(s.name, k): v.tobytes() for s in net.layers for k, v in s.params.items()}
+    dup = net.copy()
+    for spec, twin in zip(net.layers, dup.layers):
+        assert dup.layer(spec.name) is twin and twin is not spec
+        for key, tensor in spec.params.items():
+            assert not np.shares_memory(tensor, twin.params[key])
+    for name, st in net.states.items():
+        for orig, fresh in ((st.potential, dup.states[name].potential),
+                            (st.spike, dup.states[name].spike)):
+            assert not np.shares_memory(orig, fresh)
+            assert fresh.dtype == DTYPE and fresh.shape == orig.shape and not fresh.any()
+    weight = dup.layer("rfc1").params["weight"]
+    stuck = 1 - ((bits_of(weight[0, 0]) >> 30) & 1)
+    inject_static(dup, FaultDescriptor(0, "rfc1", ParameterKind.WEIGHT, (0, 0), 30, stuck))
+    assert weight.tobytes() != bits[("rfc1", "weight")]
+    assert {(s.name, k): v.tobytes() for s in net.layers for k, v in s.params.items()} == bits
+    fresh = Network([s.copy() for s in net.layers], net.timesteps, net.input_shape)
+    assert network_forward(net.copy(), x).tobytes() == network_forward(fresh, x).tobytes()

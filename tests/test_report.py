@@ -93,15 +93,6 @@ def test_band_assignment_and_partition():
         assert sum(g.pct(c) for c in COLUMN_ORDER) == pytest.approx(100.0, abs=0.01)
 
 
-def test_strict_masked_flag_changes_class():
-    fl = make_fl(descriptors_two_groups()[:1])
-    golden = make_golden(top=1.0)
-    rows = rows_for(fl, golden, {0: (1, 1.0 + 5e-7)})
-    assert aggregate(rows, golden, fl).network.counts[SdcClass.MASKED] == 2
-    strict = aggregate(rows, golden, fl, strict_masked=True)
-    assert strict.network.counts[SdcClass.SDC_0_5] == 2
-
-
 def test_unknown_fault_id_rejected():
     fl = make_fl(descriptors_two_groups())
     golden = make_golden()
