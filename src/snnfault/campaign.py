@@ -1,8 +1,9 @@
 """Campaign orchestration: golden reference, faulty runs, checkpointed merge.
 
 Every fault runs on a fresh copy of the template network against the first K
-dataset inputs (state reset between inputs), so each (fault, input) outcome is
-a pure function of (model, descriptor, input). Results stream into the
+dataset inputs, as one batched forward whose rows are independent inferences,
+so each (fault, input) outcome is a pure function of (model, descriptor,
+input). Results stream into the
 ``outcomes.partial.csv`` log, their only record; once rows are fsynced,
 ``checkpoint.txt`` acknowledges the log's byte length, bound to the sha256 of
 the model, dataset and fault list and to K. Resume refuses changed inputs,
@@ -12,6 +13,8 @@ reading of the log sorted by (fault_id, input_id), so its bytes are identical
 for any worker count or interruption history. It, ``golden.csv``,
 ``campaign.json`` and the checkpoint are each written to a temporary file,
 fsynced and renamed into place, so a kill never leaves a truncated one behind.
+A pool worker that dies ends the run with ``WorkerError`` after acknowledging
+every fault already recorded, so ``--resume`` picks up from there.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
+import platform
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -44,7 +49,7 @@ from .dataio import (
     parse_score,
     render_score,
 )
-from .errors import AddressError, FormatError, ResumeError
+from .errors import AddressError, FormatError, ResumeError, WorkerError
 from .faults import FaultDescriptor, inject_static, make_refresh_hook, target_tensor
 from .faultlist import read_fault_list
 
@@ -130,12 +135,11 @@ def _subset_count(dataset: SpikeDataset, subset: int | None) -> int:
 def _predict(
     net: Network, dataset: SpikeDataset, subset: int | None, refresh: StateHook | None = None
 ) -> list[Prediction]:
-    predictions = []
-    for i in range(_subset_count(dataset, subset)):
-        reset_state(net)
-        scores = network_forward(net, dataset.sample(i).spikes, refresh=refresh)
-        predictions.append(Prediction(i, scores, *_top(scores)))
-    return predictions
+    # One batched forward over the K inputs; each row is bit-identical to an
+    # unbatched run of that input on a fresh state.
+    reset_state(net)
+    scores = network_forward(net, dataset.spikes[: _subset_count(dataset, subset)], refresh)
+    return [Prediction(i, row, *_top(row)) for i, row in enumerate(scores)]
 
 
 def run_golden(net: Network, dataset: SpikeDataset, subset: int | None = None) -> GoldenReference:
@@ -350,11 +354,15 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     checkpoints and returns with status "partial" -- the deterministic stand-in
     for a mid-campaign kill in tests.
     """
+    from . import __version__
+
     t0 = time.monotonic()
     net = load_model(cfg.model)
     dataset = load_dataset(cfg.dataset)
     fl = read_fault_list(cfg.fault_list, net)
     k = _subset_count(dataset, cfg.subset)
+    binding = _input_binding(cfg, k)
+    t_load = time.monotonic()
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,12 +370,12 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     golden_path = out_dir / "golden.csv"
     write_golden(golden, golden_path)
     golden_by = golden.by_id()
+    t_golden = time.monotonic()
 
     ckpt_path = out_dir / "checkpoint.txt"
     partial_path = out_dir / "outcomes.partial.csv"
     final_path = out_dir / "outcomes.csv"
     valid_ids = {d.fault_id for d in fl.descriptors}
-    binding = _input_binding(cfg, k)
 
     acked = 0  # bytes of the log the checkpoint vouches for
     done: set[int] = set()
@@ -412,13 +420,22 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             for d in pending:
                 record(*_run_fault(net, d, dataset, k))
         elif pending:
-            with multiprocessing.Pool(
+            pool = ProcessPoolExecutor(
                 cfg.workers, initializer=_worker_init, initargs=(net, dataset, k)
-            ) as pool:
-                for fid, triples in pool.imap_unordered(_worker_run, pending, chunksize=1):
-                    record(fid, triples)
+            )
+            try:
+                for future in as_completed([pool.submit(_worker_run, d) for d in pending]):
+                    record(*future.result())
+            except BrokenProcessPool as exc:
+                checkpoint()  # every recorded fault is whole; keep it for --resume
+                raise WorkerError(
+                    f"a campaign worker died ({exc}); rerun with --resume to finish"
+                ) from None
+            finally:
+                pool.shutdown(cancel_futures=True)
         if unacknowledged:
             checkpoint()
+    t_faults = time.monotonic()
 
     groups = _read_log(partial_path, acked, k, valid_ids)
     status = "complete" if groups.keys() == valid_ids else "partial"
@@ -428,14 +445,26 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         _write_atomic(final_path, chain([OUTCOME_HEADER], rows))
         outcomes_path = final_path
 
-    wall = time.monotonic() - t0
+    t_merge = time.monotonic()
+    wall = t_merge - t0
     summary = {
         "status": status,
         "faults_total": len(valid_ids),
         "faults_completed": len(groups),
-        "inputs": k,
+        **binding,
         "workers": cfg.workers,
         "wall_seconds": wall,
+        "phase_seconds": {
+            "load": t_load - t0,
+            "golden": t_golden - t_load,
+            "faults": t_faults - t_golden,
+            "merge": t_merge - t_faults,
+        },
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "snnfault": __version__,
+        },
     }
     _write_atomic(out_dir / "campaign.json", [json.dumps(summary, indent=2)])
     return CampaignResult(

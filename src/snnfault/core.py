@@ -12,8 +12,17 @@ documented orders:
   window size;
 * output scores accumulate output-layer spikes in timestep order.
 
-Ascending-order chains are realized with ``np.cumsum`` (a strict sequential
-left-to-right binary32 chain; the test suite pins this against a scalar loop).
+Each chain starts at its first term, with no zero seed (``0.0 + -0.0`` would
+flip a leading negative zero). The kernels and ``network_forward`` take
+optional leading batch axes ``[..., *shape]``; a row of a batch follows the
+same chains as an unbatched call and gets the same bits. A chain is realized
+one of two ways, both strict left-to-right binary32 sums: ``np.cumsum`` along
+the term axis, or a loop over terms whose every step is one elementwise add
+vectorized over all other axes. ``linear_forward`` uses ``np.cumsum`` while
+one step is narrow (fewer than ``CUMSUM_MAX_WIDTH`` sums in flight), where a
+loop step costs more in call overhead than it saves, and the loop otherwise;
+convolution and pooling loop over window taps. The test suite pins both
+against scalar loops.
 
 Membrane dynamics, per neuron and per timestep, with ``V_prev`` the potential
 stored from the previous step:
@@ -36,6 +45,7 @@ propagate silently. Callers outside ``network_forward`` own both duties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -273,15 +283,39 @@ class Network:
         return dup
 
 
-def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    # cumsum is a strict left-to-right binary32 chain; its last slice is the
-    # ascending-index sum the determinism contract requires.
-    return np.take(np.cumsum(terms, axis=axis, dtype=DTYPE), -1, axis=axis)
+# Below this many sums per step (batch rows x outputs), one np.cumsum over the
+# whole [..., out, in] term array beats a loop over the in columns: a loop step
+# costs ~1 us of call overhead, cumsum ~3.4 ns per term. The two cross between
+# 400 and 600 on 96->100, 100->10 and 392->50 layers at batches of 1 to 20.
+CUMSUM_MAX_WIDTH = 512
+# A loop forms its products a block of terms per multiply; the block holds at
+# most this many values (128 KiB), so the temporary stays small.
+TERM_BLOCK_VALUES = 32768
+
+
+def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * values[j], j ascending, as a strict left-to-right
+    binary32 chain from the first term; each step is one vectorized add."""
+    step = math.prod(np.broadcast_shapes(weights.shape[1:], values.shape[1:]))
+    block = max(1, TERM_BLOCK_VALUES // step)
+    out = None
+    for j in range(0, len(weights), block):
+        for term in weights[j : j + block] * values[j : j + block]:
+            if out is None:
+                out = term.copy()
+            else:
+                out += term  # out + term, in place
+    return out
 
 
 def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j weight[i,j]*input[j] (+ bias[i]), j ascending, binary32."""
-    out = _ordered_sum(weight * input[None, :], axis=1)
+    """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32."""
+    out_n, in_n = weight.shape
+    if input.size // in_n * out_n < CUMSUM_MAX_WIDTH:
+        out = np.cumsum(weight * input[..., None, :], axis=-1, dtype=DTYPE)[..., -1]
+    else:
+        columns = np.ascontiguousarray(weight.T).reshape(in_n, *(1,) * (input.ndim - 1), out_n)
+        out = _product_chain(columns, np.moveaxis(input, -1, 0)[..., None])
     if bias is not None:
         out = out + bias
     return out
@@ -300,14 +334,17 @@ def recurrent_forward(spec: LayerSpec, input: np.ndarray, prev_spike: np.ndarray
 def conv2d_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
     """Valid (no padding) stride-1 cross-correlation plus per-channel bias.
 
-    Window terms accumulate in-channel-major, then kernel row, then column.
+    Window taps accumulate in-channel-major, then kernel row, then column;
+    each tap is one step over every batch row, out channel and output pixel.
     """
     oc, ic, k, _ = weight.shape
-    win = sliding_window_view(input, (k, k), axis=(1, 2))  # (ic, Ho, Wo, k, k)
-    ho, wo = win.shape[1], win.shape[2]
-    patches = win.transpose(0, 3, 4, 1, 2).reshape(ic * k * k, ho, wo)
-    terms = weight.reshape(oc, ic * k * k)[:, :, None, None] * patches[None, :, :, :]
-    out = _ordered_sum(terms, axis=1)
+    batch = input.shape[:-3]
+    win = sliding_window_view(input, (k, k), axis=(-2, -1))  # [..., ic, Ho, Wo, k, k]
+    ho, wo = win.shape[-4], win.shape[-3]
+    # taps[(c*k + r)*k + q]: the input under kernel tap (c, r, q), as [..., 1, Ho*Wo]
+    taps = np.moveaxis(win, (-5, -2, -1), (0, 1, 2)).reshape(ic * k * k, *batch, 1, ho * wo)
+    tap_weights = weight.reshape(oc, ic * k * k).T.reshape(ic * k * k, *(1,) * len(batch), oc, 1)
+    out = _product_chain(tap_weights, taps).reshape(*batch, oc, ho, wo)
     if bias is not None:
         out = out + bias[:, None, None]
     return out
@@ -315,13 +352,12 @@ def conv2d_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarra
 
 def avgpool2d_forward(input: np.ndarray, pool: int) -> np.ndarray:
     """Non-overlapping window means: row-major window sum / float32(pool*pool)."""
-    c, h, w = input.shape
-    windows = (
-        input.reshape(c, h // pool, pool, w // pool, pool)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h // pool, w // pool, pool * pool)
-    )
-    return _ordered_sum(windows, axis=3) / DTYPE.type(pool * pool)
+    out = None
+    for r in range(pool):
+        for q in range(pool):
+            tap = input[..., r::pool, q::pool]
+            out = tap if out is None else out + tap
+    return out / DTYPE.type(pool * pool)
 
 
 def lif_step(
@@ -342,37 +378,46 @@ def lif_step(
 
 
 def reset_state(net: Network) -> None:
-    """Zero all potentials and spikes in place. Idempotent."""
-    for st in net.states.values():
-        st.potential[...] = 0.0
-        st.spike[...] = 0.0
+    """Return every potential and spike to unbatched zeros. Idempotent."""
+    for name, st in net.states.items():
+        st.potential = np.zeros(net.shapes[name], DTYPE)
+        st.spike = np.zeros(net.shapes[name], DTYPE)
 
 
 def network_forward(net: Network, spikes, refresh: StateHook | None = None) -> np.ndarray:
     """Run a full T-step inference and return the class score vector.
 
-    ``spikes`` is a [T, *input_shape] spike array. Scores are the per-class
-    sums of output-layer spikes over all T steps, accumulated in timestep
-    order. State is NOT reset here; call reset_state first for a fresh run.
-    The optional ``refresh`` hook is invoked after every LIF state write,
-    before that value feeds anything downstream (see StateHook).
+    ``spikes`` is a [..., T, *input_shape] spike array; each row of the
+    optional leading batch axes is an independent inference, and the scores
+    have shape [..., classes]. Scores are the per-class sums of output-layer
+    spikes over all T steps, accumulated in timestep order. State is NOT
+    reset here (call reset_state first for a fresh run); it is broadcast to
+    the batch shape. The optional ``refresh`` hook is invoked after every LIF
+    state write, before that value feeds anything downstream (see StateHook);
+    the tensor it gets carries the batch axes.
     """
+    lead = spikes.ndim - 1 - len(net.input_shape)
     expected = (net.timesteps, *net.input_shape)
-    if spikes.shape != expected:
-        raise _dim_error(net.layers[0].name, f"sample shape {spikes.shape} != {expected}")
-    seq = spikes.astype(DTYPE, copy=False)
+    if lead < 0 or spikes.shape[lead:] != expected:
+        raise _dim_error(
+            net.layers[0].name, f"spike shape {spikes.shape} does not end in {expected}"
+        )
+    batch = spikes.shape[:lead]
+    for name, st in net.states.items():
+        st.potential = np.broadcast_to(st.potential, batch + net.shapes[name])
+        st.spike = np.broadcast_to(st.spike, batch + net.shapes[name])
 
-    scores = np.zeros(net.num_classes, DTYPE)
+    scores = np.zeros((*batch, net.num_classes), DTYPE)
     with np.errstate(all="ignore"):
-        for n in range(net.timesteps):
-            x = seq[n]
+        for step in np.moveaxis(spikes, lead, 0):
+            x = step.astype(DTYPE, copy=False)
             for spec in net.layers:
                 kind, p = spec.kind, spec.params
                 if kind is LayerKind.FULLY_CONNECTED:
-                    x = linear_forward(p["weight"], p.get("bias"), x.reshape(-1))
+                    x = linear_forward(p["weight"], p.get("bias"), x.reshape(*batch, -1))
                 elif kind is LayerKind.RECURRENT:
                     prev = net.states[net.paired_lif[spec.name]].spike
-                    x = recurrent_forward(spec, x.reshape(-1), prev)
+                    x = recurrent_forward(spec, x.reshape(*batch, -1), prev)
                 elif kind is LayerKind.CONV2D:
                     x = conv2d_forward(p["weight"], p.get("bias"), x)
                 elif kind is LayerKind.AVGPOOL2D:

@@ -42,3 +42,7 @@ class ConsistencyError(SnnFaultError):
 
 class ResumeError(SnnFaultError):
     """A campaign checkpoint is corrupt or inconsistent with its outcome rows."""
+
+
+class WorkerError(SnnFaultError):
+    """A campaign worker process died; the acknowledged faults stay resumable."""

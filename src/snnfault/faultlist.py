@@ -163,7 +163,7 @@ def enumerate_universe(net: Network, points: set[ParameterKind]) -> FaultUnivers
                     continue
                 shape = tensor.shape
             else:
-                shape = net.states[spec.name].potential.shape
+                shape = net.shapes[spec.name]
             entries.append(UniverseEntry(spec.name, kind, tuple(shape)))
             seen.add(kind)
     missing = points - seen

@@ -89,8 +89,8 @@ def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:
     return a[()]
 
 
-def set_bit_inplace(tensor: np.ndarray, coords: tuple[int, ...], bit: int, stuck: int) -> None:
-    """Pin one bit of one element of a float32 array, in place."""
+def set_bit_inplace(tensor: np.ndarray, coords: tuple, bit: int, stuck: int) -> None:
+    """Pin one bit of the elements ``coords`` indexes in a float32 array, in place."""
     u = tensor.view(_U32)
     if stuck:
         u[coords] |= np.uint32(1 << bit)
@@ -99,7 +99,11 @@ def set_bit_inplace(tensor: np.ndarray, coords: tuple[int, ...], bit: int, stuck
 
 
 def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
-    """Resolve the tensor a descriptor addresses, validating coords bounds."""
+    """Resolve the tensor a descriptor addresses, validating coords bounds.
+
+    Dynamic coords are checked against the layer's per-inference state shape
+    ``net.shapes``; the live state tensor may carry batch axes in front.
+    """
     spec = net.layer(d.layer)
     if d.parameter.is_static:
         tensor = spec.params.get(d.parameter.value)
@@ -107,17 +111,17 @@ def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
             raise AddressError(
                 f"layer '{d.layer}' has no parameter '{d.parameter.value}'"
             )
+        shape = tensor.shape
     else:
         state: LifState | None = net.states.get(d.layer)
         if state is None:
             raise AddressError(f"layer '{d.layer}' holds no neuron state")
         tensor = state.potential if d.parameter is ParameterKind.POTENTIAL else state.spike
-    if len(d.coords) != tensor.ndim or any(
-        not 0 <= c < ext for c, ext in zip(d.coords, tensor.shape)
-    ):
+        shape = net.shapes[d.layer]
+    if len(d.coords) != len(shape) or any(not 0 <= c < ext for c, ext in zip(d.coords, shape)):
         raise AddressError(
             f"coords {list(d.coords)} out of bounds for "
-            f"{d.layer}.{d.parameter.value} shape {tensor.shape}"
+            f"{d.layer}.{d.parameter.value} shape {shape}"
         )
     return tensor
 
@@ -139,18 +143,19 @@ def make_refresh_hook(d: FaultDescriptor) -> StateHook:
     """Bind a dynamic descriptor into a network_forward refresh hook.
 
     The hook mutates the matching state tensor in place each time it is
-    written, before the value feeds anything downstream.
+    written, before the value feeds anything downstream, at ``coords`` in
+    every row of the tensor's leading batch axes.
     """
     if d.parameter.is_static:
         raise FaultKindError(f"'{d.parameter.value}' is static; use inject_static")
     wanted = d.parameter.value
+    index = (Ellipsis, *d.coords)  # the same neuron in every batch row
 
     def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
         if layer == d.layer and kind == wanted:
             if d.mode is FaultMode.VALUE_STUCK:
-                tensor[d.coords] = np.float32(d.stuck)
+                tensor[index] = np.float32(d.stuck)
             else:
-                set_bit_inplace(tensor, d.coords, d.bit, d.stuck)
+                set_bit_inplace(tensor, index, d.bit, d.stuck)
 
     return hook
-

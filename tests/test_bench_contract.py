@@ -42,6 +42,24 @@ def _load_tracing():
     return module
 
 
+def test_unbatched_sample_forward_keeps_its_shapes():
+    """bench's spike_density runs reset_state + network_forward on one
+    [T, *shape] sample and sums the tensors its hook sees: the scores must
+    stay [classes] and the hook tensors unbatched, equal to that row of a
+    batched run."""
+    net = synth_model(2, "CONV(1x4x4->2,k3)-LIF-POOL(2)-FC(2->3)-LIF", 3)
+    ds = synth_dataset(3, 2, 3, net.input_shape, 3, 0.5)
+    seen = set()
+    run = net.copy()
+    core.reset_state(run)
+    scores = core.network_forward(
+        run, ds.sample(1).spikes, refresh=lambda layer, kind, t: seen.add((layer, t.shape))
+    )
+    assert scores.shape == (net.num_classes,)
+    assert seen == {(name, net.shapes[name]) for name in net.states}
+    assert scores.tobytes() == core.network_forward(net.copy(), ds.spikes)[1].tobytes()
+
+
 def test_tracer_installs_sees_every_layer_and_restores():
     tracing = _load_tracing()
     originals = {k: getattr(core, k) for k in tracing.KERNELS}
@@ -51,7 +69,7 @@ def test_tracer_installs_sees_every_layer_and_restores():
     ]
     with tracing.installed(tracing.Tracer()) as tracer:
         for net in nets:
-            ds = synth_dataset(3, 1, 2, net.input_shape, 3, 0.5)
+            ds = synth_dataset(3, 2, 2, net.input_shape, 3, 0.5)  # K=2: batched runs
             lif = net.layers[1].name
             coords = (0,) * len(net.states[lif].potential.shape)
             campaign.run_golden(net.copy(), ds)
@@ -61,7 +79,9 @@ def test_tracer_installs_sees_every_layer_and_restores():
                 FaultDescriptor(1, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK),
                 ds,
             )
-    seen = {name for name, spans in tracer.spans().items() if spans.calls}
+    spans = tracer.spans()
+    assert spans["core.network_forward"].calls == 3 * len(nets)  # one forward per run
+    seen = {name for name, s in spans.items() if s.calls}
     want = {f"core.{k}" for k in tracing.KERNELS} | {
         "core.Network.copy",
         "core.network_forward",

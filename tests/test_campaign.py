@@ -1,12 +1,17 @@
 """Campaign engine: golden reference, outcome files, checkpoint/resume."""
 
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snnfault
 from helpers import bits_of, two_layer_net
 from snnfault import campaign
 from snnfault.campaign import (
@@ -224,6 +229,60 @@ def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
     assert not (out / "outcomes.csv").exists()
     resumed = run_campaign(cfg_for(workdir, "tw_killed", resume=True))
     assert resumed.outcomes_path.read_bytes() == reference
+
+
+# A CLI run whose pool worker dies outright (as under the OOM killer) when it
+# reaches one fault; workers fork from this process, so they see the patch.
+_DYING_WORKER = """
+import os, sys
+from snnfault import campaign, cli
+
+run_fault = campaign._run_fault
+
+def dying(net, d, dataset, k):
+    if d.fault_id == int(sys.argv[1]):
+        os._exit(9)
+    return run_fault(net, d, dataset, k)
+
+campaign._run_fault = dying
+sys.exit(cli.dispatch(sys.argv[2:]))
+"""
+
+
+def test_dead_worker_raises_and_stays_resumable(workdir):
+    d, _, _, fl = workdir
+    out = d / "dead_worker"
+    victim = fl.descriptors[len(fl.descriptors) // 2].fault_id
+    args = ["inject", "--model", str(d / "m.sjm"), "--dataset", str(d / "d.sjd"),
+            "--fl", str(d / "fl.csv"), "--workers", "2", "--checkpoint-every", "1",
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(campaign.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER, str(victim), *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("snnfault: error: WorkerError: a campaign worker died")
+    assert not (out / "outcomes.csv").exists()
+    resumed = run_campaign(cfg_for(workdir, "dead_worker", resume=True))
+    straight = run_campaign(cfg_for(workdir, "dead_worker_straight"))
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+
+
+def test_campaign_json_explains_the_run(workdir):
+    res = run_campaign(cfg_for(workdir, "explained", subset=3, checkpoint_every=5))
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    checkpoint = json.loads((res.out_dir / "checkpoint.txt").read_text())
+    del checkpoint["log_bytes"]
+    assert checkpoint["inputs"] == 3
+    assert {key: summary[key] for key in checkpoint} == checkpoint
+    phases = summary["phase_seconds"]
+    assert list(phases) == ["load", "golden", "faults", "merge"]
+    assert all(v >= 0 for v in phases.values())
+    assert sum(phases.values()) == pytest.approx(summary["wall_seconds"])
+    assert summary["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "snnfault": snnfault.__version__,
+    }
 
 
 # -- resume-state validation ------------------------------------------------------

@@ -21,6 +21,7 @@ from helpers import (
     two_layer_net,
 )
 from snnfault.core import (
+    CUMSUM_MAX_WIDTH,
     DTYPE,
     LayerKind,
     LayerSpec,
@@ -36,13 +37,20 @@ from snnfault.core import (
 )
 from snnfault.dataio import synth_model
 from snnfault.errors import DimensionError
-from snnfault.faults import FaultDescriptor, ParameterKind, inject_static
+from snnfault.faults import (
+    FaultDescriptor,
+    FaultMode,
+    ParameterKind,
+    inject_static,
+    make_refresh_hook,
+)
 
 F32 = np.float32
 
 finite_f32 = st.floats(
     allow_nan=False, allow_infinity=False, width=32, min_value=-1e6, max_value=1e6
 )
+special_f32 = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
 def arr(x):
@@ -90,6 +98,55 @@ def test_linear_matches_sequential_scalar_sum(out_n, in_n, data):
     for i in range(out_n):
         want = seq_dot_f32(w[i], x, None if b is None else b[i])
         assert bits_of(out[i]) == bits_of(want)
+
+
+def _rows_for(out_n, wide):
+    """A batch height putting linear_forward on the loop (wide) or cumsum side."""
+    return -(-CUMSUM_MAX_WIDTH // out_n) if wide else max(1, (CUMSUM_MAX_WIDTH - 1) // out_n)
+
+
+def _same_f32(got, want) -> bool:
+    # NaN payloads are not pinned: with two NaN operands numpy's scalar and
+    # vector adds keep different ones. Every other result is pinned bitwise.
+    return bool(np.isnan(got)) if np.isnan(want) else bits_of(got) == bits_of(want)
+
+
+@given(st.integers(1, 40), st.integers(1, 6), st.data())
+def test_linear_batched_matches_scalar_chain_both_sides_of_break_even(out_n, in_n, data):
+    """Every row of a [rows, in] batch equals the scalar ascending chain, on
+    the cumsum side of CUMSUM_MAX_WIDTH and on the column-loop side, with
+    signed zeros, infinities and NaNs among the weights and bias."""
+    values = finite_f32 | special_f32
+    w = arr(data.draw(st.lists(st.lists(values, min_size=in_n, max_size=in_n),
+                               min_size=out_n, max_size=out_n)))
+    distinct = data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0]) | finite_f32, min_size=in_n, max_size=in_n),
+        min_size=1, max_size=3))
+    b = data.draw(st.none() | st.lists(values, min_size=out_n, max_size=out_n))
+    with np.errstate(all="ignore"):
+        want = [[seq_dot_f32(w[i], row, None if b is None else b[i]) for i in range(out_n)]
+                for row in distinct]
+        for wide in (False, True):
+            rows = _rows_for(out_n, wide)
+            x = arr([distinct[r % len(distinct)] for r in range(rows)])
+            out = linear_forward(w, None if b is None else arr(b), x)
+            assert out.shape == (rows, out_n)
+            for r in range(rows):
+                assert all(map(_same_f32, out[r], want[r % len(distinct)]))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["cumsum", "loop"])
+def test_linear_chain_starts_at_first_term(wide):
+    """A chain of -0.0 terms stays -0.0 (a +0.0 seed would flip it), and an
+    Inf weight times a 0 spike still poisons the sum with NaN."""
+    w = arr([[-0.0, -0.0, -0.0], [np.inf, 1.0, 1.0], [1.0, 2.0, 3.0]])
+    x = np.tile(arr([0.0, 1.0, 1.0]), (_rows_for(3, wide), 1))  # Inf meets a 0 spike
+    with np.errstate(all="ignore"):
+        out = linear_forward(w, None, x)
+    assert (out.size >= CUMSUM_MAX_WIDTH) == wide
+    assert all(bits_of(v) == bits_of(F32(-0.0)) for v in out[:, 0])
+    assert np.isnan(out[:, 1]).all()
+    assert (out[:, 2] == 5.0).all()
 
 
 # -- recurrent ------------------------------------------------------------
@@ -146,44 +203,33 @@ def test_conv_kernel_larger_than_input_rejected():
         Network([conv, lif_layer("lif1")], timesteps=1, input_shape=(1, 2, 2))
 
 
-@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2), st.data())
-def test_conv_matches_scalar_window_oracle(oc, ic, k, extra, data):
-    """Each output pixel equals the ic-major, row, column scalar f32 chain."""
+def _draw_f32(data, shape):
+    n = int(np.prod(shape))
+    return arr(data.draw(st.lists(finite_f32, min_size=n, max_size=n))).reshape(shape)
+
+
+batch_shapes = st.sampled_from([(), (3,), (2, 2)])
+
+
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2), batch_shapes,
+       st.data())
+def test_conv_matches_scalar_window_oracle(oc, ic, k, extra, batch, data):
+    """Each output pixel of each batch row equals the ic-major, row, column
+    scalar f32 chain."""
     h = w = k + extra
-    weight = np.array(
-        data.draw(
-            st.lists(
-                st.lists(
-                    st.lists(st.lists(finite_f32, min_size=k, max_size=k), min_size=k, max_size=k),
-                    min_size=ic,
-                    max_size=ic,
-                ),
-                min_size=oc,
-                max_size=oc,
-            )
-        ),
-        DTYPE,
-    )
-    image = np.array(
-        data.draw(
-            st.lists(
-                st.lists(st.lists(finite_f32, min_size=w, max_size=w), min_size=h, max_size=h),
-                min_size=ic,
-                max_size=ic,
-            )
-        ),
-        DTYPE,
-    )
+    weight = _draw_f32(data, (oc, ic, k, k))
+    images = _draw_f32(data, (*batch, ic, h, w))
     bias = data.draw(st.none() | st.lists(finite_f32, min_size=oc, max_size=oc))
-    out = conv2d_forward(weight, None if bias is None else arr(bias), image)
-    assert out.shape == (oc, h - k + 1, w - k + 1)
-    for o in range(oc):
-        for r in range(h - k + 1):
-            for c in range(w - k + 1):
-                want = seq_conv_window_f32(weight[o], image[:, r : r + k, c : c + k])
-                if bias is not None:
-                    want = F32(want + F32(bias[o]))
-                assert bits_of(out[o, r, c]) == bits_of(want)
+    out = conv2d_forward(weight, None if bias is None else arr(bias), images)
+    assert out.shape == (*batch, oc, h - k + 1, w - k + 1)
+    for idx in np.ndindex(*batch):
+        for o in range(oc):
+            for r in range(h - k + 1):
+                for c in range(w - k + 1):
+                    want = seq_conv_window_f32(weight[o], images[idx][:, r : r + k, c : c + k])
+                    if bias is not None:
+                        want = F32(want + F32(bias[o]))
+                    assert bits_of(out[idx][o, r, c]) == bits_of(want)
 
 
 def test_pool_identity_at_one():
@@ -209,28 +255,23 @@ def test_pool_nondivisible_rejected():
         Network([conv, lif_layer("lif1"), pool], timesteps=1, input_shape=(1, 3, 3))
 
 
-@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), st.data())
-def test_pool_matches_scalar_oracle(c, p, tiles, data):
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), batch_shapes, st.data())
+def test_pool_matches_scalar_oracle(c, p, tiles, batch, data):
     h = p * tiles
-    image = np.array(
-        data.draw(
-            st.lists(
-                st.lists(st.lists(finite_f32, min_size=h, max_size=h), min_size=h, max_size=h),
-                min_size=c,
-                max_size=c,
-            )
-        ),
-        DTYPE,
-    )
-    out = avgpool2d_forward(image, p)
-    for ch in range(c):
-        for r in range(tiles):
-            for q in range(tiles):
-                acc = seq_chain_f32(
-                    image[ch, r * p + rr, q * p + qq] for rr in range(p) for qq in range(p)
-                )
-                want = F32(acc / F32(p * p))
-                assert bits_of(out[ch, r, q]) == bits_of(want)
+    images = _draw_f32(data, (*batch, c, h, h))
+    out = avgpool2d_forward(images, p)
+    assert out.shape == (*batch, c, tiles, tiles)
+    for idx in np.ndindex(*batch):
+        for ch in range(c):
+            for r in range(tiles):
+                for q in range(tiles):
+                    acc = seq_chain_f32(
+                        images[idx][ch, r * p + rr, q * p + qq]
+                        for rr in range(p)
+                        for qq in range(p)
+                    )
+                    want = F32(acc / F32(p * p))
+                    assert bits_of(out[idx][ch, r, q]) == bits_of(want)
 
 
 # -- lif_step -------------------------------------------------------------
@@ -358,6 +399,54 @@ def test_forward_rejects_wrong_sample_shape():
     net = two_layer_net()
     with pytest.raises(DimensionError):
         network_forward(net, np.zeros((net.timesteps, 5), DTYPE))
+
+
+BATCH_NETS = {
+    "fc": "FC(8->120)-LIF-FC(120->4)-LIF",
+    "rfc": "RFC(8->120)-LIF-FC(120->4)-LIF",
+    "conv": "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF",
+}
+# (parameter, bit, stuck, mode); "weight-inf" first sets the weight to 1.0, so
+# stuck bit 30 makes it +Inf and Inf * 0-spike = NaN enters the chain.
+BATCH_FAULTS = {
+    "golden": None,
+    "weight-inf": (ParameterKind.WEIGHT, 30, 1, FaultMode.BIT_STUCK),
+    "weight": (ParameterKind.WEIGHT, 29, 1, FaultMode.BIT_STUCK),
+    "potential-bit": (ParameterKind.POTENTIAL, 30, 1, FaultMode.BIT_STUCK),
+    "spike-bit": (ParameterKind.SPIKE, 31, 1, FaultMode.BIT_STUCK),
+    "spike-value": (ParameterKind.SPIKE, 0, 1, FaultMode.VALUE_STUCK),
+}
+
+
+@pytest.mark.parametrize("fault", BATCH_FAULTS)
+@pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
+def test_batched_forward_equals_stacked_unbatched(arch, fault):
+    """A [K, T, ...] forward is bitwise K unbatched forwards, stacked. K=5
+    puts the 120-wide layers on the column-loop side of CUMSUM_MAX_WIDTH while
+    the unbatched calls stay on the cumsum side."""
+    net = synth_model(21, arch, 8, threshold=0.2)
+    first, lif = net.layers[0], net.layers[1].name
+    spikes = np.stack([spike_train(40 + i, 8, net.input_shape) for i in range(5)])
+    hook = None
+    if BATCH_FAULTS[fault] is not None:
+        kind, bit, stuck, mode = BATCH_FAULTS[fault]
+        if kind.is_static:
+            coords = (0,) * first.params["weight"].ndim
+            if fault == "weight-inf":
+                first.params["weight"][coords] = 1.0
+            inject_static(net, FaultDescriptor(0, first.name, kind, coords, bit, stuck))
+        else:
+            coords = tuple(n // 2 for n in net.shapes[lif])
+            hook = make_refresh_hook(FaultDescriptor(0, lif, kind, coords, bit, stuck, mode))
+    reset_state(net)
+    batched = network_forward(net, spikes, hook)
+    stacked = []
+    for x in spikes:
+        reset_state(net)
+        stacked.append(network_forward(net, x, hook))
+    assert batched.shape == (5, net.num_classes)
+    assert batched.tobytes() == np.stack(stacked).tobytes()
+    assert batched.any()  # the net fires; the comparison is not vacuous
 
 
 def test_recurrent_net_with_zero_feedback_matches_fc():

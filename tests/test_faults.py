@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bits_of, f32_from_bits, single_neuron_net, spike_train, two_layer_net
-from snnfault.core import network_forward, reset_state
+from snnfault.core import DTYPE, network_forward, reset_state
+from snnfault.dataio import synth_model
 from snnfault.errors import AddressError, FaultKindError
+from snnfault.faultlist import enumerate_universe
 from snnfault.faults import (
     FaultDescriptor,
     FaultMode,
@@ -119,6 +121,21 @@ def test_target_tensor_address_errors():
     for d in cases:
         with pytest.raises(AddressError):
             target_tensor(net, d)
+
+
+def test_dynamic_addressing_ignores_batched_live_state():
+    """After a [K, T, ...] forward the live LIF states carry a batch axis; the
+    fault universe and the dynamic coordinate checks still follow net.shapes."""
+    net = synth_model(3, "CONV(1x4x4->2,k3)-LIF-POOL(2)-FC(2->3)-LIF", 4)
+    points = {ParameterKind.POTENTIAL, ParameterKind.SPIKE}
+    before = enumerate_universe(net, points).entries
+    network_forward(net, np.ones((3, 4, 1, 4, 4), DTYPE))
+    assert net.states["lif1"].potential.shape == (3, 2, 2, 2)
+    assert enumerate_universe(net, points).entries == before
+    target_tensor(net, FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (1, 1, 1), 0, 1))
+    for coords in [(2, 1, 1, 1), (0, 2, 0), (1, 1)]:
+        with pytest.raises(AddressError):
+            target_tensor(net, FaultDescriptor(0, "lif1", ParameterKind.POTENTIAL, coords, 0, 1))
 
 
 # -- static injection --------------------------------------------------------
