@@ -1,9 +1,23 @@
 """Campaign orchestration: golden reference, faulty runs, checkpointed merge.
 
-Every fault runs on a fresh copy of the template network against the first K
-dataset inputs, as one batched forward whose rows are independent inferences,
-so each (fault, input) outcome is a pure function of (model, descriptor,
-input). Results stream into the
+The golden run is one batched forward over the first K dataset inputs that
+also records a golden trace: every LIF layer's spike train [K, T, *shape] as
+bool (golden spikes are exactly 0.0 or 1.0), and, as float32, the output of
+every other layer that feeds a weighted layer (an FC after a pool, say).
+Every fault then runs on a fresh copy of the template network in two steps.
+The screen recomputes only what the fault can touch in its LIF layer L (the
+faulted LIF, or the one the faulted weighted layer feeds): the cone of L's
+neurons its row, channel or neuron reaches, for all K inputs and T steps,
+from golden inputs, through the same kernels with the same chains. An input
+whose cone spikes match the golden trace bit for bit (compared as binary32
+patterns, so a -0.0 spike counts as different) sees golden values in every
+later layer, so it keeps its golden prediction exactly. The inputs that
+differ are replayed in one batched forward: from the layer after L on L's
+golden spikes with the cone's screened spikes spliced in, or, when L is fed
+back through a recurrent layer or reached through further layers, from the
+faulted layer on its golden input. Either way each (fault, input) outcome is
+a pure function of (model, descriptor, input), with the bits of a full
+forward of an injected copy. Results stream into the
 ``outcomes.partial.csv`` log, their only record; once rows are fsynced,
 ``checkpoint.txt`` acknowledges the log's byte length, bound to the sha256 of
 the model, dataset and fault list and to K. Resume refuses changed inputs,
@@ -13,8 +27,9 @@ reading of the log sorted by (fault_id, input_id), so its bytes are identical
 for any worker count or interruption history. It, ``golden.csv``,
 ``campaign.json`` and the checkpoint are each written to a temporary file,
 fsynced and renamed into place, so a kill never leaves a truncated one behind.
-A pool worker that dies ends the run with ``WorkerError`` after acknowledging
-every fault already recorded, so ``--resume`` picks up from there.
+A pool worker runs contiguous batches of faults; one that dies ends the run
+with ``WorkerError`` after acknowledging every fault already recorded, so
+``--resume`` picks up from there.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -32,14 +47,27 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .core import Network, StateHook, network_forward, reset_state
+# The screen calls the kernels as core.<name>, looked up at call time, so a
+# wrapper installed on the core module (bench/tracing.py) sees them too.
+from . import core
+from .core import (
+    DTYPE,
+    WEIGHTED,
+    LayerKind,
+    LayerSpec,
+    LifState,
+    Network,
+    StateHook,
+    network_forward,
+    reset_state,
+)
 from .dataio import (
     SpikeDataset,
     f32_to_hex,
@@ -88,6 +116,10 @@ class Prediction:
 @dataclass
 class GoldenReference:
     entries: list[Prediction]
+    # [K, T, *shape] per layer name, as run_golden records it: every LIF
+    # layer's spikes, and the output of every other layer that feeds a
+    # weighted layer. Empty when read back from golden.csv.
+    trace: dict[str, np.ndarray] = field(default_factory=dict)
 
     def by_id(self) -> dict[int, Prediction]:
         return {e.input_id: e for e in self.entries}
@@ -132,36 +164,145 @@ def _subset_count(dataset: SpikeDataset, subset: int | None) -> int:
     return int(subset)
 
 
-def _predict(
-    net: Network, dataset: SpikeDataset, subset: int | None, refresh: StateHook | None = None
-) -> list[Prediction]:
-    # One batched forward over the K inputs; each row is bit-identical to an
-    # unbatched run of that input on a fresh state.
-    reset_state(net)
-    scores = network_forward(net, dataset.spikes[: _subset_count(dataset, subset)], refresh)
-    return [Prediction(i, row, *_top(row)) for i, row in enumerate(scores)]
-
-
 def run_golden(net: Network, dataset: SpikeDataset, subset: int | None = None) -> GoldenReference:
-    """Fault-free reference over the first `subset` inputs of a fresh network."""
-    return GoldenReference(_predict(net, dataset, subset))
+    """Fault-free reference over the first `subset` inputs of a fresh network,
+    with the golden trace the fault screen compares against."""
+    k = _subset_count(dataset, subset)
+    trace = {}
+    for i, spec in enumerate(net.layers):
+        feeds_weighted = i + 1 < len(net.layers) and net.layers[i + 1].kind in WEIGHTED
+        if spec.kind is LayerKind.LIF or feeds_weighted:
+            dtype = bool if spec.kind is LayerKind.LIF else DTYPE  # golden spikes are 0.0 or 1.0
+            trace[spec.name] = np.empty((k, net.timesteps, *net.shapes[spec.name]), dtype)
+    reset_state(net)
+    scores = network_forward(net, dataset.spikes[:k], record=trace)
+    return GoldenReference([Prediction(i, row, *_top(row)) for i, row in enumerate(scores)], trace)
+
+
+def _golden_input(net: Network, dataset: SpikeDataset, golden: GoldenReference, w: int):
+    """Layer w's golden input, [K, T, *shape]: the dataset's spikes or a trace."""
+    if w == 0:
+        return dataset.spikes[: len(golden.entries)]
+    return golden.trace[net.layers[w - 1].name]
+
+
+def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[slice, ...]]:
+    """(w, lif_at, cone): the index of the first layer whose output the fault
+    changes, the index of the LIF layer L the screen compares, and the cone,
+    the block of L's neurons the fault can reach directly, as one slice per
+    axis of L's shape."""
+    i = [spec.name for spec in net.layers].index(d.layer)
+    spec = net.layers[i]
+    if spec.kind is not LayerKind.LIF:
+        lif_at = next(
+            j for j in range(i + 1, len(net.layers)) if net.layers[j].kind is LayerKind.LIF
+        )
+        cone = tuple(slice(0, extent) for extent in net.shapes[net.layers[lif_at].name])
+        if lif_at > i + 1:  # through further layers the fault reaches all of L
+            return i, lif_at, cone
+        return i, lif_at, (slice(d.coords[0], d.coords[0] + 1), *cone[1:])  # a row or channel
+    if d.parameter.is_static and spec.params[d.parameter.value].shape == (1,):
+        return i - 1, i, tuple(slice(0, extent) for extent in net.shapes[spec.name])
+    return i - 1, i, tuple(slice(c, c + 1) for c in d.coords)  # one neuron
+
+
+def _screen(
+    net: Network,
+    dataset: SpikeDataset,
+    golden: GoldenReference,
+    site: tuple[int, int, tuple[slice, ...]],
+    hook: StateHook | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cone's spikes [K, T, *cone] on the faulty network, and the inputs
+    whose cone spikes differ in any bit from the golden trace.
+
+    The current into the cone is computed for all K inputs and T steps at
+    once from layer w's golden input, with the parameters of the layer
+    feeding L cut to the cone's rows or channels (and a conv input to the
+    cone's windows); every output element keeps its own chain, so its bits
+    are those of a full forward. A recurrent layer's feedback reads L's golden
+    spikes of the previous step, which is exact until the cone first differs,
+    and that is all the screen decides. L then advances step by step, with
+    a dynamic fault's ``hook`` addressed within the cone.
+    """
+    w, lif_at, cone = site
+    lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
+    x = _golden_input(net, dataset, golden, w)
+    prev = None
+    if feed.kind is LayerKind.RECURRENT:
+        prev = np.zeros(golden.trace[lif.name].shape, DTYPE)
+        prev[:, 1:] = golden.trace[lif.name][:, :-1]
+    with np.errstate(all="ignore"):
+        for spec in net.layers[w:lif_at]:
+            if spec is feed:
+                if spec.kind is LayerKind.CONV2D:  # the input windows under the cone
+                    k = spec.hyper["kernel"]
+                    rows, cols = (slice(c.start, c.stop + k - 1) for c in cone[1:])
+                    x = x[..., rows, cols]
+                params = {key: value[cone[0]] for key, value in spec.params.items()}
+                spec = LayerSpec(spec.name, spec.kind, params, spec.hyper)
+            x = core.layer_forward(spec, x.astype(DTYPE, copy=False), 2, prev)
+        beta, threshold = (
+            p if p.shape == (1,) else p[cone]
+            for p in (lif.params["beta"], lif.params["threshold"])
+        )
+        state = LifState(np.zeros_like(x[:, 0]), np.zeros_like(x[:, 0]))
+        spikes = np.empty_like(x)
+        for t in range(net.timesteps):
+            state, spike = core.lif_step(state, x[:, t], beta, threshold)
+            if hook is not None:
+                hook(lif.name, "potential", state.potential)
+                hook(lif.name, "spike", spike)
+            spikes[:, t] = spike
+    want = golden.trace[lif.name][(slice(None), slice(None), *cone)].astype(DTYPE)
+    differs = spikes.view(np.uint32) != want.view(np.uint32)  # -0.0 differs from 0.0
+    return spikes, np.flatnonzero(differs.reshape(len(differs), -1).any(axis=1))
 
 
 def run_faulty(
-    template: Network, d: FaultDescriptor, dataset: SpikeDataset, subset: int | None = None
+    template: Network,
+    d: FaultDescriptor,
+    dataset: SpikeDataset,
+    golden: GoldenReference | None = None,
 ) -> list[Prediction]:
-    """One fault, all inputs, on a private copy of the template network."""
+    """One fault on every input of ``golden`` (run_golden's result for this
+    template and dataset; computed over the whole dataset when omitted), on a
+    private copy of the template network.
+
+    The screen recomputes the fault's LIF layer where the fault can reach it;
+    an input whose spikes there match the golden trace keeps its golden
+    Prediction. The inputs that differ are replayed in one batched forward
+    from the first layer whose input changed.
+    """
+    if golden is None:
+        golden = run_golden(template.copy(), dataset)
     net = template.copy()
     try:
         target_tensor(net, d)  # validate addressability up front
     except AddressError as exc:
         raise AddressError(f"fault {d.fault_id}: {exc}") from None
-    hook = None
-    if d.parameter.is_dynamic:
-        hook = make_refresh_hook(d)
+    local_hook = None
+    if d.parameter.is_dynamic:  # a dynamic fault's cone is its neuron: coords 0 within it
+        local_hook = make_refresh_hook(replace(d, coords=(0,) * len(d.coords)))
     else:
         inject_static(net, d)
-    return _predict(net, dataset, subset, hook)
+    w, lif_at, cone = site = _screen_site(net, d)
+    spikes, diverging = _screen(net, dataset, golden, site, local_hook)
+    outs = list(golden.entries)
+    if diverging.size:
+        if w == lif_at - 1 and net.layers[w].kind is not LayerKind.RECURRENT:
+            # Only the cone of L differs: splice it into L's golden spikes.
+            lif_spikes = golden.trace[net.layers[lif_at].name][diverging]
+            scores = network_forward(
+                net, lif_spikes, start=lif_at + 1, splice=(cone, spikes[diverging])
+            )
+        else:
+            hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
+            x = _golden_input(net, dataset, golden, w)[diverging]
+            scores = network_forward(net, x, hook, start=w)
+        for i, row in zip(diverging.tolist(), scores):
+            outs[i] = Prediction(i, row, *_top(row))
+    return outs
 
 
 def _write_atomic(path: Path, lines: Iterable[str]) -> None:
@@ -330,21 +471,29 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
 
 _WORKER: dict = {}
 
+# The pool gets the pending faults as this many contiguous batches per worker:
+# one future per fault makes inter-process traffic the bound once a screened
+# fault costs about a millisecond, and a few batches per worker still let a
+# worker that drew cheap faults take another batch.
+BATCHES_PER_WORKER = 8
 
-def _worker_init(net: Network, dataset: SpikeDataset, subset: int) -> None:
+
+def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -> None:
     _WORKER["net"] = net
     _WORKER["dataset"] = dataset
-    _WORKER["subset"] = subset
+    _WORKER["golden"] = golden
 
 
-def _run_fault(net: Network, d: FaultDescriptor, dataset: SpikeDataset, k: int):
-    # (fault_id, [(input_id, faulty class, faulty top score)]): what record() takes.
-    outs = run_faulty(net, d, dataset, k)
-    return d.fault_id, [(o.input_id, o.top_class, o.top_score) for o in outs]
+def _run_fault(net: Network, d: FaultDescriptor, dataset: SpikeDataset, golden: GoldenReference):
+    # (fault_id, replayed inputs, [(input_id, faulty class, faulty top score)]):
+    # what record() takes. A screened input's Prediction is the golden one itself.
+    outs = run_faulty(net, d, dataset, golden)
+    replayed = sum(o is not g for o, g in zip(outs, golden.entries))
+    return d.fault_id, replayed, [(o.input_id, o.top_class, o.top_score) for o in outs]
 
 
-def _worker_run(d: FaultDescriptor):
-    return _run_fault(_WORKER["net"], d, _WORKER["dataset"], _WORKER["subset"])
+def _worker_run(batch: list[FaultDescriptor]):
+    return [_run_fault(_WORKER["net"], d, _WORKER["dataset"], _WORKER["golden"]) for d in batch]
 
 
 def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResult:
@@ -398,7 +547,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         pending = pending[: max(0, int(limit))]
 
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
-        unacknowledged = 0
+        unacknowledged = screened = replayed = 0
 
         def checkpoint() -> None:
             nonlocal acked
@@ -407,8 +556,10 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             acked = os.fstat(pf.fileno()).st_size
             _write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
-        def record(fid: int, triples) -> None:
-            nonlocal unacknowledged
+        def record(fid: int, n_replayed: int, triples) -> None:
+            nonlocal unacknowledged, screened, replayed
+            screened += len(triples) - n_replayed
+            replayed += n_replayed
             for iid, f_class, f_score in triples:
                 pf.write(_render_row(fid, iid, golden_by[iid], f_class, f_score) + "\n")
             unacknowledged += 1
@@ -418,14 +569,17 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
         if cfg.workers == 1:
             for d in pending:
-                record(*_run_fault(net, d, dataset, k))
+                record(*_run_fault(net, d, dataset, golden))
         elif pending:
+            size = -(-len(pending) // (cfg.workers * BATCHES_PER_WORKER))
+            batches = [pending[i : i + size] for i in range(0, len(pending), size)]
             pool = ProcessPoolExecutor(
-                cfg.workers, initializer=_worker_init, initargs=(net, dataset, k)
+                cfg.workers, initializer=_worker_init, initargs=(net, dataset, golden)
             )
             try:
-                for future in as_completed([pool.submit(_worker_run, d) for d in pending]):
-                    record(*future.result())
+                for future in as_completed([pool.submit(_worker_run, b) for b in batches]):
+                    for result in future.result():
+                        record(*result)
             except BrokenProcessPool as exc:
                 checkpoint()  # every recorded fault is whole; keep it for --resume
                 raise WorkerError(
@@ -454,6 +608,10 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         **binding,
         "workers": cfg.workers,
         "wall_seconds": wall,
+        "screened_pairs": screened,
+        "replayed_pairs": replayed,
+        "golden_trace_bytes": sum(a.nbytes for a in golden.trace.values()),
+        "fault_pairs_per_s": (screened + replayed) / (t_faults - t_golden) if pending else 0.0,
         "phase_seconds": {
             "load": t_load - t0,
             "golden": t_golden - t_load,

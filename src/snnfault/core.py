@@ -41,6 +41,13 @@ The kernels trust their operands: ``Network`` validates every shape once, at
 construction, and ``network_forward`` runs all of them under a single
 ``np.errstate(all="ignore")``, so faults that drive arithmetic to Inf/NaN
 propagate silently. Callers outside ``network_forward`` own both duties.
+
+``network_forward`` can start at any layer, given that layer's input for every
+timestep, and can record chosen layers' outputs for every timestep into
+preallocated arrays. A run from layer ``i`` on inputs recorded by a full run
+repeats the full run's arithmetic from layer ``i`` on, so its scores have the
+same bits; the fault campaign replays a fault from the layer it first changes
+this way.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ PARAMETERIZED = {
     LayerKind.LIF: ("beta", "threshold"),
 }
 OPTIONAL_PARAMS = frozenset({"bias", "feedback_bias"})
+# Layers with weights; each LIF layer directly follows one, its current source.
+WEIGHTED = (LayerKind.FULLY_CONNECTED, LayerKind.RECURRENT, LayerKind.CONV2D)
 
 
 @dataclass
@@ -241,7 +250,7 @@ class Network:
             return (c, h // pool, wd // pool)
 
         # LIF: state shape mirrors the incoming current.
-        if prev_kind not in (LayerKind.FULLY_CONNECTED, LayerKind.RECURRENT, LayerKind.CONV2D):
+        if prev_kind not in WEIGHTED:
             raise _dim_error(spec.name, "lif layer must directly follow a weighted layer")
         for key in ("beta", "threshold"):
             t = p[key]
@@ -384,46 +393,76 @@ def reset_state(net: Network) -> None:
         st.spike = np.zeros(net.shapes[name], DTYPE)
 
 
-def network_forward(net: Network, spikes, refresh: StateHook | None = None) -> np.ndarray:
-    """Run a full T-step inference and return the class score vector.
+def layer_forward(
+    spec: LayerSpec, x: np.ndarray, lead: int, prev_spike: np.ndarray | None = None
+) -> np.ndarray:
+    """One weighted or pooling layer on ``x``, which has ``lead`` leading batch
+    axes. ``prev_spike`` is a recurrent layer's LIF spikes from the previous
+    timestep."""
+    p = spec.params
+    if spec.kind is LayerKind.CONV2D:
+        return conv2d_forward(p["weight"], p.get("bias"), x)
+    if spec.kind is LayerKind.AVGPOOL2D:
+        return avgpool2d_forward(x, spec.hyper["pool"])
+    flat = x.reshape(*x.shape[:lead], -1)
+    if spec.kind is LayerKind.RECURRENT:
+        return recurrent_forward(spec, flat, prev_spike)
+    return linear_forward(p["weight"], p.get("bias"), flat)
 
-    ``spikes`` is a [..., T, *input_shape] spike array; each row of the
+
+def network_forward(
+    net: Network,
+    spikes,
+    refresh: StateHook | None = None,
+    start: int = 0,
+    splice: tuple[tuple[slice, ...], np.ndarray] | None = None,
+    record: dict[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Run a T-step inference from layer ``start`` and return the class scores.
+
+    ``spikes`` is the input of layer ``start`` for every timestep,
+    [..., T, *shape] in any dtype: the network's input spikes when ``start``
+    is 0, otherwise the output of layer ``start - 1``. Each row of the
     optional leading batch axes is an independent inference, and the scores
     have shape [..., classes]. Scores are the per-class sums of output-layer
-    spikes over all T steps, accumulated in timestep order. State is NOT
-    reset here (call reset_state first for a fresh run); it is broadcast to
-    the batch shape. The optional ``refresh`` hook is invoked after every LIF
-    state write, before that value feeds anything downstream (see StateHook);
-    the tensor it gets carries the batch axes.
+    spikes over all T steps, accumulated in timestep order from a zero seed;
+    with ``start`` past the last layer they are that sum over ``spikes``.
+    State is NOT reset here (call reset_state first for a fresh run); it is
+    broadcast to the batch shape, and layers before ``start`` do not run. The
+    optional ``refresh`` hook is invoked after every LIF state write, before
+    that value feeds anything downstream (see StateHook); the tensor it gets
+    carries the batch axes.
+
+    Each step's input is converted to a fresh binary32 array. ``splice``, an
+    (index, values) pair, then overwrites ``input[..., *index]`` with
+    ``values[..., t, ...]``, so a train that differs from a stored one in a
+    few elements is assembled one step at a time. ``record`` maps layer names
+    to preallocated [..., T, *shape] arrays; each step writes that layer's
+    output into its row t, cast to the array's dtype.
     """
-    lead = spikes.ndim - 1 - len(net.input_shape)
-    expected = (net.timesteps, *net.input_shape)
+    in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
+    lead = spikes.ndim - 1 - len(in_shape)
+    expected = (net.timesteps, *in_shape)
     if lead < 0 or spikes.shape[lead:] != expected:
-        raise _dim_error(
-            net.layers[0].name, f"spike shape {spikes.shape} does not end in {expected}"
-        )
+        where = net.layers[start].name if start < len(net.layers) else "scores"
+        raise _dim_error(where, f"spike shape {spikes.shape} does not end in {expected}")
     batch = spikes.shape[:lead]
     for name, st in net.states.items():
         st.potential = np.broadcast_to(st.potential, batch + net.shapes[name])
         st.spike = np.broadcast_to(st.spike, batch + net.shapes[name])
 
+    rows = (slice(None),) * lead
     scores = np.zeros((*batch, net.num_classes), DTYPE)
     with np.errstate(all="ignore"):
-        for step in np.moveaxis(spikes, lead, 0):
-            x = step.astype(DTYPE, copy=False)
-            for spec in net.layers:
-                kind, p = spec.kind, spec.params
-                if kind is LayerKind.FULLY_CONNECTED:
-                    x = linear_forward(p["weight"], p.get("bias"), x.reshape(*batch, -1))
-                elif kind is LayerKind.RECURRENT:
-                    prev = net.states[net.paired_lif[spec.name]].spike
-                    x = recurrent_forward(spec, x.reshape(*batch, -1), prev)
-                elif kind is LayerKind.CONV2D:
-                    x = conv2d_forward(p["weight"], p.get("bias"), x)
-                elif kind is LayerKind.AVGPOOL2D:
-                    x = avgpool2d_forward(x, spec.hyper["pool"])
-                else:
+        for t, step in enumerate(np.moveaxis(spikes, lead, 0)):
+            x = step.astype(DTYPE)
+            if splice is not None:
+                index, values = splice
+                x[rows + index] = values[rows + (t,)]
+            for spec in net.layers[start:]:
+                if spec.kind is LayerKind.LIF:
                     st = net.states[spec.name]
+                    p = spec.params
                     new_state, spike = lif_step(st, x, p["beta"], p["threshold"])
                     st.potential = new_state.potential
                     st.spike = spike
@@ -431,5 +470,11 @@ def network_forward(net: Network, spikes, refresh: StateHook | None = None) -> n
                         refresh(spec.name, "potential", st.potential)
                         refresh(spec.name, "spike", st.spike)
                     x = st.spike
+                else:
+                    paired = net.paired_lif.get(spec.name)
+                    prev = net.states[paired].spike if paired else None
+                    x = layer_forward(spec, x, lead, prev)
+                if record is not None and spec.name in record:
+                    record[spec.name][rows + (t,)] = x
             scores = scores + x
     return scores

@@ -8,6 +8,8 @@ of its implementation.
 import numpy as np
 
 from snnfault import DTYPE, LayerKind, LayerSpec, Network
+from snnfault.core import network_forward, reset_state
+from snnfault.faults import inject_static, make_refresh_hook
 
 F32 = np.float32
 
@@ -96,3 +98,17 @@ def two_layer_net(seed=0, n_in=4, n_hidden=5, n_out=3, timesteps=8) -> Network:
 def spike_train(seed, timesteps, shape, rate=0.5) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.random((timesteps, *shape)) < rate).astype(DTYPE)
+
+
+def injected_forward(net, d, spikes) -> np.ndarray:
+    """Scores [K, classes] of a full forward, every layer from the first, of
+    a copy of ``net`` with fault ``d`` injected: what the campaign's screen
+    and replay must reproduce bit for bit."""
+    run = net.copy()
+    hook = None
+    if d.parameter.is_dynamic:
+        hook = make_refresh_hook(d)
+    else:
+        inject_static(run, d)
+    reset_state(run)
+    return network_forward(run, spikes, hook)

@@ -8,6 +8,7 @@ show up as a broken benchmark or as per-layer metrics that silently read 0.
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,36 +62,49 @@ def test_unbatched_sample_forward_keeps_its_shapes():
 
 
 def test_tracer_installs_sees_every_layer_and_restores():
+    """Golden runs one forward; a screened fault runs none when no input
+    diverges and one when some do. The kernels, copy, injection, addressing,
+    refresh hook and run_faulty are still seen through the names the tracer
+    patches, on screened runs alone."""
     tracing = _load_tracing()
     originals = {k: getattr(core, k) for k in tracing.KERNELS}
-    nets = [
-        synth_model(1, "RFC(4->4)-LIF-FC(4->3)-LIF", 2),
-        synth_model(2, "CONV(1x4x4->2,k3)-LIF-POOL(2)-FC(2->3)-LIF", 2),
-    ]
-    with tracing.installed(tracing.Tracer()) as tracer:
-        for net in nets:
-            ds = synth_dataset(3, 2, 2, net.input_shape, 3, 0.5)  # K=2: batched runs
-            lif = net.layers[1].name
-            coords = (0,) * len(net.states[lif].potential.shape)
-            campaign.run_golden(net.copy(), ds)
-            campaign.run_faulty(net, FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, 1), ds)
-            campaign.run_faulty(
-                net,
-                FaultDescriptor(1, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK),
-                ds,
-            )
-    spans = tracer.spans()
-    assert spans["core.network_forward"].calls == 3 * len(nets)  # one forward per run
-    seen = {name for name, s in spans.items() if s.calls}
+    nets = {  # each with the kernel that feeds its first LIF
+        "core.recurrent_forward": synth_model(1, "RFC(4->4)-LIF-FC(4->3)-LIF", 2),
+        "core.conv2d_forward": synth_model(2, "CONV(1x4x4->2,k3)-LIF-POOL(2)-FC(2->3)-LIF", 2),
+    }
+
+    def spans(name, *args):
+        with tracing.installed(tracing.Tracer()) as tracer:
+            getattr(campaign, name)(*args)  # looked up inside, where the wrapper is
+        return {name: s.calls for name, s in tracer.spans().items() if s.calls}
+
+    faulty = Counter()
+    for feed, net in nets.items():
+        ds = synth_dataset(3, 2, 2, net.input_shape, 3, 0.5)  # K=2: batched runs
+        golden = campaign.run_golden(net.copy(), ds)
+        assert spans("run_golden", net.copy(), ds)["core.network_forward"] == 1
+        lif = net.layers[1].name
+        beta_bit = (int(net.layer(lif).params["beta"].view("<u4")[0]) >> 3) & 1
+        masked = FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, beta_bit)
+        seen = spans("run_faulty", net, masked, ds, golden)
+        assert "core.network_forward" not in seen
+        screen = {feed, "core.lif_step", "core.Network.copy", "faults.inject_static"}
+        assert screen - seen.keys() == set()  # the screen alone, through the patched names
+        faulty.update(seen)
+        coords = (0,) * len(net.shapes[lif])
+        # Stuck at 1 from t=0, when no neuron can fire yet: every input diverges.
+        diverging = FaultDescriptor(
+            1, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK
+        )
+        seen = spans("run_faulty", net, diverging, ds, golden)
+        assert seen["core.network_forward"] == 1
+        faulty.update(seen)
     want = {f"core.{k}" for k in tracing.KERNELS} | {
         "core.Network.copy",
-        "core.network_forward",
-        "core.reset_state",
         "faults.inject_static",
         "faults.target_tensor",
         "faults.refresh_hook",
-        "campaign.run_golden",
         "campaign.run_faulty",
     }
-    assert want - seen == set()
+    assert want - faulty.keys() == set()
     assert {k: getattr(core, k) for k in tracing.KERNELS} == originals

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 import platform
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import snnfault
-from helpers import bits_of, two_layer_net
+from helpers import bits_of, injected_forward, two_layer_net
 from snnfault import campaign
 from snnfault.campaign import (
     CampaignConfig,
@@ -26,6 +27,7 @@ from snnfault.campaign import (
     run_golden,
     write_golden,
 )
+from snnfault.core import DTYPE, LayerKind, Network
 from snnfault.dataio import f32_to_hex, save_dataset, save_model, synth_dataset, synth_model
 from snnfault.errors import FormatError, ResumeError
 from snnfault.faultlist import (
@@ -278,6 +280,11 @@ def test_campaign_json_explains_the_run(workdir):
     assert list(phases) == ["load", "golden", "faults", "merge"]
     assert all(v >= 0 for v in phases.values())
     assert sum(phases.values()) == pytest.approx(summary["wall_seconds"])
+    pairs = summary["screened_pairs"] + summary["replayed_pairs"]
+    assert pairs == summary["faults_completed"] * 3
+    assert 0 < summary["replayed_pairs"] < pairs  # the screen settles some pairs, not all
+    assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
+    assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
     assert summary["versions"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -524,3 +531,115 @@ def test_empty_fault_list_campaign(workdir, tmp_path):
     res = run_campaign(cfg)
     assert res.status == "complete"
     assert read_outcomes(res.outcomes_path) == []
+
+
+# -- the screen and the replay ---------------------------------------------------------
+
+SCREEN_NETS = {
+    "fc": "FC(6->5)-LIF-FC(5->3)-LIF",
+    "rfc": "RFC(6->5)-LIF-FC(5->3)-LIF",
+    "conv": "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF",
+    "fc-fc": "FC(6->5)-FC(5->4)-LIF-FC(4->3)-LIF",
+    "conv-pool-fc": "CONV(2x6x6->3,k3)-POOL(2)-FC(12->4)-LIF-FC(4->3)-LIF",
+}
+
+
+def _screen_net(arch):
+    """A firing net whose first weight is 1.0 (bit 30 stuck at 1 makes it
+    +Inf, and Inf * 0-spike = NaN enters the chain) and whose first LIF has
+    per-neuron beta and threshold; the output LIF keeps shape (1,)."""
+    net = synth_model(41, arch, 8, threshold=0.3)
+    weighted = net.layers[0]
+    weighted.params["weight"][(0,) * weighted.params["weight"].ndim] = 1.0
+    lif = next(s for s in net.layers if s.kind is LayerKind.LIF)
+    shape = net.shapes[lif.name]
+    rng = np.random.default_rng(42)
+    lif.params["beta"] = rng.uniform(0.5, 1.0, shape).astype(DTYPE)
+    lif.params["threshold"] = rng.uniform(0.1, 0.5, shape).astype(DTYPE)
+    return Network(net.layers, net.timesteps, net.input_shape)
+
+
+def _screen_faults(net, rng):
+    """Every parameter kind of every layer at random coords, with a random bit,
+    the exponent bit 30 and the sign bit 31, both polarities; spikes also
+    value-stuck at 0 and 1."""
+    faults = []
+
+    def add(*args):
+        faults.append(FaultDescriptor(len(faults), *args))
+
+    for spec in net.layers:
+        tensors = {key: value.shape for key, value in spec.params.items()}
+        if spec.kind is LayerKind.LIF:
+            tensors.update(potential=net.shapes[spec.name], spike=net.shapes[spec.name])
+        for key, shape in tensors.items():
+            kind = ParameterKind(key)
+            coords = [(0,) * len(shape)] + [
+                tuple(int(rng.integers(n)) for n in shape) for _ in range(3)
+            ]
+            for c in coords:
+                for bit in (int(rng.integers(30)), 30, 31):
+                    for stuck in (0, 1):
+                        add(spec.name, kind, c, bit, stuck)
+            if kind is ParameterKind.SPIKE:
+                for c in coords:
+                    for stuck in (0, 1):
+                        add(spec.name, kind, c, 0, stuck, FaultMode.VALUE_STUCK)
+    return faults
+
+
+@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
+def test_screened_run_faulty_equals_injected_full_forward(arch):
+    """run_faulty's screen and replay give, bit for bit, the scores of a full
+    forward of an injected copy, for every parameter kind, on inputs that
+    diverge and on inputs that do not."""
+    net = _screen_net(arch)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    replayed = Counter()
+    for d in _screen_faults(net, np.random.default_rng(44)):
+        outs = run_faulty(net, d, ds, golden)
+        want = injected_forward(net, d, ds.spikes)
+        for out, row in zip(outs, want):
+            assert out.scores.tobytes() == row.tobytes(), d
+            assert (out.top_class, bits_of(out.top_score)) == (
+                _top(row)[0], bits_of(_top(row)[1])
+            ), d
+        n = sum(o is not g for o, g in zip(outs, golden.entries))
+        replayed["none" if n == 0 else "all" if n == len(outs) else "some"] += 1
+    assert set(replayed) == {"none", "some", "all"}, replayed
+
+
+def test_sign_bit_spike_fault_is_replayed(workdir):
+    """Stuck sign bit on a spike turns a silent step's 0.0 into -0.0, which
+    is == 0.0 but not golden: the screen compares bits, so every input is
+    replayed, also those on which the neuron never fires."""
+    _, net, ds, _ = workdir
+    golden = run_golden(net.copy(), ds)
+    silent = ~golden.trace["lif1"][:, :, 0].any(axis=1)
+    assert silent.any()  # inputs whose only difference is -0.0
+    d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 31, 1)
+    _, n_replayed, _ = campaign._run_fault(net, d, ds, golden)
+    assert n_replayed == len(golden.entries)
+
+
+def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
+    _, net, ds, _ = workdir
+    golden = run_golden(net.copy(), ds)
+    calls = []
+    forward = campaign.network_forward
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start"))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "network_forward", counted)
+    weight = net.layer("fc1").params["weight"]
+    current = (bits_of(weight[0, 0]) >> 5) & 1
+    masked = FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), 5, current)
+    outs = run_faulty(net, masked, ds, golden)
+    assert calls == []
+    assert all(o is g for o, g in zip(outs, golden.entries))
+    saturated = FaultDescriptor(1, "lif1", ParameterKind.SPIKE, (0,), 0, 1, FaultMode.VALUE_STUCK)
+    run_faulty(net, saturated, ds, golden)  # no neuron fires at t=0: every input diverges
+    assert calls == [2]  # one forward, from the layer after lif1
