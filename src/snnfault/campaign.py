@@ -276,6 +276,8 @@ def run_faulty(
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
+    elif not golden.trace:
+        raise ValueError("golden reference holds no trace; pass run_golden's, not read_golden's")
     net = template.copy()
     try:
         target_tensor(net, d)  # validate addressability up front

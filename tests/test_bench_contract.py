@@ -63,9 +63,10 @@ def test_unbatched_sample_forward_keeps_its_shapes():
 
 def test_tracer_installs_sees_every_layer_and_restores():
     """Golden runs one forward; a screened fault runs none when no input
-    diverges and one when some do. The kernels, copy, injection, addressing,
-    refresh hook and run_faulty are still seen through the names the tracer
-    patches, on screened runs alone."""
+    diverges and one when some do. The golden run still shows its reset,
+    forward and run_golden spans, and the kernels, copy, injection,
+    addressing, refresh hook and run_faulty are still seen through the names
+    the tracer patches, on screened runs alone."""
     tracing = _load_tracing()
     originals = {k: getattr(core, k) for k in tracing.KERNELS}
     nets = {  # each with the kernel that feeds its first LIF
@@ -78,11 +79,13 @@ def test_tracer_installs_sees_every_layer_and_restores():
             getattr(campaign, name)(*args)  # looked up inside, where the wrapper is
         return {name: s.calls for name, s in tracer.spans().items() if s.calls}
 
-    faulty = Counter()
+    golden_seen, faulty = Counter(), Counter()
     for feed, net in nets.items():
         ds = synth_dataset(3, 2, 2, net.input_shape, 3, 0.5)  # K=2: batched runs
         golden = campaign.run_golden(net.copy(), ds)
-        assert spans("run_golden", net.copy(), ds)["core.network_forward"] == 1
+        seen = spans("run_golden", net.copy(), ds)
+        assert seen["core.network_forward"] == 1
+        golden_seen.update(seen)
         lif = net.layers[1].name
         beta_bit = (int(net.layer(lif).params["beta"].view("<u4")[0]) >> 3) & 1
         masked = FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, beta_bit)
@@ -107,4 +110,6 @@ def test_tracer_installs_sees_every_layer_and_restores():
         "campaign.run_faulty",
     }
     assert want - faulty.keys() == set()
+    golden_want = {"core.reset_state", "core.network_forward", "campaign.run_golden"}
+    assert golden_want - golden_seen.keys() == set()
     assert {k: getattr(core, k) for k in tracing.KERNELS} == originals

@@ -623,6 +623,15 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     assert n_replayed == len(golden.entries)
 
 
+def test_run_faulty_rejects_golden_without_trace(workdir, tmp_path):
+    _, net, ds, _ = workdir
+    p = tmp_path / "golden.csv"
+    write_golden(run_golden(net.copy(), ds), p)
+    d = FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), 30, 1)
+    with pytest.raises(ValueError, match="holds no trace"):
+        run_faulty(net, d, ds, read_golden(p))
+
+
 def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
     _, net, ds, _ = workdir
     golden = run_golden(net.copy(), ds)
