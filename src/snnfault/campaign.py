@@ -35,7 +35,8 @@ Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
 authoritative, plus a human-readable rendering). Golden CSV: one row per
 input with top class, top score, and the full score vector as ``;``-joined
-hex patterns.
+hex patterns. Each row format is one compiled pattern below, written in
+dataio's sub-patterns; the readers take their fields from its match.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -69,12 +71,16 @@ from .core import (
     reset_state,
 )
 from .dataio import (
+    HEX,
+    INT,
+    SCORE,
     SpikeDataset,
     f32_to_hex,
     hex_to_f32,
     load_dataset,
     load_model,
     parse_score,
+    read_lines,
     render_score,
 )
 from .errors import AddressError, FormatError, ResumeError, WorkerError
@@ -83,6 +89,8 @@ from .faultlist import read_fault_list
 
 OUTCOME_HEADER = "fault_id,input_id,golden_class,faulty_class,golden_top_score,faulty_top_score"
 GOLDEN_HEADER = "input_id,top_class,top_score,scores"
+_OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
+_GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 
 
 @dataclass
@@ -332,41 +340,25 @@ def write_golden(ref: GoldenReference, path) -> None:
 
 
 def read_golden(path) -> GoldenReference:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"golden file is not UTF-8: {exc}") from None
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body or body[0] != GOLDEN_HEADER:
+    lines = enumerate(read_lines(path, "golden file"), start=1)
+    rows = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if not rows or rows[0][1] != GOLDEN_HEADER:
         raise FormatError(f"expected golden header '{GOLDEN_HEADER}'")
     entries: list[Prediction] = []
-    classes = None
-    for lineno, line in enumerate(body[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise FormatError(f"expected 4 fields, got {len(fields)}", line=lineno)
-        try:
-            input_id = int(fields[0])
-            top_class = int(fields[1])
-        except ValueError as exc:
-            raise FormatError(f"bad field: {exc}", line=lineno) from None
-        top_score = parse_score(fields[2], line=lineno)
-        cells = fields[3].split(";")
-        scores = np.empty(len(cells), dtype=np.float32)
-        for j, cell in enumerate(cells):
-            try:
-                scores[j] = hex_to_f32(cell)
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-        if classes is None:
-            classes = len(cells)
-        elif len(cells) != classes:
+    for lineno, line in rows[1:]:
+        m = _GOLDEN_ROW.fullmatch(line)
+        if m is None:
+            raise FormatError("malformed golden row", line=lineno)
+        input_id, top_class, top_cell, vector = m.groups()
+        hexes = bytes.fromhex(vector.replace(";", ""))
+        scores = np.frombuffer(hexes, ">u4").astype(np.uint32).view(DTYPE)
+        if entries and len(scores) != len(entries[0].scores):
             raise FormatError("score vector length varies between rows", line=lineno)
+        top_score = parse_score(top_cell)
         want_class, want_score = _top(scores)
-        if top_class != want_class or f32_to_hex(top_score) != f32_to_hex(want_score):
+        if int(top_class) != want_class or f32_to_hex(top_score) != f32_to_hex(want_score):
             raise FormatError("top class/score disagree with the score vector", line=lineno)
-        entries.append(Prediction(input_id, scores, top_class, top_score))
+        entries.append(Prediction(int(input_id), scores, want_class, top_score))
     if not entries:
         raise FormatError("golden reference holds no inputs")
     return GoldenReference(entries)
@@ -375,37 +367,26 @@ def read_golden(path) -> GoldenReference:
 # -- outcome rows ---------------------------------------------------------------
 
 
-def _render_row(fid: int, iid: int, golden: Prediction, f_class: int, f_score) -> str:
+def _render_row(fid: int, golden: Prediction, faulty: Prediction) -> str:
     return (
-        f"{fid},{iid},{golden.top_class},{f_class},"
-        f"{render_score(golden.top_score)},{render_score(f_score)}"
+        f"{fid},{golden.input_id},{golden.top_class},{faulty.top_class},"
+        f"{render_score(golden.top_score)},{render_score(faulty.top_score)}"
     )
 
 
-def _parse_outcome_line(line: str, lineno: int | None = None) -> OutcomeRow:
-    fields = line.split(",")
-    if len(fields) != 6:
-        raise FormatError(f"expected 6 fields, got {len(fields)}", line=lineno)
-    try:
-        fid, iid, g_class, f_class = (int(v) for v in fields[:4])
-    except ValueError as exc:
-        raise FormatError(f"bad field: {exc}", line=lineno) from None
-    g_top = parse_score(fields[4], line=lineno)
-    f_top = parse_score(fields[5], line=lineno)
-    return OutcomeRow(fid, iid, g_class, f_class, g_top, f_top)
-
-
 def read_outcomes(path) -> list[OutcomeRow]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"outcome file is not UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path, "outcome file")
     if not lines or lines[0] != OUTCOME_HEADER:
         raise FormatError(f"expected outcome header '{OUTCOME_HEADER}'", line=1)
-    return [_parse_outcome_line(line, lineno) for lineno, line in enumerate(lines[1:], start=2)]
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        m = _OUTCOME_ROW.fullmatch(line)
+        if m is None:
+            raise FormatError("malformed outcome row", line=lineno)
+        fid, iid, g_class, f_class, g_top, f_top = m.groups()
+        rows.append(OutcomeRow(int(fid), int(iid), int(g_class), int(f_class),
+                               hex_to_f32(g_top[:8]), hex_to_f32(f_top[:8])))
+    return rows
 
 
 # -- checkpointing ---------------------------------------------------------------
@@ -455,14 +436,14 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
     groups: dict[int, list[str]] = {}
     inputs: dict[int, list[int]] = {}
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
-        try:
-            row = _parse_outcome_line(line, lineno)
-        except FormatError as exc:
-            raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
-        if row.fault_id not in valid_ids:
-            raise ResumeError(f"acknowledged row names unknown fault {row.fault_id}")
-        groups.setdefault(row.fault_id, []).append(line)
-        inputs.setdefault(row.fault_id, []).append(row.input_id)
+        m = _OUTCOME_ROW.fullmatch(line)
+        if m is None:
+            raise ResumeError(f"corrupt acknowledged outcome row (line {lineno})")
+        fid = int(m[1])
+        if fid not in valid_ids:
+            raise ResumeError(f"acknowledged row names unknown fault {fid}")
+        groups.setdefault(fid, []).append(line)
+        inputs.setdefault(fid, []).append(int(m[2]))
     for fid, iids in inputs.items():
         if iids != list(range(k)):
             raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
@@ -487,11 +468,12 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
 
 
 def _run_fault(net: Network, d: FaultDescriptor, dataset: SpikeDataset, golden: GoldenReference):
-    # (fault_id, replayed inputs, [(input_id, faulty class, faulty top score)]):
-    # what record() takes. A screened input's Prediction is the golden one itself.
+    # (screened inputs, replayed inputs, the fault's outcome rows): what
+    # record() takes. A screened input's Prediction is the golden one itself.
     outs = run_faulty(net, d, dataset, golden)
     replayed = sum(o is not g for o, g in zip(outs, golden.entries))
-    return d.fault_id, replayed, [(o.input_id, o.top_class, o.top_score) for o in outs]
+    rows = "".join(_render_row(d.fault_id, g, o) + "\n" for g, o in zip(golden.entries, outs))
+    return len(outs) - replayed, replayed, rows
 
 
 def _worker_run(batch: list[FaultDescriptor]):
@@ -520,7 +502,6 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     golden = run_golden(net.copy(), dataset, k)
     golden_path = out_dir / "golden.csv"
     write_golden(golden, golden_path)
-    golden_by = golden.by_id()
     t_golden = time.monotonic()
 
     ckpt_path = out_dir / "checkpoint.txt"
@@ -558,12 +539,11 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             acked = os.fstat(pf.fileno()).st_size
             _write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
-        def record(fid: int, n_replayed: int, triples) -> None:
+        def record(n_screened: int, n_replayed: int, rows: str) -> None:
             nonlocal unacknowledged, screened, replayed
-            screened += len(triples) - n_replayed
+            screened += n_screened
             replayed += n_replayed
-            for iid, f_class, f_score in triples:
-                pf.write(_render_row(fid, iid, golden_by[iid], f_class, f_score) + "\n")
+            pf.write(rows)
             unacknowledged += 1
             if unacknowledged >= cfg.checkpoint_every:
                 checkpoint()

@@ -15,7 +15,8 @@ sample. Payload length must be exactly samples*T*prod(shape) + 2*samples.
 
 Score cells elsewhere in the toolkit serialize binary32 values as 8 hex
 digits of the raw bit pattern (authoritative) plus a decimal rendering;
-f32_to_hex/hex_to_f32 implement that exactly.
+f32_to_hex/hex_to_f32 implement that exactly. The sub-patterns below are
+what every CSV row grammar in the toolkit is written in.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ _F32LE = np.dtype("<f4")
 _U16LE = np.dtype("<u2")
 
 
+# Row sub-patterns. An integer field is 1 to 20 ASCII digits (any uint64):
+# int() alone would also take " 5", "+5", "5_0" and non-ASCII digits, and
+# fails with a bare ValueError past 4,300 digits.
+INT = "[0-9]{1,20}"
+HEX = "[0-9a-fA-F]{8}"  # binary32 bit pattern
+SCORE = HEX + ":[^,]*"  # hex:decimal; the decimal half is for people, never read
+_HEX = re.compile(HEX)
+_SCORE = re.compile(SCORE)
+
+
 def f32_to_hex(value) -> str:
     """8 lowercase hex digits of the binary32 bit pattern."""
     return f"{int(np.array(value, dtype=np.float32).view(np.uint32)[()]):08x}"
@@ -44,7 +55,7 @@ def f32_to_hex(value) -> str:
 
 def hex_to_f32(text: str) -> np.float32:
     """Inverse of f32_to_hex; rejects anything but exactly 8 hex digits."""
-    if not re.fullmatch(r"[0-9a-fA-F]{8}", text or ""):
+    if not _HEX.fullmatch(text):
         raise FormatError(f"bad binary32 hex pattern {text!r}")
     return np.array(int(text, 16), dtype=np.uint32).view(np.float32)[()]
 
@@ -55,13 +66,21 @@ def render_score(value) -> str:
 
 
 def parse_score(cell: str, line: int | None = None) -> np.float32:
-    hexpart, sep, _dec = cell.partition(":")
-    if not sep:
-        raise FormatError(f"score cell {cell!r} lacks the hex:decimal form", line=line)
+    if not _SCORE.fullmatch(cell):
+        raise FormatError(f"bad hex:decimal score cell {cell!r}", line=line)
+    return hex_to_f32(cell[:8])
+
+
+def read_lines(path, what: str) -> list[str]:
+    """A CSV file's lines, without the final LF; not UTF-8 is a FormatError."""
     try:
-        return hex_to_f32(hexpart)
-    except FormatError as exc:
-        raise FormatError(str(exc), line=line) from None
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8: {exc}") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 # -- low-level framing --------------------------------------------------------
@@ -78,7 +97,7 @@ def _read_framed(path, magic: bytes) -> tuple[dict, bytes]:
         raise FormatError(f"declared header length {hlen} exceeds the file")
     try:
         header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int()'s digit limit
         raise FormatError(f"header is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")

@@ -35,6 +35,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
+from .dataio import INT, read_lines
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, ParameterKind, target_tensor
 
@@ -288,10 +289,15 @@ def generate_fault_list(
 
 _HEADER_COLUMNS = "fault_id,layer,parameter,coords,bit,stuck,mode"
 _META_RE = re.compile(
-    r"^# seed=(\d+) e=([^ ]+) t=([^ ]+) p=([^ ]+) N=(\d+) n=(\d+) scope=(\S+) rng=(\S+)$"
+    rf"^# seed=({INT}) e=([^ ]+) t=([^ ]+) p=([^ ]+) N=({INT}) n=({INT}) scope=(\S+) rng=(\S+)$"
 )
 _OPTS_RE = re.compile(r"^# polarity=(\S+) spike_mode=(\S+) exhaustive=([01])$")
-_UNIVERSE_RE = re.compile(r"^# universe (\S+) (\S+) (\d+(?:x\d+)*)$")
+_KINDS = "|".join(k.value for k in ParameterKind)
+_UNIVERSE_RE = re.compile(rf"^# universe (\S+) ({_KINDS}) ({INT}(?:x{INT})*)$")
+_FAULT_ROW = re.compile(
+    rf"({INT}),([^,]*),({_KINDS}),({INT}(?:;{INT})*),({INT}),({INT}),"
+    rf"({'|'.join(m.value for m in FaultMode)})"
+)
 
 
 def write_fault_list(fl: FaultList, path) -> None:
@@ -320,14 +326,7 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
     descriptors a given network cannot address raise an address error naming
     the fault_id.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"fault list is not UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
+    lines = read_lines(path, "fault list")
     meta = None
     polarity, spike_mode, exhaustive = "random", "bit", False
     entries: list[UniverseEntry] = []
@@ -353,14 +352,10 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         m = _UNIVERSE_RE.match(line)
         if m:
             layer, pname, dims = m.groups()
-            try:
-                parameter = ParameterKind(pname)
-            except ValueError:
-                raise FormatError(f"unknown parameter kind '{pname}'", line=lineno) from None
             shape = tuple(int(d) for d in dims.split("x"))
             if any(d < 1 for d in shape):
                 raise FormatError(f"bad universe shape {dims}", line=lineno)
-            entries.append(UniverseEntry(layer, parameter, shape))
+            entries.append(UniverseEntry(layer, ParameterKind(pname), shape))
             continue
         raise FormatError("unrecognized comment line", line=lineno)
     if meta is None or row_start is None:
@@ -389,24 +384,19 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
     descriptors: list[FaultDescriptor] = []
     seen_ids: set[int] = set()
     for lineno, line in enumerate(lines[row_start - 1 :], start=row_start):
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise FormatError(f"expected 7 fields, got {len(fields)}", line=lineno)
-        fid_s, layer, pname, coords_s, bit_s, stuck_s, mode_s = fields
-        try:
-            fid = int(fid_s)
-            bit = int(bit_s)
-            stuck = int(stuck_s)
-            coords = tuple(int(c) for c in coords_s.split(";"))
-            parameter = ParameterKind(pname)
-            mode = FaultMode(mode_s)
-        except ValueError as exc:
-            raise FormatError(f"bad field: {exc}", line=lineno) from None
+        m = _FAULT_ROW.fullmatch(line)
+        if m is None:
+            raise FormatError("malformed fault row", line=lineno)
+        fid_s, layer, pname, coords_s, bit_s, stuck_s, mode_s = m.groups()
+        fid = int(fid_s)
         if fid in seen_ids:
             raise FormatError(f"duplicate fault_id {fid}", line=lineno)
         seen_ids.add(fid)
+        coords = tuple(int(c) for c in coords_s.split(";"))
         try:
-            d = FaultDescriptor(fid, layer, parameter, coords, bit, stuck, mode)
+            d = FaultDescriptor(
+                fid, layer, ParameterKind(pname), coords, int(bit_s), int(stuck_s), FaultMode(mode_s)
+            )
         except SnnFaultError as exc:  # descriptor invariants (bit range, mode legality)
             raise FormatError(str(exc), line=lineno) from None
         descriptors.append(d)

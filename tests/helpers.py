@@ -55,6 +55,18 @@ def seq_conv_window_f32(weight_oc, patch) -> np.float32:
     )
 
 
+# Spellings of an integer field that no writer emits. Each maps the field's
+# digits to a string int() reads as the same value (all but the last), so a
+# reader that converts with int() accepts them; the CSV readers must not.
+MALFORMED_INTEGERS = {
+    "leading space": lambda v: " " + v,
+    "plus sign": lambda v: "+" + v,
+    "underscore": lambda v: "0_" + v,
+    "arabic-indic digits": lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    "5000 digits": lambda v: "1" * 5000,
+}
+
+
 def fc_layer(name, weight, bias=None):
     params = {"weight": np.asarray(weight, DTYPE)}
     if bias is not None:

@@ -7,18 +7,23 @@ import platform
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import snnfault
-from helpers import bits_of, injected_forward, two_layer_net
+from helpers import MALFORMED_INTEGERS, bits_of, f32_from_bits, injected_forward, two_layer_net
 from snnfault import campaign
 from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
+    GoldenReference,
     OUTCOME_HEADER,
+    Prediction,
     _top,
     read_golden,
     read_outcomes,
@@ -474,6 +479,128 @@ def test_outcomes_reader_rejects_short_rows(tmp_path):
 
 def test_golden_header_shape():
     assert GOLDEN_HEADER.split(",")[:3] == ["input_id", "top_class", "top_score"]
+
+
+def test_golden_reader_reports_file_line_numbers(workdir, tmp_path):
+    _, net, ds, _ = workdir
+    p = tmp_path / "golden.csv"
+    write_golden(run_golden(net.copy(), ds), p)
+    lines = p.read_text().splitlines()
+    assert lines[0].startswith("#") and lines[1] == GOLDEN_HEADER
+    lines[3] += ",0"  # the second row
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"\(line 4\)$"):
+        read_golden(p)
+
+
+# Per-reader rejection tables: malformed integers in an id field, a score
+# cell without its decimal half, and an extra field. The outcome log is read
+# by --resume, outcomes.csv by read_outcomes.
+OUTCOME_ROW_DEFECTS = {
+    **{
+        name: lambda fields, form=form: [fields[0], form(fields[1]), *fields[2:]]
+        for name, form in MALFORMED_INTEGERS.items()
+    },
+    "score cell without ':'": lambda fields: [*fields[:5], fields[5].partition(":")[0]],
+    "extra field": lambda fields: [*fields, "0"],
+}
+GOLDEN_ROW_DEFECTS = {
+    **{
+        name: lambda fields, form=form: [form(fields[0]), *fields[1:]]
+        for name, form in MALFORMED_INTEGERS.items()
+    },
+    "score cell without ':'": lambda fields: [*fields[:2], fields[2].partition(":")[0], fields[3]],
+    "extra field": lambda fields: [*fields, "0"],
+}
+
+
+def _mutate_last_row(path, mutate):
+    lines = path.read_text().splitlines()
+    lines[-1] = ",".join(mutate(lines[-1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+@pytest.mark.parametrize("mutate", OUTCOME_ROW_DEFECTS.values(), ids=OUTCOME_ROW_DEFECTS)
+def test_outcomes_reader_rejects_row_defects(workdir, tmp_path, mutate):
+    res = run_campaign(cfg_for(workdir, "", out_dir=tmp_path / "out", subset=2))
+    lineno = _mutate_last_row(res.outcomes_path, mutate)
+    with pytest.raises(FormatError, match=rf"\(line {lineno}\)$"):
+        read_outcomes(res.outcomes_path)
+
+
+@pytest.mark.parametrize("mutate", OUTCOME_ROW_DEFECTS.values(), ids=OUTCOME_ROW_DEFECTS)
+def test_resume_rejects_outcome_log_row_defects(workdir, tmp_path, mutate):
+    cfg = cfg_for(workdir, "", out_dir=tmp_path / "out", checkpoint_every=3)
+    run_campaign(cfg, limit=3)
+    lineno = _mutate_last_row(cfg.out_dir / "outcomes.partial.csv", mutate)
+    _acknowledge_whole_log(cfg.out_dir)
+    with pytest.raises(ResumeError, match=rf"^corrupt acknowledged outcome row.*\(line {lineno}\)$"):
+        run_campaign(replace(cfg, resume=True))
+
+
+@pytest.mark.parametrize("mutate", GOLDEN_ROW_DEFECTS.values(), ids=GOLDEN_ROW_DEFECTS)
+def test_golden_reader_rejects_row_defects(workdir, tmp_path, mutate):
+    _, net, ds, _ = workdir
+    p = tmp_path / "golden.csv"
+    write_golden(run_golden(net.copy(), ds), p)
+    lineno = _mutate_last_row(p, mutate)
+    with pytest.raises(FormatError, match=rf"\(line {lineno}\)$"):
+        read_golden(p)
+
+
+# Every binary32 class the files must carry bit for bit, then any pattern.
+FLOAT32_BITS = st.one_of(
+    st.sampled_from([
+        0x7F800001, 0xFFBFFFFF,  # signalling NaNs
+        0x7FC00000, 0xFFC00123,  # quiet NaNs with and without payload
+        0x00000000, 0x80000000, 0x00000001, 0x807FFFFF,  # +-0.0, subnormals
+        0x7F800000, 0xFF800000,  # +-Inf
+    ]),
+    st.integers(0, 2**32 - 1),
+)
+IDS = st.integers(0, 10**20 - 1)
+
+
+@given(
+    faults=st.dictionaries(IDS, st.lists(st.tuples(IDS, IDS, FLOAT32_BITS, FLOAT32_BITS),
+                                          min_size=2, max_size=2), max_size=4),
+    vectors=st.integers(1, 5).flatmap(lambda classes: st.lists(
+        st.tuples(IDS, st.lists(FLOAT32_BITS, min_size=classes, max_size=classes)),
+        min_size=1, max_size=4)),
+)
+def test_rows_round_trip_bit_exact(tmp_path_factory, faults, vectors):
+    """_render_row's rows read back through the outcome log and
+    read_outcomes, and write_golden's through read_golden, bit for bit."""
+    d = tmp_path_factory.mktemp("round_trip")
+    rows, lines = [], []
+    for fid, pairs in faults.items():
+        for iid, (g_class, f_class, g_bits, f_bits) in enumerate(pairs):
+            golden = Prediction(iid, None, g_class, f32_from_bits(g_bits))
+            faulty = Prediction(iid, None, f_class, f32_from_bits(f_bits))
+            rows.append((fid, iid, g_class, f_class, g_bits, f_bits))
+            lines.append(campaign._render_row(fid, golden, faulty))
+    log = d / "outcomes.partial.csv"
+    log.write_text("".join(line + "\n" for line in lines))
+    groups = campaign._read_log(log, log.stat().st_size, 2, set(faults))
+    assert groups == {fid: lines[2 * i : 2 * i + 2] for i, fid in enumerate(faults)}
+    (d / "outcomes.csv").write_text("\n".join([OUTCOME_HEADER, *lines]) + "\n")
+    back = [
+        (r.fault_id, r.input_id, r.golden_class, r.faulty_class,
+         bits_of(r.golden_top), bits_of(r.faulty_top))
+        for r in read_outcomes(d / "outcomes.csv")
+    ]
+    assert back == rows
+
+    entries = []
+    for iid, bits in vectors:
+        scores = np.array(bits, np.uint32).view(np.float32)
+        entries.append(Prediction(iid, scores, *_top(scores)))
+    write_golden(GoldenReference(entries), d / "golden.csv")
+    for want, got in zip(entries, read_golden(d / "golden.csv").entries, strict=True):
+        assert (got.input_id, got.top_class) == (want.input_id, want.top_class)
+        assert bits_of(got.top_score) == bits_of(want.top_score)
+        assert got.scores.tobytes() == want.scores.tobytes()
 
 
 # -- fault semantics through the campaign -------------------------------------------

@@ -224,6 +224,21 @@ def test_dataset_rejects_payload_length_mismatch(tmp_path):
         load_dataset(p)
 
 
+def test_oversized_header_integer_is_a_format_error(tmp_path):
+    # json.loads refuses integers past 4,300 digits with a bare ValueError.
+    net = synth_model(seed=1, arch="FC(3->2)-LIF", timesteps=4)
+    ds = synth_dataset(seed=1, samples=2, timesteps=4, shape=(3,), classes=2, firing_rate=0.5)
+    for save, load, obj in ((save_model, load_model, net), (save_dataset, load_dataset, ds)):
+        p = tmp_path / "f.bin"
+        save(obj, p)
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        blob = raw[8 : 8 + hlen].replace(b'"timesteps":4', b'"timesteps":' + b"1" * 5000)
+        p.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+        with pytest.raises(FormatError, match="header is not valid UTF-8 JSON"):
+            load(p)
+
+
 def test_dataset_magic_mismatch_with_model_loader(tmp_path):
     ds = synth_dataset(seed=1, samples=2, timesteps=2, shape=(3,), classes=2, firing_rate=0.5)
     p = tmp_path / "d.sjd"

@@ -13,13 +13,14 @@ Sample-size anchors below were frozen from exact rational arithmetic
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fc_layer, lif_layer, two_layer_net
+from helpers import MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
 from snnfault.core import Network
 from snnfault.errors import AddressError, CompatibilityError, FormatError
 from snnfault.faultlist import (
@@ -336,4 +337,39 @@ def test_read_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("not a fault list\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        read_fault_list(p)
+
+
+@pytest.mark.parametrize(
+    "prefix, pattern",
+    [("# seed=", r"N=(\d+)"), ("# seed=", r"n=(\d+)"), ("# universe ", r" (\d+)x")],
+    ids=["N", "n", "universe dims"],
+)
+def test_read_rejects_oversized_header_integers_with_line_number(tmp_path, prefix, pattern):
+    # int() refuses decimal strings past 4,300 digits with a bare ValueError.
+    net, lines = _valid_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = re.sub(pattern, lambda m: m[0].replace(m[1], "1" * 5000), lines[i], count=1)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=rf"line {i + 1}\)$"):
+        read_fault_list(p)
+
+
+FAULT_ROW_DEFECTS = {
+    **{
+        name: lambda fields, form=form: [form(fields[0]), *fields[1:]]
+        for name, form in MALFORMED_INTEGERS.items()
+    },
+    "extra field": lambda fields: [*fields, "0"],
+}
+
+
+@pytest.mark.parametrize("mutate", FAULT_ROW_DEFECTS.values(), ids=FAULT_ROW_DEFECTS)
+def test_read_rejects_row_defects_with_line_number(tmp_path, mutate):
+    net, lines = _valid_lines(tmp_path)
+    lines[-1] = ",".join(mutate(lines[-1].split(",")))
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=rf"line {len(lines)}\)$"):
         read_fault_list(p)
