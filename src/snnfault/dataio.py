@@ -65,9 +65,9 @@ def render_score(value) -> str:
     return f"{f32_to_hex(value)}:{float(np.float32(value))!r}"
 
 
-def parse_score(cell: str, line: int | None = None) -> np.float32:
+def parse_score(cell: str) -> np.float32:
     if not _SCORE.fullmatch(cell):
-        raise FormatError(f"bad hex:decimal score cell {cell!r}", line=line)
+        raise FormatError(f"bad hex:decimal score cell {cell!r}")
     return hex_to_f32(cell[:8])
 
 
