@@ -76,7 +76,6 @@ from .dataio import (
     SCORE,
     SpikeDataset,
     f32_to_hex,
-    hex_to_f32,
     load_dataset,
     load_model,
     parse_score,
@@ -328,6 +327,11 @@ def _write_atomic(path: Path, lines: Iterable[str]) -> None:
 # -- golden reference persistence ----------------------------------------------
 
 
+def _f32s(hexes: str) -> np.ndarray:
+    """binary32 values from concatenated 8-digit hex bit patterns, one conversion."""
+    return np.frombuffer(bytes.fromhex(hexes), ">u4").astype(np.uint32).view(DTYPE)
+
+
 def write_golden(ref: GoldenReference, path) -> None:
     lines = [
         f"# golden inputs={len(ref.entries)} classes={len(ref.entries[0].scores)}",
@@ -350,8 +354,7 @@ def read_golden(path) -> GoldenReference:
         if m is None:
             raise FormatError("malformed golden row", line=lineno)
         input_id, top_class, top_cell, vector = m.groups()
-        hexes = bytes.fromhex(vector.replace(";", ""))
-        scores = np.frombuffer(hexes, ">u4").astype(np.uint32).view(DTYPE)
+        scores = _f32s(vector.replace(";", ""))
         if entries and len(scores) != len(entries[0].scores):
             raise FormatError("score vector length varies between rows", line=lineno)
         top_score = parse_score(top_cell)
@@ -378,15 +381,15 @@ def read_outcomes(path) -> list[OutcomeRow]:
     lines = read_lines(path, "outcome file")
     if not lines or lines[0] != OUTCOME_HEADER:
         raise FormatError(f"expected outcome header '{OUTCOME_HEADER}'", line=1)
-    rows = []
+    matches = []
     for lineno, line in enumerate(lines[1:], start=2):
         m = _OUTCOME_ROW.fullmatch(line)
         if m is None:
             raise FormatError("malformed outcome row", line=lineno)
-        fid, iid, g_class, f_class, g_top, f_top = m.groups()
-        rows.append(OutcomeRow(int(fid), int(iid), int(g_class), int(f_class),
-                               hex_to_f32(g_top[:8]), hex_to_f32(f_top[:8])))
-    return rows
+        matches.append(m)
+    tops = _f32s("".join(m[5][:8] + m[6][:8] for m in matches))
+    return [OutcomeRow(int(m[1]), int(m[2]), int(m[3]), int(m[4]), g_top, f_top)
+            for m, g_top, f_top in zip(matches, tops[0::2], tops[1::2])]
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -23,7 +24,7 @@ from .campaign import (
     run_golden,
     write_golden,
 )
-from .dataio import load_dataset, load_model, save_dataset, save_model, synth_dataset, synth_model
+from .dataio import INT, load_dataset, load_model, save_dataset, save_model, synth_dataset, synth_model
 from .errors import CompatibilityError, DimensionError, FormatError, SnnFaultError
 from .faultlist import (
     POLARITIES,
@@ -57,11 +58,10 @@ def _parse_points(text: str) -> set[ParameterKind]:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        shape = tuple(int(d) for d in text.lower().split("x"))
-    except ValueError:
-        raise ValueError(f"bad shape '{text}' (want e.g. 96 or 2x16x16)") from None
-    if not shape or any(d < 1 for d in shape):
+    if not re.fullmatch(rf"{INT}(?:[xX]{INT})*", text):
+        raise ValueError(f"bad shape '{text}' (want e.g. 96 or 2x16x16)")
+    shape = tuple(int(d) for d in text.lower().split("x"))
+    if any(d < 1 for d in shape):
         raise ValueError(f"bad shape '{text}' (dims must be >= 1)")
     return shape
 
@@ -101,7 +101,7 @@ def _cmd_golden(args) -> int:
 
 def _cmd_inject(args) -> int:
     env = os.environ.get("SNNFAULT_WORKERS", "1")
-    if args.workers is None and not env.isdigit():
+    if args.workers is None and not re.fullmatch(INT, env):
         raise ValueError(f"SNNFAULT_WORKERS must be a positive integer, got {env!r}")
     workers = args.workers if args.workers is not None else int(env)
     cfg = CampaignConfig(
@@ -211,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = synth_sub.add_parser("model")
     m.add_argument("--arch", required=True,
-                   help="e.g. FC(16->8)-LIF-FC(8->4)-LIF or CONV(2x16x16->4,k3)-LIF-...")
+                   help="layers joined by '-': FC(INT->INT), RFC(INT->INT), "
+                        "CONV(INTxINTxINT->INT,kINT), POOL(INT), LIF, LIF(FLOAT) or "
+                        "LIF(FLOAT,FLOAT); e.g. FC(16->8)-LIF-FC(8->4)-LIF")
     m.add_argument("--seed", type=int, required=True)
     m.add_argument("--timesteps", type=int, required=True)
     m.add_argument("--beta", type=float, default=0.9)
@@ -222,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = synth_sub.add_parser("dataset")
     d.add_argument("--samples", type=int, required=True)
     d.add_argument("--timesteps", type=int, required=True)
-    d.add_argument("--shape", required=True, help="e.g. 96 or 2x16x16")
+    d.add_argument("--shape", required=True,
+                   help="per-timestep shape INT(xINT)*, e.g. 96 or 2x16x16")
     d.add_argument("--classes", type=int, required=True)
     d.add_argument("--rate", type=float, required=True, help="Bernoulli firing rate in [0,1]")
     d.add_argument("--seed", type=int, required=True)

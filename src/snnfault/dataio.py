@@ -16,7 +16,8 @@ sample. Payload length must be exactly samples*T*prod(shape) + 2*samples.
 Score cells elsewhere in the toolkit serialize binary32 values as 8 hex
 digits of the raw bit pattern (authoritative) plus a decimal rendering;
 f32_to_hex/hex_to_f32 implement that exactly. The sub-patterns below are
-what every CSV row grammar in the toolkit is written in.
+what every CSV row grammar, the architecture grammar and every other number
+read from text in the toolkit are written in.
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ _F32LE = np.dtype("<f4")
 _U16LE = np.dtype("<u2")
 
 
-# Row sub-patterns. An integer field is 1 to 20 ASCII digits (any uint64):
-# int() alone would also take " 5", "+5", "5_0" and non-ASCII digits, and
-# fails with a bare ValueError past 4,300 digits.
+# Sub-patterns of every grammar. An integer field is 1 to 20 ASCII digits (any
+# uint64): int() alone would also take " 5", "+5", "5_0" and non-ASCII digits,
+# and fails with a bare ValueError past 4,300 digits.
 INT = "[0-9]{1,20}"
+# A float as repr() writes one: ASCII decimal with optional sign, fraction and
+# exponent, or inf/nan. float() alone would also take "1_0", " 0.5",
+# "infinity" and non-ASCII digits.
+FLOAT = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
 HEX = "[0-9a-fA-F]{8}"  # binary32 bit pattern
 SCORE = HEX + ":[^,]*"  # hex:decimal; the decimal half is for people, never read
 _HEX = re.compile(HEX)
@@ -323,32 +328,17 @@ def synth_dataset(
 
 # -- model synthesis ----------------------------------------------------------
 
-_FC_RE = re.compile(r"^(FC|RFC)\((\d+)->(\d+)\)$")
-_CONV_RE = re.compile(r"^CONV\((\d+)X(\d+)X(\d+)->(\d+),K(\d+)\)$")
-_POOL_RE = re.compile(r"^POOL\((\d+)\)$")
-_LIF_RE = re.compile(r"^LIF(?:\(([^,()]+)(?:,([^,()]+))?\))?$")
-
-
-def _split_arch(arch: str) -> list[str]:
-    parts: list[str] = []
-    cur = ""
-    depth = 0
-    for ch in arch:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormatError(f"unbalanced parentheses in architecture {arch!r}")
-        if ch == "-" and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if depth != 0:
-        raise FormatError(f"unbalanced parentheses in architecture {arch!r}")
-    parts.append(cur)
-    return [p.strip() for p in parts if p.strip()]
+# One layer of an architecture string. ASCII case folding only: a Unicode one
+# would read the Kelvin sign as the k of CONV's kernel.
+_LAYER = re.compile(
+    rf"""(?P<rfc>R?)FC \( (?P<fan_in>{INT}) -> (?P<fan_out>{INT}) \)
+      | CONV \( (?P<ic>{INT}) x (?P<h>{INT}) x (?P<w>{INT}) -> (?P<oc>{INT}) ,k (?P<k>{INT}) \)
+      | POOL \( (?P<pool>{INT}) \)
+      | LIF (?: \( (?P<beta>{FLOAT}) (?: , (?P<vth>{FLOAT}) )? \) )?""",
+    re.IGNORECASE | re.ASCII | re.VERBOSE,
+)
+# A '-' outside parentheses: the next parenthesis after it, if any, opens.
+_LAYER_SEP = re.compile(r"-(?![^()]*\))")
 
 
 def synth_model(
@@ -360,17 +350,17 @@ def synth_model(
 ) -> Network:
     """Build a seeded random network from a compact architecture string.
 
-    Layers join with `-`: `FC(in->out)`, `RFC(in->out)` (adds feedback weight
-    and bias), `CONV(icxHxW->oc,kK)`, `POOL(p)`, and `LIF` / `LIF(beta)` /
-    `LIF(beta,vth)`. `->` may be written `→`. The first layer declares the
-    input shape. Weights and biases draw uniform over ±1/sqrt(fan_in), layer
-    by layer, weight before bias (then feedback weight, feedback bias), so a
-    seed fully determines the model bytes. Example:
-    `FC(16->8)-LIF-FC(8->4)-LIF`.
+    Layers join with `-`: `FC(INT->INT)`, `RFC(INT->INT)` (adds feedback
+    weight and bias), `CONV(INTxINTxINT->INT,kINT)` (in channels x height x
+    width -> out channels, kernel), `POOL(INT)`, and `LIF` / `LIF(FLOAT)` /
+    `LIF(FLOAT,FLOAT)` (beta, then threshold). Kinds, `x` and `k` are
+    case-insensitive, `->` may be written `→`, and spaces around a layer and
+    empty layers are ignored. INT and FLOAT are this module's sub-patterns;
+    every extent must be >= 1. The first layer declares the input shape.
+    Weights and biases draw uniform over ±1/sqrt(fan_in), layer by layer,
+    weight before bias (then feedback weight, feedback bias), so a seed fully
+    determines the model bytes. Example: `FC(16->8)-LIF-FC(8->4)-LIF`.
     """
-    tokens = _split_arch(arch.replace("→", "->"))
-    if not tokens:
-        raise FormatError("empty architecture")
     rng = np.random.default_rng(seed)
     counters: dict[str, int] = {}
 
@@ -381,56 +371,52 @@ def synth_model(
     def uniform(bound: float, shape: tuple[int, ...]) -> np.ndarray:
         return rng.uniform(-bound, bound, size=shape).astype(DTYPE)
 
-    def pos(value: int, what: str, token: str) -> int:
-        if value < 1:
+    def pos(text: str, what: str, token: str) -> int:
+        if (value := int(text)) < 1:
             raise FormatError(f"{what} must be >= 1 in {token!r}")
         return value
 
     layers: list[LayerSpec] = []
     input_shape: tuple[int, ...] | None = None
-    for token in tokens:
-        t = token.upper()
-        if m := _FC_RE.match(t):
-            tag = m.group(1)
-            in_n = pos(int(m.group(2)), "fan-in", token)
-            out_n = pos(int(m.group(3)), "fan-out", token)
+    for token in _LAYER_SEP.split(arch.replace("→", "->")):
+        token = token.strip()
+        if not token:
+            continue
+        m = _LAYER.fullmatch(token)
+        if m is None:
+            raise FormatError(f"bad layer token {token!r}")
+        if m["fan_in"]:
+            in_n = pos(m["fan_in"], "fan-in", token)
+            out_n = pos(m["fan_out"], "fan-out", token)
             if input_shape is None:
                 input_shape = (in_n,)
             bound = 1.0 / np.sqrt(in_n)
             params = {"weight": uniform(bound, (out_n, in_n)), "bias": uniform(bound, (out_n,))}
-            if tag == "RFC":
+            if m["rfc"]:
                 fb_bound = 1.0 / np.sqrt(out_n)
                 params["feedback_weight"] = uniform(fb_bound, (out_n, out_n))
                 params["feedback_bias"] = uniform(fb_bound, (out_n,))
                 layers.append(LayerSpec(name("rfc"), LayerKind.RECURRENT, params))
             else:
                 layers.append(LayerSpec(name("fc"), LayerKind.FULLY_CONNECTED, params))
-        elif m := _CONV_RE.match(t):
-            ic, h, w, oc, k = (pos(int(g), "conv extent", token) for g in m.groups())
+        elif m["k"]:
+            ic, h, w, oc, k = (pos(m[g], "conv extent", token) for g in ("ic", "h", "w", "oc", "k"))
             if input_shape is None:
                 input_shape = (ic, h, w)
             bound = 1.0 / np.sqrt(ic * k * k)
             params = {"weight": uniform(bound, (oc, ic, k, k)), "bias": uniform(bound, (oc,))}
             layers.append(LayerSpec(name("conv"), LayerKind.CONV2D, params, {"kernel": k}))
-        elif m := _POOL_RE.match(t):
-            if input_shape is None:
-                raise FormatError(f"first layer {token!r} does not declare the input shape")
-            p = pos(int(m.group(1)), "pool size", token)
+        elif input_shape is None:
+            raise FormatError(f"first layer {token!r} does not declare the input shape")
+        elif m["pool"]:
+            p = pos(m["pool"], "pool size", token)
             layers.append(LayerSpec(name("pool"), LayerKind.AVGPOOL2D, {}, {"pool": p}))
-        elif m := _LIF_RE.match(t):
-            if input_shape is None:
-                raise FormatError(f"first layer {token!r} does not declare the input shape")
-            try:
-                b = float(m.group(1)) if m.group(1) else beta
-                v = float(m.group(2)) if m.group(2) else threshold
-            except ValueError:
-                raise FormatError(f"bad LIF arguments in {token!r}") from None
+        else:
             params = {
-                "beta": np.array([b], dtype=DTYPE),
-                "threshold": np.array([v], dtype=DTYPE),
+                "beta": np.array([float(m["beta"]) if m["beta"] else beta], dtype=DTYPE),
+                "threshold": np.array([float(m["vth"]) if m["vth"] else threshold], dtype=DTYPE),
             }
             layers.append(LayerSpec(name("lif"), LayerKind.LIF, params))
-        else:
-            raise FormatError(f"bad layer token {token!r}")
-    assert input_shape is not None
+    if input_shape is None:
+        raise FormatError("empty architecture")
     return Network(layers, timesteps, input_shape)

@@ -35,7 +35,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import INT, read_lines
+from .dataio import FLOAT, INT, read_lines
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, ParameterKind, target_tensor
 
@@ -289,7 +289,7 @@ def generate_fault_list(
 
 _HEADER_COLUMNS = "fault_id,layer,parameter,coords,bit,stuck,mode"
 _META_RE = re.compile(
-    rf"^# seed=({INT}) e=([^ ]+) t=([^ ]+) p=([^ ]+) N=({INT}) n=({INT}) scope=(\S+) rng=(\S+)$"
+    rf"^# seed=({INT}) e=({FLOAT}) t=({FLOAT}) p=({FLOAT}) N=({INT}) n=({INT}) scope=(\S+) rng=(\S+)$"
 )
 _OPTS_RE = re.compile(r"^# polarity=(\S+) spike_mode=(\S+) exhaustive=([01])$")
 _KINDS = "|".join(k.value for k in ParameterKind)
@@ -340,7 +340,7 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         if meta is None:
             m = _META_RE.match(line)
             if not m:
-                raise FormatError("bad metadata comment", line=lineno)
+                raise FormatError(f"bad metadata comment {line!r}", line=lineno)
             meta = m.groups()
             continue
         m = _OPTS_RE.match(line)

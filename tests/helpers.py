@@ -66,6 +66,13 @@ MALFORMED_INTEGERS = {
     "5000 digits": lambda v: "1" * 5000,
 }
 
+# Spellings of a float field that no writer emits and float() reads anyway.
+MALFORMED_FLOATS = {
+    "underscore": "1_0",
+    "arabic-indic digits": "٠.5",
+    "leading space": " 0.5",
+}
+
 
 def fc_layer(name, weight, bias=None):
     params = {"weight": np.asarray(weight, DTYPE)}

@@ -460,6 +460,74 @@ def test_resume_rejects_changed_inputs(workdir, tmp_path, change, named):
         run_campaign(CampaignConfig(**cfg, resume=True))
 
 
+def _read_edited_golden(workdir, tmp_path, edit):
+    _, net, ds, _ = workdir
+    p = tmp_path / "golden.csv"
+    write_golden(run_golden(net.copy(), ds), p)
+    p.write_text("".join(line + "\n" for line in edit(p.read_text().splitlines())))
+    return read_golden(p)
+
+
+def _resume_edited_log(workdir, tmp_path, edit):
+    cfg = cfg_for(workdir, "", out_dir=tmp_path / "out", checkpoint_every=3)
+    run_campaign(cfg, limit=3)
+    edit(cfg.out_dir, cfg.out_dir / "outcomes.partial.csv")
+    return run_campaign(replace(cfg, resume=True))
+
+
+def _log_starting_with_ff(out, partial):
+    partial.write_bytes(b"\xff" + partial.read_bytes()[1:])
+    _acknowledge_whole_log(out)
+
+
+# One row per typed rejection: (error, message, action on (workdir, tmp_path)).
+# golden.csv lines: the comment, the header, then one row per input from line 3.
+CAMPAIGN_ERRORS = {
+    "workers < 1": (
+        ValueError, "^workers must be >= 1, got 0$",
+        lambda w, tmp: cfg_for(w, "x", workers=0),
+    ),
+    "checkpoint interval < 1": (
+        ValueError, "^checkpoint interval must be >= 1, got 0$",
+        lambda w, tmp: cfg_for(w, "x", checkpoint_every=0),
+    ),
+    "subset out of range": (
+        ValueError, rf"^subset must be in 1\.\.{K} \(dataset size\), got {K + 1}$",
+        lambda w, tmp: run_golden(w[1].copy(), w[2], K + 1),
+    ),
+    "golden without header": (
+        FormatError, f"^expected golden header '{GOLDEN_HEADER}'$",
+        lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: lines[:1]),
+    ),
+    "golden vector lengths vary": (
+        FormatError, r"^score vector length varies between rows \(line 4\)$",
+        lambda w, tmp: _read_edited_golden(
+            w, tmp, lambda lines: [*lines[:3], lines[3].rpartition(";")[0], *lines[4:]]
+        ),
+    ),
+    "golden without rows": (
+        FormatError, "^golden reference holds no inputs$",
+        lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: lines[:2]),
+    ),
+    "resume: acknowledged bytes end mid-row": (
+        ResumeError, "^corrupt acknowledged outcome row: the acknowledged bytes end mid-row$",
+        lambda w, tmp: _resume_edited_log(
+            w, tmp, lambda out, partial: _set_checkpoint(out, log_bytes=partial.stat().st_size - 1)
+        ),
+    ),
+    "resume: acknowledged bytes not UTF-8": (
+        ResumeError, "^corrupt acknowledged outcome row: 'utf-8' codec can't decode byte 0xff",
+        lambda w, tmp: _resume_edited_log(w, tmp, _log_starting_with_ff),
+    ),
+}
+
+
+@pytest.mark.parametrize("error, message, action", CAMPAIGN_ERRORS.values(), ids=CAMPAIGN_ERRORS)
+def test_campaign_typed_errors(workdir, tmp_path, error, message, action):
+    with pytest.raises(error, match=message):
+        action(workdir, tmp_path)
+
+
 # -- outcome reader ----------------------------------------------------------------
 
 

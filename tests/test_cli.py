@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import MALFORMED_INTEGERS
 from snnfault import cli
 from snnfault.cli import dispatch
 from snnfault.faultlist import SamplingSpec, read_fault_list, sample_size
@@ -124,10 +125,23 @@ def test_bad_points_exits_3(pipeline, capsys):
 
 
 def test_bad_arch_exits_3(tmp_path, capsys):
-    code = dispatch(["synth", "model", "--arch", "FC(3->", "--seed", "1",
-                     "--timesteps", "4", "--out", str(tmp_path / "m.sjm")])
+    for arch in ("FC(3->", "FC(" + "1" * 5000 + "->3)-LIF", "FC(٣->2)-LIF"):
+        code = dispatch(["synth", "model", "--arch", arch, "--seed", "1",
+                         "--timesteps", "4", "--out", str(tmp_path / "m.sjm")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("snnfault: error: FormatError: bad layer token")
+    assert not (tmp_path / "m.sjm").exists()
+
+
+@pytest.mark.parametrize("form", MALFORMED_INTEGERS.values(), ids=MALFORMED_INTEGERS)
+def test_malformed_shape_exits_3(tmp_path, capsys, form):
+    code = dispatch(["synth", "dataset", "--samples", "1", "--timesteps", "2",
+                     "--shape", form("3"), "--classes", "2", "--rate", "0.5",
+                     "--seed", "1", "--out", str(tmp_path / "d.sjd")])
     assert code == 3
-    assert "FormatError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("snnfault: error: ValueError: bad shape '")
+    assert err.count("\n") == 1
 
 
 def test_dirty_out_dir_exits_4(pipeline, capsys):
@@ -183,12 +197,13 @@ def test_workers_env_default(monkeypatch):
 
 
 def test_bad_workers_env_exits_3_only_for_inject(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SNNFAULT_WORKERS", "abc")
-    code, seen = _inject_workers(monkeypatch)
-    assert code == 3 and seen == []
-    err = capsys.readouterr().err
-    assert err.startswith("snnfault: error: ValueError: SNNFAULT_WORKERS")
-    assert err.count("\n") == 1
+    for value in ("abc", "²", *(form("2") for form in MALFORMED_INTEGERS.values())):
+        monkeypatch.setenv("SNNFAULT_WORKERS", value)
+        code, seen = _inject_workers(monkeypatch)
+        assert code == 3 and seen == []
+        err = capsys.readouterr().err
+        assert err.startswith("snnfault: error: ValueError: SNNFAULT_WORKERS must be a positive")
+        assert err.count("\n") == 1
     # other subcommands never read the variable
     assert dispatch(["synth", "dataset", "--samples", "1", "--timesteps", "2", "--shape", "3",
                      "--classes", "2", "--rate", "0.5", "--seed", "1",

@@ -4,6 +4,8 @@ Expected values come from independent scalar float32 oracles (see helpers),
 never from the functions under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -537,6 +539,109 @@ def test_network_rejects_nonvector_final_lif():
     ]
     with pytest.raises(DimensionError):
         Network(layers, timesteps=2, input_shape=(1, 4, 4))
+
+
+def _zeros(kind, name, hyper=None, **shapes):
+    """A layer whose parameters are zero tensors of the given shapes."""
+    return LayerSpec(name, kind, {k: np.zeros(v, DTYPE) for k, v in shapes.items()}, hyper or {})
+
+
+def _fc(name="fc1", **shapes):
+    return _zeros(LayerKind.FULLY_CONNECTED, name, **{"weight": (3, 4), "bias": (3,), **shapes})
+
+
+def _rfc(**shapes):
+    shapes = {"weight": (3, 4), "feedback_weight": (3, 3), **shapes}
+    return _zeros(LayerKind.RECURRENT, "rfc1", **shapes)
+
+
+def _conv(hyper=None, **shapes):
+    return _zeros(LayerKind.CONV2D, "conv1", hyper, **{"weight": (2, 1, 3, 3), **shapes})
+
+
+def _lif(**shapes):
+    return _zeros(LayerKind.LIF, "lif1", **{"beta": (1,), "threshold": (1,), **shapes})
+
+
+def _pool(size):
+    return LayerSpec("pool1", LayerKind.AVGPOOL2D, {}, {"pool": size})
+
+
+# One row per construction check: (layers, timesteps, input shape, message).
+NETWORK_ERRORS = {
+    "no layers": (lambda: [], 2, (4,), "network has no layers"),
+    "timesteps < 1": (lambda: [_fc(), _lif()], 0, (4,), "timesteps must be >= 1, got 0"),
+    "bad input shape": (lambda: [_fc(), _lif()], 2, (4, 0), "bad input shape (4, 0)"),
+    "recurrent not before lif": (
+        lambda: [_rfc(), _fc("fc2", weight=(3, 3)), _lif()], 2, (4,),
+        "layer 'rfc1': recurrent layer must feed a lif layer directly",
+    ),
+    "unknown parameter": (
+        lambda: [_fc(gamma=(3,)), _lif()], 2, (4,),
+        "layer 'fc1': fully_connected layer cannot hold 'gamma'",
+    ),
+    "missing parameter": (
+        lambda: [_zeros(LayerKind.FULLY_CONNECTED, "fc1", bias=(3,)), _lif()], 2, (4,),
+        "layer 'fc1': missing parameter 'weight'",
+    ),
+    "zero extent": (
+        lambda: [_fc(weight=(0, 4)), _lif()], 2, (4,),
+        "layer 'fc1': parameter 'weight' has a zero extent",
+    ),
+    "weight not 2-D": (
+        lambda: [_fc(weight=(3, 4, 1)), _lif()], 2, (4,),
+        "layer 'fc1': weight must be 2-D, got shape (3, 4, 1)",
+    ),
+    "bias shape": (lambda: [_fc(bias=(2,)), _lif()], 2, (4,), "layer 'fc1': bias shape (2,) != (3,)"),
+    "feedback weight shape": (
+        lambda: [_rfc(feedback_weight=(3, 2)), _lif()], 2, (4,),
+        "layer 'rfc1': feedback weight shape (3, 2) != (3, 3)",
+    ),
+    "feedback bias shape": (
+        lambda: [_rfc(feedback_bias=(2,)), _lif()], 2, (4,),
+        "layer 'rfc1': feedback bias length mismatch",
+    ),
+    "conv weight shape": (
+        lambda: [_conv(weight=(2, 1, 3, 2)), _lif()], 2, (1, 6, 6),
+        "layer 'conv1': conv weight must be [oc,ic,k,k], got (2, 1, 3, 2)",
+    ),
+    "declared kernel": (
+        lambda: [_conv({"kernel": 2}), _lif()], 2, (1, 6, 6),
+        "layer 'conv1': declared kernel 2 != weight kernel 3",
+    ),
+    "conv input shape": (
+        lambda: [_conv(), _lif()], 2, (2, 6, 6),
+        "layer 'conv1': conv expects (1,H,W) input, upstream provides (2, 6, 6)",
+    ),
+    "conv bias shape": (
+        lambda: [_conv(bias=(3,)), _lif()], 2, (1, 6, 6),
+        "layer 'conv1': bias shape (3,) != (2,)",
+    ),
+    "pool size": (
+        lambda: [_conv(), _lif(), _pool(0)], 2, (1, 6, 6),
+        "layer 'pool1': pool size must be a positive integer",
+    ),
+    "pool input rank": (
+        lambda: [_fc(), _lif(), _pool(2)], 2, (4,),
+        "layer 'pool1': pooling expects a (c,H,W) input, got (3,)",
+    ),
+    "beta shape": (
+        lambda: [_fc(), _lif(beta=(2,))], 2, (4,),
+        "layer 'lif1': beta shape (2,) must be (1,) or the state shape (3,)",
+    ),
+    "threshold shape": (
+        lambda: [_fc(), _lif(threshold=(2,))], 2, (4,),
+        "layer 'lif1': threshold shape (2,) must be (1,) or the state shape (3,)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "layers, timesteps, input_shape, message", NETWORK_ERRORS.values(), ids=NETWORK_ERRORS
+)
+def test_network_construction_errors(layers, timesteps, input_shape, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        Network(layers(), timesteps, input_shape)
 
 
 def test_network_copy_is_independent():

@@ -1,6 +1,8 @@
 """Model/dataset serialization, synthesis, and the architecture grammar."""
 
+import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bits_of, f32_from_bits, two_layer_net
+from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, bits_of, f32_from_bits, two_layer_net
 from snnfault.core import DTYPE, LayerKind
 from snnfault.dataio import (
     SpikeDataset,
@@ -112,11 +114,14 @@ def test_model_header_len_overflow(tmp_path):
 
 
 def _rewrite_header(p, raw, mutate):
+    """Rewrite the header of a framed file in place; a mutate that returns a
+    value replaces the header with it."""
     (hlen,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + hlen].decode())
     payload = raw[8 + hlen :]
-    mutate(header)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    replaced = mutate(header)
+    blob = json.dumps(header if replaced is None else replaced, sort_keys=True,
+                      separators=(",", ":")).encode()
     p.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + payload)
 
 
@@ -174,6 +179,52 @@ def test_model_bad_json(tmp_path):
     p.write_bytes(raw)
     with pytest.raises(FormatError):
         load_model(p)
+
+
+def _with_first_layer(h, **fields):
+    return {**h, "layers": [{**h["layers"][0], **fields}, *h["layers"][1:]]}
+
+
+# One row per header rejection: (loader, header edit, message).
+HEADER_ERRORS = {
+    "not an object": (load_model, lambda h: [h], "header must be a JSON object"),
+    "format version": (
+        load_model, lambda h: {**h, "format": 2}, "unsupported model format version 2"
+    ),
+    "tensors not an object": (
+        load_model, lambda h: {**h, "tensors": []}, "header field 'tensors' must be an object"
+    ),
+    "layer entry": (load_model, lambda h: {**h, "layers": [7]}, "bad layer entry 7"),
+    "hyperparameter map": (
+        load_model, lambda h: _with_first_layer(h, hyper={"kernel": "3"}),
+        "layer 'fc1': hyperparams must map strings to integers",
+    ),
+    "tensor name": (load_model, lambda h: {**h, "tensors": {"fc1": {}}}, "bad tensor name 'fc1'"),
+    "tensor of another kind": (
+        load_model, lambda h: {**h, "tensors": {"lif1.weight": {}}},
+        "tensor 'lif1.weight' is not a lif parameter",
+    ),
+    "directory entry": (
+        load_model, lambda h: {**h, "tensors": {"fc1.weight": 7}},
+        "tensor 'fc1.weight': directory entry must be an object",
+    ),
+    "class count": (
+        load_dataset, lambda h: {**h, "classes": 65537},
+        "class count 65537 exceeds the u16 label range",
+    ),
+}
+
+
+@pytest.mark.parametrize("load, edit, message", HEADER_ERRORS.values(), ids=HEADER_ERRORS)
+def test_header_errors(tmp_path, load, edit, message):
+    p = tmp_path / "f.bin"
+    if load is load_model:
+        save_model(synth_model(seed=1, arch="FC(3->2)-LIF", timesteps=4), p)
+    else:
+        save_dataset(synth_dataset(1, 2, 2, (3,), 2, 0.5), p)
+    _rewrite_header(p, bytearray(p.read_bytes()), edit)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load(p)
 
 
 # -- dataset round trip ----------------------------------------------------------
@@ -289,6 +340,10 @@ def test_synth_dataset_deterministic_rate_and_labels():
          ["recurrent_fully_connected", "lif", "fully_connected", "lif"]),
         ("CONV(1x8x8->2,K3)-LIF-POOL(2)-FC(18->2)-LIF",
          ["conv2d", "lif", "avgpool2d", "fully_connected", "lif"]),
+        (" rfc(4->4) - Lif(INF,nan) -- fC(4->2)-lIf(-.5,+1E3)- ",
+         ["recurrent_fully_connected", "lif", "fully_connected", "lif"]),
+        ("conv(1X8X8->2,k3)-lif-pool(2)-fc(18->2)-lif(1e-05)",
+         ["conv2d", "lif", "avgpool2d", "fully_connected", "lif"]),
     ],
 )
 def test_arch_grammar_accepts(arch, kinds):
@@ -313,11 +368,63 @@ def test_arch_lif_args_apply():
         "FC(0->3)-LIF",
         "FC(4->3)-LIF-JUNK",
         "CONV(8x8->2,K3)-LIF",
+        " - ",
+        "LIF-FC(4->3)-LIF",
+        "POOL(2)-FC(4->3)-LIF",
+        "FC(4->3)-LIF(0.5, 1.0)",
+        "FC(4->3)-LIF(infinity)",
+        "FC(4->3)-lıf",
     ],
 )
 def test_arch_grammar_rejects(arch):
     with pytest.raises(FormatError):
         synth_model(seed=1, arch=arch, timesteps=3)
+
+
+# (layer with one extent left open, a valid extent, the architecture around the layer)
+ARCH_EXTENTS = {
+    "FC fan-in": ("FC({}->3)", "4", "{}-LIF"),
+    "RFC fan-out": ("RFC(4->{})", "4", "{}-LIF"),
+    "CONV height": ("CONV(1x{}x8->2,k3)", "8", "{}-LIF-POOL(2)-FC(18->2)-LIF"),
+    "POOL size": ("POOL({})", "2", "CONV(1x8x8->2,k3)-LIF-{}-FC(18->2)-LIF"),
+}
+
+
+@pytest.mark.parametrize("form", MALFORMED_INTEGERS.values(), ids=MALFORMED_INTEGERS)
+@pytest.mark.parametrize("layer, valid, arch", ARCH_EXTENTS.values(), ids=ARCH_EXTENTS)
+def test_arch_rejects_malformed_extents(layer, valid, arch, form):
+    synth_model(seed=1, arch=arch.format(layer.format(valid)), timesteps=3)
+    token = layer.format(form(valid))
+    with pytest.raises(FormatError, match=re.escape(f"bad layer token {token!r}")):
+        synth_model(seed=1, arch=arch.format(token), timesteps=3)
+
+
+@pytest.mark.parametrize("text", MALFORMED_FLOATS.values(), ids=MALFORMED_FLOATS)
+@pytest.mark.parametrize("lif", ["LIF({})", "LIF(0.9,{})"], ids=["beta", "threshold"])
+def test_arch_rejects_malformed_lif_arguments(lif, text):
+    token = lif.format(text)
+    with pytest.raises(FormatError, match=re.escape(f"bad layer token {token!r}")):
+        synth_model(seed=1, arch=f"FC(4->3)-{token}", timesteps=3)
+
+
+# sha256 of save_model(synth_model(7, arch, 5)): the RNG draw order and every
+# value read from the architecture string are part of the model bytes.
+MODEL_SHA256 = {
+    "FC(96->100)-LIF-FC(100->10)-LIF":
+        "4dbc53b89c79719fde1480e3cdf2bc10d3fdac12ec9280d5f034f6518729b09b",
+    "CONV(2x16x16->8,k3)-LIF-POOL(2)-FC(392->10)-LIF":
+        "610c425f34b56e33038177a84710c42c520ad53c74ed676d6d2d36fd3fa854b7",
+    "RFC(32->32)-LIF-FC(32->10)-LIF":
+        "ef1b1bb93827e1f10130885ffc4219c4210c73e0e8cec801b396445588b6d8c2",
+    "RFC(4->6)-LIF(0.8,1.2)-FC(6->3)-LIF":
+        "ee498ef8e4f54e8ff5035b7d6ee0f406f77d5ba9b80bdf36c5500d803246af27",
+}
+
+
+@pytest.mark.parametrize("arch, digest", MODEL_SHA256.items(), ids=list(MODEL_SHA256))
+def test_synth_model_bytes_are_pinned(tmp_path, arch, digest):
+    save_model(synth_model(seed=7, arch=arch, timesteps=5), tmp_path / "m.sjm")
+    assert hashlib.sha256((tmp_path / "m.sjm").read_bytes()).hexdigest() == digest
 
 
 def test_arch_noncomposing_dims_rejected():

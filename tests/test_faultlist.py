@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
+from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
 from snnfault.core import Network
 from snnfault.errors import AddressError, CompatibilityError, FormatError
 from snnfault.faultlist import (
@@ -354,6 +354,82 @@ def test_read_rejects_oversized_header_integers_with_line_number(tmp_path, prefi
     _write_lines(p, lines)
     with pytest.raises(FormatError, match=rf"line {i + 1}\)$"):
         read_fault_list(p)
+
+
+@pytest.mark.parametrize("text", MALFORMED_FLOATS.values(), ids=MALFORMED_FLOATS)
+@pytest.mark.parametrize("field", ["e", "t", "p"])
+def test_read_rejects_malformed_header_floats(tmp_path, field, text):
+    net, lines = _valid_lines(tmp_path)
+    lines[0] = re.sub(rf" {field}=\S+", f" {field}={text}", lines[0], count=1)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    token = re.escape(f" {field}={text} ")
+    with pytest.raises(FormatError, match=f"^bad metadata comment .*{token}"):
+        read_fault_list(p)
+
+
+def _read_edited(tmp_path, edit):
+    _, lines = _valid_lines(tmp_path)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, edit(lines))
+    return read_fault_list(p)
+
+
+# One row per typed rejection: (error, message, action on tmp_path). Lines of
+# a written fault list: the sampling comment, the switches comment, then the
+# universe comments from line 3.
+FAULT_LIST_ERRORS = {
+    "generate: bad polarity": (
+        ValueError, r"^polarity must be one of \(.*\), got 'sideways'$",
+        lambda tmp: generate_fault_list(
+            two_layer_net(), spec_default(), WEIGHTS_AND_BIAS, polarity="sideways"
+        ),
+    ),
+    "generate: bad spike mode": (
+        ValueError, r"^spike_mode must be one of \(.*\), got 'loud'$",
+        lambda tmp: generate_fault_list(
+            two_layer_net(), spec_default(), WEIGHTS_AND_BIAS, spike_mode="loud"
+        ),
+    ),
+    "read: bad polarity": (
+        FormatError, r"^bad polarity/spike_mode \(line 2\)$",
+        lambda tmp: _read_edited(tmp, lambda lines: [
+            lines[0], "# polarity=sideways spike_mode=bit exhaustive=0", *lines[2:]
+        ]),
+    ),
+    "read: bad spike mode": (
+        FormatError, r"^bad polarity/spike_mode \(line 2\)$",
+        lambda tmp: _read_edited(tmp, lambda lines: [
+            lines[0], "# polarity=random spike_mode=loud exhaustive=0", *lines[2:]
+        ]),
+    ),
+    "read: zero universe dimension": (
+        FormatError, r"^bad universe shape 0x4 \(line 3\)$",
+        lambda tmp: _read_edited(tmp, lambda lines: [
+            *lines[:2], re.sub(r"\S+$", "0x4", lines[2]), *lines[3:]
+        ]),
+    ),
+    "read: no universe lines": (
+        FormatError, "^missing universe declaration comments$",
+        lambda tmp: _read_edited(
+            tmp, lambda lines: [ln for ln in lines if not ln.startswith("# universe ")]
+        ),
+    ),
+    "read: declared N differs": (
+        FormatError, "^declared universe size 1281 != 1280 from universe comments$",
+        lambda tmp: _read_edited(
+            tmp, lambda lines: [lines[0].replace(" N=1280 ", " N=1281 "), *lines[1:]]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "error, message, action", FAULT_LIST_ERRORS.values(), ids=FAULT_LIST_ERRORS
+)
+def test_fault_list_typed_errors(tmp_path, error, message, action):
+    with pytest.raises(error, match=message):
+        action(tmp_path)
 
 
 FAULT_ROW_DEFECTS = {

@@ -80,6 +80,8 @@ def test_bit_out_of_range_rejected():
         FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), bit=32, stuck=1)
     with pytest.raises(AddressError):
         FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), bit=-1, stuck=1)
+    with pytest.raises(AddressError, match=r"^bit 32 outside 0\.\.31$"):
+        apply_bit_stuck(np.float32(1.0), 32, 1)
 
 
 def test_descriptor_validates_stuck_and_coords():

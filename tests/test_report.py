@@ -102,6 +102,16 @@ def test_unknown_fault_id_rejected():
         aggregate(rows, golden, fl)
 
 
+def test_group_absent_from_universe_rejected():
+    bias_fault = FaultDescriptor(0, "fc1", ParameterKind.BIAS, (0,), 4, 1)
+    fl = make_fl([bias_fault])
+    golden = make_golden()
+    rows = rows_for(fl, golden, {0: (1, 4.0)})
+    weights_only = enumerate_universe(two_layer_net(), {ParameterKind.WEIGHT})
+    with pytest.raises(ConsistencyError, match=r"^group \('fc1', 'bias'\) is absent from the"):
+        aggregate(rows, golden, fl, weights_only)
+
+
 def test_unknown_input_id_rejected():
     fl = make_fl(descriptors_two_groups())
     golden = make_golden()
