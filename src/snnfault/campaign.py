@@ -4,15 +4,22 @@ The golden run is one batched forward over the first K dataset inputs that
 also records a golden trace: every LIF layer's spike train [K, T, *shape] as
 bool (golden spikes are exactly 0.0 or 1.0), and, as float32, the output of
 every other layer that feeds a weighted layer (an FC after a pool, say).
-Every fault then runs on a fresh copy of the template network in two steps.
-The screen recomputes only what the fault can touch in its LIF layer L (the
-faulted LIF, or the one the faulted weighted layer feeds): the cone of L's
-neurons its row, channel or neuron reaches, for all K inputs and T steps,
-from golden inputs, through the same kernels with the same chains. An input
-whose cone spikes match the golden trace bit for bit (compared as binary32
-patterns, so a -0.0 spike counts as different) sees golden values in every
-later layer, so it keeps its golden prediction exactly. The inputs that
-differ are replayed in one batched forward: from the layer after L on L's
+Faults then run in batches, and a fault's outcome never depends on which
+faults share its batch. A static fault whose bit already holds its stuck
+value changes nothing and keeps every golden prediction. Every other fault is
+screened: what it can touch in its LIF layer L (the faulted LIF, or the one
+the faulted weighted layer feeds) is recomputed, the cone of L's neurons its
+row, channel or neuron reaches, for all K inputs and T steps, from golden
+inputs, through the same kernels with the same chains. The faults of a batch
+that share L and a cone form are screened together, stacked on a fault
+axis: one kernel call computes their currents, and one LIF scan advances
+them, each with its own parameters and state pins (parallel fault
+simulation, with the fault-free work shared as in concurrent fault
+simulation). An input whose cone spikes match the golden trace bit for bit
+(compared as binary32 patterns, so a -0.0 spike counts as different) sees
+golden values in every later layer, so it keeps its golden prediction
+exactly. Only a fault with differing inputs gets a copy of the network; those
+inputs are replayed in one batched forward: from the layer after L on L's
 golden spikes with the cone's screened spikes spliced in, or, when L is fed
 back through a recurrent layer or reached through further layers, from the
 faulted layer on its golden input. Either way each (fault, input) outcome is
@@ -27,34 +34,39 @@ reading of the log sorted by (fault_id, input_id), so its bytes are identical
 for any worker count or interruption history. It, ``golden.csv``,
 ``campaign.json`` and the checkpoint are each written to a temporary file,
 fsynced and renamed into place, so a kill never leaves a truncated one behind.
-A pool worker runs contiguous batches of faults; one that dies ends the run
-with ``WorkerError`` after acknowledging every fault already recorded, so
-``--resume`` picks up from there.
+The serial path and each pool worker run contiguous batches of faults; the
+pool starts no more workers than there are usable CPUs or batches. A worker
+that dies ends the run with ``WorkerError`` after acknowledging every fault
+already recorded, so ``--resume`` picks up from there.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
-authoritative, plus a human-readable rendering). Golden CSV: one row per
-input with top class, top score, and the full score vector as ``;``-joined
-hex patterns. Each row format is one compiled pattern below, written in
-dataio's sub-patterns; the readers take their fields from its match.
+authoritative, plus a human-readable rendering). The golden cells are
+rendered once per input, and only a replayed input's faulty score per row.
+Golden CSV: one row per input with top class, top score, and the full score
+vector as ``;``-joined hex patterns. Each row format is one compiled pattern
+below, written in dataio's sub-patterns; the readers take their fields from
+its match.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # The screen calls the kernels as core.<name>, looked up at call time, so a
 # wrapper installed on the core module (bench/tracing.py) sees them too.
@@ -66,7 +78,6 @@ from .core import (
     LayerSpec,
     LifState,
     Network,
-    StateHook,
     network_forward,
     reset_state,
 )
@@ -83,13 +94,24 @@ from .dataio import (
     render_score,
 )
 from .errors import AddressError, FormatError, ResumeError, WorkerError
-from .faults import FaultDescriptor, inject_static, make_refresh_hook, target_tensor
+from .faults import (
+    FaultDescriptor,
+    fault_masks,
+    inject_static,
+    make_refresh_hook,
+    pin_bits,
+    target_tensor,
+)
 from .faultlist import read_fault_list
 
 OUTCOME_HEADER = "fault_id,input_id,golden_class,faulty_class,golden_top_score,faulty_top_score"
 GOLDEN_HEADER = "input_id,top_class,top_score,scores"
 _OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
+# A screened group holds its current, its spikes and the golden spikes as
+# [K, T, F, *cone] arrays; F, the faults screened at once, is capped so that
+# one such array holds at most this many values (512 KiB as binary32).
+SCREEN_BLOCK_VALUES = 1 << 17
 
 
 @dataclass
@@ -193,124 +215,209 @@ def _golden_input(net: Network, dataset: SpikeDataset, golden: GoldenReference, 
     return golden.trace[net.layers[w - 1].name]
 
 
-def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[slice, ...]]:
-    """(w, lif_at, cone): the index of the first layer whose output the fault
+def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[int, ...]]:
+    """(w, lif_at, index): the index of the first layer whose output the fault
     changes, the index of the LIF layer L the screen compares, and the cone,
-    the block of L's neurons the fault can reach directly, as one slice per
-    axis of L's shape."""
+    the block of L's neurons the fault can reach directly: L's elements at
+    the leading coords ``index``, with every trailing axis whole."""
     i = [spec.name for spec in net.layers].index(d.layer)
     spec = net.layers[i]
     if spec.kind is not LayerKind.LIF:
         lif_at = next(
             j for j in range(i + 1, len(net.layers)) if net.layers[j].kind is LayerKind.LIF
         )
-        cone = tuple(slice(0, extent) for extent in net.shapes[net.layers[lif_at].name])
         if lif_at > i + 1:  # through further layers the fault reaches all of L
-            return i, lif_at, cone
-        return i, lif_at, (slice(d.coords[0], d.coords[0] + 1), *cone[1:])  # a row or channel
+            return i, lif_at, ()
+        return i, lif_at, d.coords[:1]  # a row or channel
     if d.parameter.is_static and spec.params[d.parameter.value].shape == (1,):
-        return i - 1, i, tuple(slice(0, extent) for extent in net.shapes[spec.name])
-    return i - 1, i, tuple(slice(c, c + 1) for c in d.coords)  # one neuron
+        return i - 1, i, ()
+    return i - 1, i, d.coords  # one neuron
+
+
+def _pinned(spec: LayerSpec, d: FaultDescriptor) -> LayerSpec:
+    """``spec`` with static fault ``d`` applied to a copy of its tensor."""
+    params = dict(spec.params)
+    params[d.parameter.value] = params[d.parameter.value].copy()
+    pin_bits(params[d.parameter.value], d.coords, *fault_masks(d))
+    return LayerSpec(spec.name, spec.kind, params, spec.hyper)
 
 
 def _screen(
     net: Network,
     dataset: SpikeDataset,
     golden: GoldenReference,
-    site: tuple[int, int, tuple[slice, ...]],
-    hook: StateHook | None,
+    block: list[tuple[FaultDescriptor, tuple[int, int, tuple[int, ...]]]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cone's spikes [K, T, *cone] on the faulty network, and the inputs
-    whose cone spikes differ in any bit from the golden trace.
+    """The cone spikes [K, T, F, *rest] of F faults that share L and w and
+    whose cones pin the same number of L's leading axes (``rest`` is L's
+    shape past them), and the mask [K, F] of the inputs whose cone spikes
+    differ in any bit from the golden trace.
 
-    The current into the cone is computed for all K inputs and T steps at
-    once from layer w's golden input, with the parameters of the layer
-    feeding L cut to the cone's rows or channels (and a conv input to the
-    cone's windows); every output element keeps its own chain, so its bits
-    are those of a full forward. A recurrent layer's feedback reads L's golden
-    spikes of the previous step, which is exact until the cone first differs,
-    and that is all the screen decides. L then advances step by step, with
-    a dynamic fault's ``hook`` addressed within the cone.
+    The current into the cones is computed for all K inputs, T steps and F
+    faults at once from layer w's golden input: the rows or channels of the
+    layer feeding L that the cones need, each fault's bit set in its own
+    copy; a conv input's windows under single neurons; or all of L. Every
+    output element keeps its own chain, so its bits are those of a full
+    forward. A recurrent layer's feedback reads L's golden spikes of the
+    previous step, which is exact until the cone first differs, and that is
+    all the screen decides. L then advances step by step over [K, F, *rest],
+    each fault with its own beta and threshold column and its own state pins.
     """
-    w, lif_at, cone = site
+    w, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
-    x = _golden_input(net, dataset, golden, w)
+    k, f, steps = len(golden.entries), len(block), net.timesteps
+    rest = net.shapes[lif.name][len(first) :]
+    index = tuple(np.array([site[2][a] for _, site in block]) for a in range(len(first)))
+    x = _golden_input(net, dataset, golden, w)  # cast to binary32 once cut to the cones
     prev = None
     if feed.kind is LayerKind.RECURRENT:
         prev = np.zeros(golden.trace[lif.name].shape, DTYPE)
         prev[:, 1:] = golden.trace[lif.name][:, :-1]
     with np.errstate(all="ignore"):
-        for spec in net.layers[w:lif_at]:
-            if spec is feed:
-                if spec.kind is LayerKind.CONV2D:  # the input windows under the cone
-                    k = spec.hyper["kernel"]
-                    rows, cols = (slice(c.start, c.stop + k - 1) for c in cone[1:])
-                    x = x[..., rows, cols]
-                params = {key: value[cone[0]] for key, value in spec.params.items()}
-                spec = LayerSpec(spec.name, spec.kind, params, spec.hyper)
-            x = core.layer_forward(spec, x.astype(DTYPE, copy=False), 2, prev)
-        beta, threshold = (
-            p if p.shape == (1,) else p[cone]
-            for p in (lif.params["beta"], lif.params["threshold"])
-        )
-        state = LifState(np.zeros_like(x[:, 0]), np.zeros_like(x[:, 0]))
-        spikes = np.empty_like(x)
-        for t in range(net.timesteps):
-            state, spike = core.lif_step(state, x[:, t], beta, threshold)
-            if hook is not None:
-                hook(lif.name, "potential", state.potential)
-                hook(lif.name, "spike", spike)
+        if not index:  # all of L: its golden current, or one fault's through further layers
+            for spec in net.layers[w:lif_at]:
+                hit = [d for d, _ in block if d.layer == spec.name]
+                spec = _pinned(spec, *hit) if hit else spec
+                x = core.layer_forward(spec, x.astype(DTYPE, copy=False), 2, prev)
+            current = x[:, :, None]
+        elif feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
+            kernel = feed.hyper["kernel"]
+            win = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
+            # [K, T, F, ic, k, k]: the input window under each fault's neuron
+            windows = np.moveaxis(win[:, :, :, index[1], index[2]], 3, 2).astype(DTYPE)
+            weight, bias = feed.params["weight"], feed.params.get("bias")
+            current = np.empty((k, steps, f), DTYPE)
+            for c in set(index[0].tolist()):  # np.unique imports numpy.ma: +1.5 MB per process
+                sel = index[0] == c
+                cut = None if bias is None else bias[c : c + 1]
+                out = core.conv2d_forward(weight[c : c + 1], cut, windows[:, :, sel])
+                current[:, :, sel] = out.reshape(k, steps, -1)
+        else:  # the feed's rows or channels, each fault's bit set in its own
+            params = {key: value[index[0]] for key, value in feed.params.items()}
+            for i, (d, _) in enumerate(block):
+                if d.layer == feed.name:
+                    pin_bits(params[d.parameter.value], (i, *d.coords[1:]), *fault_masks(d))
+            cut = LayerSpec(feed.name, feed.kind, params, feed.hyper)
+            current = core.layer_forward(cut, x.astype(DTYPE, copy=False), 2, prev)
+        columns = {}
+        for key, value in lif.params.items():  # [F, *rest], or broadcastable to it
+            if value.shape == (1,):
+                columns[key] = np.repeat(value.reshape((1,) * (1 + len(rest))), f, axis=0)
+            else:
+                columns[key] = value[index] if index else value[None]
+        pins = {}  # state kind -> per-column (keep, force) masks
+        for i, (d, _) in enumerate(block):
+            if d.layer != lif.name:
+                continue
+            if d.parameter.is_static:
+                pin_bits(columns[d.parameter.value], i, *fault_masks(d))
+            else:
+                keep, force = pins.setdefault(
+                    d.parameter.value,
+                    (np.full(f, 0xFFFFFFFF, np.uint32), np.zeros(f, np.uint32)),
+                )
+                keep[i], force[i] = fault_masks(d)
+        state = LifState(np.zeros((k, f, *rest), DTYPE), np.zeros((k, f, *rest), DTYPE))
+        spikes = np.empty((k, steps, f, *rest), DTYPE)
+        for t in range(steps):
+            state, spike = core.lif_step(
+                state, current[:, t], columns["beta"], columns["threshold"]
+            )
+            if "potential" in pins:
+                pin_bits(state.potential, ..., *pins["potential"])
+            if "spike" in pins:
+                pin_bits(spike, ..., *pins["spike"])
             spikes[:, t] = spike
-    want = golden.trace[lif.name][(slice(None), slice(None), *cone)].astype(DTYPE)
-    differs = spikes.view(np.uint32) != want.view(np.uint32)  # -0.0 differs from 0.0
-    return spikes, np.flatnonzero(differs.reshape(len(differs), -1).any(axis=1))
+    trace = golden.trace[lif.name]
+    want = trace[(slice(None), slice(None), *index)] if index else trace[:, :, None]
+    differs = spikes.view(np.uint32) != want.astype(DTYPE).view(np.uint32)  # -0.0 differs
+    return spikes, differs.reshape(k, steps, f, -1).any(axis=(1, 3))
+
+
+def _replay(
+    template: Network,
+    d: FaultDescriptor,
+    site: tuple[int, int, tuple[int, ...]],
+    dataset: SpikeDataset,
+    golden: GoldenReference,
+    spikes: np.ndarray,
+    diverging: np.ndarray,
+) -> np.ndarray:
+    """Scores [Kd, classes] of the ``diverging`` inputs, on an injected copy
+    of the template, given the fault's screened cone spikes [K, T, *rest]."""
+    w, lif_at, index = site
+    net = template.copy()
+    if d.parameter.is_static:
+        inject_static(net, d)
+    if w == lif_at - 1 and net.layers[w].kind is not LayerKind.RECURRENT:
+        # Only the cone of L differs: splice it into L's golden spikes.
+        lif = net.layers[lif_at].name
+        cone = tuple(slice(c, c + 1) for c in index) + (slice(None),) * (spikes.ndim - 2)
+        values = spikes[diverging].reshape(len(diverging), net.timesteps, *(1,) * len(index),
+                                           *spikes.shape[2:])
+        return network_forward(
+            net, golden.trace[lif][diverging], start=lif_at + 1, splice=(cone, values)
+        )
+    hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
+    return network_forward(net, _golden_input(net, dataset, golden, w)[diverging], hook, start=w)
 
 
 def run_faulty(
     template: Network,
-    d: FaultDescriptor,
+    faults: list[FaultDescriptor] | FaultDescriptor,
     dataset: SpikeDataset,
     golden: GoldenReference | None = None,
-) -> list[Prediction]:
-    """One fault on every input of ``golden`` (run_golden's result for this
-    template and dataset; computed over the whole dataset when omitted), on a
-    private copy of the template network.
+):
+    """Each fault of a batch on every input of ``golden`` (run_golden's result
+    for this template and dataset; computed over the whole dataset when
+    omitted): one Prediction list per fault, in the batch's order, or for a
+    lone descriptor its list alone, as a batch of one. A fault's outcome does
+    not depend on which faults share its batch.
 
-    The screen recomputes the fault's LIF layer where the fault can reach it;
-    an input whose spikes there match the golden trace keeps its golden
-    Prediction. The inputs that differ are replayed in one batched forward
-    from the first layer whose input changed.
+    A static fault whose bit already holds its stuck value leaves the network
+    bit-identical; its list is ``golden.entries`` itself, which the caller
+    must not modify. The other faults are grouped by their LIF layer L and
+    cone form and screened a group at a time (see ``_screen``); an input
+    whose cone spikes match the golden trace keeps its golden Prediction.
+    Only a fault with diverging inputs gets a private copy of the template,
+    on which those inputs are replayed in one batched forward from the first
+    layer whose input changed.
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
     elif not golden.trace:
         raise ValueError("golden reference holds no trace; pass run_golden's, not read_golden's")
-    net = template.copy()
-    try:
-        target_tensor(net, d)  # validate addressability up front
-    except AddressError as exc:
-        raise AddressError(f"fault {d.fault_id}: {exc}") from None
-    local_hook = None
-    if d.parameter.is_dynamic:  # a dynamic fault's cone is its neuron: coords 0 within it
-        local_hook = make_refresh_hook(replace(d, coords=(0,) * len(d.coords)))
-    else:
-        inject_static(net, d)
-    w, lif_at, cone = site = _screen_site(net, d)
-    spikes, diverging = _screen(net, dataset, golden, site, local_hook)
-    outs = list(golden.entries)
-    if diverging.size:
-        if w == lif_at - 1 and net.layers[w].kind is not LayerKind.RECURRENT:
-            # Only the cone of L differs: splice it into L's golden spikes.
-            lif_spikes = golden.trace[net.layers[lif_at].name][diverging]
-            scores = network_forward(
-                net, lif_spikes, start=lif_at + 1, splice=(cone, spikes[diverging])
-            )
-        else:
-            hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
-            x = _golden_input(net, dataset, golden, w)[diverging]
-            scores = network_forward(net, x, hook, start=w)
-        for i, row in zip(diverging.tolist(), scores):
-            outs[i] = Prediction(i, row, *_top(row))
+    if isinstance(faults, FaultDescriptor):
+        return run_faulty(template, [faults], dataset, golden)[0]
+    outs = [golden.entries] * len(faults)
+    groups: dict[tuple, list[tuple[int, FaultDescriptor, tuple]]] = {}
+    for pos, d in enumerate(faults):
+        try:
+            tensor = target_tensor(template, d)  # validate addressability up front
+        except AddressError as exc:
+            raise AddressError(f"fault {d.fault_id}: {exc}") from None
+        if d.parameter.is_static:
+            held = (int(tensor[d.coords].view(np.uint32)) >> d.bit) & 1
+            if held == d.stuck:
+                continue  # a no-op: the network stays bit-identical
+        w, lif_at, index = site = _screen_site(template, d)
+        key = (lif_at, len(index)) if w == lif_at - 1 else pos  # through further layers: alone
+        groups.setdefault(key, []).append((pos, d, site))
+    per_fault = len(golden.entries) * template.timesteps  # values per cone element
+    for members in groups.values():
+        lif_at, index = members[0][2][1:]
+        rest = template.shapes[template.layers[lif_at].name][len(index) :]
+        cap = max(1, SCREEN_BLOCK_VALUES // (per_fault * math.prod(rest)))
+        for j in range(0, len(members), cap):
+            block = members[j : j + cap]
+            spikes, differs = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
+            for i, (pos, d, site) in enumerate(block):
+                diverging = np.flatnonzero(differs[:, i])
+                outs[pos] = list(golden.entries)
+                if diverging.size:
+                    scores = _replay(template, d, site, dataset, golden, spikes[:, :, i], diverging)
+                    for n, row in zip(diverging.tolist(), scores):
+                        outs[pos][n] = Prediction(n, row, *_top(row))
     return outs
 
 
@@ -370,10 +477,27 @@ def read_golden(path) -> GoldenReference:
 # -- outcome rows ---------------------------------------------------------------
 
 
-def _render_row(fid: int, golden: Prediction, faulty: Prediction) -> str:
-    return (
-        f"{fid},{golden.input_id},{golden.top_class},{faulty.top_class},"
-        f"{render_score(golden.top_score)},{render_score(faulty.top_score)}"
+def _golden_cells(golden: list[Prediction]) -> list[tuple[str, str, str]]:
+    """Per input, its outcome-row cells rendered once: all the cells after
+    fault_id when the fault keeps the golden prediction, the input id and
+    golden class that open a replayed row's cells, and the golden score."""
+    cells = []
+    for g in golden:
+        score = render_score(g.top_score)
+        cells.append(
+            (f"{g.input_id},{g.top_class},{g.top_class},{score},{score}",
+             f"{g.input_id},{g.top_class}", score)
+        )
+    return cells
+
+
+def _render_rows(fid: int, cells, golden: list[Prediction], outs: list[Prediction]) -> str:
+    """A fault's outcome rows, one per input; only a replayed input's faulty
+    score is rendered here."""
+    return "".join(
+        f"{fid},{kept}\n" if o is g
+        else f"{fid},{head},{o.top_class},{score},{render_score(o.top_score)}\n"
+        for (kept, head, score), g, o in zip(cells, golden, outs)
     )
 
 
@@ -457,10 +581,12 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
 
 _WORKER: dict = {}
 
-# The pool gets the pending faults as this many contiguous batches per worker:
-# one future per fault makes inter-process traffic the bound once a screened
-# fault costs about a millisecond, and a few batches per worker still let a
-# worker that drew cheap faults take another batch.
+# The pending faults run as this many contiguous batches per worker (the
+# serial path counts as one worker): one future per fault makes
+# inter-process traffic the bound once a screened fault costs about a
+# millisecond, and a few batches per worker still let a worker that drew
+# cheap faults take another batch. A batch is also what run_faulty screens
+# together.
 BATCHES_PER_WORKER = 8
 
 
@@ -468,19 +594,25 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
     _WORKER["net"] = net
     _WORKER["dataset"] = dataset
     _WORKER["golden"] = golden
+    _WORKER["cells"] = _golden_cells(golden.entries)
 
 
-def _run_fault(net: Network, d: FaultDescriptor, dataset: SpikeDataset, golden: GoldenReference):
-    # (screened inputs, replayed inputs, the fault's outcome rows): what
-    # record() takes. A screened input's Prediction is the golden one itself.
-    outs = run_faulty(net, d, dataset, golden)
-    replayed = sum(o is not g for o, g in zip(outs, golden.entries))
-    rows = "".join(_render_row(d.fault_id, g, o) + "\n" for g, o in zip(golden.entries, outs))
-    return len(outs) - replayed, replayed, rows
+def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
+               golden: GoldenReference, cells):
+    # Per fault, what record() takes after the descriptor: (no-op, screened
+    # inputs, replayed inputs, the outcome rows). A screened input's
+    # Prediction is the golden one itself.
+    results = []
+    for d, outs in zip(batch, run_faulty(net, batch, dataset, golden)):
+        replayed = sum(o is not g for o, g in zip(outs, golden.entries))
+        rows = _render_rows(d.fault_id, cells, golden.entries, outs)
+        results.append((outs is golden.entries, len(outs) - replayed, replayed, rows))
+    return results
 
 
 def _worker_run(batch: list[FaultDescriptor]):
-    return [_run_fault(_WORKER["net"], d, _WORKER["dataset"], _WORKER["golden"]) for d in batch]
+    w = _WORKER
+    return _run_batch(w["net"], batch, w["dataset"], w["golden"], w["cells"])
 
 
 def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResult:
@@ -532,8 +664,14 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
+    parallel = 1 if cfg.workers == 1 else min(cfg.workers, len(os.sched_getaffinity(0)))
+    size = max(1, -(-len(pending) // (parallel * BATCHES_PER_WORKER)))
+    batches = [pending[i : i + size] for i in range(0, len(pending), size)]
+    started = 0  # worker processes; the serial path starts none
+    sites: dict[str, dict[str, int]] = {}
+
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
-        unacknowledged = screened = replayed = 0
+        unacknowledged = 0
 
         def checkpoint() -> None:
             nonlocal acked
@@ -542,10 +680,16 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             acked = os.fstat(pf.fileno()).st_size
             _write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
-        def record(n_screened: int, n_replayed: int, rows: str) -> None:
-            nonlocal unacknowledged, screened, replayed
-            screened += n_screened
-            replayed += n_replayed
+        def record(d: FaultDescriptor, noop: bool, screened: int, replayed: int, rows: str):
+            nonlocal unacknowledged
+            counts = sites.setdefault(
+                f"{d.layer}.{d.parameter.value}",
+                {"faults": 0, "noop_faults": 0, "screened_pairs": 0, "replayed_pairs": 0},
+            )
+            counts["faults"] += 1
+            counts["noop_faults"] += noop
+            counts["screened_pairs"] += screened
+            counts["replayed_pairs"] += replayed
             pf.write(rows)
             unacknowledged += 1
             if unacknowledged >= cfg.checkpoint_every:
@@ -553,18 +697,20 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 unacknowledged = 0
 
         if cfg.workers == 1:
-            for d in pending:
-                record(*_run_fault(net, d, dataset, golden))
-        elif pending:
-            size = -(-len(pending) // (cfg.workers * BATCHES_PER_WORKER))
-            batches = [pending[i : i + size] for i in range(0, len(pending), size)]
+            cells = _golden_cells(golden.entries)
+            for batch in batches:
+                for d, result in zip(batch, _run_batch(net, batch, dataset, golden, cells)):
+                    record(d, *result)
+        elif batches:
+            started = min(parallel, len(batches))
             pool = ProcessPoolExecutor(
-                cfg.workers, initializer=_worker_init, initargs=(net, dataset, golden)
+                started, initializer=_worker_init, initargs=(net, dataset, golden)
             )
             try:
-                for future in as_completed([pool.submit(_worker_run, b) for b in batches]):
-                    for result in future.result():
-                        record(*result)
+                futures = {pool.submit(_worker_run, batch): batch for batch in batches}
+                for future in as_completed(futures):
+                    for d, result in zip(futures[future], future.result()):
+                        record(d, *result)
             except BrokenProcessPool as exc:
                 checkpoint()  # every recorded fault is whole; keep it for --resume
                 raise WorkerError(
@@ -586,15 +732,20 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
     t_merge = time.monotonic()
     wall = t_merge - t0
+    screened = sum(c["screened_pairs"] for c in sites.values())
+    replayed = sum(c["replayed_pairs"] for c in sites.values())
     summary = {
         "status": status,
         "faults_total": len(valid_ids),
         "faults_completed": len(groups),
         **binding,
         "workers": cfg.workers,
+        "workers_started": started,
         "wall_seconds": wall,
+        "noop_faults": sum(c["noop_faults"] for c in sites.values()),
         "screened_pairs": screened,
         "replayed_pairs": replayed,
+        "sites": dict(sorted(sites.items())),
         "golden_trace_bytes": sum(a.nbytes for a in golden.trace.values()),
         "fault_pairs_per_s": (screened + replayed) / (t_faults - t_golden) if pending else 0.0,
         "phase_seconds": {

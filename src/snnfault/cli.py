@@ -24,7 +24,16 @@ from .campaign import (
     run_golden,
     write_golden,
 )
-from .dataio import INT, load_dataset, load_model, save_dataset, save_model, synth_dataset, synth_model
+from .dataio import (
+    FLOAT,
+    INT,
+    load_dataset,
+    load_model,
+    save_dataset,
+    save_model,
+    synth_dataset,
+    synth_model,
+)
 from .errors import CompatibilityError, DimensionError, FormatError, SnnFaultError
 from .faultlist import (
     POLARITIES,
@@ -39,6 +48,22 @@ from .faults import ParameterKind
 from .report import REPORT_FORMATS, aggregate, render_report
 
 _CONFIG_ERRORS = (FormatError, CompatibilityError, DimensionError, ValueError, OSError)
+
+
+def _strict(convert, pattern: str):
+    """An argparse type that converts only what ``pattern`` matches whole:
+    int() and float() alone would also take " 2", "0_5" and non-ASCII digits."""
+
+    def parse(text: str):
+        if re.fullmatch(pattern, text) is None:
+            raise ValueError(text)  # argparse: "invalid int value", exit 2
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_INT_ARG, _FLOAT_ARG = _strict(int, INT), _strict(float, FLOAT)
 
 
 def _parse_points(text: str) -> set[ParameterKind]:
@@ -162,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True,
                    help="comma list of parameter kinds (weight,bias,feedback_weight,"
                         "feedback_bias,beta,threshold,potential,spike)")
-    p.add_argument("--error-margin", type=float, default=0.01, dest="error_margin")
-    p.add_argument("--confidence", type=float, default=0.99,
+    p.add_argument("--error-margin", type=_FLOAT_ARG, default=0.01, dest="error_margin")
+    p.add_argument("--confidence", type=_FLOAT_ARG, default=0.99,
                    help="confidence level in (0,1); mapped to the normal quantile")
-    p.add_argument("--quantile", type=float, default=None,
+    p.add_argument("--quantile", type=_FLOAT_ARG, default=None,
                    help="explicit quantile t, overriding --confidence")
-    p.add_argument("--p", type=float, default=0.5,
+    p.add_argument("--p", type=_FLOAT_ARG, default=0.5,
                    help="assumed failure probability in the sample-size formula")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_INT_ARG, required=True)
     p.add_argument("--scope", choices=("network", "layer"), default="network")
     p.add_argument("--polarity", choices=POLARITIES, default="random")
     p.add_argument("--spike-mode", choices=SPIKE_MODES, default="bit", dest="spike_mode",
@@ -182,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("golden", help="run the fault-free reference")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--subset", type=int, default=None, help="first K inputs (default: all)")
+    p.add_argument("--subset", type=_INT_ARG, default=None, help="first K inputs (default: all)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_golden)
 
@@ -190,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--fl", required=True)
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--subset", type=_INT_ARG, default=None)
+    p.add_argument("--workers", type=_INT_ARG, default=None,
                    help="worker processes (default: $SNNFAULT_WORKERS, else 1)")
-    p.add_argument("--checkpoint-every", type=int, default=100, dest="checkpoint_every")
+    p.add_argument("--checkpoint-every", type=_INT_ARG, default=100, dest="checkpoint_every")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_inject)
@@ -214,21 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="layers joined by '-': FC(INT->INT), RFC(INT->INT), "
                         "CONV(INTxINTxINT->INT,kINT), POOL(INT), LIF, LIF(FLOAT) or "
                         "LIF(FLOAT,FLOAT); e.g. FC(16->8)-LIF-FC(8->4)-LIF")
-    m.add_argument("--seed", type=int, required=True)
-    m.add_argument("--timesteps", type=int, required=True)
-    m.add_argument("--beta", type=float, default=0.9)
-    m.add_argument("--threshold", type=float, default=1.0)
+    m.add_argument("--seed", type=_INT_ARG, required=True)
+    m.add_argument("--timesteps", type=_INT_ARG, required=True)
+    m.add_argument("--beta", type=_FLOAT_ARG, default=0.9)
+    m.add_argument("--threshold", type=_FLOAT_ARG, default=1.0)
     m.add_argument("--out", required=True)
     m.set_defaults(func=_cmd_synth_model)
 
     d = synth_sub.add_parser("dataset")
-    d.add_argument("--samples", type=int, required=True)
-    d.add_argument("--timesteps", type=int, required=True)
+    d.add_argument("--samples", type=_INT_ARG, required=True)
+    d.add_argument("--timesteps", type=_INT_ARG, required=True)
     d.add_argument("--shape", required=True,
                    help="per-timestep shape INT(xINT)*, e.g. 96 or 2x16x16")
-    d.add_argument("--classes", type=int, required=True)
-    d.add_argument("--rate", type=float, required=True, help="Bernoulli firing rate in [0,1]")
-    d.add_argument("--seed", type=int, required=True)
+    d.add_argument("--classes", type=_INT_ARG, required=True)
+    d.add_argument("--rate", type=_FLOAT_ARG, required=True, help="Bernoulli firing rate in [0,1]")
+    d.add_argument("--seed", type=_INT_ARG, required=True)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_synth_dataset)
 

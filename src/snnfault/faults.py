@@ -7,7 +7,10 @@ threshold) are corrupted once, in place, before inference; dynamic kinds
 timestep via a refresh hook, so the stuck value persists no matter how the
 network rewrites the state. Spike faults additionally support a value-stuck
 mode that pins the emitted spike to exactly 0.0 (dead neuron) or 1.0
-(saturated neuron) instead of twiddling its encoding.
+(saturated neuron) instead of twiddling its encoding. Every injection goes
+through ``pin_bits``, which applies a fault as a (keep, force) pair of masks
+on binary32 patterns, so one call can pin a different fault in each column
+of an array.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class FaultMode(str, Enum):
     VALUE_STUCK = "value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultDescriptor:
     """One injectable fault: a tensor element, a bit, and a stuck polarity."""
 
@@ -85,17 +88,29 @@ def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:
     if not 0 <= bit <= 31:
         raise AddressError(f"bit {bit} outside 0..31")
     a = np.array(value, dtype=np.float32)
-    set_bit_inplace(a, (), bit, stuck)
+    pin_bits(a, (), *_bit_masks(bit, stuck))
     return a[()]
 
 
-def set_bit_inplace(tensor: np.ndarray, coords: tuple, bit: int, stuck: int) -> None:
-    """Pin one bit of the elements ``coords`` indexes in a float32 array, in place."""
+def pin_bits(tensor: np.ndarray, index, keep, force) -> None:
+    """Set the binary32 patterns of ``tensor[index]`` to ``(bits & keep) |
+    force``, in place. ``keep`` and ``force`` are uint32 masks that broadcast
+    against ``tensor[index]``, so each column can take its own fault."""
     u = tensor.view(_U32)
-    if stuck:
-        u[coords] |= np.uint32(1 << bit)
-    else:
-        u[coords] &= np.uint32(~(1 << bit) & 0xFFFFFFFF)
+    u[index] = (u[index] & keep) | force
+
+
+def _bit_masks(bit: int, stuck: int) -> tuple[np.uint32, np.uint32]:
+    mask = np.uint32(1 << bit)
+    return (~np.uint32(0), mask) if stuck else (~mask, np.uint32(0))
+
+
+def fault_masks(d: FaultDescriptor) -> tuple[np.uint32, np.uint32]:
+    """The (keep, force) masks of pin_bits that apply ``d``: its bit pinned,
+    or for a value-stuck spike the whole pattern of 0.0 or 1.0."""
+    if d.mode is FaultMode.VALUE_STUCK:
+        return np.uint32(0), np.float32(d.stuck).view(np.uint32)
+    return _bit_masks(d.bit, d.stuck)
 
 
 def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
@@ -136,7 +151,7 @@ def inject_static(net: Network, d: FaultDescriptor) -> None:
             f"'{d.parameter.value}' is rewritten every timestep; "
             "use make_refresh_hook, not inject_static"
         )
-    set_bit_inplace(target_tensor(net, d), d.coords, d.bit, d.stuck)
+    pin_bits(target_tensor(net, d), d.coords, *fault_masks(d))
 
 
 def make_refresh_hook(d: FaultDescriptor) -> StateHook:
@@ -150,12 +165,10 @@ def make_refresh_hook(d: FaultDescriptor) -> StateHook:
         raise FaultKindError(f"'{d.parameter.value}' is static; use inject_static")
     wanted = d.parameter.value
     index = (Ellipsis, *d.coords)  # the same neuron in every batch row
+    keep, force = fault_masks(d)
 
     def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
         if layer == d.layer and kind == wanted:
-            if d.mode is FaultMode.VALUE_STUCK:
-                tensor[index] = np.float32(d.stuck)
-            else:
-                set_bit_inplace(tensor, index, d.bit, d.stuck)
+            pin_bits(tensor, index, keep, force)
 
     return hook

@@ -62,11 +62,11 @@ def test_unbatched_sample_forward_keeps_its_shapes():
 
 
 def test_tracer_installs_sees_every_layer_and_restores():
-    """Golden runs one forward; a screened fault runs none when no input
-    diverges and one when some do. The golden run still shows its reset,
-    forward and run_golden spans, and the kernels, copy, injection,
-    addressing, refresh hook and run_faulty are still seen through the names
-    the tracer patches, on screened runs alone."""
+    """Golden runs one forward. A no-op fault runs nothing; a screened fault
+    runs no forward when no input diverges and one when some do. The golden
+    run still shows its reset, forward and run_golden spans, and the
+    kernels, copy, injection, addressing, refresh hook and run_faulty are
+    still seen through the names the tracer patches, on fault runs alone."""
     tracing = _load_tracing()
     originals = {k: getattr(core, k) for k in tracing.KERNELS}
     nets = {  # each with the kernel that feeds its first LIF
@@ -88,18 +88,27 @@ def test_tracer_installs_sees_every_layer_and_restores():
         golden_seen.update(seen)
         lif = net.layers[1].name
         beta_bit = (int(net.layer(lif).params["beta"].view("<u4")[0]) >> 3) & 1
-        masked = FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, beta_bit)
-        seen = spans("run_faulty", net, masked, ds, golden)
-        assert "core.network_forward" not in seen
-        screen = {feed, "core.lif_step", "core.Network.copy", "faults.inject_static"}
-        assert screen - seen.keys() == set()  # the screen alone, through the patched names
+        noop = FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, beta_bit)
+        seen = spans("run_faulty", net, [noop], ds, golden)
+        assert seen.keys() == {"campaign.run_faulty", "faults.target_tensor"}
+        masked = FaultDescriptor(0, lif, ParameterKind.BETA, (0,), 3, 1 - beta_bit)
+        seen = spans("run_faulty", net, [masked], ds, golden)
+        assert {"core.network_forward", "core.Network.copy"} & seen.keys() == set()
+        assert {feed, "core.lif_step"} - seen.keys() == set()  # the screen, through patched names
+        faulty.update(seen)
+        assert net.layer(lif).params["threshold"][0] > 0
+        # A negative threshold fires from t=0, when no golden neuron can: every input diverges.
+        negative = FaultDescriptor(1, lif, ParameterKind.THRESHOLD, (0,), 31, 1)
+        seen = spans("run_faulty", net, [negative], ds, golden)
+        assert {"core.Network.copy", "faults.inject_static"} - seen.keys() == set()
+        assert seen["core.network_forward"] == 1
         faulty.update(seen)
         coords = (0,) * len(net.shapes[lif])
         # Stuck at 1 from t=0, when no neuron can fire yet: every input diverges.
         diverging = FaultDescriptor(
-            1, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK
+            2, lif, ParameterKind.SPIKE, coords, 0, 1, FaultMode.VALUE_STUCK
         )
-        seen = spans("run_faulty", net, diverging, ds, golden)
+        seen = spans("run_faulty", net, [diverging], ds, golden)
         assert seen["core.network_forward"] == 1
         faulty.update(seen)
     want = {f"core.{k}" for k in tracing.KERNELS} | {

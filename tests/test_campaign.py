@@ -3,6 +3,7 @@
 import json
 import os
 from collections import Counter
+from concurrent.futures import Future
 import platform
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import snnfault
 from helpers import MALFORMED_INTEGERS, bits_of, f32_from_bits, injected_forward, two_layer_net
-from snnfault import campaign
+from snnfault import campaign, core
 from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
@@ -239,19 +240,20 @@ def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
 
 
 # A CLI run whose pool worker dies outright (as under the OOM killer) when it
-# reaches one fault; workers fork from this process, so they see the patch.
+# reaches the batch that holds one fault; workers fork from this process, so
+# they see the patch.
 _DYING_WORKER = """
 import os, sys
 from snnfault import campaign, cli
 
-run_fault = campaign._run_fault
+run_batch = campaign._run_batch
 
-def dying(net, d, dataset, k):
-    if d.fault_id == int(sys.argv[1]):
+def dying(net, batch, *args):
+    if any(d.fault_id == int(sys.argv[1]) for d in batch):
         os._exit(9)
-    return run_fault(net, d, dataset, k)
+    return run_batch(net, batch, *args)
 
-campaign._run_fault = dying
+campaign._run_batch = dying
 sys.exit(cli.dispatch(sys.argv[2:]))
 """
 
@@ -288,6 +290,14 @@ def test_campaign_json_explains_the_run(workdir):
     pairs = summary["screened_pairs"] + summary["replayed_pairs"]
     assert pairs == summary["faults_completed"] * 3
     assert 0 < summary["replayed_pairs"] < pairs  # the screen settles some pairs, not all
+    assert 0 < summary["noop_faults"] < summary["faults_completed"]
+    sites = summary["sites"]
+    assert set(sites) == {f"{d.layer}.{d.parameter.value}" for d in workdir[3].descriptors}
+    totals = {"faults": summary["faults_completed"], "noop_faults": summary["noop_faults"],
+              "screened_pairs": summary["screened_pairs"],
+              "replayed_pairs": summary["replayed_pairs"]}
+    assert {key: sum(c[key] for c in sites.values()) for key in totals} == totals
+    assert summary["workers_started"] == 0  # the serial path runs in this process
     assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
     assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
     assert summary["versions"] == {
@@ -295,6 +305,38 @@ def test_campaign_json_explains_the_run(workdir):
         "numpy": np.__version__,
         "snnfault": snnfault.__version__,
     }
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor and starts no process: records the
+    worker count asked for and runs each batch here."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
+    serial = run_campaign(cfg_for(workdir, "pool_serial")).outcomes_path.read_bytes()
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three usable CPUs
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    res = run_campaign(cfg_for(workdir, "pool_capped", workers=5000))
+    assert res.outcomes_path.read_bytes() == serial
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    assert (summary["workers"], summary["workers_started"]) == (5000, 3)
+    run_campaign(cfg_for(workdir, "pool_two_faults", workers=5000), limit=2)  # two batches
+    assert _RecordingPool.started == [3, 2]
 
 
 # -- resume-state validation ------------------------------------------------------
@@ -638,16 +680,20 @@ IDS = st.integers(0, 10**20 - 1)
         min_size=1, max_size=4)),
 )
 def test_rows_round_trip_bit_exact(tmp_path_factory, faults, vectors):
-    """_render_row's rows read back through the outcome log and
-    read_outcomes, and write_golden's through read_golden, bit for bit."""
+    """_render_rows' rows read back through the outcome log and
+    read_outcomes, and write_golden's through read_golden, bit for bit. A
+    screened row, from the golden cells rendered once, has the bytes of a
+    replayed row with the same values."""
     d = tmp_path_factory.mktemp("round_trip")
     rows, lines = [], []
     for fid, pairs in faults.items():
-        for iid, (g_class, f_class, g_bits, f_bits) in enumerate(pairs):
-            golden = Prediction(iid, None, g_class, f32_from_bits(g_bits))
-            faulty = Prediction(iid, None, f_class, f32_from_bits(f_bits))
-            rows.append((fid, iid, g_class, f_class, g_bits, f_bits))
-            lines.append(campaign._render_row(fid, golden, faulty))
+        golden = [Prediction(i, None, g, f32_from_bits(b)) for i, (g, _, b, _) in enumerate(pairs)]
+        faulty = [Prediction(i, None, f, f32_from_bits(b)) for i, (_, f, _, b) in enumerate(pairs)]
+        cells = campaign._golden_cells(golden)
+        kept = campaign._render_rows(fid, cells, golden, golden)
+        assert kept == campaign._render_rows(fid, cells, golden, [replace(g) for g in golden])
+        rows += [(fid, iid, *pair) for iid, pair in enumerate(pairs)]
+        lines += campaign._render_rows(fid, cells, golden, faulty).splitlines()
     log = d / "outcomes.partial.csv"
     log.write_text("".join(line + "\n" for line in lines))
     groups = campaign._read_log(log, log.stat().st_size, 2, set(faults))
@@ -686,8 +732,7 @@ def test_masked_by_construction_faults_match_golden(workdir):
         descriptors.append(
             FaultDescriptor(i, "fc1", ParameterKind.WEIGHT, (r, c), bit, current)
         )
-    for desc in descriptors:
-        outs = run_faulty(net, desc, ds)
+    for outs in run_faulty(net, descriptors, ds):
         for out, g in zip(outs, golden.entries):
             assert out.scores.tobytes() == g.scores.tobytes()
 
@@ -787,22 +832,70 @@ def _screen_faults(net, rng):
 def test_screened_run_faulty_equals_injected_full_forward(arch):
     """run_faulty's screen and replay give, bit for bit, the scores of a full
     forward of an injected copy, for every parameter kind, on inputs that
-    diverge and on inputs that do not."""
+    diverge and on inputs that do not, whichever faults share a batch: one
+    fault per batch, all in one batch, or shuffled into random splits."""
     net = _screen_net(arch)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
-    replayed = Counter()
-    for d in _screen_faults(net, np.random.default_rng(44)):
-        outs = run_faulty(net, d, ds, golden)
-        want = injected_forward(net, d, ds.spikes)
-        for out, row in zip(outs, want):
-            assert out.scores.tobytes() == row.tobytes(), d
-            assert (out.top_class, bits_of(out.top_score)) == (
-                _top(row)[0], bits_of(_top(row)[1])
-            ), d
-        n = sum(o is not g for o, g in zip(outs, golden.entries))
-        replayed["none" if n == 0 else "all" if n == len(outs) else "some"] += 1
-    assert set(replayed) == {"none", "some", "all"}, replayed
+    faults = _screen_faults(net, np.random.default_rng(44))
+    want = {d.fault_id: injected_forward(net, d, ds.spikes) for d in faults}
+    rng = np.random.default_rng(45)
+    shuffled = [faults[i] for i in rng.permutation(len(faults))]
+    cuts = [0, *sorted(rng.choice(np.arange(1, len(faults)), 6, replace=False)), len(faults)]
+    batchings = {
+        "one per batch": [[d] for d in faults],
+        "one batch": [faults],
+        "shuffled splits": [shuffled[a:b] for a, b in zip(cuts, cuts[1:])],
+    }
+    for how, batches in batchings.items():
+        replayed = Counter()
+        for batch in batches:
+            for d, outs in zip(batch, run_faulty(net, batch, ds, golden), strict=True):
+                for out, row in zip(outs, want[d.fault_id], strict=True):
+                    assert out.scores.tobytes() == row.tobytes(), (how, d)
+                    assert (out.top_class, bits_of(out.top_score)) == (
+                        _top(row)[0], bits_of(_top(row)[1])
+                    ), (how, d)
+                n = sum(o is not g for o, g in zip(outs, golden.entries))
+                replayed["none" if n == 0 else "all" if n == len(outs) else "some"] += 1
+        assert set(replayed) == {"none", "some", "all"}, (how, replayed)
+
+
+def _flipped(net, fault_id, layer, coords, bit):
+    """A weight fault that pins the bit at coords to the value it does not hold."""
+    value = net.layer(layer).params["weight"][coords]
+    return FaultDescriptor(fault_id, layer, ParameterKind.WEIGHT, coords, bit,
+                           1 - ((bits_of(value) >> bit) & 1))
+
+
+def test_group_of_faults_is_screened_in_one_scan(workdir, monkeypatch):
+    """F faults on the rows feeding one LIF layer advance that layer together:
+    T lif_step calls in all, not F * T."""
+    _, net, ds, _ = workdir
+    golden = run_golden(net.copy(), ds)
+    faults = [_flipped(net, i, "fc1", (i % 5, i % 6), 0) for i in range(8)]
+    calls = []
+    lif_step = core.lif_step
+    monkeypatch.setattr(core, "lif_step", lambda *args: calls.append(1) or lif_step(*args))
+    outs = run_faulty(net, faults, ds, golden)
+    assert all(o is g for out in outs for o, g in zip(out, golden.entries))  # none replayed
+    assert len(calls) == T
+
+
+def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):
+    """A static fault whose bit already holds its stuck value keeps every
+    golden prediction without a copy of the network or a screen."""
+    _, net, ds, _ = workdir
+    golden = run_golden(net.copy(), ds)
+    flipped = _flipped(net, 0, "fc1", (1, 2), 7)
+    noop = replace(flipped, fault_id=1, stuck=1 - flipped.stuck)
+    copies, steps = [], []
+    copy, lif_step = Network.copy, core.lif_step
+    monkeypatch.setattr(Network, "copy", lambda self: copies.append(1) or copy(self))
+    monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(1) or lif_step(*args))
+    (outs,) = run_faulty(net, [noop], ds, golden)
+    assert outs is golden.entries
+    assert copies == [] and steps == []
 
 
 def test_sign_bit_spike_fault_is_replayed(workdir):
@@ -814,7 +907,8 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     silent = ~golden.trace["lif1"][:, :, 0].any(axis=1)
     assert silent.any()  # inputs whose only difference is -0.0
     d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 31, 1)
-    _, n_replayed, _ = campaign._run_fault(net, d, ds, golden)
+    cells = campaign._golden_cells(golden.entries)
+    ((_, _, n_replayed, _),) = campaign._run_batch(net, [d], ds, golden, cells)
     assert n_replayed == len(golden.entries)
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import MALFORMED_INTEGERS
+from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS
 from snnfault import cli
 from snnfault.cli import dispatch
 from snnfault.faultlist import SamplingSpec, read_fault_list, sample_size
@@ -215,3 +215,59 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: snnfault")
+
+
+# Every option argparse converts to a number, in a command line that is
+# otherwise valid up to parsing (the files need not exist: parsing fails first).
+_NUMERIC_OPTIONS = {
+    "int": [
+        (["synth", "dataset", "--shape", "3", "--rate", "0.5", "--out", "d.sjd"],
+         {"--samples": "1", "--timesteps": "2", "--classes": "2", "--seed": "1"}),
+        (["synth", "model", "--arch", ARCH, "--out", "m.sjm"], {"--seed": "1", "--timesteps": "4"}),
+        (["gen-fl", "--model", "m", "--points", "weight", "--out", "f"], {"--seed": "1"}),
+        (["golden", "--model", "m", "--dataset", "d", "--out", "g"], {"--subset": "2"}),
+        (["inject", "--model", "m", "--dataset", "d", "--fl", "f", "--out", "o"],
+         {"--subset": "2", "--workers": "2", "--checkpoint-every": "5"}),
+    ],
+    "float": [
+        (["synth", "dataset", "--samples", "1", "--timesteps", "2", "--shape", "3",
+          "--classes", "2", "--seed", "1", "--out", "d.sjd"], {"--rate": "0.5"}),
+        (["synth", "model", "--arch", ARCH, "--seed", "1", "--timesteps", "4", "--out", "m.sjm"],
+         {"--beta": "0.9", "--threshold": "1.0"}),
+        (["gen-fl", "--model", "m", "--points", "weight", "--seed", "1", "--out", "f"],
+         {"--error-margin": "0.1", "--confidence": "0.9", "--quantile": "2.5", "--p": "0.5"}),
+    ],
+}
+
+
+def _numeric_cases(kind, spellings):
+    for base, options in _NUMERIC_OPTIONS[kind]:
+        for option in options:
+            for spelling in spellings:
+                values = dict(options)
+                values[option] = spelling(values[option]) if callable(spelling) else spelling
+                yield [*base, *(x for pair in values.items() for x in pair)], option
+
+
+@pytest.mark.parametrize("kind, spellings", [
+    ("int", [*MALFORMED_INTEGERS.values(), "٢", " 2", "0_5", "2.0"]),
+    ("float", [*MALFORMED_FLOATS.values(), "٢", " 2", "0_5", "1e"]),
+])
+def test_numeric_options_take_only_the_file_grammar(kind, spellings, capsys):
+    """int() and float() accept spellings INT and FLOAT reject; each numeric
+    option is a usage error (exit 2) for them, like --samples abc."""
+    cases = list(_numeric_cases(kind, spellings))
+    assert len(cases) > 20
+    for argv, option in cases:
+        assert dispatch(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid {kind} value" in err, err
+
+
+def test_numeric_options_still_take_plain_numbers(tmp_path):
+    assert dispatch(["synth", "dataset", "--samples", "2", "--timesteps", "3", "--shape", "3",
+                     "--classes", "2", "--rate", "0.25", "--seed", "1",
+                     "--out", str(tmp_path / "d.sjd")]) == 0
+    assert dispatch(["synth", "model", "--arch", ARCH, "--seed", "1", "--timesteps", "3",
+                     "--beta", "-0.5", "--threshold", "1e-1",
+                     "--out", str(tmp_path / "m.sjm")]) == 0
