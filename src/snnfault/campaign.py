@@ -6,25 +6,25 @@ bool (golden spikes are exactly 0.0 or 1.0), and, as float32, the output of
 every other layer that feeds a weighted layer (an FC after a pool, say).
 Faults then run in batches, and a fault's outcome never depends on which
 faults share its batch. A static fault whose bit already holds its stuck
-value changes nothing and keeps every golden prediction. Every other fault is
-screened: what it can touch in its LIF layer L (the faulted LIF, or the one
-the faulted weighted layer feeds) is recomputed, the cone of L's neurons its
-row, channel or neuron reaches, for all K inputs and T steps, from golden
-inputs, through the same kernels with the same chains. The faults of a batch
-that share L and a cone form are screened together, stacked on a fault
-axis: one kernel call computes their currents, and one LIF scan advances
-them, each with its own parameters and state pins (parallel fault
-simulation, with the fault-free work shared as in concurrent fault
-simulation). An input whose cone spikes match the golden trace bit for bit
-(compared as binary32 patterns, so a -0.0 spike counts as different) sees
-golden values in every later layer, so it keeps its golden prediction
-exactly. Only a fault with differing inputs gets a copy of the network; those
-inputs are replayed in one batched forward: from the layer after L on L's
-golden spikes with the cone's screened spikes spliced in, or, when L is fed
-back through a recurrent layer or reached through further layers, from the
-faulted layer on its golden input. Either way each (fault, input) outcome is
-a pure function of (model, descriptor, input), with the bits of a full
-forward of an injected copy. Results stream into the
+value changes nothing and keeps every golden prediction. A fault on a LIF
+layer L or on the weighted layer feeding L is screened: the cone of L's
+neurons its row, channel or neuron reaches is recomputed through those two
+layers alone, for all K inputs and T steps, from golden inputs, through the
+same kernels with the same chains. The faults of a batch that share L and a
+cone form are screened together, stacked on a fault axis: one kernel call
+computes their currents, and one LIF scan advances them, each with its own
+parameters and state pins (parallel fault simulation, with the fault-free work
+shared as in concurrent fault simulation). An input whose cone spikes match
+the golden trace bit for bit (compared as binary32 patterns, so a -0.0 spike
+counts as different) sees golden values in every later layer, so it keeps its
+golden prediction exactly. Only a fault with differing inputs gets a copy of
+the network; those inputs are replayed in one batched forward: from the layer
+after L on L's golden spikes with the cone's screened spikes spliced in, or,
+when L is fed back through a recurrent layer, from the faulted layer on its
+golden input. A fault that reaches L only through further layers is never
+screened; it is replayed on all K inputs from its own layer. Each (fault,
+input) outcome is a pure function of (model, descriptor, input), with the bits
+of a full forward of an injected copy. Results stream into the
 ``outcomes.partial.csv`` log, their only record; once rows are fsynced,
 ``checkpoint.txt`` acknowledges the log's byte length, bound to the sha256 of
 the model, dataset and fault list and to K. Resume refuses changed inputs,
@@ -216,30 +216,18 @@ def _golden_input(net: Network, dataset: SpikeDataset, golden: GoldenReference, 
 
 
 def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[int, ...]]:
-    """(w, lif_at, index): the index of the first layer whose output the fault
-    changes, the index of the LIF layer L the screen compares, and the cone,
+    """(w, lif_at, index): the first layer whose output the fault changes,
+    the LIF layer L after it (screened only when w feeds L), and the cone,
     the block of L's neurons the fault can reach directly: L's elements at
     the leading coords ``index``, with every trailing axis whole."""
     i = [spec.name for spec in net.layers].index(d.layer)
     spec = net.layers[i]
     if spec.kind is not LayerKind.LIF:
-        lif_at = next(
-            j for j in range(i + 1, len(net.layers)) if net.layers[j].kind is LayerKind.LIF
-        )
-        if lif_at > i + 1:  # through further layers the fault reaches all of L
-            return i, lif_at, ()
+        lif_at = i + 1 + [s.kind for s in net.layers[i + 1 :]].index(LayerKind.LIF)
         return i, lif_at, d.coords[:1]  # a row or channel
     if d.parameter.is_static and spec.params[d.parameter.value].shape == (1,):
         return i - 1, i, ()
     return i - 1, i, d.coords  # one neuron
-
-
-def _pinned(spec: LayerSpec, d: FaultDescriptor) -> LayerSpec:
-    """``spec`` with static fault ``d`` applied to a copy of its tensor."""
-    params = dict(spec.params)
-    params[d.parameter.value] = params[d.parameter.value].copy()
-    pin_bits(params[d.parameter.value], d.coords, *fault_masks(d))
-    return LayerSpec(spec.name, spec.kind, params, spec.hyper)
 
 
 def _screen(
@@ -248,38 +236,35 @@ def _screen(
     golden: GoldenReference,
     block: list[tuple[FaultDescriptor, tuple[int, int, tuple[int, ...]]]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cone spikes [K, T, F, *rest] of F faults that share L and w and
-    whose cones pin the same number of L's leading axes (``rest`` is L's
-    shape past them), and the mask [K, F] of the inputs whose cone spikes
-    differ in any bit from the golden trace.
+    """The cone spikes [K, T, F, *rest] of F faults that share L, each on L
+    or on the layer feeding it, and whose cones pin the same number of L's
+    leading axes (``rest`` is L's shape past them), and the mask [K, F] of
+    the inputs whose cone spikes differ in any bit from the golden trace.
 
-    The current into the cones is computed for all K inputs, T steps and F
-    faults at once from layer w's golden input: the rows or channels of the
-    layer feeding L that the cones need, each fault's bit set in its own
-    copy; a conv input's windows under single neurons; or all of L. Every
-    output element keeps its own chain, so its bits are those of a full
-    forward. A recurrent layer's feedback reads L's golden spikes of the
-    previous step, which is exact until the cone first differs, and that is
-    all the screen decides. L then advances step by step over [K, F, *rest],
-    each fault with its own beta and threshold column and its own state pins.
+    Only the feed and L run. The current into the cones is computed for all
+    K inputs, T steps and F faults at once from the feed's golden input: the
+    feed's rows or channels that the cones need, each fault's bit set in its
+    own copy; a conv input's windows under single neurons; or all of L's
+    golden current, for a ``(1,)`` beta or threshold fault. Every output
+    element keeps its own chain, so its bits are those of a full forward. A
+    recurrent layer's feedback reads L's golden spikes of the previous step,
+    which is exact until the cone first differs, and that is all the screen
+    decides. L then advances step by step over [K, F, *rest], each fault
+    with its own beta and threshold column and its own state pins.
     """
-    w, lif_at, first = block[0][1]
+    _, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
     k, f, steps = len(golden.entries), len(block), net.timesteps
     rest = net.shapes[lif.name][len(first) :]
     index = tuple(np.array([site[2][a] for _, site in block]) for a in range(len(first)))
-    x = _golden_input(net, dataset, golden, w)  # cast to binary32 once cut to the cones
+    x = _golden_input(net, dataset, golden, lif_at - 1)  # binary32 once cut to the cones
     prev = None
     if feed.kind is LayerKind.RECURRENT:
         prev = np.zeros(golden.trace[lif.name].shape, DTYPE)
         prev[:, 1:] = golden.trace[lif.name][:, :-1]
     with np.errstate(all="ignore"):
-        if not index:  # all of L: its golden current, or one fault's through further layers
-            for spec in net.layers[w:lif_at]:
-                hit = [d for d, _ in block if d.layer == spec.name]
-                spec = _pinned(spec, *hit) if hit else spec
-                x = core.layer_forward(spec, x.astype(DTYPE, copy=False), 2, prev)
-            current = x[:, :, None]
+        if not index:  # all of L: its golden current
+            current = core.layer_forward(feed, x.astype(DTYPE, copy=False), 2, prev)[:, :, None]
         elif feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
             kernel = feed.hyper["kernel"]
             win = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
@@ -340,11 +325,15 @@ def _replay(
     site: tuple[int, int, tuple[int, ...]],
     dataset: SpikeDataset,
     golden: GoldenReference,
-    spikes: np.ndarray,
+    spikes: np.ndarray | None,
     diverging: np.ndarray,
-) -> np.ndarray:
-    """Scores [Kd, classes] of the ``diverging`` inputs, on an injected copy
-    of the template, given the fault's screened cone spikes [K, T, *rest]."""
+) -> list[Prediction]:
+    """The fault's Predictions: golden but on the ``diverging`` inputs, which
+    run on an injected copy of the template, given the fault's screened cone
+    spikes [K, T, *rest] (None for a fault the screen does not reach)."""
+    outs = list(golden.entries)
+    if not diverging.size:
+        return outs
     w, lif_at, index = site
     net = template.copy()
     if d.parameter.is_static:
@@ -352,14 +341,15 @@ def _replay(
     if w == lif_at - 1 and net.layers[w].kind is not LayerKind.RECURRENT:
         # Only the cone of L differs: splice it into L's golden spikes.
         lif = net.layers[lif_at].name
-        cone = tuple(slice(c, c + 1) for c in index) + (slice(None),) * (spikes.ndim - 2)
-        values = spikes[diverging].reshape(len(diverging), net.timesteps, *(1,) * len(index),
-                                           *spikes.shape[2:])
-        return network_forward(
-            net, golden.trace[lif][diverging], start=lif_at + 1, splice=(cone, values)
-        )
-    hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
-    return network_forward(net, _golden_input(net, dataset, golden, w)[diverging], hook, start=w)
+        scores = network_forward(net, golden.trace[lif][diverging], start=lif_at + 1,
+                                 splice=(index, spikes[diverging]))
+    else:
+        hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
+        scores = network_forward(net, _golden_input(net, dataset, golden, w)[diverging], hook,
+                                 start=w)
+    for n, row in zip(diverging.tolist(), scores):
+        outs[n] = Prediction(n, row, *_top(row))
+    return outs
 
 
 def run_faulty(
@@ -376,12 +366,12 @@ def run_faulty(
 
     A static fault whose bit already holds its stuck value leaves the network
     bit-identical; its list is ``golden.entries`` itself, which the caller
-    must not modify. The other faults are grouped by their LIF layer L and
-    cone form and screened a group at a time (see ``_screen``); an input
-    whose cone spikes match the golden trace keeps its golden Prediction.
-    Only a fault with diverging inputs gets a private copy of the template,
-    on which those inputs are replayed in one batched forward from the first
-    layer whose input changed.
+    must not modify. The others are screened in groups that share their LIF
+    layer L and cone form (see ``_screen``); a fault that reaches L through
+    further layers is not screened, and all its inputs diverge. Only a fault
+    with diverging inputs gets a private copy of the template, on which they
+    are replayed in one batched forward from the first layer whose input
+    changed; the other inputs keep their golden Prediction.
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -389,7 +379,7 @@ def run_faulty(
         raise ValueError("golden reference holds no trace; pass run_golden's, not read_golden's")
     if isinstance(faults, FaultDescriptor):
         return run_faulty(template, [faults], dataset, golden)[0]
-    outs = [golden.entries] * len(faults)
+    k, outs = len(golden.entries), [golden.entries] * len(faults)
     groups: dict[tuple, list[tuple[int, FaultDescriptor, tuple]]] = {}
     for pos, d in enumerate(faults):
         try:
@@ -401,27 +391,24 @@ def run_faulty(
             if held == d.stuck:
                 continue  # a no-op: the network stays bit-identical
         w, lif_at, index = site = _screen_site(template, d)
-        key = (lif_at, len(index)) if w == lif_at - 1 else pos  # through further layers: alone
-        groups.setdefault(key, []).append((pos, d, site))
-    per_fault = len(golden.entries) * template.timesteps  # values per cone element
+        if w < lif_at - 1:  # reaches L through further layers: replayed whole
+            outs[pos] = _replay(template, d, site, dataset, golden, None, np.arange(k))
+        else:
+            groups.setdefault((lif_at, len(index)), []).append((pos, d, site))
     for members in groups.values():
         lif_at, index = members[0][2][1:]
         rest = template.shapes[template.layers[lif_at].name][len(index) :]
-        cap = max(1, SCREEN_BLOCK_VALUES // (per_fault * math.prod(rest)))
+        cap = max(1, SCREEN_BLOCK_VALUES // (k * template.timesteps * math.prod(rest)))
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
             spikes, differs = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
             for i, (pos, d, site) in enumerate(block):
                 diverging = np.flatnonzero(differs[:, i])
-                outs[pos] = list(golden.entries)
-                if diverging.size:
-                    scores = _replay(template, d, site, dataset, golden, spikes[:, :, i], diverging)
-                    for n, row in zip(diverging.tolist(), scores):
-                        outs[pos][n] = Prediction(n, row, *_top(row))
+                outs[pos] = _replay(template, d, site, dataset, golden, spikes[:, :, i], diverging)
     return outs
 
 
-def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+def write_atomic(path: Path, lines: Iterable[str]) -> None:
     # Readers see the old file or the whole new one, never a torn write.
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as f:
@@ -447,7 +434,7 @@ def write_golden(ref: GoldenReference, path) -> None:
     for e in ref.entries:
         vector = ";".join(f32_to_hex(v) for v in e.scores)
         lines.append(f"{e.input_id},{e.top_class},{render_score(e.top_score)},{vector}")
-    _write_atomic(Path(path), lines)
+    write_atomic(Path(path), lines)
 
 
 def read_golden(path) -> GoldenReference:
@@ -678,7 +665,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             pf.flush()
             os.fsync(pf.fileno())
             acked = os.fstat(pf.fileno()).st_size
-            _write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
+            write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
         def record(d: FaultDescriptor, noop: bool, screened: int, replayed: int, rows: str):
             nonlocal unacknowledged
@@ -727,7 +714,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     outcomes_path = None
     if status == "complete":
         rows = (line for fid in sorted(groups) for line in groups[fid])
-        _write_atomic(final_path, chain([OUTCOME_HEADER], rows))
+        write_atomic(final_path, chain([OUTCOME_HEADER], rows))
         outcomes_path = final_path
 
     t_merge = time.monotonic()
@@ -760,7 +747,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             "snnfault": __version__,
         },
     }
-    _write_atomic(out_dir / "campaign.json", [json.dumps(summary, indent=2)])
+    write_atomic(out_dir / "campaign.json", [json.dumps(summary, indent=2)])
     return CampaignResult(
         status=status,
         processed=len(pending),

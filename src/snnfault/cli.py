@@ -1,9 +1,9 @@
 """Command-line pipeline: synth -> gen-fl -> golden -> inject -> report.
 
 Exit codes: 0 success, 2 usage (bad flags), 3 configuration (missing or
-malformed files, incompatible requests, bad values), 4 runtime (addressing,
-consistency, resume failures). Errors print exactly one
-machine-parseable line on stderr: `snnfault: error: <Type>: <message>`.
+malformed files, incompatible requests, bad values, extents too large to
+allocate), 4 runtime (addressing, consistency, resume failures). Errors print
+exactly one machine-parseable line on stderr: `snnfault: error: <Type>: <message>`.
 The default worker count for `inject` comes from SNNFAULT_WORKERS.
 """
 
@@ -22,6 +22,7 @@ from .campaign import (
     read_outcomes,
     run_campaign,
     run_golden,
+    write_atomic,
     write_golden,
 )
 from .dataio import (
@@ -47,7 +48,7 @@ from .faultlist import (
 from .faults import ParameterKind
 from .report import REPORT_FORMATS, aggregate, render_report
 
-_CONFIG_ERRORS = (FormatError, CompatibilityError, DimensionError, ValueError, OSError)
+_CONFIG_ERRORS = (FormatError, CompatibilityError, DimensionError, ValueError, OSError, MemoryError)
 
 
 def _strict(convert, pattern: str):
@@ -153,7 +154,7 @@ def _cmd_report(args) -> int:
     outcomes = read_outcomes(Path(args.outcomes) / "outcomes.csv")
     rep = aggregate(outcomes, golden, fl, fl.universe)
     data = render_report(rep, args.format)
-    Path(args.out).write_bytes(data)
+    write_atomic(Path(args.out), [data.decode("utf-8").removesuffix("\n")])
     print(f"wrote {args.out}: {len(rep.groups)} groups, {rep.network.pairs} outcome pairs")
     return 0
 

@@ -415,7 +415,7 @@ def network_forward(
     spikes,
     refresh: StateHook | None = None,
     start: int = 0,
-    splice: tuple[tuple[slice, ...], np.ndarray] | None = None,
+    splice: tuple[tuple[int, ...], np.ndarray] | None = None,
     record: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run a T-step inference from layer ``start`` and return the class scores.

@@ -23,6 +23,7 @@ read from text in the toolkit are written in.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -390,10 +391,10 @@ def synth_model(
             out_n = pos(m["fan_out"], "fan-out", token)
             if input_shape is None:
                 input_shape = (in_n,)
-            bound = 1.0 / np.sqrt(in_n)
+            bound = 1.0 / math.sqrt(in_n)
             params = {"weight": uniform(bound, (out_n, in_n)), "bias": uniform(bound, (out_n,))}
             if m["rfc"]:
-                fb_bound = 1.0 / np.sqrt(out_n)
+                fb_bound = 1.0 / math.sqrt(out_n)
                 params["feedback_weight"] = uniform(fb_bound, (out_n, out_n))
                 params["feedback_bias"] = uniform(fb_bound, (out_n,))
                 layers.append(LayerSpec(name("rfc"), LayerKind.RECURRENT, params))
@@ -403,7 +404,7 @@ def synth_model(
             ic, h, w, oc, k = (pos(m[g], "conv extent", token) for g in ("ic", "h", "w", "oc", "k"))
             if input_shape is None:
                 input_shape = (ic, h, w)
-            bound = 1.0 / np.sqrt(ic * k * k)
+            bound = 1.0 / math.sqrt(ic * k * k)
             params = {"weight": uniform(bound, (oc, ic, k, k)), "bias": uniform(bound, (oc,))}
             layers.append(LayerSpec(name("conv"), LayerKind.CONV2D, params, {"kernel": k}))
         elif input_shape is None:

@@ -1,4 +1,4 @@
-"""Builders and independent oracles shared across the test modules.
+"""Builders, independent oracles and stand-ins shared across the test modules.
 
 Everything here is deliberately primitive: scalar loops, integer masks,
 fractions. The point is to check the library against code that shares none
@@ -131,3 +131,36 @@ def injected_forward(net, d, spikes) -> np.ndarray:
         inject_static(run, d)
     reset_state(run)
     return network_forward(run, spikes, hook)
+
+
+class Killed(Exception):
+    """Stands for a process killed mid-write."""
+
+
+class TornFile:
+    """Passes writes through until `budget` characters (or bytes), then dies
+    mid-write."""
+
+    def __init__(self, f, budget):
+        self._f, self._budget = f, budget
+
+    def write(self, text):
+        if len(text) > self._budget:
+            self._f.write(text[: self._budget])
+            self._f.flush()
+            raise Killed()
+        self._budget -= len(text)
+        return self._f.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()

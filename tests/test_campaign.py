@@ -17,7 +17,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import snnfault
-from helpers import MALFORMED_INTEGERS, bits_of, f32_from_bits, injected_forward, two_layer_net
+from helpers import (
+    MALFORMED_INTEGERS,
+    Killed,
+    TornFile,
+    bits_of,
+    f32_from_bits,
+    injected_forward,
+    two_layer_net,
+)
 from snnfault import campaign, core
 from snnfault.campaign import (
     CampaignConfig,
@@ -186,38 +194,6 @@ def test_campaign_subset_restricts_inputs(workdir):
     assert len(golden.entries) == 2
 
 
-class _Killed(Exception):
-    pass
-
-
-class _TornFile:
-    """Passes writes through until `budget` characters, then dies mid-write."""
-
-    def __init__(self, f, budget):
-        self._f, self._budget = f, budget
-
-    def write(self, text):
-        if len(text) > self._budget:
-            self._f.write(text[: self._budget])
-            self._f.flush()
-            raise _Killed()
-        self._budget -= len(text)
-        return self._f.write(text)
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
-
-    def __getattr__(self, name):
-        return getattr(self._f, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._f.close()
-
-
 def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
     straight = run_campaign(cfg_for(workdir, "tw_straight"))
     reference = straight.outcomes_path.read_bytes()
@@ -226,11 +202,11 @@ def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
     def torn_open(file, mode="r", *args, **kwargs):
         f = real_open(file, mode, *args, **kwargs)
         if Path(file).name.startswith("outcomes.csv") and "w" in mode:
-            return _TornFile(f, len(reference) // 2)
+            return TornFile(f, len(reference) // 2)
         return f
 
     monkeypatch.setattr(campaign, "open", torn_open, raising=False)
-    with pytest.raises(_Killed):
+    with pytest.raises(Killed):
         run_campaign(cfg_for(workdir, "tw_killed"))
     monkeypatch.undo()
     out = cfg_for(workdir, "tw_killed").out_dir
@@ -868,6 +844,32 @@ def _flipped(net, fault_id, layer, coords, bit):
                            1 - ((bits_of(value) >> bit) & 1))
 
 
+@pytest.mark.parametrize("arch", ["fc-fc", "conv-pool-fc"])
+def test_fault_beyond_the_feed_is_replayed_whole_unscreened(arch, monkeypatch):
+    """A first-layer fault reaches its LIF layer only through further layers:
+    no screen, and one forward from its own layer over all K inputs."""
+    net = _screen_net(SCREEN_NETS[arch])
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    first = net.layers[0]
+    d = _flipped(net, 0, first.name, (0,) * first.params["weight"].ndim, 30)
+    calls, steps = [], []
+    forward, lif_step = campaign.network_forward, core.lif_step
+
+    def counted(net, spikes, *args, **kwargs):
+        calls.append((kwargs.get("start"), len(spikes)))
+        return forward(net, spikes, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "network_forward", counted)
+    monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(len(calls)) or lif_step(*args))
+    outs = run_faulty(net, d, ds, golden)
+    assert calls == [(0, len(golden.entries))]
+    lifs = sum(spec.kind is LayerKind.LIF for spec in net.layers)
+    assert steps == [1] * (net.timesteps * lifs)  # the forward's own steps, no screen's
+    want = injected_forward(net, d, ds.spikes)
+    assert [o.scores.tobytes() for o in outs] == [row.tobytes() for row in want]
+
+
 def test_group_of_faults_is_screened_in_one_scan(workdir, monkeypatch):
     """F faults on the rows feeding one LIF layer advance that layer together:
     T lif_step calls in all, not F * T."""
@@ -924,19 +926,18 @@ def test_run_faulty_rejects_golden_without_trace(workdir, tmp_path):
 def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
     _, net, ds, _ = workdir
     golden = run_golden(net.copy(), ds)
-    calls = []
-    forward = campaign.network_forward
+    calls, steps = [], []
+    forward, lif_step = campaign.network_forward, core.lif_step
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("start"))
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(campaign, "network_forward", counted)
-    weight = net.layer("fc1").params["weight"]
-    current = (bits_of(weight[0, 0]) >> 5) & 1
-    masked = FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), 5, current)
+    monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(1) or lif_step(*args))
+    masked = _flipped(net, 0, "fc1", (0, 0), 5)  # changes a bit, yet no input diverges
     outs = run_faulty(net, masked, ds, golden)
-    assert calls == []
+    assert steps and calls == []  # screened, not replayed
     assert all(o is g for o, g in zip(outs, golden.entries))
     saturated = FaultDescriptor(1, "lif1", ParameterKind.SPIKE, (0,), 0, 1, FaultMode.VALUE_STUCK)
     run_faulty(net, saturated, ds, golden)  # no neuron fires at t=0: every input diverges

@@ -1,17 +1,22 @@
 """End-to-end command-line behavior: pipeline, exit codes, stderr contract."""
 
+import builtins
+import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS
+from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, Killed, TornFile
 from snnfault import cli
 from snnfault.cli import dispatch
+from snnfault.campaign import read_golden, read_outcomes
 from snnfault.faultlist import SamplingSpec, read_fault_list, sample_size
+from snnfault.report import aggregate, render_report
 
 ARCH = "FC(6->4)-LIF-FC(4->3)-LIF"
 
@@ -66,6 +71,39 @@ def test_report_table_format(pipeline):
                      "--out", str(table)]) == 0
     text = table.read_text()
     assert "network" in text and "Masked" in text
+
+
+def test_torn_report_write_keeps_the_previous_report(pipeline, monkeypatch):
+    """The report file holds render_report's bytes, and a kill halfway through
+    writing it leaves the previous one whole, whichever open() the writer
+    goes through."""
+    d, _, _ = pipeline
+    report = d / "torn_report.txt"
+    args = ["report", "--golden", str(d / "golden.csv"), "--outcomes", str(d / "run"),
+            "--fl", str(d / "faults.csv"), "--out", str(report)]
+    fl = read_fault_list(d / "faults.csv")
+    rep = aggregate(read_outcomes(d / "run" / "outcomes.csv"), read_golden(d / "golden.csv"),
+                    fl, fl.universe)
+    for fmt in ("csv", "json", "table"):
+        assert dispatch(args + ["--format", fmt]) == 0
+        assert report.read_bytes() == render_report(rep, fmt)
+    previous = report.read_bytes()
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith(report.name) and "w" in mode:
+            return TornFile(f, len(render_report(rep, "csv")) // 2)
+        return f
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    monkeypatch.setattr(io, "open", torn_open)
+    with pytest.raises(Killed):
+        dispatch(args + ["--format", "csv"])
+    monkeypatch.undo()
+    assert report.read_bytes() == previous
+    assert dispatch(args + ["--format", "table"]) == 0
+    assert report.read_bytes() == previous
 
 
 def test_gen_fl_byte_deterministic(pipeline):
@@ -131,6 +169,27 @@ def test_bad_arch_exits_3(tmp_path, capsys):
         assert code == 3
         assert capsys.readouterr().err.startswith("snnfault: error: FormatError: bad layer token")
     assert not (tmp_path / "m.sjm").exists()
+
+
+# Their float64 draws need more than the 47-bit user address space, so the
+# allocation fails at once without touching memory.
+OVERSIZED = {
+    "fc-fan-in": ["synth", "model", "--arch", "FC(140737488355328->3)-LIF"],
+    "fc-past-int64": ["synth", "model", "--arch", "FC(99999999999999999999->3)-LIF"],
+    "dataset-shape": ["synth", "dataset", "--shape", "140737488355328", "--samples", "1",
+                      "--classes", "2", "--rate", "0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED)
+def test_oversized_synth_extents_exit_3(tmp_path, capsys, argv):
+    out = tmp_path / "out.bin"
+    code = dispatch([*argv, "--seed", "1", "--timesteps", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("snnfault: error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("form", MALFORMED_INTEGERS.values(), ids=MALFORMED_INTEGERS)
