@@ -109,8 +109,9 @@ GOLDEN_HEADER = "input_id,top_class,top_score,scores"
 _OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # A screened group holds its current, its spikes and the golden spikes as
-# [K, T, F, *cone] arrays; F, the faults screened at once, is capped so that
-# one such array holds at most this many values (512 KiB as binary32).
+# [K, T, F, *cone] arrays, and single neurons of a conv-fed L their input
+# windows as [K, T, F, ic, k, k]; F, the faults screened at once, is capped so
+# that one such array holds at most this many values (512 KiB as binary32).
 SCREEN_BLOCK_VALUES = 1 << 17
 
 
@@ -398,6 +399,9 @@ def run_faulty(
     for members in groups.values():
         lif_at, index = members[0][2][1:]
         rest = template.shapes[template.layers[lif_at].name][len(index) :]
+        feed = template.layers[lif_at - 1]
+        if feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
+            rest = feed.params["weight"].shape[1:]
         cap = max(1, SCREEN_BLOCK_VALUES // (k * template.timesteps * math.prod(rest)))
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
@@ -651,7 +655,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
-    parallel = 1 if cfg.workers == 1 else min(cfg.workers, len(os.sched_getaffinity(0)))
+    # sched_getaffinity exists only where the platform has it (Linux, not macOS or Windows).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parallel = 1 if cfg.workers == 1 else min(cfg.workers, cpus or 1)
     size = max(1, -(-len(pending) // (parallel * BATCHES_PER_WORKER)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
     started = 0  # worker processes; the serial path starts none

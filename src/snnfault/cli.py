@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth -> gen-fl -> golden -> inject -> report.
+"""Command-line pipeline: synth -> gen-fl -> inject -> report.
 
 Exit codes: 0 success, 2 usage (bad flags), 3 configuration (missing or
 malformed files, incompatible requests, bad values, extents too large to
@@ -10,32 +10,23 @@ The default worker count for `inject` comes from SNNFAULT_WORKERS.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import re
 import sys
 from datetime import timedelta
 from pathlib import Path
 
-from .campaign import (
-    CampaignConfig,
-    read_golden,
-    read_outcomes,
-    run_campaign,
-    run_golden,
-    write_atomic,
-    write_golden,
+from .campaign import CampaignConfig, read_golden, read_outcomes, run_campaign, write_atomic
+from .dataio import FLOAT, INT, load_model, save_dataset, save_model, synth_dataset, synth_model
+from .errors import (
+    CompatibilityError,
+    ConsistencyError,
+    DimensionError,
+    FormatError,
+    SnnFaultError,
 )
-from .dataio import (
-    FLOAT,
-    INT,
-    load_dataset,
-    load_model,
-    save_dataset,
-    save_model,
-    synth_dataset,
-    synth_model,
-)
-from .errors import CompatibilityError, DimensionError, FormatError, SnnFaultError
 from .faultlist import (
     POLARITIES,
     SPIKE_MODES,
@@ -116,15 +107,6 @@ def _cmd_gen_fl(args) -> int:
     return 0
 
 
-def _cmd_golden(args) -> int:
-    net = load_model(args.model)
-    dataset = load_dataset(args.dataset)
-    ref = run_golden(net, dataset, args.subset)
-    write_golden(ref, args.out)
-    print(f"wrote {args.out}: {len(ref.entries)} golden predictions")
-    return 0
-
-
 def _cmd_inject(args) -> int:
     env = os.environ.get("SNNFAULT_WORKERS", "1")
     if args.workers is None and not re.fullmatch(INT, env):
@@ -149,9 +131,20 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    golden = read_golden(args.golden)
+    run = Path(args.outcomes)
+    meta_path = run / "campaign.json"
+    try:
+        meta = json.loads(meta_path.read_bytes())
+        status, ran = meta["status"], meta["fault_list_sha256"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise FormatError(f"{meta_path} is not a campaign's metadata: {exc!r}") from None
+    if status != "complete":
+        raise ConsistencyError(f"the campaign in {run} is {status!r}, not complete")
+    if ran != hashlib.sha256(Path(args.fl).read_bytes()).hexdigest():
+        raise ConsistencyError(f"{args.fl} is not the fault list the campaign in {run} ran")
+    golden = read_golden(run / "golden.csv")
     fl = read_fault_list(args.fl)
-    outcomes = read_outcomes(Path(args.outcomes) / "outcomes.csv")
+    outcomes = read_outcomes(run / "outcomes.csv")
     rep = aggregate(outcomes, golden, fl, fl.universe)
     data = render_report(rep, args.format)
     write_atomic(Path(args.out), [data.decode("utf-8").removesuffix("\n")])
@@ -205,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_fl)
 
-    p = sub.add_parser("golden", help="run the fault-free reference")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--subset", type=_INT_ARG, default=None, help="first K inputs (default: all)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_golden)
-
     p = sub.add_parser("inject", help="execute a fault-injection campaign")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
@@ -225,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("report", help="classify outcomes and render the layer-wise table")
-    p.add_argument("--golden", required=True)
-    p.add_argument("--outcomes", required=True, help="campaign output directory")
+    p.add_argument("--outcomes", required=True,
+                   help="complete campaign output directory; its golden.csv is the reference")
     p.add_argument("--fl", required=True)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.add_argument("--out", required=True)

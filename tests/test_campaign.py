@@ -315,6 +315,18 @@ def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
     assert _RecordingPool.started == [3, 2]
 
 
+def test_pool_without_cpu_affinity_is_capped_by_cpu_count(workdir, monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows), the pool is capped
+    by os.cpu_count() instead."""
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    res = run_campaign(cfg_for(workdir, "pool_no_affinity", workers=8))
+    assert res.status == "complete"
+    assert _RecordingPool.started == [3]
+
+
 # -- resume-state validation ------------------------------------------------------
 
 
@@ -882,6 +894,29 @@ def test_group_of_faults_is_screened_in_one_scan(workdir, monkeypatch):
     outs = run_faulty(net, faults, ds, golden)
     assert all(o is g for out in outs for o, g in zip(out, golden.entries))  # none replayed
     assert len(calls) == T
+
+
+def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
+    """Single neurons of a conv-fed LIF layer are screened through their
+    [K, T, F, ic, k, k] input windows, so F is capped for those to hold at
+    most SCREEN_BLOCK_VALUES values; the outcomes do not change."""
+    net = _screen_net(SCREEN_NETS["conv"])
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    lif = net.layers[1]
+    faults = [FaultDescriptor(i, lif.name, ParameterKind.POTENTIAL, coords, 30, 1)
+              for i, coords in enumerate(np.ndindex(*net.shapes[lif.name]))]
+    want = run_faulty(net, faults, ds, golden)
+    window = net.layers[0].params["weight"][0].size  # ic * k * k
+    bound = len(golden.entries) * net.timesteps * window * 10
+    sizes, screen = [], campaign._screen
+    monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", bound)
+    monkeypatch.setattr(campaign, "_screen",
+                        lambda *args: sizes.append(len(args[3])) or screen(*args))
+    got = run_faulty(net, faults, ds, golden)
+    assert len(faults) == 48 and sizes == [10, 10, 10, 10, 8]
+    for outs, expected in zip(got, want, strict=True):
+        assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
 
 
 def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):

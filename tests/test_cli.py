@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: pipeline, exit codes, stderr contract."""
 
 import builtins
+import hashlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -45,15 +47,12 @@ def gen_fl(d, model, out="faults.csv", extra=()):
 def test_full_pipeline(pipeline, capsys):
     d, model, dataset = pipeline
     fl_path = gen_fl(d, model)
-    golden = d / "golden.csv"
-    assert dispatch(["golden", "--model", str(model), "--dataset", str(dataset),
-                     "--out", str(golden)]) == 0
     out_dir = d / "run"
     assert dispatch(["inject", "--model", str(model), "--dataset", str(dataset),
                      "--fl", str(fl_path), "--out", str(out_dir)]) == 0
     assert (out_dir / "outcomes.csv").exists()
     report = d / "report.json"
-    assert dispatch(["report", "--golden", str(golden), "--outcomes", str(out_dir),
+    assert dispatch(["report", "--outcomes", str(out_dir),
                      "--fl", str(fl_path), "--format", "json", "--out", str(report)]) == 0
     blob = json.loads(report.read_text())
     fl = read_fault_list(fl_path)
@@ -66,7 +65,7 @@ def test_full_pipeline(pipeline, capsys):
 def test_report_table_format(pipeline):
     d, model, dataset = pipeline
     table = d / "report.txt"
-    assert dispatch(["report", "--golden", str(d / "golden.csv"), "--outcomes", str(d / "run"),
+    assert dispatch(["report", "--outcomes", str(d / "run"),
                      "--fl", str(d / "faults.csv"), "--format", "table",
                      "--out", str(table)]) == 0
     text = table.read_text()
@@ -79,11 +78,11 @@ def test_torn_report_write_keeps_the_previous_report(pipeline, monkeypatch):
     goes through."""
     d, _, _ = pipeline
     report = d / "torn_report.txt"
-    args = ["report", "--golden", str(d / "golden.csv"), "--outcomes", str(d / "run"),
-            "--fl", str(d / "faults.csv"), "--out", str(report)]
+    args = ["report", "--outcomes", str(d / "run"), "--fl", str(d / "faults.csv"),
+            "--out", str(report)]
     fl = read_fault_list(d / "faults.csv")
-    rep = aggregate(read_outcomes(d / "run" / "outcomes.csv"), read_golden(d / "golden.csv"),
-                    fl, fl.universe)
+    rep = aggregate(read_outcomes(d / "run" / "outcomes.csv"),
+                    read_golden(d / "run" / "golden.csv"), fl, fl.universe)
     for fmt in ("csv", "json", "table"):
         assert dispatch(args + ["--format", fmt]) == 0
         assert report.read_bytes() == render_report(rep, fmt)
@@ -104,6 +103,79 @@ def test_torn_report_write_keeps_the_previous_report(pipeline, monkeypatch):
     assert report.read_bytes() == previous
     assert dispatch(args + ["--format", "table"]) == 0
     assert report.read_bytes() == previous
+
+
+def test_golden_comes_only_from_the_campaign_directory(pipeline, capsys):
+    """No command writes a second golden file, and report reads none but
+    the campaign's own: `golden` and `report --golden` are usage errors."""
+    d, model, dataset = pipeline
+    assert dispatch(["golden", "--model", str(model), "--dataset", str(dataset),
+                     "--out", str(d / "g.csv")]) == 2
+    assert dispatch(["report", "--golden", str(d / "run" / "golden.csv"),
+                     "--outcomes", str(d / "run"), "--fl", str(d / "faults.csv"),
+                     "--out", str(d / "g.txt")]) == 2
+    assert not (d / "g.csv").exists() and not (d / "g.txt").exists()
+    capsys.readouterr()
+
+
+def test_report_refuses_a_fault_list_the_campaign_did_not_run(tmp_path, capsys):
+    """Lists sampled with other seeds share their size and fault ids, so the
+    outcomes cover either; only the hash campaign.json records tells them
+    apart, and a report against the wrong one exits 4 and writes nothing."""
+    model, dataset, run = tmp_path / "m.sjm", tmp_path / "d.sjd", tmp_path / "run"
+    assert dispatch(["synth", "model", "--arch", "FC(8->6)-LIF-FC(6->3)-LIF", "--seed", "5",
+                     "--timesteps", "10", "--out", str(model)]) == 0
+    assert dispatch(["synth", "dataset", "--samples", "12", "--timesteps", "10", "--shape", "8",
+                     "--classes", "3", "--rate", "0.4", "--seed", "6", "--out", str(dataset)]) == 0
+    lists = [tmp_path / "fl1.csv", tmp_path / "fl2.csv"]
+    for seed, fl in enumerate(lists, 1):
+        assert dispatch(["gen-fl", "--model", str(model), "--points", "weight,bias",
+                         "--error-margin", "0.1", "--seed", str(seed), "--out", str(fl)]) == 0
+        assert read_fault_list(fl).n == 156
+    assert dispatch(["inject", "--model", str(model), "--dataset", str(dataset),
+                     "--fl", str(lists[0]), "--out", str(run)]) == 0
+    report = tmp_path / "report.txt"
+    args = ["report", "--outcomes", str(run), "--out", str(report), "--fl"]
+    assert dispatch(args + [str(lists[0])]) == 0
+    previous = report.read_bytes()
+    capsys.readouterr()
+    assert dispatch(args + [str(lists[1])]) == 4
+    err = capsys.readouterr().err
+    assert err == (f"snnfault: error: ConsistencyError: {lists[1]} is not the fault list "
+                   f"the campaign in {run} ran\n")
+    assert report.read_bytes() == previous
+
+
+CAMPAIGN_JSON_DEFECTS = {  # campaign.json's bytes, from the complete run's metadata
+    "missing": (lambda meta: None, 3, "FileNotFoundError"),
+    "not-json": (lambda meta: b"{", 3, "FormatError"),
+    "not-utf8": (lambda meta: b"\xff\xfe\xfd", 3, "FormatError"),
+    "not-an-object": (lambda meta: b"[]", 3, "FormatError"),
+    "no-fault-list-hash": (
+        lambda meta: json.dumps({"status": "complete"}).encode(), 3, "FormatError"),
+    "partial": (lambda meta: json.dumps({**meta, "status": "partial"}).encode(),
+                4, "ConsistencyError"),
+}
+
+
+@pytest.mark.parametrize("edit, code, error", CAMPAIGN_JSON_DEFECTS.values(),
+                         ids=CAMPAIGN_JSON_DEFECTS)
+def test_report_needs_a_complete_campaigns_metadata(pipeline, tmp_path, capsys, edit, code, error):
+    d, model, dataset = pipeline
+    fl_path, run = gen_fl(d, model), tmp_path / "run"
+    assert dispatch(["inject", "--model", str(model), "--dataset", str(dataset),
+                     "--fl", str(fl_path), "--out", str(run)]) == 0
+    data = edit(json.loads((run / "campaign.json").read_text()))
+    if data is None:
+        (run / "campaign.json").unlink()
+    else:
+        (run / "campaign.json").write_bytes(data)
+    capsys.readouterr()
+    assert dispatch(["report", "--outcomes", str(run), "--fl", str(fl_path),
+                     "--out", str(tmp_path / "report.txt")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"snnfault: error: {error}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_gen_fl_byte_deterministic(pipeline):
@@ -284,7 +356,6 @@ _NUMERIC_OPTIONS = {
          {"--samples": "1", "--timesteps": "2", "--classes": "2", "--seed": "1"}),
         (["synth", "model", "--arch", ARCH, "--out", "m.sjm"], {"--seed": "1", "--timesteps": "4"}),
         (["gen-fl", "--model", "m", "--points", "weight", "--out", "f"], {"--seed": "1"}),
-        (["golden", "--model", "m", "--dataset", "d", "--out", "g"], {"--subset": "2"}),
         (["inject", "--model", "m", "--dataset", "d", "--fl", "f", "--out", "o"],
          {"--subset": "2", "--workers": "2", "--checkpoint-every": "5"}),
     ],
@@ -330,3 +401,29 @@ def test_numeric_options_still_take_plain_numbers(tmp_path):
     assert dispatch(["synth", "model", "--arch", ARCH, "--seed", "1", "--timesteps", "3",
                      "--beta", "-0.5", "--threshold", "1e-1",
                      "--out", str(tmp_path / "m.sjm")]) == 0
+
+
+def _walkthrough_commands():
+    """README's Pipeline walkthrough block, one argv per command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Pipeline walkthrough", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_walkthrough_reproduces_the_reference_hashes(tmp_path, monkeypatch):
+    """README's five commands, run as written, give the criterion-7 fault list
+    and outcomes, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    commands = _walkthrough_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["snnfault", "synth"], ["snnfault", "synth"], ["snnfault", "gen-fl"],
+        ["snnfault", "inject"], ["snnfault", "report"],
+    ]
+    for argv in commands:
+        assert dispatch(argv[1:]) == 0, argv
+    assert hashlib.sha256(Path("faults.csv").read_bytes()).hexdigest() == (
+        "bb6a5191d9c63227d4de7315d123c1a30bb191b759031c05a285e409f8f621b2")
+    assert hashlib.sha256(Path("run/outcomes.csv").read_bytes()).hexdigest() == (
+        "b0a06183616040d89144e1e933345f03d052cb661b64f707344e7f25c0f309a1")
+    assert Path("report.txt").read_text().startswith("Layer ")
