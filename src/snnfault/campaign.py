@@ -250,8 +250,9 @@ def _screen(
     element keeps its own chain, so its bits are those of a full forward. A
     recurrent layer's feedback reads L's golden spikes of the previous step,
     which is exact until the cone first differs, and that is all the screen
-    decides. L then advances step by step over [K, F, *rest], each fault
-    with its own beta and threshold column and its own state pins.
+    decides. L then advances step by step over [K, F, *rest] in
+    ``core.lif_scan``, the scan network_forward runs, each fault with its own
+    beta and threshold column and its own state pins.
     """
     _, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
@@ -265,7 +266,8 @@ def _screen(
         prev[:, 1:] = golden.trace[lif.name][:, :-1]
     with np.errstate(all="ignore"):
         if not index:  # all of L: its golden current
-            current = core.layer_forward(feed, x.astype(DTYPE, copy=False), 2, prev)[:, :, None]
+            current = core.layer_forward(feed, x.astype(DTYPE, copy=False), 2, prev)
+            current = np.broadcast_to(current[:, :, None], (k, steps, f, *rest))
         elif feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
             kernel = feed.hyper["kernel"]
             win = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
@@ -303,17 +305,14 @@ def _screen(
                     (np.full(f, 0xFFFFFFFF, np.uint32), np.zeros(f, np.uint32)),
                 )
                 keep[i], force[i] = fault_masks(d)
+
+        def pin(layer: str, kind: str, tensor: np.ndarray) -> None:
+            if kind in pins:
+                pin_bits(tensor, ..., *pins[kind])
+
         state = LifState(np.zeros((k, f, *rest), DTYPE), np.zeros((k, f, *rest), DTYPE))
-        spikes = np.empty((k, steps, f, *rest), DTYPE)
-        for t in range(steps):
-            state, spike = core.lif_step(
-                state, current[:, t], columns["beta"], columns["threshold"]
-            )
-            if "potential" in pins:
-                pin_bits(state.potential, ..., *pins["potential"])
-            if "spike" in pins:
-                pin_bits(spike, ..., *pins["spike"])
-            spikes[:, t] = spike
+        _, spikes = core.lif_scan(lif.name, state, current, columns["beta"],
+                                  columns["threshold"], 1, pin if pins else None)
     trace = golden.trace[lif.name]
     want = trace[(slice(None), slice(None), *index)] if index else trace[:, :, None]
     differs = spikes.view(np.uint32) != want.astype(DTYPE).view(np.uint32)  # -0.0 differs

@@ -19,7 +19,7 @@ same chains as an unbatched call and gets the same bits. A chain is realized
 one of two ways, both strict left-to-right binary32 sums: ``np.cumsum`` along
 the term axis, or a loop over terms whose every step is one elementwise add
 vectorized over all other axes. ``linear_forward`` uses ``np.cumsum`` while
-one step is narrow (fewer than ``CUMSUM_MAX_WIDTH`` sums in flight), where a
+a call is narrow (fewer than ``CUMSUM_MAX_WIDTH`` sums in flight), where a
 loop step costs more in call overhead than it saves, and the loop otherwise;
 convolution and pooling loop over window taps. The test suite pins both
 against scalar loops.
@@ -41,6 +41,20 @@ The kernels trust their operands: ``Network`` validates every shape once, at
 construction, and ``network_forward`` runs all of them under a single
 ``np.errstate(all="ignore")``, so faults that drive arithmetic to Inf/NaN
 propagate silently. Callers outside ``network_forward`` own both duties.
+
+``network_forward`` walks T in blocks of consecutive timesteps, carrying the
+LIF state from one block to the next. Within a block each layer runs once, in
+network order: a weighted or pooling layer over all the block's steps at once
+(the steps are one more batch axis, [..., tb, *shape]), a LIF layer as a scan,
+one ``lif_step`` per step in timestep order. A recurrent layer's input term
+(weight x input + bias) is computed for the whole block; its feedback term
+needs the previous step's spikes, so the LIF scan adds it step by step. No
+element changes its chain, so the block size moves no bit; ``tb`` is the most
+steps whose widest layer, over all batch rows, fits in
+``FORWARD_BLOCK_VALUES``. The refresh hook therefore runs layer by layer
+within a block: every step of one LIF layer's block, each step's potential
+then spikes, before the next layer runs, and each call still comes after that
+state's write and before any read of it.
 
 ``network_forward`` can start at any layer, given that layer's input for every
 timestep, and can record chosen layers' outputs for every timestep into
@@ -292,14 +306,22 @@ class Network:
         return dup
 
 
-# Below this many sums per step (batch rows x outputs), one np.cumsum over the
-# whole [..., out, in] term array beats a loop over the in columns: a loop step
-# costs ~1 us of call overhead, cumsum ~3.4 ns per term. The two cross between
-# 400 and 600 on 96->100, 100->10 and 392->50 layers at batches of 1 to 20.
+# Below this many sums per call (batch rows x outputs, with a block's steps
+# counted as rows), one in-place np.cumsum over the whole [..., out, in] term
+# array beats a loop over the in columns: a loop step costs ~1 us of call
+# overhead, cumsum ~4.5 ns per term. Re-measured at block shapes (1 to 200
+# rows, 2-CPU x86-64, numpy 2.4), the two cross at 400-600 sums on 96->100
+# and 32->32 layers and at 700-1,500 on 392->10, 100->10 and 32->10 ones.
 CUMSUM_MAX_WIDTH = 512
 # A loop forms its products a block of terms per multiply; the block holds at
 # most this many values (128 KiB), so the temporary stays small.
 TERM_BLOCK_VALUES = 32768
+# network_forward runs each layer once per block of timesteps; a block's
+# widest layer input or output, over all batch rows, holds at most this many
+# values (128 KiB). Measured on the benchmark workloads, half or twice this
+# slowed the conv net's replays, and twice it raised the golden run's peak
+# by 0.7 MiB.
+FORWARD_BLOCK_VALUES = 32768
 
 
 def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -321,7 +343,8 @@ def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarra
     """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32."""
     out_n, in_n = weight.shape
     if input.size // in_n * out_n < CUMSUM_MAX_WIDTH:
-        out = np.cumsum(weight * input[..., None, :], axis=-1, dtype=DTYPE)[..., -1]
+        terms = weight * input[..., None, :]
+        out = np.cumsum(terms, axis=-1, out=terms)[..., -1]
     else:
         columns = np.ascontiguousarray(weight.T).reshape(in_n, *(1,) * (input.ndim - 1), out_n)
         out = _product_chain(columns, np.moveaxis(input, -1, 0)[..., None])
@@ -386,6 +409,40 @@ def lif_step(
     return LifState(potential=potential, spike=spike), spike
 
 
+def lif_scan(
+    name: str,
+    state: LifState,
+    current: np.ndarray,
+    beta: np.ndarray,
+    threshold: np.ndarray,
+    axis: int,
+    refresh: StateHook | None = None,
+    feedback: LayerSpec | None = None,
+) -> tuple[LifState, np.ndarray]:
+    """Advance LIF layer ``name`` from ``state`` over the timesteps of
+    ``current``, which lie along ``axis``: one lif_step per step, in order.
+    ``refresh`` sees each step's new potential, then its spikes, before
+    either feeds anything. With ``feedback``, the recurrent layer feeding
+    this one, ``current`` is that layer's input term; each step adds the
+    feedback term over the previous step's spikes and writes the sum back,
+    so ``current`` ends as the layer's output. Returns the final state and
+    the spikes, shaped like ``current``."""
+    spikes = np.empty(current.shape, DTYPE)
+    rows = (slice(None),) * axis
+    for t in range(current.shape[axis]):
+        step = current[rows + (t,)]
+        if feedback is not None:
+            p = feedback.params
+            step = step + linear_forward(p["feedback_weight"], p.get("feedback_bias"), state.spike)
+            current[rows + (t,)] = step
+        state, spike = lif_step(state, step, beta, threshold)
+        if refresh is not None:
+            refresh(name, "potential", state.potential)
+            refresh(name, "spike", spike)
+        spikes[rows + (t,)] = spike
+    return state, spikes
+
+
 def reset_state(net: Network) -> None:
     """Return every potential and spike to unbatched zeros. Idempotent."""
     for name, st in net.states.items():
@@ -398,14 +455,14 @@ def layer_forward(
 ) -> np.ndarray:
     """One weighted or pooling layer on ``x``, which has ``lead`` leading batch
     axes. ``prev_spike`` is a recurrent layer's LIF spikes from the previous
-    timestep."""
+    timestep; without it, a recurrent layer gives its input term alone."""
     p = spec.params
     if spec.kind is LayerKind.CONV2D:
         return conv2d_forward(p["weight"], p.get("bias"), x)
     if spec.kind is LayerKind.AVGPOOL2D:
         return avgpool2d_forward(x, spec.hyper["pool"])
     flat = x.reshape(*x.shape[:lead], -1)
-    if spec.kind is LayerKind.RECURRENT:
+    if spec.kind is LayerKind.RECURRENT and prev_spike is not None:
         return recurrent_forward(spec, flat, prev_spike)
     return linear_forward(p["weight"], p.get("bias"), flat)
 
@@ -433,12 +490,13 @@ def network_forward(
     that value feeds anything downstream (see StateHook); the tensor it gets
     carries the batch axes.
 
-    Each step's input is converted to a fresh binary32 array. ``splice``, an
-    (index, values) pair, then overwrites ``input[..., *index]`` with
-    ``values[..., t, ...]``, so a train that differs from a stored one in a
-    few elements is assembled one step at a time. ``record`` maps layer names
-    to preallocated [..., T, *shape] arrays; each step writes that layer's
-    output into its row t, cast to the array's dtype.
+    T is walked in blocks of timesteps (see the module docstring). Each
+    block's input is converted to a fresh binary32 array. ``splice``, an
+    (index, values) pair, then overwrites ``input[..., t, *index]`` with
+    ``values[..., t, ...]`` for the block's steps t, so a train that differs
+    from a stored one in a few elements is assembled a block at a time.
+    ``record`` maps layer names to preallocated [..., T, *shape] arrays; each
+    block writes that layer's output into its rows, cast to the array's dtype.
     """
     in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
     lead = spikes.ndim - 1 - len(in_shape)
@@ -451,30 +509,39 @@ def network_forward(
         st.potential = np.broadcast_to(st.potential, batch + net.shapes[name])
         st.spike = np.broadcast_to(st.spike, batch + net.shapes[name])
 
+    layers = net.layers[start:]
+    widest = max(math.prod(shape) for shape in [in_shape, *(net.shapes[s.name] for s in layers)])
+    block = max(1, FORWARD_BLOCK_VALUES // (math.prod(batch) * widest))
     rows = (slice(None),) * lead
     scores = np.zeros((*batch, net.num_classes), DTYPE)
+
+    def keep(name: str, out: np.ndarray) -> None:
+        if record is not None and name in record:
+            record[name][steps] = out
+
     with np.errstate(all="ignore"):
-        for t, step in enumerate(np.moveaxis(spikes, lead, 0)):
-            x = step.astype(DTYPE)
+        for t in range(0, net.timesteps, block):
+            steps = rows + (slice(t, t + block),)
+            x = spikes[steps].astype(DTYPE)
             if splice is not None:
                 index, values = splice
-                x[rows + index] = values[rows + (t,)]
-            for spec in net.layers[start:]:
+                x[rows + (slice(None), *index)] = values[steps]
+            feedback = None
+            for spec in layers:
                 if spec.kind is LayerKind.LIF:
-                    st = net.states[spec.name]
-                    p = spec.params
-                    new_state, spike = lif_step(st, x, p["beta"], p["threshold"])
-                    st.potential = new_state.potential
-                    st.spike = spike
-                    if refresh is not None:
-                        refresh(spec.name, "potential", st.potential)
-                        refresh(spec.name, "spike", st.spike)
-                    x = st.spike
+                    st, p = net.states[spec.name], spec.params
+                    state, spikes_out = lif_scan(spec.name, st, x, p["beta"], p["threshold"],
+                                                 lead, refresh, feedback)
+                    st.potential, st.spike = state.potential, state.spike
+                    if feedback is not None:  # the scan completed x to its output
+                        keep(feedback.name, x)
+                    x, feedback = spikes_out, None
                 else:
-                    paired = net.paired_lif.get(spec.name)
-                    prev = net.states[paired].spike if paired else None
-                    x = layer_forward(spec, x, lead, prev)
-                if record is not None and spec.name in record:
-                    record[spec.name][rows + (t,)] = x
-            scores = scores + x
+                    x = layer_forward(spec, x, lead + 1)
+                    if spec.kind is LayerKind.RECURRENT:
+                        feedback = spec
+                        continue
+                keep(spec.name, x)
+            for spike in np.moveaxis(x, lead, 0):
+                scores = scores + spike
     return scores

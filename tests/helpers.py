@@ -119,6 +119,81 @@ def spike_train(seed, timesteps, shape, rate=0.5) -> np.ndarray:
     return (rng.random((timesteps, *shape)) < rate).astype(DTYPE)
 
 
+def _ref_linear(weight, bias, x):
+    """[..., in] -> [..., out]: one elementwise binary32 step per input index."""
+    acc = weight[:, 0] * x[..., 0, None]
+    for j in range(1, weight.shape[1]):
+        acc = acc + weight[:, j] * x[..., j, None]
+    return acc if bias is None else acc + bias
+
+
+def _ref_conv(weight, bias, x):
+    """[..., ic, H, W] -> [..., oc, Ho, Wo]: one step per tap, ic-major, row, column."""
+    oc, ic, k, _ = weight.shape
+    ho, wo = x.shape[-2] - k + 1, x.shape[-1] - k + 1
+    acc = None
+    for c in range(ic):
+        for r in range(k):
+            for q in range(k):
+                term = weight[:, c, r, q, None, None] * x[..., None, c, r : r + ho, q : q + wo]
+                acc = term if acc is None else acc + term
+    return acc if bias is None else acc + bias[:, None, None]
+
+
+def _ref_pool(x, pool):
+    acc = None
+    for r in range(pool):
+        for q in range(pool):
+            acc = x[..., r::pool, q::pool] if acc is None else acc + x[..., r::pool, q::pool]
+    return acc / F32(pool * pool)
+
+
+def reference_forward(net, spikes, refresh=None, start=0, splice=None, record=None):
+    """What network_forward documents, computed timestep-major: every layer
+    from ``start`` runs once per timestep, each as elementwise binary32 steps
+    in the documented order, on zero state. Calls ``refresh`` after each LIF
+    write (potential, then spikes), splices and records as network_forward
+    does, and returns the scores [..., classes]."""
+    layers = net.layers[start:]
+    in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
+    lead = spikes.ndim - 1 - len(in_shape)
+    batch = spikes.shape[:lead]
+    potential = {n: np.zeros(batch + net.shapes[n], F32) for n in net.states}
+    spike = {n: np.zeros(batch + net.shapes[n], F32) for n in net.states}
+    scores = np.zeros(batch + (net.num_classes,), F32)
+    with np.errstate(all="ignore"):
+        for t in range(net.timesteps):
+            x = np.take(spikes, t, axis=lead).astype(F32)
+            if splice is not None:
+                index, values = splice
+                x[(slice(None),) * lead + tuple(index)] = np.take(values, t, axis=lead)
+            for spec in layers:
+                p = spec.params
+                if spec.kind is LayerKind.FULLY_CONNECTED:
+                    x = _ref_linear(p["weight"], p.get("bias"), x.reshape(*batch, -1))
+                elif spec.kind is LayerKind.RECURRENT:
+                    fwd = _ref_linear(p["weight"], p.get("bias"), x.reshape(*batch, -1))
+                    prev = spike[net.paired_lif[spec.name]]
+                    x = fwd + _ref_linear(p["feedback_weight"], p.get("feedback_bias"), prev)
+                elif spec.kind is LayerKind.CONV2D:
+                    x = _ref_conv(p["weight"], p.get("bias"), x)
+                elif spec.kind is LayerKind.AVGPOOL2D:
+                    x = _ref_pool(x, spec.hyper["pool"])
+                else:
+                    v = potential[spec.name]
+                    fired = v > p["threshold"]
+                    v = np.where(fired, v - p["threshold"], p["beta"] * v) + x
+                    s = fired.astype(F32)
+                    if refresh is not None:
+                        refresh(spec.name, "potential", v)
+                        refresh(spec.name, "spike", s)
+                    potential[spec.name], spike[spec.name], x = v, s, s
+                if record is not None and spec.name in record:
+                    record[spec.name][(slice(None),) * lead + (t,)] = x
+            scores = scores + x
+    return scores
+
+
 def injected_forward(net, d, spikes) -> np.ndarray:
     """Scores [K, classes] of a full forward, every layer from the first, of
     a copy of ``net`` with fault ``d`` injected: what the campaign's screen

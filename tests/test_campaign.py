@@ -1,6 +1,7 @@
 """Campaign engine: golden reference, outcome files, checkpoint/resume."""
 
 import json
+import math
 import os
 from collections import Counter
 from concurrent.futures import Future
@@ -917,6 +918,39 @@ def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
     assert len(faults) == 48 and sizes == [10, 10, 10, 10, 8]
     for outs, expected in zip(got, want, strict=True):
         assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
+def test_forward_block_size_moves_no_bit(arch, monkeypatch):
+    """network_forward walks T in blocks of FORWARD_BLOCK_VALUES // (rows x
+    widest layer) timesteps. One step, three, or all of T per block give
+    the same bytes: scores, recorded layer outputs, golden run and trace,
+    and every fault's run_faulty outcomes."""
+    net = _screen_net(arch)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    faults = _screen_faults(net, np.random.default_rng(44))
+    k, widest = ds.num_samples, max(map(math.prod, [net.input_shape, *net.shapes.values()]))
+    lifs = sum(spec.kind is LayerKind.LIF for spec in net.layers)
+    sizes, scan = [], core.lif_scan
+    monkeypatch.setattr(core, "lif_scan", lambda *a: sizes.append(a[2].shape[a[5]]) or scan(*a))
+    results = []
+    for budget, blocks in ((1, [1] * 8), (3 * k * widest, [3, 3, 2]), (1 << 30, [8])):
+        monkeypatch.setattr(core, "FORWARD_BLOCK_VALUES", budget)
+        record = {s.name: np.empty((k, 8, *net.shapes[s.name]), DTYPE) for s in net.layers}
+        run = net.copy()
+        sizes.clear()
+        scores = core.network_forward(run, ds.spikes, record=record)
+        assert sizes == [b for b in blocks for _ in range(lifs)]
+        golden = run_golden(net.copy(), ds)
+        outs = run_faulty(net, faults, ds, golden)
+        results.append((
+            scores.tobytes(),
+            {name: a.tobytes() for name, a in record.items()},
+            [e.scores.tobytes() for e in golden.entries],
+            {name: a.tobytes() for name, a in golden.trace.items()},
+            [[o.scores.tobytes() for o in out] for out in outs],
+        ))
+    assert results[0] == results[1] == results[2]
 
 
 def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):

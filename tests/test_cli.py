@@ -25,7 +25,8 @@ ARCH = "FC(6->4)-LIF-FC(4->3)-LIF"
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Synth inputs once; individual tests run the later stages."""
+    """Synth inputs, ``faults.csv`` and the complete campaign ``run/`` once;
+    individual tests run the later stages."""
     d = tmp_path_factory.mktemp("cli")
     model = d / "model.sjm"
     dataset = d / "data.sjd"
@@ -34,6 +35,8 @@ def pipeline(tmp_path_factory):
     assert dispatch(["synth", "dataset", "--samples", "6", "--timesteps", "5",
                      "--shape", "6", "--classes", "3", "--rate", "0.5",
                      "--seed", "8", "--out", str(dataset)]) == 0
+    assert dispatch(["inject", "--model", str(model), "--dataset", str(dataset),
+                     "--fl", str(gen_fl(d, model)), "--out", str(d / "run")]) == 0
     return d, model, dataset
 
 
@@ -44,14 +47,14 @@ def gen_fl(d, model, out="faults.csv", extra=()):
     return d / out
 
 
-def test_full_pipeline(pipeline, capsys):
-    d, model, dataset = pipeline
-    fl_path = gen_fl(d, model)
-    out_dir = d / "run"
+def test_full_pipeline(pipeline, tmp_path, capsys):
+    _, model, dataset = pipeline
+    fl_path = gen_fl(tmp_path, model)
+    out_dir = tmp_path / "run"
     assert dispatch(["inject", "--model", str(model), "--dataset", str(dataset),
                      "--fl", str(fl_path), "--out", str(out_dir)]) == 0
     assert (out_dir / "outcomes.csv").exists()
-    report = d / "report.json"
+    report = tmp_path / "report.json"
     assert dispatch(["report", "--outcomes", str(out_dir),
                      "--fl", str(fl_path), "--format", "json", "--out", str(report)]) == 0
     blob = json.loads(report.read_text())

@@ -15,6 +15,7 @@ from helpers import (
     bits_of,
     fc_layer,
     lif_layer,
+    reference_forward,
     seq_chain_f32,
     seq_conv_window_f32,
     seq_dot_f32,
@@ -420,12 +421,9 @@ BATCH_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", BATCH_FAULTS)
-@pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
-def test_batched_forward_equals_stacked_unbatched(arch, fault):
-    """A [K, T, ...] forward is bitwise K unbatched forwards, stacked. K=5
-    puts the 120-wide layers on the column-loop side of CUMSUM_MAX_WIDTH while
-    the unbatched calls stay on the cumsum side."""
+def _batch_case(arch, fault):
+    """A BATCH_NETS net with a BATCH_FAULTS fault, a static one injected and
+    a dynamic one as the returned refresh hook, and five input trains."""
     net = synth_model(21, arch, 8, threshold=0.2)
     first, lif = net.layers[0], net.layers[1].name
     spikes = np.stack([spike_train(40 + i, 8, net.input_shape) for i in range(5)])
@@ -440,6 +438,16 @@ def test_batched_forward_equals_stacked_unbatched(arch, fault):
         else:
             coords = tuple(n // 2 for n in net.shapes[lif])
             hook = make_refresh_hook(FaultDescriptor(0, lif, kind, coords, bit, stuck, mode))
+    return net, spikes, hook
+
+
+@pytest.mark.parametrize("fault", BATCH_FAULTS)
+@pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
+def test_batched_forward_equals_stacked_unbatched(arch, fault):
+    """A [K, T, ...] forward is bitwise K unbatched forwards, stacked. K=5
+    puts the 120-wide layers on the column-loop side of CUMSUM_MAX_WIDTH while
+    the unbatched calls stay on the cumsum side."""
+    net, spikes, hook = _batch_case(arch, fault)
     reset_state(net)
     batched = network_forward(net, spikes, hook)
     stacked = []
@@ -449,6 +457,52 @@ def test_batched_forward_equals_stacked_unbatched(arch, fault):
     assert batched.shape == (5, net.num_classes)
     assert batched.tobytes() == np.stack(stacked).tobytes()
     assert batched.any()  # the net fires; the comparison is not vacuous
+
+
+@pytest.mark.parametrize("fault", BATCH_FAULTS)
+@pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
+def test_forward_matches_timestep_major_reference(arch, fault):
+    """network_forward equals reference_forward, which shares none of its
+    code, batched and unbatched: the scores, every layer's recorded output,
+    and every tensor the hook sees, per layer and state kind in timestep
+    order. That holds from every start layer, on the inputs the full run
+    recorded (whose scores it repeats), and with a cone spliced in."""
+    net, spikes, fault_hook = _batch_case(arch, fault)
+    lif = net.layers[1].name
+    cone = (net.shapes[lif][0] // 2,)
+    rest = net.shapes[lif][1:]
+    values = np.stack([spike_train(60 + i, 8, rest) for i in range(5)])
+
+    def run(forward, x, start=0, splice=None):
+        in_shape = net.shapes[net.layers[start - 1].name] if start else net.input_shape
+        batch = x.shape[: x.ndim - 1 - len(in_shape)]
+        record = {s.name: np.empty((*batch, 8, *net.shapes[s.name]), DTYPE)
+                  for s in net.layers[start:]}
+        seen = {}
+
+        def hook(layer, kind, tensor):
+            if fault_hook is not None:
+                fault_hook(layer, kind, tensor)
+            seen.setdefault((layer, kind), []).append(tensor.tobytes())
+
+        reset_state(net)
+        scores = forward(net, x, hook, start=start, splice=splice, record=record)
+        return scores.tobytes(), {k: v.tobytes() for k, v in record.items()}, seen, record
+
+    for rows in (slice(None), 0):
+        full = run(network_forward, spikes[rows])
+        assert full[:3] == run(reference_forward, spikes[rows])[:3]
+        for start in range(1, len(net.layers) + 1):
+            x = full[3][net.layers[start - 1].name]
+            got = run(network_forward, x, start)
+            assert got[:3] == run(reference_forward, x, start)[:3], start
+            assert got[0] == full[0], start
+        splice = (cone, values[rows])
+        got = run(network_forward, full[3][lif], 2, splice)
+        assert got[:3] == run(reference_forward, full[3][lif], 2, splice)[:3]
+        after = net.layers[2].name  # the splice changed its input; the check is not vacuous
+        assert got[1][after] != full[1][after]
+    assert np.frombuffer(full[0], DTYPE).any()
 
 
 def test_recurrent_net_with_zero_feedback_matches_fc():
