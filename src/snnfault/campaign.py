@@ -602,7 +602,7 @@ def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset
 
 def _worker_run(batch: list[FaultDescriptor]):
     w = _WORKER
-    return _run_batch(w["net"], batch, w["dataset"], w["golden"], w["cells"])
+    return os.getpid(), _run_batch(w["net"], batch, w["dataset"], w["golden"], w["cells"])
 
 
 def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResult:
@@ -660,6 +660,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     size = max(1, -(-len(pending) // (parallel * BATCHES_PER_WORKER)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
     started = 0  # worker processes; the serial path starts none
+    per_worker: dict[int, int] = {}  # worker pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
 
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
@@ -690,6 +691,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
         if cfg.workers == 1:
             cells = _golden_cells(golden.entries)
+            per_worker[os.getpid()] = len(pending)
             for batch in batches:
                 for d, result in zip(batch, _run_batch(net, batch, dataset, golden, cells)):
                     record(d, *result)
@@ -701,7 +703,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             try:
                 futures = {pool.submit(_worker_run, batch): batch for batch in batches}
                 for future in as_completed(futures):
-                    for d, result in zip(futures[future], future.result()):
+                    pid, results = future.result()
+                    per_worker[pid] = per_worker.get(pid, 0) + len(results)
+                    for d, result in zip(futures[future], results):
                         record(d, *result)
             except BrokenProcessPool as exc:
                 checkpoint()  # every recorded fault is whole; keep it for --resume
@@ -733,6 +737,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         **binding,
         "workers": cfg.workers,
         "workers_started": started,
+        # a started worker that drew no batch ran 0 faults
+        "faults_per_worker": [*per_worker.values()] + [0] * (started - len(per_worker)),
         "wall_seconds": wall,
         "noop_faults": sum(c["noop_faults"] for c in sites.values()),
         "screened_pairs": screened,

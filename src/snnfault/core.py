@@ -18,11 +18,21 @@ optional leading batch axes ``[..., *shape]``; a row of a batch follows the
 same chains as an unbatched call and gets the same bits. A chain is realized
 one of two ways, both strict left-to-right binary32 sums: ``np.cumsum`` along
 the term axis, or a loop over terms whose every step is one elementwise add
-vectorized over all other axes. ``linear_forward`` uses ``np.cumsum`` while
-a call is narrow (fewer than ``CUMSUM_MAX_WIDTH`` sums in flight), where a
-loop step costs more in call overhead than it saves, and the loop otherwise;
-convolution and pooling loop over window taps. The test suite pins both
-against scalar loops.
+vectorized over all other axes. Convolution and pooling loop over window
+taps. ``linear_forward`` picks one of three realizations per call, from its
+rows (every batch row, a block's steps included) and outputs:
+
+* ``np.cumsum`` while the call is narrow (fewer than ``CUMSUM_MAX_WIDTH``
+  sums in flight), where a loop step costs more in call overhead than it
+  saves;
+* otherwise the loop over input columns, with an ``[out, rows]``
+  accumulator when the call has at least ``ROWS_PER_OUTPUT`` rows per
+  output, so each add sweeps the batch rows;
+* and with a ``[rows, out]`` accumulator when it has fewer, so each add
+  sweeps the outputs.
+
+The chains are independent, so the axis a step vectorizes over moves no bit.
+The test suite pins all three against scalar loops.
 
 Membrane dynamics, per neuron and per timestep, with ``V_prev`` the potential
 stored from the previous step:
@@ -306,21 +316,26 @@ class Network:
         return dup
 
 
-# Below this many sums per call (batch rows x outputs, with a block's steps
+# Below CUMSUM_MAX_WIDTH sums per call (batch rows x outputs, a block's steps
 # counted as rows), one in-place np.cumsum over the whole [..., out, in] term
 # array beats a loop over the in columns: a loop step costs ~1 us of call
-# overhead, cumsum ~4.5 ns per term. Re-measured at block shapes (1 to 200
-# rows, 2-CPU x86-64, numpy 2.4), the two cross at 400-600 sums on 96->100
-# and 32->32 layers and at 700-1,500 on 392->10, 100->10 and 32->10 ones.
-CUMSUM_MAX_WIDTH = 512
+# overhead, cumsum ~4.5 ns per term. Above it, a call with at least
+# ROWS_PER_OUTPUT rows per output loops over an [out, rows] accumulator, any
+# other over [rows, out], so each add runs along the longer axis. Measured at
+# the benchmark workloads' block shapes (2-CPU x86-64, numpy 2.4): cumsum and
+# the faster loop cross at 180-260 sums on 392->10, 100->10, 96->2 and 32->32
+# layers, and the two layouts at about one row per output on 96->100 (60-320
+# rows) and 32->32 (25-50 rows) ones.
+CUMSUM_MAX_WIDTH = 256
+ROWS_PER_OUTPUT = 1
 # A loop forms its products a block of terms per multiply; the block holds at
 # most this many values (128 KiB), so the temporary stays small.
 TERM_BLOCK_VALUES = 32768
 # network_forward runs each layer once per block of timesteps; a block's
 # widest layer input or output, over all batch rows, holds at most this many
-# values (128 KiB). Measured on the benchmark workloads, half or twice this
-# slowed the conv net's replays, and twice it raised the golden run's peak
-# by 0.7 MiB.
+# values (128 KiB), and so does a linear_forward loop's copy of its input.
+# Measured on the benchmark workloads, half or twice this slowed the conv
+# net's replays, and twice it raised the golden run's peak by 0.7 MiB.
 FORWARD_BLOCK_VALUES = 32768
 
 
@@ -340,17 +355,26 @@ def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32."""
+    """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32.
+
+    The result is an owned, C-contiguous array: it keeps no term array or
+    transposed accumulator alive."""
     out_n, in_n = weight.shape
-    if input.size // in_n * out_n < CUMSUM_MAX_WIDTH:
+    rows = input.size // in_n
+    if rows * out_n < CUMSUM_MAX_WIDTH:
         terms = weight * input[..., None, :]
         out = np.cumsum(terms, axis=-1, out=terms)[..., -1]
     else:
-        columns = np.ascontiguousarray(weight.T).reshape(in_n, *(1,) * (input.ndim - 1), out_n)
-        out = _product_chain(columns, np.moveaxis(input, -1, 0)[..., None])
+        columns = np.ascontiguousarray(weight.T)  # [in, out]
+        values = np.ascontiguousarray(input.reshape(rows, in_n).T)  # [in, rows]
+        if rows >= ROWS_PER_OUTPUT * out_n:  # accumulate [out, rows]
+            out = _product_chain(columns[:, :, None], values[:, None, :]).T
+        else:  # accumulate [rows, out]
+            out = _product_chain(columns[:, None, :], values[:, :, None])
+        out = out.reshape(*input.shape[:-1], out_n)
     if bias is not None:
-        out = out + bias
-    return out
+        return np.add(out, bias, order="C")
+    return np.ascontiguousarray(out)
 
 
 def recurrent_forward(spec: LayerSpec, input: np.ndarray, prev_spike: np.ndarray) -> np.ndarray:

@@ -275,6 +275,7 @@ def test_campaign_json_explains_the_run(workdir):
               "replayed_pairs": summary["replayed_pairs"]}
     assert {key: sum(c[key] for c in sites.values()) for key in totals} == totals
     assert summary["workers_started"] == 0  # the serial path runs in this process
+    assert summary["faults_per_worker"] == [summary["faults_completed"]]
     assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
     assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
     assert summary["versions"] == {
@@ -282,6 +283,20 @@ def test_campaign_json_explains_the_run(workdir):
         "numpy": np.__version__,
         "snnfault": snnfault.__version__,
     }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_json_counts_faults_per_worker(workdir, workers):
+    """faults_per_worker holds one count per started worker, one on the
+    serial path, and sums to the faults the run processed, also on resume."""
+    cfg = cfg_for(workdir, f"per_worker_{workers}", workers=workers)
+    for run in (lambda: run_campaign(cfg, limit=7), lambda: run_campaign(replace(cfg, resume=True))):
+        res = run()
+        summary = json.loads((res.out_dir / "campaign.json").read_text())
+        counts = summary["faults_per_worker"]
+        assert len(counts) == max(1, summary["workers_started"])
+        assert sum(counts) == res.processed > 0
+    assert res.status == "complete" and res.processed == res.total - 7
 
 
 class _RecordingPool:
@@ -951,6 +966,34 @@ def test_forward_block_size_moves_no_bit(arch, monkeypatch):
             [[o.scores.tobytes() for o in out] for out in outs],
         ))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
+def test_chain_layout_moves_no_bit(arch, monkeypatch):
+    """linear_forward realizes each chain by np.cumsum, or by a column loop
+    that accumulates [rows, out] or [out, rows]. Forcing each one on every
+    call gives the bytes of the default choice: golden run and trace,
+    recorded layer outputs, and every fault's run_faulty outcomes."""
+    net = _screen_net(arch)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    faults = _screen_faults(net, np.random.default_rng(44))
+    k, huge = ds.num_samples, 1 << 62
+    results = []
+    for width, rows_per_output in ((core.CUMSUM_MAX_WIDTH, core.ROWS_PER_OUTPUT),
+                                   (huge, 0), (0, huge), (0, 0)):
+        monkeypatch.setattr(core, "CUMSUM_MAX_WIDTH", width)
+        monkeypatch.setattr(core, "ROWS_PER_OUTPUT", rows_per_output)
+        record = {s.name: np.empty((k, 8, *net.shapes[s.name]), DTYPE) for s in net.layers}
+        core.network_forward(net.copy(), ds.spikes, record=record)
+        golden = run_golden(net.copy(), ds)
+        outs = run_faulty(net, faults, ds, golden)
+        results.append((
+            {name: a.tobytes() for name, a in record.items()},
+            [e.scores.tobytes() for e in golden.entries],
+            {name: a.tobytes() for name, a in golden.trace.items()},
+            [[o.scores.tobytes() for o in out] for out in outs],
+        ))
+    assert results[0] == results[1] == results[2] == results[3]
 
 
 def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):

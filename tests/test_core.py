@@ -23,9 +23,11 @@ from helpers import (
     spike_train,
     two_layer_net,
 )
+from snnfault import core
 from snnfault.core import (
     CUMSUM_MAX_WIDTH,
     DTYPE,
+    ROWS_PER_OUTPUT,
     LayerKind,
     LayerSpec,
     LifState,
@@ -103,9 +105,36 @@ def test_linear_matches_sequential_scalar_sum(out_n, in_n, data):
         assert bits_of(out[i]) == bits_of(want)
 
 
-def _rows_for(out_n, wide):
-    """A batch height putting linear_forward on the loop (wide) or cumsum side."""
-    return -(-CUMSUM_MAX_WIDTH // out_n) if wide else max(1, (CUMSUM_MAX_WIDTH - 1) // out_n)
+def _realization(call):
+    """Run call() and name the chain realization each linear_forward in it
+    took: "cumsum", or the accumulator layout of the column loop."""
+    seen = []
+    chain = core._product_chain
+
+    def spy(weights, values):
+        # [in, out, 1] x [in, 1, rows] accumulates [out, rows]; the other way
+        # round, [rows, out]
+        seen.append("out x rows" if weights.shape[2] == 1 and values.shape[1] == 1 else "rows x out")
+        return chain(weights, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_product_chain", spy)
+        out = call()
+    return out, seen or ["cumsum"]
+
+
+def _rows_for(out_n):
+    """Batch heights just below and at both of linear_forward's thresholds,
+    CUMSUM_MAX_WIDTH sums and ROWS_PER_OUTPUT rows per output, each with the
+    realization it selects."""
+    at_cumsum = -(-CUMSUM_MAX_WIDTH // out_n)
+    at_layout = ROWS_PER_OUTPUT * out_n
+    heights = {max(1, h) for h in (at_cumsum - 1, at_cumsum, at_layout - 1, at_layout)}
+    return {
+        h: "cumsum" if h * out_n < CUMSUM_MAX_WIDTH
+        else "out x rows" if h >= at_layout else "rows x out"
+        for h in sorted(heights)
+    }
 
 
 def _same_f32(got, want) -> bool:
@@ -116,40 +145,69 @@ def _same_f32(got, want) -> bool:
 
 @given(st.integers(1, 40), st.integers(1, 6), st.data())
 def test_linear_batched_matches_scalar_chain_both_sides_of_break_even(out_n, in_n, data):
-    """Every row of a [rows, in] batch equals the scalar ascending chain, on
-    the cumsum side of CUMSUM_MAX_WIDTH and on the column-loop side, with
-    signed zeros, infinities and NaNs among the weights and bias."""
+    """Every row of a [rows, in] batch equals the scalar ascending chain just
+    below and at CUMSUM_MAX_WIDTH and ROWS_PER_OUTPUT, so in each of the three
+    realizations, with signed zeros, infinities and NaNs among the weights,
+    inputs and bias."""
     values = finite_f32 | special_f32
     w = arr(data.draw(st.lists(st.lists(values, min_size=in_n, max_size=in_n),
                                min_size=out_n, max_size=out_n)))
     distinct = data.draw(st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 1.0]) | finite_f32, min_size=in_n, max_size=in_n),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0]) | values, min_size=in_n, max_size=in_n),
         min_size=1, max_size=3))
     b = data.draw(st.none() | st.lists(values, min_size=out_n, max_size=out_n))
     with np.errstate(all="ignore"):
         want = [[seq_dot_f32(w[i], row, None if b is None else b[i]) for i in range(out_n)]
                 for row in distinct]
-        for wide in (False, True):
-            rows = _rows_for(out_n, wide)
+        for rows, realization in _rows_for(out_n).items():
             x = arr([distinct[r % len(distinct)] for r in range(rows)])
-            out = linear_forward(w, None if b is None else arr(b), x)
+            out, seen = _realization(lambda: linear_forward(w, None if b is None else arr(b), x))
+            assert seen == [realization]
             assert out.shape == (rows, out_n)
             for r in range(rows):
                 assert all(map(_same_f32, out[r], want[r % len(distinct)]))
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["cumsum", "loop"])
-def test_linear_chain_starts_at_first_term(wide):
+def test_linear_thresholds_leave_every_realization_reachable():
+    """The heights test_linear_batched_matches_scalar_chain_both_sides_of_break_even
+    draws from reach all three realizations."""
+    seen = {r for out_n in range(1, 41) for r in _rows_for(out_n).values()}
+    assert seen == {"cumsum", "rows x out", "out x rows"}
+
+
+REALIZATIONS = ["cumsum", "rows x out", "out x rows"]
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS)
+def test_linear_chain_starts_at_first_term(realization):
     """A chain of -0.0 terms stays -0.0 (a +0.0 seed would flip it), and an
     Inf weight times a 0 spike still poisons the sum with NaN."""
-    w = arr([[-0.0, -0.0, -0.0], [np.inf, 1.0, 1.0], [1.0, 2.0, 3.0]])
-    x = np.tile(arr([0.0, 1.0, 1.0]), (_rows_for(3, wide), 1))  # Inf meets a 0 spike
+    w = np.tile(arr([[-0.0, -0.0, -0.0], [np.inf, 1.0, 1.0], [1.0, 2.0, 3.0]]), (10, 1))
+    rows = max(h for h, r in _rows_for(len(w)).items() if r == realization)
+    x = np.tile(arr([0.0, 1.0, 1.0]), (rows, 1))  # Inf meets a 0 spike
     with np.errstate(all="ignore"):
-        out = linear_forward(w, None, x)
-    assert (out.size >= CUMSUM_MAX_WIDTH) == wide
-    assert all(bits_of(v) == bits_of(F32(-0.0)) for v in out[:, 0])
-    assert np.isnan(out[:, 1]).all()
-    assert (out[:, 2] == 5.0).all()
+        out, seen = _realization(lambda: linear_forward(w, None, x))
+    assert set(seen) == {realization}
+    assert all(bits_of(v) == bits_of(F32(-0.0)) for v in out[:, 0::3].flat)
+    assert np.isnan(out[:, 1::3]).all()
+    assert (out[:, 2::3] == 5.0).all()
+
+
+@pytest.mark.parametrize("bias", [False, True], ids=["no bias", "bias"])
+@pytest.mark.parametrize("realization", REALIZATIONS)
+def test_linear_returns_owned_contiguous_result(realization, bias):
+    """Whatever the realization, the result is C-contiguous and keeps no
+    larger array alive: not the cumsum's [rows, out, in] terms, not a
+    transposed [out, rows] accumulator."""
+    out_n, in_n = 20, 392
+    rows = max(h for h, r in _rows_for(out_n).items() if r == realization)
+    x = np.ones((rows, 1, in_n), DTYPE)  # two batch axes
+    b = np.ones(out_n, DTYPE) if bias else None
+    out, seen = _realization(lambda: linear_forward(np.ones((out_n, in_n), DTYPE), b, x))
+    assert set(seen) == {realization}
+    assert out.shape == (rows, 1, out_n) and out.flags.c_contiguous
+    assert out.base is None or out.base.nbytes <= out.nbytes
+    assert (out == in_n + bias).all()
 
 
 # -- recurrent ------------------------------------------------------------
@@ -445,8 +503,8 @@ def _batch_case(arch, fault):
 @pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
 def test_batched_forward_equals_stacked_unbatched(arch, fault):
     """A [K, T, ...] forward is bitwise K unbatched forwards, stacked. K=5
-    puts the 120-wide layers on the column-loop side of CUMSUM_MAX_WIDTH while
-    the unbatched calls stay on the cumsum side."""
+    puts the RFC's per-step feedback (120 outputs) on the column-loop side of
+    CUMSUM_MAX_WIDTH while the unbatched calls stay on the cumsum side."""
     net, spikes, hook = _batch_case(arch, fault)
     reset_state(net)
     batched = network_forward(net, spikes, hook)
