@@ -24,20 +24,24 @@ when L is fed back through a recurrent layer, from the faulted layer on its
 golden input. A fault that reaches L only through further layers is never
 screened; it is replayed on all K inputs from its own layer. Each (fault,
 input) outcome is a pure function of (model, descriptor, input), with the bits
-of a full forward of an injected copy. Results stream into the
-``outcomes.partial.csv`` log, their only record; once rows are fsynced,
-``checkpoint.txt`` acknowledges the log's byte length, bound to the sha256 of
-the model, dataset and fault list and to K. Resume refuses changed inputs,
-cuts the log back to that length (a torn or unacknowledged tail is re-run,
-never appended to) and parses it strictly. ``outcomes.csv`` is the same strict
-reading of the log sorted by (fault_id, input_id), so its bytes are identical
-for any worker count or interruption history. It, ``golden.csv``,
+of a full forward of an injected copy. Results go into the
+``outcomes.partial.csv`` log, their only record, a batch at a time; once a
+batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
+length, bound to the sha256 of the model, dataset and fault list and to K.
+Resume refuses changed inputs (a binding value of another type counts as
+changed), cuts the log back to that length (a torn or unacknowledged tail is
+re-run, never appended to) and parses it strictly. ``outcomes.csv`` is the
+same strict reading of the log sorted by (fault_id, input_id), so its bytes
+are identical for any worker count or interruption history. It, ``golden.csv``,
 ``campaign.json`` and the checkpoint are each written to a temporary file,
 fsynced and renamed into place, so a kill never leaves a truncated one behind.
-The serial path and each pool worker run contiguous batches of faults; the
-pool starts no more workers than there are usable CPUs or batches. A worker
-that dies ends the run with ``WorkerError`` after acknowledging every fault
-already recorded, so ``--resume`` picks up from there.
+The serial path and each pool worker run contiguous batches of at most
+``checkpoint_every`` faults, and no more than an even share of the pending
+faults per worker; a batch's rows are held in memory until it is recorded, so
+a kill loses at most the batches in flight. The pool starts no more workers
+than there are usable CPUs or batches. A worker that dies ends the run with
+``WorkerError``; every batch recorded before it is acknowledged, so
+``--resume`` picks up from there.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -123,7 +127,7 @@ class CampaignConfig:
     out_dir: Path
     subset: int | None = None  # first K inputs; None = whole dataset
     workers: int = 1
-    checkpoint_every: int = 100  # faults between checkpoint flushes
+    checkpoint_every: int = 100  # most faults per batch: run, recorded and acknowledged at once
     resume: bool = False
 
     def __post_init__(self):
@@ -529,7 +533,9 @@ def _read_checkpoint(path: Path, binding: dict) -> int:
         raise ResumeError(f"corrupt checkpoint: {exc}") from None
     if not isinstance(record, dict) or record.keys() != {"log_bytes", *binding}:
         raise ResumeError(f"corrupt checkpoint: want the fields log_bytes, {', '.join(binding)}")
-    changed = [key for key in binding if record[key] != binding[key]]
+    # by type too: json reads 20.0 and true, which equal the ints 20 and 1
+    changed = [key for key in binding
+               if type(record[key]) is not type(binding[key]) or record[key] != binding[key]]
     if changed:
         raise ResumeError(f"{', '.join(changed)} changed since the checkpoint was written")
     length = record["log_bytes"]
@@ -571,14 +577,6 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
 
 _WORKER: dict = {}
 
-# The pending faults run as this many contiguous batches per worker (the
-# serial path counts as one worker): one future per fault makes
-# inter-process traffic the bound once a screened fault costs about a
-# millisecond, and a few batches per worker still let a worker that drew
-# cheap faults take another batch. A batch is also what run_faulty screens
-# together.
-BATCHES_PER_WORKER = 8
-
 
 def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -> None:
     _WORKER["net"] = net
@@ -589,9 +587,9 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
 
 def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
                golden: GoldenReference, cells):
-    # Per fault, what record() takes after the descriptor: (no-op, screened
-    # inputs, replayed inputs, the outcome rows). A screened input's
-    # Prediction is the golden one itself.
+    # Per fault, what record() takes for it: (no-op, screened inputs,
+    # replayed inputs, the outcome rows). A screened input's Prediction is
+    # the golden one itself.
     results = []
     for d, outs in zip(batch, run_faulty(net, batch, dataset, golden)):
         replayed = sum(o is not g for o, g in zip(outs, golden.entries))
@@ -657,44 +655,38 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     # sched_getaffinity exists only where the platform has it (Linux, not macOS or Windows).
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parallel = 1 if cfg.workers == 1 else min(cfg.workers, cpus or 1)
-    size = max(1, -(-len(pending) // (parallel * BATCHES_PER_WORKER)))
+    # A batch, the unit that is screened together and acknowledged at once,
+    # holds at most checkpoint_every faults and at most an even share per worker.
+    size = max(1, min(cfg.checkpoint_every, -(-len(pending) // parallel)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
     started = 0  # worker processes; the serial path starts none
     per_worker: dict[int, int] = {}  # worker pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
 
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
-        unacknowledged = 0
-
-        def checkpoint() -> None:
+        def record(batch: list[FaultDescriptor], results) -> None:
+            """Write a batch's rows, fsync them and acknowledge the log."""
             nonlocal acked
+            for d, (noop, screened, replayed, rows) in zip(batch, results):
+                counts = sites.setdefault(
+                    f"{d.layer}.{d.parameter.value}",
+                    {"faults": 0, "noop_faults": 0, "screened_pairs": 0, "replayed_pairs": 0},
+                )
+                counts["faults"] += 1
+                counts["noop_faults"] += noop
+                counts["screened_pairs"] += screened
+                counts["replayed_pairs"] += replayed
+                pf.write(rows)
             pf.flush()
             os.fsync(pf.fileno())
             acked = os.fstat(pf.fileno()).st_size
             write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
 
-        def record(d: FaultDescriptor, noop: bool, screened: int, replayed: int, rows: str):
-            nonlocal unacknowledged
-            counts = sites.setdefault(
-                f"{d.layer}.{d.parameter.value}",
-                {"faults": 0, "noop_faults": 0, "screened_pairs": 0, "replayed_pairs": 0},
-            )
-            counts["faults"] += 1
-            counts["noop_faults"] += noop
-            counts["screened_pairs"] += screened
-            counts["replayed_pairs"] += replayed
-            pf.write(rows)
-            unacknowledged += 1
-            if unacknowledged >= cfg.checkpoint_every:
-                checkpoint()
-                unacknowledged = 0
-
         if cfg.workers == 1:
             cells = _golden_cells(golden.entries)
             per_worker[os.getpid()] = len(pending)
             for batch in batches:
-                for d, result in zip(batch, _run_batch(net, batch, dataset, golden, cells)):
-                    record(d, *result)
+                record(batch, _run_batch(net, batch, dataset, golden, cells))
         elif batches:
             started = min(parallel, len(batches))
             pool = ProcessPoolExecutor(
@@ -705,17 +697,14 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 for future in as_completed(futures):
                     pid, results = future.result()
                     per_worker[pid] = per_worker.get(pid, 0) + len(results)
-                    for d, result in zip(futures[future], results):
-                        record(d, *result)
+                    record(futures[future], results)
             except BrokenProcessPool as exc:
-                checkpoint()  # every recorded fault is whole; keep it for --resume
+                # every recorded batch is already acknowledged for --resume
                 raise WorkerError(
                     f"a campaign worker died ({exc}); rerun with --resume to finish"
                 ) from None
             finally:
                 pool.shutdown(cancel_futures=True)
-        if unacknowledged:
-            checkpoint()
     t_faults = time.monotonic()
 
     groups = _read_log(partial_path, acked, k, valid_ids)

@@ -533,11 +533,13 @@ def network_forward(
         st.potential = np.broadcast_to(st.potential, batch + net.shapes[name])
         st.spike = np.broadcast_to(st.spike, batch + net.shapes[name])
 
+    scores = np.zeros((*batch, net.num_classes), DTYPE)
+    if not scores.size:  # an empty batch: no row to run
+        return scores
     layers = net.layers[start:]
     widest = max(math.prod(shape) for shape in [in_shape, *(net.shapes[s.name] for s in layers)])
     block = max(1, FORWARD_BLOCK_VALUES // (math.prod(batch) * widest))
     rows = (slice(None),) * lead
-    scores = np.zeros((*batch, net.num_classes), DTYPE)
 
     def keep(name: str, out: np.ndarray) -> None:
         if record is not None and name in record:

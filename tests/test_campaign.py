@@ -301,28 +301,36 @@ def test_campaign_json_counts_faults_per_worker(workdir, workers):
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor and starts no process: records the
-    worker count asked for and runs each batch here."""
+    worker count asked for and each batch's size, and runs each batch here."""
 
     started: list[int] = []
+    batches: list[int] = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.started.append(max_workers)
         initializer(*initargs)
 
-    def submit(self, fn, *args):
+    def submit(self, fn, batch):
+        self.batches.append(len(batch))
         future = Future()
-        future.set_result(fn(*args))
+        future.set_result(fn(batch))
         return future
 
     def shutdown(self, cancel_futures=False):
         pass
 
 
+def _record_pool(monkeypatch):
+    """Runs pools as _RecordingPool, with three usable CPUs."""
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(_RecordingPool, "batches", [])
+
+
 def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
     serial = run_campaign(cfg_for(workdir, "pool_serial")).outcomes_path.read_bytes()
-    monkeypatch.setattr(campaign, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # three usable CPUs
-    monkeypatch.setattr(_RecordingPool, "started", [])
+    _record_pool(monkeypatch)
     res = run_campaign(cfg_for(workdir, "pool_capped", workers=5000))
     assert res.outcomes_path.read_bytes() == serial
     summary = json.loads((res.out_dir / "campaign.json").read_text())
@@ -341,6 +349,82 @@ def test_pool_without_cpu_affinity_is_capped_by_cpu_count(workdir, monkeypatch):
     res = run_campaign(cfg_for(workdir, "pool_no_affinity", workers=8))
     assert res.status == "complete"
     assert _RecordingPool.started == [3]
+
+
+def test_pool_gives_each_worker_one_batch_of_a_short_list(workdir, monkeypatch):
+    """n <= workers x checkpoint_every: one batch per started worker, an even share each."""
+    n = workdir[3].n
+    _record_pool(monkeypatch)
+    run_campaign(cfg_for(workdir, "pool_short", workers=3, checkpoint_every=100))
+    share = -(-n // 3)
+    assert _RecordingPool.started == [3]
+    assert _RecordingPool.batches == [share, share, n - 2 * share]
+
+
+def test_pool_runs_a_long_list_in_batches_of_checkpoint_every(workdir, monkeypatch):
+    n, every = workdir[3].n, 5
+    assert n > 3 * every
+    _record_pool(monkeypatch)
+    run_campaign(cfg_for(workdir, "pool_long", workers=3, checkpoint_every=every))
+    assert _RecordingPool.started == [3]
+    assert _RecordingPool.batches == [min(every, n - i) for i in range(0, n, every)]
+
+
+def _log_state(out: Path) -> tuple[int | None, int, int]:
+    """(the bytes checkpoint.txt acknowledges or None, the log's size, its rows)."""
+    ckpt, log = out / "checkpoint.txt", out / "outcomes.partial.csv"
+    acked = json.loads(ckpt.read_text())["log_bytes"] if ckpt.exists() else None
+    data = log.read_bytes() if log.exists() else b""
+    return acked, len(data), data.count(b"\n")
+
+
+def test_serial_batch_holds_checkpoint_every_faults_and_is_acknowledged(workdir, monkeypatch):
+    """Serial run_faulty sees ceil(n/c) batches of at most c faults, and each
+    batch's rows are acknowledged before the next batch starts."""
+    n, every = workdir[3].n, 3
+    cfg = cfg_for(workdir, "serial_batches", checkpoint_every=every)
+    seen = []
+    real = campaign.run_faulty
+
+    def watching(net, batch, *args):
+        seen.append((len(batch), _log_state(cfg.out_dir)))
+        return real(net, batch, *args)
+
+    monkeypatch.setattr(campaign, "run_faulty", watching)
+    run_campaign(cfg)
+    sizes = [size for size, _ in seen]
+    assert sizes == [min(every, n - i) for i in range(0, n, every)]  # ceil(n/every) batches
+    states = [state for _, state in seen[1:]] + [_log_state(cfg.out_dir)]
+    for done, (acked, size, rows) in zip(np.cumsum(sizes), states):
+        assert acked == size and rows == done * K
+
+
+def test_run_killed_in_a_batch_resumes_after_the_batches_before_it(workdir, monkeypatch):
+    """A run that dies inside its k-th serial batch leaves exactly the first
+    k-1 batches done."""
+    every, k = 3, 3
+    cfg = cfg_for(workdir, "killed_in_batch", checkpoint_every=every)
+    calls = []
+    real = campaign.run_faulty
+
+    def dying(net, batch, *args):
+        calls.append(batch)
+        if len(calls) == k:
+            raise Killed
+        return real(net, batch, *args)
+
+    monkeypatch.setattr(campaign, "run_faulty", dying)
+    with pytest.raises(Killed):
+        run_campaign(cfg)
+    monkeypatch.undo()
+    first = workdir[3].descriptors[: (k - 1) * every]
+    assert [d for batch in calls[: k - 1] for d in batch] == first
+    acked, size, rows = _log_state(cfg.out_dir)
+    assert acked == size and rows == len(first) * K
+    resumed = run_campaign(replace(cfg, resume=True))
+    assert resumed.processed == workdir[3].n - len(first)
+    straight = run_campaign(cfg_for(workdir, "killed_in_batch_straight"))
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
 
 
 # -- resume-state validation ------------------------------------------------------
@@ -482,6 +566,11 @@ def _replace_fault_list(d):
     write_fault_list(generate_fault_list(net, spec, POINTS), d / "fl.csv")
 
 
+def _checkpoint_inputs(value):
+    """Rewrites the checkpoint's K as ``value``, equal to the run's K = 1 but not an int."""
+    return lambda d: _set_checkpoint(d / "out", inputs=value)
+
+
 @pytest.mark.parametrize(
     "change, named",
     [
@@ -489,13 +578,15 @@ def _replace_fault_list(d):
         (_replace_dataset, "dataset_sha256"),
         (_replace_fault_list, "fault_list_sha256"),
         (None, "inputs"),
+        (_checkpoint_inputs(1.0), "inputs"),
+        (_checkpoint_inputs(True), "inputs"),
     ],
-    ids=["model", "dataset", "fault_list", "subset"],
+    ids=["model", "dataset", "fault_list", "subset", "inputs_float", "inputs_bool"],
 )
 def test_resume_rejects_changed_inputs(workdir, tmp_path, change, named):
     for name in ("m.sjm", "d.sjd", "fl.csv"):
         shutil.copy(workdir[0] / name, tmp_path / name)
-    cfg = dict(model=tmp_path / "m.sjm", dataset=tmp_path / "d.sjd",
+    cfg = dict(model=tmp_path / "m.sjm", dataset=tmp_path / "d.sjd", subset=1,
                fault_list=tmp_path / "fl.csv", out_dir=tmp_path / "out", checkpoint_every=3)
     assert run_campaign(CampaignConfig(**cfg), limit=9).status == "partial"
     if change is None:

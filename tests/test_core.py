@@ -517,6 +517,16 @@ def test_batched_forward_equals_stacked_unbatched(arch, fault):
     assert batched.any()  # the net fires; the comparison is not vacuous
 
 
+@pytest.mark.parametrize("batch", [(0,), (2, 0)], ids=["0", "2x0"])
+@pytest.mark.parametrize(
+    "arch", ["FC(4->3)-LIF-FC(3->2)-LIF", *BATCH_NETS.values()], ids=["tiny", *BATCH_NETS]
+)
+def test_empty_batch_forward_returns_zero_rows(arch, batch):
+    net = synth_model(21, arch, 8)
+    scores = network_forward(net, np.zeros((*batch, 8, *net.input_shape), np.uint8))
+    assert scores.shape == (*batch, net.num_classes) and scores.dtype == DTYPE
+
+
 @pytest.mark.parametrize("fault", BATCH_FAULTS)
 @pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
 def test_forward_matches_timestep_major_reference(arch, fault):
