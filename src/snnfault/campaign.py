@@ -17,14 +17,20 @@ parameters and state pins (parallel fault simulation, with the fault-free work
 shared as in concurrent fault simulation). An input whose cone spikes match
 the golden trace bit for bit (compared as binary32 patterns, so a -0.0 spike
 counts as different) sees golden values in every later layer, so it keeps its
-golden prediction exactly. Only a fault with differing inputs gets a copy of
-the network; those inputs are replayed in one batched forward: from the layer
-after L on L's golden spikes with the cone's screened spikes spliced in, or,
-when L is fed back through a recurrent layer, from the faulted layer on its
-golden input. A fault that reaches L only through further layers is never
-screened; it is replayed on all K inputs from its own layer. Each (fault,
-input) outcome is a pure function of (model, descriptor, input), with the bits
-of a full forward of an injected copy. Results go into the
+golden prediction exactly. The differing (fault, input) pairs of a screen
+block are replayed together, each pair one row of a stacked forward
+(``core.Rows``) that runs on the network's own parameters, never on a copy or
+an injected one: from the layer after L on L's golden spikes with the pair's
+screened cone written in, or, when L is fed back through a recurrent layer,
+from that layer on its golden input, each row recomputing its fault's row of
+that layer, L's beta and threshold and L's state pins as the screen built
+them. A fault that reaches L only through further layers is never screened;
+its pairs, all K inputs, restart at its own layer, each recomputing the
+faulted row or channel. A forward holds at most as many rows as keep one step
+of its widest layer within ``core.FORWARD_BLOCK_VALUES`` values. Rows are
+independent and keep their chains, so each (fault, input) outcome is a pure
+function of (model, descriptor, input), with the bits of a full forward of an
+injected copy, whichever pairs share its forward. Results go into the
 ``outcomes.partial.csv`` log, their only record, a batch at a time; once a
 batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
 length, bound to the sha256 of the model, dataset and fault list and to K.
@@ -61,10 +67,12 @@ import math
 import os
 import platform
 import re
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -98,14 +106,9 @@ from .dataio import (
     render_score,
 )
 from .errors import AddressError, FormatError, ResumeError, WorkerError
-from .faults import (
-    FaultDescriptor,
-    fault_masks,
-    inject_static,
-    make_refresh_hook,
-    pin_bits,
-    target_tensor,
-)
+from .faults import FaultDescriptor, fault_masks, pin_bits, target_tensor
+# Not called here; bench/tracing.py patches both by name (ROADMAP item 6).
+from .faults import inject_static, make_refresh_hook  # noqa: F401
 from .faultlist import read_fault_list
 
 OUTCOME_HEADER = "fault_id,input_id,golden_class,faulty_class,golden_top_score,faulty_top_score"
@@ -235,36 +238,60 @@ def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[int,
     return i - 1, i, d.coords  # one neuron
 
 
+@dataclass
+class _Screened:
+    """A screen block of F faults: what ``_screen`` builds to advance their
+    cones, which their stacked replay reuses, and what it finds."""
+
+    index: tuple[np.ndarray, ...]  # per fault, its cone's leading coords in L
+    cut: LayerSpec | None  # the feed's rows or channels under the cones, each fault's own
+    columns: dict[str, np.ndarray]  # L's beta and threshold per fault, [F, *rest]
+    pins: dict[str, tuple[np.ndarray, np.ndarray]]  # state kind -> per-fault (keep, force)
+    spikes: np.ndarray  # the cones' spikes, [K, T, F, *rest]
+    differs: np.ndarray  # [K, F]: the input's cone spikes differ from golden in a bit
+
+
+def _cut(spec: LayerSpec, faults: list[FaultDescriptor], touched: np.ndarray) -> LayerSpec:
+    """Weighted layer ``spec``'s rows or channels ``touched``, one per fault,
+    each with its fault's bit set in its own copy."""
+    params = {key: value[touched] for key, value in spec.params.items()}
+    for i, d in enumerate(faults):
+        if d.layer == spec.name:
+            pin_bits(params[d.parameter.value], (i, *d.coords[1:]), *fault_masks(d))
+    return LayerSpec(spec.name, spec.kind, params, spec.hyper)
+
+
 def _screen(
     net: Network,
     dataset: SpikeDataset,
     golden: GoldenReference,
     block: list[tuple[FaultDescriptor, tuple[int, int, tuple[int, ...]]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cone spikes [K, T, F, *rest] of F faults that share L, each on L
-    or on the layer feeding it, and whose cones pin the same number of L's
-    leading axes (``rest`` is L's shape past them), and the mask [K, F] of
-    the inputs whose cone spikes differ in any bit from the golden trace.
+) -> _Screened:
+    """Screen F faults that share L, each on L or on the layer feeding it,
+    and whose cones pin the same number of L's leading axes (``rest`` is L's
+    shape past them): their cone spikes [K, T, F, *rest], and the mask [K, F]
+    of the inputs whose cone spikes differ in any bit from the golden trace.
 
     Only the feed and L run. The current into the cones is computed for all
     K inputs, T steps and F faults at once from the feed's golden input: the
     feed's rows or channels that the cones need, each fault's bit set in its
-    own copy; a conv input's windows under single neurons; or all of L's
-    golden current, for a ``(1,)`` beta or threshold fault. Every output
-    element keeps its own chain, so its bits are those of a full forward. A
-    recurrent layer's feedback reads L's golden spikes of the previous step,
-    which is exact until the cone first differs, and that is all the screen
-    decides. L then advances step by step over [K, F, *rest] in
-    ``core.lif_scan``, the scan network_forward runs, each fault with its own
-    beta and threshold column and its own state pins.
+    own copy (the cut); a conv input's windows under single neurons; or all
+    of L's golden current, for a ``(1,)`` beta or threshold fault. Every
+    output element keeps its own chain, so its bits are those of a full
+    forward. A recurrent layer's feedback reads L's golden spikes of the
+    previous step, which is exact until the cone first differs, and that is
+    all the screen decides. L then advances step by step over [K, F, *rest]
+    in ``core.lif_scan``, the scan network_forward runs, each fault with its
+    own beta and threshold column and its own state pins.
     """
     _, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
     k, f, steps = len(golden.entries), len(block), net.timesteps
+    faults = [d for d, _ in block]
     rest = net.shapes[lif.name][len(first) :]
     index = tuple(np.array([site[2][a] for _, site in block]) for a in range(len(first)))
     x = _golden_input(net, dataset, golden, lif_at - 1)  # binary32 once cut to the cones
-    prev = None
+    prev = cut = None
     if feed.kind is LayerKind.RECURRENT:
         prev = np.zeros(golden.trace[lif.name].shape, DTYPE)
         prev[:, 1:] = golden.trace[lif.name][:, :-1]
@@ -281,15 +308,11 @@ def _screen(
             current = np.empty((k, steps, f), DTYPE)
             for c in set(index[0].tolist()):  # np.unique imports numpy.ma: +1.5 MB per process
                 sel = index[0] == c
-                cut = None if bias is None else bias[c : c + 1]
-                out = core.conv2d_forward(weight[c : c + 1], cut, windows[:, :, sel])
+                cut_bias = None if bias is None else bias[c : c + 1]
+                out = core.conv2d_forward(weight[c : c + 1], cut_bias, windows[:, :, sel])
                 current[:, :, sel] = out.reshape(k, steps, -1)
         else:  # the feed's rows or channels, each fault's bit set in its own
-            params = {key: value[index[0]] for key, value in feed.params.items()}
-            for i, (d, _) in enumerate(block):
-                if d.layer == feed.name:
-                    pin_bits(params[d.parameter.value], (i, *d.coords[1:]), *fault_masks(d))
-            cut = LayerSpec(feed.name, feed.kind, params, feed.hyper)
+            cut = _cut(feed, faults, index[0])
             current = core.layer_forward(cut, x.astype(DTYPE, copy=False), 2, prev)
         columns = {}
         for key, value in lif.params.items():  # [F, *rest], or broadcastable to it
@@ -298,7 +321,7 @@ def _screen(
             else:
                 columns[key] = value[index] if index else value[None]
         pins = {}  # state kind -> per-column (keep, force) masks
-        for i, (d, _) in enumerate(block):
+        for i, d in enumerate(faults):
             if d.layer != lif.name:
                 continue
             if d.parameter.is_static:
@@ -320,40 +343,71 @@ def _screen(
     trace = golden.trace[lif.name]
     want = trace[(slice(None), slice(None), *index)] if index else trace[:, :, None]
     differs = spikes.view(np.uint32) != want.astype(DTYPE).view(np.uint32)  # -0.0 differs
-    return spikes, differs.reshape(k, steps, f, -1).any(axis=(1, 3))
+    differs = differs.reshape(k, steps, f, -1).any(axis=(1, 3))
+    return _Screened(index, cut, columns, pins, spikes, differs)
 
 
-def _replay(
-    template: Network,
-    d: FaultDescriptor,
-    site: tuple[int, int, tuple[int, ...]],
-    dataset: SpikeDataset,
-    golden: GoldenReference,
-    spikes: np.ndarray | None,
-    diverging: np.ndarray,
-) -> list[Prediction]:
-    """The fault's Predictions: golden but on the ``diverging`` inputs, which
-    run on an injected copy of the template, given the fault's screened cone
-    spikes [K, T, *rest] (None for a fault the screen does not reach)."""
-    outs = list(golden.entries)
-    if not diverging.size:
-        return outs
-    w, lif_at, index = site
-    net = template.copy()
-    if d.parameter.is_static:
-        inject_static(net, d)
-    if w == lif_at - 1 and net.layers[w].kind is not LayerKind.RECURRENT:
-        # Only the cone of L differs: splice it into L's golden spikes.
-        lif = net.layers[lif_at].name
-        scores = network_forward(net, golden.trace[lif][diverging], start=lif_at + 1,
-                                 splice=(index, spikes[diverging]))
-    else:
-        hook = make_refresh_hook(d) if d.parameter.is_dynamic else None
-        scores = network_forward(net, _golden_input(net, dataset, golden, w)[diverging], hook,
-                                 start=w)
-    for n, row in zip(diverging.tolist(), scores):
-        outs[n] = Prediction(n, row, *_top(row))
-    return outs
+def _gather_cut(touched: np.ndarray, cut: LayerSpec, at: np.ndarray):
+    """Rows.cut for pairs under faults ``at``: each one's touched row or
+    channel and its copy of it, taken from the per-fault ``touched`` and
+    ``cut``."""
+    return touched[at], replace(cut, params={key: value[at] for key, value in cut.params.items()})
+
+
+def _splice_rows(screened: _Screened, source: np.ndarray, at: np.ndarray):
+    """Rows that write each pair's screened cone into L's golden spikes."""
+    return core.Rows(source, cone=(tuple(i[at] for i in screened.index), screened.spikes, at)), None
+
+
+def _unscreened_rows(touched: np.ndarray, cut: LayerSpec, source: np.ndarray, at: np.ndarray):
+    """Rows for faults beyond the feed: each recomputes its fault's row or
+    channel of the faulted layer."""
+    return core.Rows(source, cut=_gather_cut(touched, cut, at)), None
+
+
+def _restart_rows(net: Network, lif_at: int, screened: _Screened,
+                  faults: list[FaultDescriptor], source: np.ndarray, at: np.ndarray):
+    """Rows and a refresh hook that replay screened pairs from L's recurrent
+    feed: each row takes its fault's cut row, beta and threshold, and pins,
+    as the screen built them, and golden values everywhere else."""
+    lif = net.layers[lif_at]
+    cells = (np.arange(len(at)), *(i[at] for i in screened.index))  # each row's cone in L
+    cut = None if screened.cut is None else _gather_cut(screened.index[0], screened.cut, at)
+    params = dict(lif.params)
+    for key in {d.parameter.value for d in faults if d.layer == lif.name and d.parameter.is_static}:
+        params[key] = np.broadcast_to(lif.params[key], (len(at), *net.shapes[lif.name])).copy()
+        params[key][cells] = screened.columns[key][at]
+    hook = None
+    if screened.pins:
+        pins = {kind: (keep[at], force[at]) for kind, (keep, force) in screened.pins.items()}
+
+        def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
+            if layer == lif.name and kind in pins:
+                pin_bits(tensor, cells, *pins[kind])
+
+    return core.Rows(source, cut=cut, lif=LayerSpec(lif.name, lif.kind, params)), hook
+
+
+def _replay_pairs(template: Network, start: int, x: np.ndarray, k_idx: np.ndarray,
+                  f_idx: np.ndarray, make_rows, positions: list[int], golden: GoldenReference,
+                  outs: list[list[Prediction]]) -> int:
+    """Run pairs (input ``k_idx[p]``, fault ``f_idx[p]``) from layer
+    ``start`` on its input ``x`` [K, T, *shape], as rows of stacked forwards
+    on the template's own parameters, and set each pair's Prediction in
+    ``outs[positions[f]]``. ``make_rows(source, at)`` gives one forward's
+    Rows and refresh hook. A forward holds at most as many rows as keep one
+    step of its widest layer within ``FORWARD_BLOCK_VALUES`` values. Returns
+    the number of forwards run."""
+    cap = max(1, core.FORWARD_BLOCK_VALUES // core.widest(template, start))
+    for j in range(0, len(k_idx), cap):
+        source, at = k_idx[j : j + cap], f_idx[j : j + cap]
+        rows, hook = make_rows(source, at)
+        reset_state(template)  # the forward starts from zero state and leaves none behind
+        scores = network_forward(template, x, hook, start=start, rows=rows)
+        reset_state(template)
+        for n, f, row in zip(source.tolist(), at.tolist(), scores):
+            outs[positions[f]][n] = Prediction(n, row, *_top(row))
+    return -(-len(k_idx) // cap)
 
 
 def run_faulty(
@@ -361,6 +415,7 @@ def run_faulty(
     faults: list[FaultDescriptor] | FaultDescriptor,
     dataset: SpikeDataset,
     golden: GoldenReference | None = None,
+    tally: dict[str, int] | None = None,
 ):
     """Each fault of a batch on every input of ``golden`` (run_golden's result
     for this template and dataset; computed over the whole dataset when
@@ -370,19 +425,26 @@ def run_faulty(
 
     A static fault whose bit already holds its stuck value leaves the network
     bit-identical; its list is ``golden.entries`` itself, which the caller
-    must not modify. The others are screened in groups that share their LIF
+    must not modify. The others are screened in blocks that share their LIF
     layer L and cone form (see ``_screen``); a fault that reaches L through
-    further layers is not screened, and all its inputs diverge. Only a fault
-    with diverging inputs gets a private copy of the template, on which they
-    are replayed in one batched forward from the first layer whose input
-    changed; the other inputs keep their golden Prediction.
+    further layers is not screened, and all its inputs diverge. The
+    diverging (fault, input) pairs of a block are replayed together, each
+    pair one row of a stacked forward on the template's own parameters,
+    which is neither copied nor injected (its LIF state is reset around each
+    forward). When the feed of L is not recurrent, a row runs from the layer
+    after L on L's golden spikes with its fault's screened cone written in.
+    Otherwise a row runs from L's recurrent feed, or for a fault beyond the
+    feed from the faulted layer, on that layer's golden input, and
+    recomputes only what its fault touches: a row or channel of that layer,
+    L's beta and threshold, and pins on L's state. The other inputs keep their golden Prediction. ``tally``, when
+    given, gains the number of stacked forwards under "replay_forwards".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
     elif not golden.trace:
         raise ValueError("golden reference holds no trace; pass run_golden's, not read_golden's")
     if isinstance(faults, FaultDescriptor):
-        return run_faulty(template, [faults], dataset, golden)[0]
+        return run_faulty(template, [faults], dataset, golden, tally)[0]
     k, outs = len(golden.entries), [golden.entries] * len(faults)
     groups: dict[tuple, list[tuple[int, FaultDescriptor, tuple]]] = {}
     for pos, d in enumerate(faults):
@@ -394,24 +456,45 @@ def run_faulty(
             held = (int(tensor[d.coords].view(np.uint32)) >> d.bit) & 1
             if held == d.stuck:
                 continue  # a no-op: the network stays bit-identical
+        outs[pos] = list(golden.entries)  # a list of its own, though no input may diverge
         w, lif_at, index = site = _screen_site(template, d)
-        if w < lif_at - 1:  # reaches L through further layers: replayed whole
-            outs[pos] = _replay(template, d, site, dataset, golden, None, np.arange(k))
-        else:
-            groups.setdefault((lif_at, len(index)), []).append((pos, d, site))
-    for members in groups.values():
-        lif_at, index = members[0][2][1:]
-        rest = template.shapes[template.layers[lif_at].name][len(index) :]
+        # a fault that reaches L through further layers is grouped by its layer alone
+        key = (w,) if w < lif_at - 1 else (lif_at, len(index))
+        groups.setdefault(key, []).append((pos, d, site))
+    forwards = 0
+    for key, members in groups.items():
+        if len(key) == 1:  # beyond the feed: every input, from the faulted layer
+            w, ds = key[0], [d for _, d, _ in members]
+            touched = np.array([d.coords[0] for d in ds])
+            make_rows = partial(_unscreened_rows, touched, _cut(template.layers[w], ds, touched))
+            k_idx, f_idx = np.divmod(np.arange(k * len(ds)), len(ds))
+            x = _golden_input(template, dataset, golden, w)
+            forwards += _replay_pairs(template, w, x, k_idx, f_idx, make_rows,
+                                      [pos for pos, _, _ in members], golden, outs)
+            continue
+        lif_at, cone = key
+        lif = template.layers[lif_at]
+        rest = template.shapes[lif.name][cone:]
         feed = template.layers[lif_at - 1]
         if feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
             rest = feed.params["weight"].shape[1:]
         cap = max(1, SCREEN_BLOCK_VALUES // (k * template.timesteps * math.prod(rest)))
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
-            spikes, differs = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
-            for i, (pos, d, site) in enumerate(block):
-                diverging = np.flatnonzero(differs[:, i])
-                outs[pos] = _replay(template, d, site, dataset, golden, spikes[:, :, i], diverging)
+            ds = [d for _, d, _ in block]
+            screened = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
+            k_idx, f_idx = np.nonzero(screened.differs)
+            positions = [pos for pos, _, _ in block]
+            if feed.kind is LayerKind.RECURRENT:  # restart from the feed, on its golden input
+                start, x = lif_at - 1, _golden_input(template, dataset, golden, lif_at - 1)
+                make_rows = partial(_restart_rows, template, lif_at, screened, ds)
+            else:  # from the layer after L, on its golden spikes with the cones written in
+                start, x = lif_at + 1, golden.trace[lif.name]
+                make_rows = partial(_splice_rows, screened)
+            forwards += _replay_pairs(template, start, x, k_idx, f_idx, make_rows, positions,
+                                      golden, outs)
+    if tally is not None:
+        tally["replay_forwards"] = tally.get("replay_forwards", 0) + forwards
     return outs
 
 
@@ -587,15 +670,15 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
 
 def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
                golden: GoldenReference, cells):
-    # Per fault, what record() takes for it: (no-op, screened inputs,
-    # replayed inputs, the outcome rows). A screened input's Prediction is
-    # the golden one itself.
-    results = []
-    for d, outs in zip(batch, run_faulty(net, batch, dataset, golden)):
+    # What record() takes for a batch: per fault (no-op, screened inputs,
+    # replayed inputs, the outcome rows), and the stacked forwards run. A
+    # screened input's Prediction is the golden one itself.
+    results, tally = [], {"replay_forwards": 0}
+    for d, outs in zip(batch, run_faulty(net, batch, dataset, golden, tally)):
         replayed = sum(o is not g for o, g in zip(outs, golden.entries))
         rows = _render_rows(d.fault_id, cells, golden.entries, outs)
         results.append((outs is golden.entries, len(outs) - replayed, replayed, rows))
-    return results
+    return results, tally["replay_forwards"]
 
 
 def _worker_run(batch: list[FaultDescriptor]):
@@ -660,13 +743,15 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     size = max(1, min(cfg.checkpoint_every, -(-len(pending) // parallel)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
     started = 0  # worker processes; the serial path starts none
+    forwards = 0  # stacked replay forwards
     per_worker: dict[int, int] = {}  # worker pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
 
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
-        def record(batch: list[FaultDescriptor], results) -> None:
+        def record(batch: list[FaultDescriptor], results, replay_forwards: int) -> None:
             """Write a batch's rows, fsync them and acknowledge the log."""
-            nonlocal acked
+            nonlocal acked, forwards
+            forwards += replay_forwards
             for d, (noop, screened, replayed, rows) in zip(batch, results):
                 counts = sites.setdefault(
                     f"{d.layer}.{d.parameter.value}",
@@ -686,7 +771,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             cells = _golden_cells(golden.entries)
             per_worker[os.getpid()] = len(pending)
             for batch in batches:
-                record(batch, _run_batch(net, batch, dataset, golden, cells))
+                record(batch, *_run_batch(net, batch, dataset, golden, cells))
         elif batches:
             started = min(parallel, len(batches))
             pool = ProcessPoolExecutor(
@@ -695,9 +780,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             try:
                 futures = {pool.submit(_worker_run, batch): batch for batch in batches}
                 for future in as_completed(futures):
-                    pid, results = future.result()
+                    pid, (results, replay_forwards) = future.result()
                     per_worker[pid] = per_worker.get(pid, 0) + len(results)
-                    record(futures[future], results)
+                    record(futures[future], results, replay_forwards)
             except BrokenProcessPool as exc:
                 # every recorded batch is already acknowledged for --resume
                 raise WorkerError(
@@ -732,6 +817,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         "noop_faults": sum(c["noop_faults"] for c in sites.values()),
         "screened_pairs": screened,
         "replayed_pairs": replayed,
+        "replay_forwards": forwards,
         "sites": dict(sorted(sites.items())),
         "golden_trace_bytes": sum(a.nbytes for a in golden.trace.values()),
         "fault_pairs_per_s": (screened + replayed) / (t_faults - t_golden) if pending else 0.0,
@@ -741,6 +827,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             "faults": t_faults - t_golden,
             "merge": t_merge - t_faults,
         },
+        "argv": sys.argv,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -72,6 +72,17 @@ preallocated arrays. A run from layer ``i`` on inputs recorded by a full run
 repeats the full run's arithmetic from layer ``i`` on, so its scores have the
 same bits; the fault campaign replays a fault from the layer it first changes
 this way.
+
+Given ``Rows``, a forward stacks independent (fault, input) pairs, one per
+batch row, on the network's own parameters. Row p runs on its own row of the
+input, gathered a block of timesteps at a time, and carries its own fault as
+per-row values: a cone of the input overwritten at every step (the screened
+spikes of a fault's LIF layer), a row or channel of one weighted layer
+recomputed from the row's own copy of its parameters (its feedback term too,
+each step, for a recurrent layer), or one LIF layer's beta and threshold.
+The kernels take such per-row parameters as leading axes that broadcast
+against the batch, and each recomputed element keeps the chain it has in a
+forward of an injected copy, so a row's bits are that forward's.
 """
 
 from __future__ import annotations
@@ -357,11 +368,13 @@ def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
     """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32.
 
-    The result is an owned, C-contiguous array: it keeps no term array or
-    transposed accumulator alive."""
-    out_n, in_n = weight.shape
+    Per-row parameters, ``weight`` [..., out, in] and ``bias`` [..., out]
+    whose leading axes broadcast against the input's batch axes, take the
+    cumsum realization. The result is an owned, C-contiguous array: it keeps
+    no term array or transposed accumulator alive."""
+    out_n, in_n = weight.shape[-2:]
     rows = input.size // in_n
-    if rows * out_n < CUMSUM_MAX_WIDTH:
+    if weight.ndim > 2 or rows * out_n < CUMSUM_MAX_WIDTH:
         terms = weight * input[..., None, :]
         out = np.cumsum(terms, axis=-1, out=terms)[..., -1]
     else:
@@ -392,17 +405,23 @@ def conv2d_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarra
 
     Window taps accumulate in-channel-major, then kernel row, then column;
     each tap is one step over every batch row, out channel and output pixel.
+    Per-row parameters, ``weight`` [..., oc, ic, k, k] and ``bias`` [..., oc]
+    whose leading axes broadcast against the input's batch axes, keep the
+    same chains.
     """
-    oc, ic, k, _ = weight.shape
-    batch = input.shape[:-3]
+    oc, ic, k, _ = weight.shape[-4:]
+    own = weight.shape[:-4]  # per-row weights' leading axes
+    batch = np.broadcast_shapes(input.shape[:-3], own)
     win = sliding_window_view(input, (k, k), axis=(-2, -1))  # [..., ic, Ho, Wo, k, k]
     ho, wo = win.shape[-4], win.shape[-3]
     # taps[(c*k + r)*k + q]: the input under kernel tap (c, r, q), as [..., 1, Ho*Wo]
-    taps = np.moveaxis(win, (-5, -2, -1), (0, 1, 2)).reshape(ic * k * k, *batch, 1, ho * wo)
-    tap_weights = weight.reshape(oc, ic * k * k).T.reshape(ic * k * k, *(1,) * len(batch), oc, 1)
+    taps = np.moveaxis(win, (-5, -2, -1), (0, 1, 2))
+    taps = taps.reshape(ic * k * k, *input.shape[:-3], 1, ho * wo)
+    tap_weights = np.moveaxis(weight.reshape(*own, oc, ic * k * k), -1, 0)
+    tap_weights = tap_weights.reshape(ic * k * k, *(1,) * (len(batch) - len(own)), *own, oc, 1)
     out = _product_chain(tap_weights, taps).reshape(*batch, oc, ho, wo)
     if bias is not None:
-        out = out + bias[:, None, None]
+        out = out + bias[..., None, None]
     return out
 
 
@@ -441,23 +460,22 @@ def lif_scan(
     threshold: np.ndarray,
     axis: int,
     refresh: StateHook | None = None,
-    feedback: LayerSpec | None = None,
+    feedback: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[LifState, np.ndarray]:
     """Advance LIF layer ``name`` from ``state`` over the timesteps of
     ``current``, which lie along ``axis``: one lif_step per step, in order.
     ``refresh`` sees each step's new potential, then its spikes, before
-    either feeds anything. With ``feedback``, the recurrent layer feeding
-    this one, ``current`` is that layer's input term; each step adds the
-    feedback term over the previous step's spikes and writes the sum back,
-    so ``current`` ends as the layer's output. Returns the final state and
-    the spikes, shaped like ``current``."""
+    either feeds anything. With ``feedback``, which maps the previous step's
+    spikes to the feedback term of the recurrent layer feeding this one,
+    ``current`` is that layer's input term; each step adds the feedback term
+    and writes the sum back, so ``current`` ends as the layer's output.
+    Returns the final state and the spikes, shaped like ``current``."""
     spikes = np.empty(current.shape, DTYPE)
     rows = (slice(None),) * axis
     for t in range(current.shape[axis]):
         step = current[rows + (t,)]
         if feedback is not None:
-            p = feedback.params
-            step = step + linear_forward(p["feedback_weight"], p.get("feedback_bias"), state.spike)
+            step = step + feedback(state.spike)
             current[rows + (t,)] = step
         state, spike = lif_step(state, step, beta, threshold)
         if refresh is not None:
@@ -491,13 +509,51 @@ def layer_forward(
     return linear_forward(p["weight"], p.get("bias"), flat)
 
 
+@dataclass
+class Rows:
+    """The rows of a stacked forward (see network_forward): row p runs on row
+    ``source[p]`` of the forward's input, with its own fault given by any of
+
+    * ``cone``, ``(index, values, at)``: at every step, the input's elements
+      at the leading coords ``index[0][p], index[1][p], ...`` are
+      ``values[source[p], :, at[p]]``, where ``values`` is [N, T, F, *rest]
+      and ``rest`` the input's shape past the index;
+    * ``cut``, ``(touched, spec)``: weighted layer ``spec.name`` computes
+      row p's output row or channel ``touched[p]``, and a recurrent layer
+      also its feedback term, from ``spec.params``, row p's own copy of that
+      row or channel, [P, ...];
+    * ``lif``: a LIF layer whose beta and threshold, [P, *shape], replace
+      that layer's, row p taking its own.
+    """
+
+    source: np.ndarray
+    cone: tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray] | None = None
+    cut: tuple[np.ndarray, LayerSpec] | None = None
+    lif: LayerSpec | None = None
+
+
+def _rowwise(spec: LayerSpec, axes: int) -> LayerSpec:
+    """A cut's per-row parameters [P, ...] as kernel parameters for ``axes``
+    batch axes: [P, 1, ..., 1, ...], one output per row."""
+    params = {key: v.reshape(len(v), *(1,) * axes, *v.shape[1:]) for key, v in spec.params.items()}
+    return LayerSpec(spec.name, spec.kind, params, spec.hyper)
+
+
+def widest(net: Network, start: int = 0) -> int:
+    """The most values one batch row holds at one step of a forward from
+    layer ``start``: the largest of its input and its layers' outputs."""
+    in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
+    shapes = [in_shape, *(net.shapes[s.name] for s in net.layers[start:])]
+    return max(math.prod(shape) for shape in shapes)
+
+
 def network_forward(
     net: Network,
     spikes,
     refresh: StateHook | None = None,
     start: int = 0,
-    splice: tuple[tuple[int, ...], np.ndarray] | None = None,
     record: dict[str, np.ndarray] | None = None,
+    rows: Rows | None = None,
 ) -> np.ndarray:
     """Run a T-step inference from layer ``start`` and return the class scores.
 
@@ -515,10 +571,11 @@ def network_forward(
     carries the batch axes.
 
     T is walked in blocks of timesteps (see the module docstring). Each
-    block's input is converted to a fresh binary32 array. ``splice``, an
-    (index, values) pair, then overwrites ``input[..., t, *index]`` with
-    ``values[..., t, ...]`` for the block's steps t, so a train that differs
-    from a stored one in a few elements is assembled a block at a time.
+    block's input is converted to a fresh binary32 array. With ``rows``,
+    ``spikes`` is [N, T, *shape] and the batch is rows' P rows, each with
+    its own input row and fault (see Rows): a block gathers its rows' input
+    and writes their cones in, and the layers that rows override compute
+    those rows' own values, on the network's own parameters otherwise.
     ``record`` maps layer names to preallocated [..., T, *shape] arrays; each
     block writes that layer's output into its rows, cast to the array's dtype.
     """
@@ -528,7 +585,7 @@ def network_forward(
     if lead < 0 or spikes.shape[lead:] != expected:
         where = net.layers[start].name if start < len(net.layers) else "scores"
         raise _dim_error(where, f"spike shape {spikes.shape} does not end in {expected}")
-    batch = spikes.shape[:lead]
+    batch = spikes.shape[:lead] if rows is None else rows.source.shape
     for name, st in net.states.items():
         st.potential = np.broadcast_to(st.potential, batch + net.shapes[name])
         st.spike = np.broadcast_to(st.spike, batch + net.shapes[name])
@@ -536,34 +593,60 @@ def network_forward(
     scores = np.zeros((*batch, net.num_classes), DTYPE)
     if not scores.size:  # an empty batch: no row to run
         return scores
-    layers = net.layers[start:]
-    widest = max(math.prod(shape) for shape in [in_shape, *(net.shapes[s.name] for s in layers)])
-    block = max(1, FORWARD_BLOCK_VALUES // (math.prod(batch) * widest))
-    rows = (slice(None),) * lead
+    block = max(1, FORWARD_BLOCK_VALUES // (math.prod(batch) * widest(net, start)))
+    axes = (slice(None),) * lead
+    lif = every = touched = cut_name = block_cut = step_cut = None
+    if rows is not None:
+        every, lif = np.arange(len(rows.source)), rows.lif
+        if rows.cut is not None:  # kernel parameters for a block's rows, and for a step's
+            touched, own = rows.cut
+            cut_name, block_cut, step_cut = own.name, _rowwise(own, lead + 1), _rowwise(own, lead)
 
     def keep(name: str, out: np.ndarray) -> None:
         if record is not None and name in record:
             record[name][steps] = out
 
+    def feedback_term(spec: LayerSpec) -> Callable[[np.ndarray], np.ndarray]:
+        p = spec.params
+
+        def term(spike: np.ndarray) -> np.ndarray:
+            out = linear_forward(p["feedback_weight"], p.get("feedback_bias"), spike)
+            if spec.name == cut_name:
+                q = step_cut.params
+                own = linear_forward(q["feedback_weight"], q.get("feedback_bias"), spike)
+                out[every, touched] = own[:, 0]
+            return out
+
+        return term
+
     with np.errstate(all="ignore"):
         for t in range(0, net.timesteps, block):
-            steps = rows + (slice(t, t + block),)
-            x = spikes[steps].astype(DTYPE)
-            if splice is not None:
-                index, values = splice
-                x[rows + (slice(None), *index)] = values[steps]
+            steps = axes + (slice(t, t + block),)
+            if rows is None:
+                x = spikes[steps].astype(DTYPE)
+            else:
+                x = spikes[rows.source, t : t + block].astype(DTYPE, copy=False)
+                if rows.cone is not None:
+                    index, values, at = rows.cone
+                    cells = (every[:, None], np.arange(x.shape[1]), *(i[:, None] for i in index))
+                    x[cells] = values[rows.source, t : t + block, at]
             feedback = None
-            for spec in layers:
+            for spec in net.layers[start:]:
                 if spec.kind is LayerKind.LIF:
-                    st, p = net.states[spec.name], spec.params
+                    st = net.states[spec.name]
+                    p = (lif if lif is not None and lif.name == spec.name else spec).params
+                    term = None if feedback is None else feedback_term(feedback)
                     state, spikes_out = lif_scan(spec.name, st, x, p["beta"], p["threshold"],
-                                                 lead, refresh, feedback)
+                                                 lead, refresh, term)
                     st.potential, st.spike = state.potential, state.spike
                     if feedback is not None:  # the scan completed x to its output
                         keep(feedback.name, x)
                     x, feedback = spikes_out, None
                 else:
-                    x = layer_forward(spec, x, lead + 1)
+                    out = layer_forward(spec, x, lead + 1)
+                    if spec.name == cut_name:
+                        out[every, :, touched] = layer_forward(block_cut, x, lead + 1)[:, :, 0]
+                    x = out
                     if spec.kind is LayerKind.RECURRENT:
                         feedback = spec
                         continue

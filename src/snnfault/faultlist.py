@@ -29,6 +29,7 @@ import bisect
 import math
 import re
 from dataclasses import dataclass
+from operator import ge
 from pathlib import Path
 from statistics import NormalDist
 
@@ -293,6 +294,9 @@ _META_RE = re.compile(
 )
 _OPTS_RE = re.compile(r"^# polarity=(\S+) spike_mode=(\S+) exhaustive=([01])$")
 _KINDS = "|".join(k.value for k in ParameterKind)
+# The enum members by value, looked up once per row instead of called.
+_KIND_BY_NAME = {k.value: k for k in ParameterKind}
+_MODE_BY_NAME = {m.value: m for m in FaultMode}
 _UNIVERSE_RE = re.compile(rf"^# universe (\S+) ({_KINDS}) ({INT}(?:x{INT})*)$")
 _FAULT_ROW = re.compile(
     rf"({INT}),([^,]*),({_KINDS}),({INT}(?:;{INT})*),({INT}),({INT}),"
@@ -392,11 +396,10 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         if fid in seen_ids:
             raise FormatError(f"duplicate fault_id {fid}", line=lineno)
         seen_ids.add(fid)
-        coords = tuple(int(c) for c in coords_s.split(";"))
+        coords = tuple(map(int, coords_s.split(";")))
         try:
-            d = FaultDescriptor(
-                fid, layer, ParameterKind(pname), coords, int(bit_s), int(stuck_s), FaultMode(mode_s)
-            )
+            d = FaultDescriptor(fid, layer, _KIND_BY_NAME[pname], coords, int(bit_s),
+                                int(stuck_s), _MODE_BY_NAME[mode_s])
         except SnnFaultError as exc:  # descriptor invariants (bit range, mode legality)
             raise FormatError(str(exc), line=lineno) from None
         descriptors.append(d)
@@ -405,11 +408,21 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         raise FormatError(f"header says n={n_s} but file has {len(descriptors)} rows")
 
     if net is not None:
+        # Coords are checked against a shape per (layer, parameter), resolved
+        # once; a first sighting or a miss goes through target_tensor, which
+        # raises the address error.
+        shapes: dict[tuple[str, ParameterKind], tuple[int, ...]] = {}
         for d in descriptors:
-            try:
-                target_tensor(net, d)
-            except AddressError as exc:
-                raise AddressError(f"fault {d.fault_id}: {exc}") from None
+            shape = shapes.get((d.layer, d.parameter))
+            # coords are never negative, so ge is the whole bounds check
+            if shape is None or len(d.coords) != len(shape) or any(map(ge, d.coords, shape)):
+                try:
+                    tensor = target_tensor(net, d)
+                except AddressError as exc:
+                    raise AddressError(f"fault {d.fault_id}: {exc}") from None
+                shapes[d.layer, d.parameter] = (
+                    net.shapes[d.layer] if d.parameter.is_dynamic else tensor.shape
+                )
 
     return FaultList(
         descriptors=descriptors,

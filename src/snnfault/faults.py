@@ -70,7 +70,7 @@ class FaultDescriptor:
             raise AddressError(f"fault {self.fault_id}: bit {self.bit} outside 0..31")
         if self.stuck not in (0, 1):
             raise AddressError(f"fault {self.fault_id}: stuck must be 0 or 1, got {self.stuck}")
-        if not self.coords or any(c < 0 for c in self.coords):
+        if not self.coords or min(self.coords) < 0:
             raise AddressError(f"fault {self.fault_id}: bad coords {self.coords}")
         if self.mode is FaultMode.VALUE_STUCK and self.parameter is not ParameterKind.SPIKE:
             raise FaultKindError(

@@ -148,38 +148,63 @@ def _ref_pool(x, pool):
     return acc / F32(pool * pool)
 
 
-def reference_forward(net, spikes, refresh=None, start=0, splice=None, record=None):
+def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None):
     """What network_forward documents, computed timestep-major: every layer
     from ``start`` runs once per timestep, each as elementwise binary32 steps
     in the documented order, on zero state. Calls ``refresh`` after each LIF
-    write (potential, then spikes), splices and records as network_forward
-    does, and returns the scores [..., classes]."""
+    write (potential, then spikes), records as network_forward does, and
+    returns the scores [..., classes]. With ``rows`` (a core.Rows), batch
+    row p runs on ``spikes[source[p]]`` with its cone written in, the cut
+    layer's touched row or channel recomputed, one row at a time, from row
+    p's own parameters, and the per-row beta and threshold of rows.lif."""
     layers = net.layers[start:]
     in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
+    if rows is not None:
+        spikes = spikes[rows.source]
     lead = spikes.ndim - 1 - len(in_shape)
     batch = spikes.shape[:lead]
     potential = {n: np.zeros(batch + net.shapes[n], F32) for n in net.states}
     spike = {n: np.zeros(batch + net.shapes[n], F32) for n in net.states}
     scores = np.zeros(batch + (net.num_classes,), F32)
+    cone = cut = lif = None
+    if rows is not None:
+        cone, cut, lif = rows.cone, rows.cut, rows.lif
     with np.errstate(all="ignore"):
         for t in range(net.timesteps):
             x = np.take(spikes, t, axis=lead).astype(F32)
-            if splice is not None:
-                index, values = splice
-                x[(slice(None),) * lead + tuple(index)] = np.take(values, t, axis=lead)
+            if cone is not None:
+                index, values, at = cone
+                for r, n in enumerate(rows.source):
+                    x[(r, *(i[r] for i in index))] = values[n, t, at[r]]
             for spec in layers:
                 p = spec.params
+                own = cut[1].params if cut is not None and cut[1].name == spec.name else None
                 if spec.kind is LayerKind.FULLY_CONNECTED:
-                    x = _ref_linear(p["weight"], p.get("bias"), x.reshape(*batch, -1))
+                    flat = x.reshape(*batch, -1)
+                    x = _ref_linear(p["weight"], p.get("bias"), flat)
+                    for r in _rows_of(own, x):
+                        row = _ref_linear(own["weight"][r : r + 1], _row(own, "bias", r), flat[r])
+                        x[r, cut[0][r]] = row[0]
                 elif spec.kind is LayerKind.RECURRENT:
-                    fwd = _ref_linear(p["weight"], p.get("bias"), x.reshape(*batch, -1))
-                    prev = spike[net.paired_lif[spec.name]]
+                    flat, prev = x.reshape(*batch, -1), spike[net.paired_lif[spec.name]]
+                    fwd = _ref_linear(p["weight"], p.get("bias"), flat)
                     x = fwd + _ref_linear(p["feedback_weight"], p.get("feedback_bias"), prev)
+                    for r in _rows_of(own, x):
+                        fwd = _ref_linear(own["weight"][r : r + 1], _row(own, "bias", r), flat[r])
+                        rec = _ref_linear(own["feedback_weight"][r : r + 1],
+                                          _row(own, "feedback_bias", r), prev[r])
+                        x[r, cut[0][r]] = (fwd + rec)[0]
                 elif spec.kind is LayerKind.CONV2D:
-                    x = _ref_conv(p["weight"], p.get("bias"), x)
+                    inp = x
+                    x = _ref_conv(p["weight"], p.get("bias"), inp)
+                    for r in _rows_of(own, x):
+                        x[r, cut[0][r]] = _ref_conv(own["weight"][r : r + 1], _row(own, "bias", r),
+                                                    inp[r])[0]
                 elif spec.kind is LayerKind.AVGPOOL2D:
                     x = _ref_pool(x, spec.hyper["pool"])
                 else:
+                    if lif is not None and lif.name == spec.name:
+                        p = lif.params
                     v = potential[spec.name]
                     fired = v > p["threshold"]
                     v = np.where(fired, v - p["threshold"], p["beta"] * v) + x
@@ -192,6 +217,16 @@ def reference_forward(net, spikes, refresh=None, start=0, splice=None, record=No
                     record[spec.name][(slice(None),) * lead + (t,)] = x
             scores = scores + x
     return scores
+
+
+def _rows_of(own, x):
+    """The batch rows whose cut to recompute: all of x's, or none without a cut."""
+    return range(len(x)) if own is not None else ()
+
+
+def _row(params, key, r):
+    """Row r of an optional per-row parameter, as a length-1 array, or None."""
+    return None if key not in params else params[key][r : r + 1]
 
 
 def injected_forward(net, d, spikes) -> np.ndarray:

@@ -299,6 +299,26 @@ def test_campaign_json_counts_faults_per_worker(workdir, workers):
     assert res.status == "complete" and res.processed == res.total - 7
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_json_counts_replay_forwards_and_argv(workdir, workers, monkeypatch):
+    """campaign.json holds the command line that ran the campaign, and next
+    to replayed_pairs the stacked forwards that replayed them: as many as
+    run_faulty runs over the same batches, whichever process runs them."""
+    _, net, ds, fl = workdir
+    argv = ["snnfault", "run", "--workers", str(workers), "--checkpoint-every", "5"]
+    monkeypatch.setattr(sys, "argv", argv)
+    res = run_campaign(cfg_for(workdir, f"forwards_{workers}", workers=workers,
+                               checkpoint_every=5))
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    assert summary["argv"] == argv
+    keys = list(summary)
+    assert keys.index("replay_forwards") == keys.index("replayed_pairs") + 1
+    golden, tally = run_golden(net.copy(), ds), {}
+    for i in range(0, fl.n, 5):  # the batches of both worker counts: fl.n / 2 > 5
+        run_faulty(net, fl.descriptors[i : i + 5], ds, golden, tally)
+    assert 0 < summary["replay_forwards"] == tally["replay_forwards"] < summary["replayed_pairs"]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor and starts no process: records the
     worker count asked for and each batch's size, and runs each batch here."""
@@ -956,6 +976,85 @@ def test_screened_run_faulty_equals_injected_full_forward(arch):
         assert set(replayed) == {"none", "some", "all"}, (how, replayed)
 
 
+def _spy_stacked_forwards(monkeypatch):
+    """Records each stacked forward the campaign runs, as (start, rows), and
+    the values of every LIF block it scans."""
+    forwards, blocks, inside = [], [], []
+    forward, scan = campaign.network_forward, core.lif_scan
+
+    def stacked(net, spikes, *args, rows=None, **kwargs):
+        if rows is not None:
+            forwards.append((kwargs["start"], len(rows.source)))
+        inside.append(rows is not None)
+        try:
+            return forward(net, spikes, *args, rows=rows, **kwargs)
+        finally:
+            inside.pop()
+
+    def scanned(*args):
+        if inside and inside[-1]:
+            blocks.append(args[2].size)
+        return scan(*args)
+
+    monkeypatch.setattr(campaign, "network_forward", stacked)
+    monkeypatch.setattr(core, "lif_scan", scanned)
+    return forwards, blocks
+
+
+@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
+def test_stacked_replay_equals_injected_forward_at_any_row_count(arch, monkeypatch):
+    """Every diverging (fault, input) pair runs as one row of a stacked
+    forward. With FORWARD_BLOCK_VALUES set so that forwards hold 1 row, 3
+    rows or more, or all of a screen block's rows, every fault gets
+    injected_forward's bytes, run alone or with the whole list as one batch.
+    A forward never holds more rows than keep one step of its widest layer
+    within FORWARD_BLOCK_VALUES, and none of its LIF blocks more values."""
+    net = _screen_net(arch)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    faults = _screen_faults(net, np.random.default_rng(44))
+    want = {d.fault_id: [row.tobytes() for row in injected_forward(net, d, ds.spikes)]
+            for d in faults}
+    forwards, blocks = _spy_stacked_forwards(monkeypatch)
+    diverging, screen = [], campaign._screen
+
+    def screened(*args):
+        result = screen(*args)
+        diverging.append(bool(result.differs.any()))
+        return result
+
+    monkeypatch.setattr(campaign, "_screen", screened)
+    unscreened = {(i, d.layer) for i, d in enumerate(faults) if _beyond_the_feed(net, d)}
+    widest = core.widest(net)
+    for budget in (1, 3 * widest, 1 << 30):
+        monkeypatch.setattr(core, "FORWARD_BLOCK_VALUES", budget)
+        for how, batches in (("alone", [[d] for d in faults]), ("one batch", [faults])):
+            forwards.clear(), blocks.clear(), diverging.clear()
+            outs = [out for batch in batches for out in run_faulty(net, batch, ds, golden)]
+            for d, out in zip(faults, outs, strict=True):
+                assert [o.scores.tobytes() for o in out] == want[d.fault_id], (budget, how, d)
+            replayed = sum(o is not g for out in outs for o, g in zip(out, golden.entries))
+            assert sum(rows for _, rows in forwards) == replayed > 0
+            caps = [max(1, budget // core.widest(net, start)) for start, _ in forwards]
+            assert all(rows <= cap for (_, rows), cap in zip(forwards, caps)), (budget, how)
+            if budget == 1:
+                assert {rows for _, rows in forwards} == {1}
+            else:
+                assert max(blocks) <= budget
+            if budget == 1 << 30:  # one forward per screen block or unscreened layer
+                groups = len(unscreened) if how == "alone" else len({lay for _, lay in unscreened})
+                assert len(forwards) == sum(diverging) + groups, how
+        if budget == 3 * widest:
+            assert max(rows for _, rows in forwards) >= 3
+
+
+def _beyond_the_feed(net, d):
+    """A fault that changes its layer and reaches its LIF layer through further layers."""
+    held = (bits_of(campaign.target_tensor(net, d)[d.coords]) >> d.bit) & 1
+    w, lif_at, _ = campaign._screen_site(net, d)
+    return w < lif_at - 1 and not (d.parameter.is_static and held == d.stuck)
+
+
 def _flipped(net, fault_id, layer, coords, bit):
     """A weight fault that pins the bit at coords to the value it does not hold."""
     value = net.layer(layer).params["weight"][coords]
@@ -966,26 +1065,24 @@ def _flipped(net, fault_id, layer, coords, bit):
 @pytest.mark.parametrize("arch", ["fc-fc", "conv-pool-fc"])
 def test_fault_beyond_the_feed_is_replayed_whole_unscreened(arch, monkeypatch):
     """A first-layer fault reaches its LIF layer only through further layers:
-    no screen, and one forward from its own layer over all K inputs."""
+    no screen, and one stacked forward from its own layer, a row per input,
+    on the template's own parameters: no copy, no injection."""
     net = _screen_net(SCREEN_NETS[arch])
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     first = net.layers[0]
     d = _flipped(net, 0, first.name, (0,) * first.params["weight"].ndim, 30)
-    calls, steps = [], []
-    forward, lif_step = campaign.network_forward, core.lif_step
-
-    def counted(net, spikes, *args, **kwargs):
-        calls.append((kwargs.get("start"), len(spikes)))
-        return forward(net, spikes, *args, **kwargs)
-
-    monkeypatch.setattr(campaign, "network_forward", counted)
-    monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(len(calls)) or lif_step(*args))
+    want = injected_forward(net, d, ds.spikes)
+    forwards, _ = _spy_stacked_forwards(monkeypatch)
+    steps, copies, lif_step = [], [], core.lif_step
+    monkeypatch.setattr(core, "lif_step",
+                        lambda *args: steps.append(len(forwards)) or lif_step(*args))
+    monkeypatch.setattr(Network, "copy", lambda self: copies.append(1))
+    monkeypatch.setattr(campaign, "inject_static", None)
     outs = run_faulty(net, d, ds, golden)
-    assert calls == [(0, len(golden.entries))]
+    assert forwards == [(0, len(golden.entries))] and copies == []
     lifs = sum(spec.kind is LayerKind.LIF for spec in net.layers)
     assert steps == [1] * (net.timesteps * lifs)  # the forward's own steps, no screen's
-    want = injected_forward(net, d, ds.spikes)
     assert [o.scores.tobytes() for o in outs] == [row.tobytes() for row in want]
 
 
@@ -1113,7 +1210,7 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     assert silent.any()  # inputs whose only difference is -0.0
     d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 31, 1)
     cells = campaign._golden_cells(golden.entries)
-    ((_, _, n_replayed, _),) = campaign._run_batch(net, [d], ds, golden, cells)
+    ((_, _, n_replayed, _),), _ = campaign._run_batch(net, [d], ds, golden, cells)
     assert n_replayed == len(golden.entries)
 
 
@@ -1127,21 +1224,21 @@ def test_run_faulty_rejects_golden_without_trace(workdir, tmp_path):
 
 
 def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
+    """A screened fault with no diverging input runs no forward. One whose
+    inputs all diverge runs one stacked forward from the layer after its
+    LIF layer, a row per input, and a batch of both runs that forward alone."""
     _, net, ds, _ = workdir
     golden = run_golden(net.copy(), ds)
-    calls, steps = [], []
-    forward, lif_step = campaign.network_forward, core.lif_step
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("start"))
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(campaign, "network_forward", counted)
+    forwards, _ = _spy_stacked_forwards(monkeypatch)
+    steps, lif_step = [], core.lif_step
     monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(1) or lif_step(*args))
     masked = _flipped(net, 0, "fc1", (0, 0), 5)  # changes a bit, yet no input diverges
     outs = run_faulty(net, masked, ds, golden)
-    assert steps and calls == []  # screened, not replayed
+    assert steps and forwards == []  # screened, not replayed
     assert all(o is g for o, g in zip(outs, golden.entries))
     saturated = FaultDescriptor(1, "lif1", ParameterKind.SPIKE, (0,), 0, 1, FaultMode.VALUE_STUCK)
     run_faulty(net, saturated, ds, golden)  # no neuron fires at t=0: every input diverges
-    assert calls == [2]  # one forward, from the layer after lif1
+    assert forwards == [(2, K)]  # one forward, from the layer after lif1
+    tally = {}
+    run_faulty(net, [masked, saturated], ds, golden, tally)
+    assert forwards == [(2, K)] * 2 and tally == {"replay_forwards": 1}

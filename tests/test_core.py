@@ -527,6 +527,30 @@ def test_empty_batch_forward_returns_zero_rows(arch, batch):
     assert scores.shape == (*batch, net.num_classes) and scores.dtype == DTYPE
 
 
+def _rows_cases(net):
+    """Per-row faults on a BATCH_NETS net for its five input trains: rows
+    that gather inputs out of order and twice, and (start, Rows) pairs with
+    cones written into the first LIF layer's spikes, or with the first
+    layer's touched rows or channels and that LIF layer's beta and
+    threshold given per row."""
+    first, lif = net.layers[0], net.layers[1]
+    shape = net.shapes[lif.name]
+    source = np.array([3, 0, 0, 4, 1])
+    every = np.arange(len(source))
+    rng = np.random.default_rng(7)
+    values = (rng.random((5, 8, 2, *shape[1:])) < 0.5).astype(DTYPE)
+    values[0, :, 1] = -0.0  # a cone of negative zeros differs from golden in bits
+    cone = core.Rows(source, cone=((every * 2 % shape[0],), values, every % 2))
+    touched = (every + 1) % shape[0]
+    own = {key: value[(touched + 1) % shape[0]] for key, value in first.params.items()}
+    own["weight"][2] = -own["weight"][2]
+    cut = (touched, LayerSpec(first.name, first.kind, own, first.hyper))
+    params = {key: rng.uniform(0.1, 0.9, (5, *shape)).astype(DTYPE)
+              for key in ("beta", "threshold")}
+    restart = core.Rows(source, cut=cut, lif=LayerSpec(lif.name, lif.kind, params))
+    return {"cone": (2, cone), "restart": (0, restart)}
+
+
 @pytest.mark.parametrize("fault", BATCH_FAULTS)
 @pytest.mark.parametrize("arch", BATCH_NETS.values(), ids=BATCH_NETS)
 def test_forward_matches_timestep_major_reference(arch, fault):
@@ -534,16 +558,14 @@ def test_forward_matches_timestep_major_reference(arch, fault):
     code, batched and unbatched: the scores, every layer's recorded output,
     and every tensor the hook sees, per layer and state kind in timestep
     order. That holds from every start layer, on the inputs the full run
-    recorded (whose scores it repeats), and with a cone spliced in."""
+    recorded (whose scores it repeats), and with per-row faults (Rows):
+    cones written in, or a layer's touched rows and a LIF layer's beta and
+    threshold per row."""
     net, spikes, fault_hook = _batch_case(arch, fault)
-    lif = net.layers[1].name
-    cone = (net.shapes[lif][0] // 2,)
-    rest = net.shapes[lif][1:]
-    values = np.stack([spike_train(60 + i, 8, rest) for i in range(5)])
 
-    def run(forward, x, start=0, splice=None):
+    def run(forward, x, start=0, rows=None):
         in_shape = net.shapes[net.layers[start - 1].name] if start else net.input_shape
-        batch = x.shape[: x.ndim - 1 - len(in_shape)]
+        batch = x.shape[: x.ndim - 1 - len(in_shape)] if rows is None else rows.source.shape
         record = {s.name: np.empty((*batch, 8, *net.shapes[s.name]), DTYPE)
                   for s in net.layers[start:]}
         seen = {}
@@ -554,10 +576,10 @@ def test_forward_matches_timestep_major_reference(arch, fault):
             seen.setdefault((layer, kind), []).append(tensor.tobytes())
 
         reset_state(net)
-        scores = forward(net, x, hook, start=start, splice=splice, record=record)
+        scores = forward(net, x, hook, start=start, record=record, rows=rows)
         return scores.tobytes(), {k: v.tobytes() for k, v in record.items()}, seen, record
 
-    for rows in (slice(None), 0):
+    for rows in (0, slice(None)):
         full = run(network_forward, spikes[rows])
         assert full[:3] == run(reference_forward, spikes[rows])[:3]
         for start in range(1, len(net.layers) + 1):
@@ -565,12 +587,14 @@ def test_forward_matches_timestep_major_reference(arch, fault):
             got = run(network_forward, x, start)
             assert got[:3] == run(reference_forward, x, start)[:3], start
             assert got[0] == full[0], start
-        splice = (cone, values[rows])
-        got = run(network_forward, full[3][lif], 2, splice)
-        assert got[:3] == run(reference_forward, full[3][lif], 2, splice)[:3]
-        after = net.layers[2].name  # the splice changed its input; the check is not vacuous
-        assert got[1][after] != full[1][after]
     assert np.frombuffer(full[0], DTYPE).any()
+    for how, (start, per_row) in _rows_cases(net).items():  # on the batched run's inputs
+        x = full[3][net.layers[start - 1].name] if start else spikes
+        got = run(network_forward, x, start, per_row)
+        assert got[:3] == run(reference_forward, x, start, per_row)[:3], how
+        gathered = run(network_forward, x[per_row.source], start)
+        after = net.layers[2].name  # the rows' faults changed its input; the check is not vacuous
+        assert got[1][after] != gathered[1][after], how
 
 
 def test_recurrent_net_with_zero_feedback_matches_fc():

@@ -333,6 +333,55 @@ def test_read_oob_coords_names_fault_id(tmp_path):
         read_fault_list(p, net)
 
 
+@pytest.mark.parametrize(
+    "layer, parameter, coords, shape",
+    [
+        ("fc1", "weight", "5;0", (5, 4)),  # past the end of the first axis
+        ("fc1", "weight", "0;4", (5, 4)),  # of the last axis
+        ("fc1", "weight", "0", (5, 4)),  # too few coords
+        ("fc1", "bias", "0;0", (5,)),  # too many
+        ("lif1", "potential", "5", (5,)),  # a state, checked against the layer's shape
+        ("fc9", "weight", "0;0", None),  # no such layer
+    ],
+)
+def test_read_bad_coords_on_the_last_row_names_its_fault_id(tmp_path, layer, parameter,
+                                                             coords, shape):
+    """Each (layer, parameter) shape is resolved once; a last row that the
+    rows before it did not prepare for still ends in target_tensor's
+    address error, prefixed with its fault id."""
+    net, lines = _valid_lines(tmp_path)
+    assert sum(ln.split(",")[1:3] == ["fc1", "weight"] for ln in lines[:-1]) > 1
+    row = lines[-1].split(",")
+    row[1], row[2], row[3] = layer, parameter, coords
+    lines[-1] = ",".join(row)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(AddressError) as caught:
+        read_fault_list(p, net)
+    if shape is None:
+        want = f"fault {row[0]}: no layer named '{layer}'"
+    else:
+        listed = "[" + ", ".join(coords.split(";")) + "]"
+        want = (f"fault {row[0]}: coords {listed} out of bounds for "
+                f"{layer}.{parameter} shape {shape}")
+    assert str(caught.value) == want
+
+
+def test_read_reports_format_errors_before_address_errors(tmp_path):
+    """A bad address on the first row and a malformed last row: the format
+    error, with its line, is the one raised."""
+    net, lines = _valid_lines(tmp_path)
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("fault_id,")) + 1
+    row = lines[first].split(",")
+    row[1], row[2], row[3] = "fc1", "weight", "9;9"
+    lines[first] = ",".join(row)
+    lines[-1] = lines[-1].replace(",bit", ",nibble")
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=rf"line {len(lines)}"):
+        read_fault_list(p, net)
+
+
 def test_read_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("not a fault list\n", encoding="utf-8")
