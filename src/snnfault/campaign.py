@@ -17,20 +17,21 @@ parameters and state pins (parallel fault simulation, with the fault-free work
 shared as in concurrent fault simulation). An input whose cone spikes match
 the golden trace bit for bit (compared as binary32 patterns, so a -0.0 spike
 counts as different) sees golden values in every later layer, so it keeps its
-golden prediction exactly. The differing (fault, input) pairs of a screen
-block are replayed together, each pair one row of a stacked forward
-(``core.Rows``) that runs on the network's own parameters, never on a copy or
-an injected one: from the layer after L on L's golden spikes with the pair's
-screened cone written in, or, when L is fed back through a recurrent layer,
-from that layer on its golden input, each row recomputing its fault's row of
-that layer, L's beta and threshold and L's state pins as the screen built
-them. A fault that reaches L only through further layers is never screened;
-its pairs, all K inputs, restart at its own layer, each recomputing the
-faulted row or channel. A forward holds at most as many rows as keep one step
-of its widest layer within ``core.FORWARD_BLOCK_VALUES`` values. Rows are
-independent and keep their chains, so each (fault, input) outcome is a pure
-function of (model, descriptor, input), with the bits of a full forward of an
-injected copy, whichever pairs share its forward. Results go into the
+golden prediction exactly. A fault that reaches L only through further
+layers is never screened, and all its inputs differ. The differing (fault,
+input) pairs of a block are replayed together, each pair one row of a
+stacked forward (``core.Rows``, which takes every fault's values once and a
+fault index per row) that runs on the network's own parameters, never on a
+copy or an injected one, by one of two routes: from the layer after L, on
+L's golden spikes with the pair's screened cone written in; or, when L is fed
+back through a recurrent layer or the fault lies beyond the feed, restarting
+from the fed or faulted layer on its golden input, each row recomputing its
+fault's row or channel of that layer, and L's beta, threshold and state pins
+as the screen built them. A forward holds at most as many rows as keep one
+step of its widest layer within ``core.FORWARD_BLOCK_VALUES`` values. Rows
+are independent and keep their chains, so each (fault, input) outcome is a
+pure function of (model, descriptor, input), with the bits of a full forward
+of an injected copy, whichever pairs share its forward. Results go into the
 ``outcomes.partial.csv`` log, their only record, a batch at a time; once a
 batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
 length, bound to the sha256 of the model, dataset and fault list and to K.
@@ -45,7 +46,8 @@ The serial path and each pool worker run contiguous batches of at most
 ``checkpoint_every`` faults, and no more than an even share of the pending
 faults per worker; a batch's rows are held in memory until it is recorded, so
 a kill loses at most the batches in flight. The pool starts no more workers
-than there are usable CPUs or batches. A worker that dies ends the run with
+than there are usable CPUs or batches, and a run that could start only one
+runs in-process instead. A worker that dies ends the run with
 ``WorkerError``; every batch recorded before it is acknowledged, so
 ``--resume`` picks up from there.
 
@@ -72,7 +74,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -240,14 +241,16 @@ def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[int,
 
 @dataclass
 class _Screened:
-    """A screen block of F faults: what ``_screen`` builds to advance their
-    cones, which their stacked replay reuses, and what it finds."""
+    """A block of F faults: what ``_screen`` builds to advance their cones,
+    which their stacked replay reuses, and what it finds. A block beyond the
+    feed is not screened: it holds only its rows or channels of the faulted
+    layer, and every input differs."""
 
     index: tuple[np.ndarray, ...]  # per fault, its cone's leading coords in L
     cut: LayerSpec | None  # the feed's rows or channels under the cones, each fault's own
     columns: dict[str, np.ndarray]  # L's beta and threshold per fault, [F, *rest]
     pins: dict[str, tuple[np.ndarray, np.ndarray]]  # state kind -> per-fault (keep, force)
-    spikes: np.ndarray  # the cones' spikes, [K, T, F, *rest]
+    spikes: np.ndarray | None  # the cones' spikes, [K, T, F, *rest]; None unscreened
     differs: np.ndarray  # [K, F]: the input's cone spikes differ from golden in a bit
 
 
@@ -273,16 +276,18 @@ def _screen(
     of the inputs whose cone spikes differ in any bit from the golden trace.
 
     Only the feed and L run. The current into the cones is computed for all
-    K inputs, T steps and F faults at once from the feed's golden input: the
-    feed's rows or channels that the cones need, each fault's bit set in its
-    own copy (the cut); a conv input's windows under single neurons; or all
-    of L's golden current, for a ``(1,)`` beta or threshold fault. Every
-    output element keeps its own chain, so its bits are those of a full
-    forward. A recurrent layer's feedback reads L's golden spikes of the
-    previous step, which is exact until the cone first differs, and that is
-    all the screen decides. L then advances step by step over [K, F, *rest]
-    in ``core.lif_scan``, the scan network_forward runs, each fault with its
-    own beta and threshold column and its own state pins.
+    K inputs, T steps and F faults at once from the feed's golden input,
+    through the feed's rows or channels that the cones need, each fault's
+    bit set in its own copy (the cut): on the whole input, or for single
+    neurons of a conv-fed L on each one's input window, [K, T, F, ic, k, k],
+    in one call with per-fault weights. For a ``(1,)`` beta or threshold
+    fault it is all of L's golden current. Every output element keeps its
+    own chain, so its bits are those of a full forward. A recurrent layer's
+    feedback reads L's golden spikes of the previous step, which is exact
+    until the cone first differs, and that is all the screen decides. L then
+    advances step by step over [K, F, *rest] in ``core.lif_scan``, the scan
+    network_forward runs, each fault with its own beta and threshold column
+    and its own state pins.
     """
     _, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
@@ -299,21 +304,18 @@ def _screen(
         if not index:  # all of L: its golden current
             current = core.layer_forward(feed, x.astype(DTYPE, copy=False), 2, prev)
             current = np.broadcast_to(current[:, :, None], (k, steps, f, *rest))
-        elif feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
-            kernel = feed.hyper["kernel"]
-            win = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
-            # [K, T, F, ic, k, k]: the input window under each fault's neuron
-            windows = np.moveaxis(win[:, :, :, index[1], index[2]], 3, 2).astype(DTYPE)
-            weight, bias = feed.params["weight"], feed.params.get("bias")
-            current = np.empty((k, steps, f), DTYPE)
-            for c in set(index[0].tolist()):  # np.unique imports numpy.ma: +1.5 MB per process
-                sel = index[0] == c
-                cut_bias = None if bias is None else bias[c : c + 1]
-                out = core.conv2d_forward(weight[c : c + 1], cut_bias, windows[:, :, sel])
-                current[:, :, sel] = out.reshape(k, steps, -1)
         else:  # the feed's rows or channels, each fault's bit set in its own
             cut = _cut(feed, faults, index[0])
-            current = core.layer_forward(cut, x.astype(DTYPE, copy=False), 2, prev)
+            if feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
+                kernel = feed.hyper["kernel"]
+                win = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
+                # [K, T, F, ic, k, k]: the input window under each fault's neuron
+                windows = np.moveaxis(win[:, :, :, index[1], index[2]], 3, 2).astype(DTYPE)
+                own = {key: value[:, None] for key, value in cut.params.items()}  # [F, 1, ...]
+                current = core.conv2d_forward(own["weight"], own.get("bias"), windows)
+                current = current.reshape(k, steps, f)
+            else:
+                current = core.layer_forward(cut, x.astype(DTYPE, copy=False), 2, prev)
         columns = {}
         for key, value in lif.params.items():  # [F, *rest], or broadcastable to it
             if value.shape == (1,):
@@ -347,67 +349,50 @@ def _screen(
     return _Screened(index, cut, columns, pins, spikes, differs)
 
 
-def _gather_cut(touched: np.ndarray, cut: LayerSpec, at: np.ndarray):
-    """Rows.cut for pairs under faults ``at``: each one's touched row or
-    channel and its copy of it, taken from the per-fault ``touched`` and
-    ``cut``."""
-    return touched[at], replace(cut, params={key: value[at] for key, value in cut.params.items()})
+def _restart_lif(lif: LayerSpec, shape: tuple[int, ...], screened: _Screened) -> LayerSpec:
+    """L with per-fault beta and threshold, [F, *shape]: L's own, but each
+    fault's cone takes the columns the screen built for it."""
+    cells = (np.arange(screened.differs.shape[1]), *screened.index)
+    params = {key: np.broadcast_to(lif.params[key], (len(cells[0]), *shape)).copy()
+              for key in screened.columns}
+    for key, column in screened.columns.items():
+        params[key][cells] = column
+    return LayerSpec(lif.name, lif.kind, params)
 
 
-def _splice_rows(screened: _Screened, source: np.ndarray, at: np.ndarray):
-    """Rows that write each pair's screened cone into L's golden spikes."""
-    return core.Rows(source, cone=(tuple(i[at] for i in screened.index), screened.spikes, at)), None
+def _pin_hook(name: str, index: tuple[np.ndarray, ...], pins: dict, fault: np.ndarray):
+    """A refresh hook for a forward whose row p runs fault ``fault[p]``: it
+    pins that fault's cone cell of LIF layer ``name``'s state, in row p, by
+    the fault's masks in ``pins``, state kind -> per-fault (keep, force)."""
+    cells = (np.arange(len(fault)), *(i[fault] for i in index))
+
+    def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
+        if layer == name and kind in pins:
+            pin_bits(tensor, cells, *(mask[fault] for mask in pins[kind]))
+
+    return hook
 
 
-def _unscreened_rows(touched: np.ndarray, cut: LayerSpec, source: np.ndarray, at: np.ndarray):
-    """Rows for faults beyond the feed: each recomputes its fault's row or
-    channel of the faulted layer."""
-    return core.Rows(source, cut=_gather_cut(touched, cut, at)), None
-
-
-def _restart_rows(net: Network, lif_at: int, screened: _Screened,
-                  faults: list[FaultDescriptor], source: np.ndarray, at: np.ndarray):
-    """Rows and a refresh hook that replay screened pairs from L's recurrent
-    feed: each row takes its fault's cut row, beta and threshold, and pins,
-    as the screen built them, and golden values everywhere else."""
-    lif = net.layers[lif_at]
-    cells = (np.arange(len(at)), *(i[at] for i in screened.index))  # each row's cone in L
-    cut = None if screened.cut is None else _gather_cut(screened.index[0], screened.cut, at)
-    params = dict(lif.params)
-    for key in {d.parameter.value for d in faults if d.layer == lif.name and d.parameter.is_static}:
-        params[key] = np.broadcast_to(lif.params[key], (len(at), *net.shapes[lif.name])).copy()
-        params[key][cells] = screened.columns[key][at]
-    hook = None
-    if screened.pins:
-        pins = {kind: (keep[at], force[at]) for kind, (keep, force) in screened.pins.items()}
-
-        def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
-            if layer == lif.name and kind in pins:
-                pin_bits(tensor, cells, *pins[kind])
-
-    return core.Rows(source, cut=cut, lif=LayerSpec(lif.name, lif.kind, params)), hook
-
-
-def _replay_pairs(template: Network, start: int, x: np.ndarray, k_idx: np.ndarray,
-                  f_idx: np.ndarray, make_rows, positions: list[int], golden: GoldenReference,
+def _replay_pairs(template: Network, dataset: SpikeDataset, golden: GoldenReference, start: int,
+                  rows: core.Rows, pins: tuple | None, positions: list[int],
                   outs: list[list[Prediction]]) -> int:
-    """Run pairs (input ``k_idx[p]``, fault ``f_idx[p]``) from layer
-    ``start`` on its input ``x`` [K, T, *shape], as rows of stacked forwards
-    on the template's own parameters, and set each pair's Prediction in
-    ``outs[positions[f]]``. ``make_rows(source, at)`` gives one forward's
-    Rows and refresh hook. A forward holds at most as many rows as keep one
-    step of its widest layer within ``FORWARD_BLOCK_VALUES`` values. Returns
-    the number of forwards run."""
+    """Run the pairs of ``rows`` (input ``source[p]``, fault ``fault[p]``)
+    from layer ``start`` on its golden input, as stacked forwards on the
+    template's own parameters, each on a slice of the pairs that keeps one
+    step of its widest layer within ``FORWARD_BLOCK_VALUES`` values, with
+    the hook ``_pin_hook(*pins, ...)`` when ``pins`` is given. Each pair's
+    Prediction goes into ``outs[positions[f]]``. Returns the forwards run."""
+    x = _golden_input(template, dataset, golden, start)
     cap = max(1, core.FORWARD_BLOCK_VALUES // core.widest(template, start))
-    for j in range(0, len(k_idx), cap):
-        source, at = k_idx[j : j + cap], f_idx[j : j + cap]
-        rows, hook = make_rows(source, at)
+    for j in range(0, len(rows.source), cap):
+        part = replace(rows, source=rows.source[j : j + cap], fault=rows.fault[j : j + cap])
+        hook = None if pins is None else _pin_hook(*pins, part.fault)
         reset_state(template)  # the forward starts from zero state and leaves none behind
-        scores = network_forward(template, x, hook, start=start, rows=rows)
+        scores = network_forward(template, x, hook, start=start, rows=part)
         reset_state(template)
-        for n, f, row in zip(source.tolist(), at.tolist(), scores):
+        for n, f, row in zip(part.source.tolist(), part.fault.tolist(), scores):
             outs[positions[f]][n] = Prediction(n, row, *_top(row))
-    return -(-len(k_idx) // cap)
+    return -(-len(rows.source) // cap)
 
 
 def run_faulty(
@@ -425,19 +410,19 @@ def run_faulty(
 
     A static fault whose bit already holds its stuck value leaves the network
     bit-identical; its list is ``golden.entries`` itself, which the caller
-    must not modify. The others are screened in blocks that share their LIF
-    layer L and cone form (see ``_screen``); a fault that reaches L through
-    further layers is not screened, and all its inputs diverge. The
-    diverging (fault, input) pairs of a block are replayed together, each
+    must not modify. The others run in blocks that share the layer w they
+    change first, their LIF layer L and their cone form. A block on L or its
+    feed is screened (see ``_screen``); beyond the feed every input diverges.
+    The diverging (fault, input) pairs of a block are replayed together, each
     pair one row of a stacked forward on the template's own parameters,
     which is neither copied nor injected (its LIF state is reset around each
-    forward). When the feed of L is not recurrent, a row runs from the layer
-    after L on L's golden spikes with its fault's screened cone written in.
-    Otherwise a row runs from L's recurrent feed, or for a fault beyond the
-    feed from the faulted layer, on that layer's golden input, and
-    recomputes only what its fault touches: a row or channel of that layer,
-    L's beta and threshold, and pins on L's state. The other inputs keep their golden Prediction. ``tally``, when
-    given, gains the number of stacked forwards under "replay_forwards".
+    forward). When w is a feed that is not recurrent, a row runs from the
+    layer after L on L's golden spikes with its fault's screened cone
+    written in. Otherwise it restarts from w on w's golden input and
+    recomputes only what its fault touches: a row or channel of w, L's beta
+    and threshold, and pins on L's state. The other inputs keep their golden
+    Prediction. ``tally``, when given, gains the number of stacked forwards
+    under "replay_forwards".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -446,7 +431,7 @@ def run_faulty(
     if isinstance(faults, FaultDescriptor):
         return run_faulty(template, [faults], dataset, golden, tally)[0]
     k, outs = len(golden.entries), [golden.entries] * len(faults)
-    groups: dict[tuple, list[tuple[int, FaultDescriptor, tuple]]] = {}
+    groups: dict[tuple[int, int, int], list[tuple[int, FaultDescriptor, tuple]]] = {}
     for pos, d in enumerate(faults):
         try:
             tensor = target_tensor(template, d)  # validate addressability up front
@@ -458,41 +443,39 @@ def run_faulty(
                 continue  # a no-op: the network stays bit-identical
         outs[pos] = list(golden.entries)  # a list of its own, though no input may diverge
         w, lif_at, index = site = _screen_site(template, d)
-        # a fault that reaches L through further layers is grouped by its layer alone
-        key = (w,) if w < lif_at - 1 else (lif_at, len(index))
-        groups.setdefault(key, []).append((pos, d, site))
+        groups.setdefault((w, lif_at, len(index)), []).append((pos, d, site))
     forwards = 0
-    for key, members in groups.items():
-        if len(key) == 1:  # beyond the feed: every input, from the faulted layer
-            w, ds = key[0], [d for _, d, _ in members]
-            touched = np.array([d.coords[0] for d in ds])
-            make_rows = partial(_unscreened_rows, touched, _cut(template.layers[w], ds, touched))
-            k_idx, f_idx = np.divmod(np.arange(k * len(ds)), len(ds))
-            x = _golden_input(template, dataset, golden, w)
-            forwards += _replay_pairs(template, w, x, k_idx, f_idx, make_rows,
-                                      [pos for pos, _, _ in members], golden, outs)
-            continue
-        lif_at, cone = key
-        lif = template.layers[lif_at]
+    for (w, lif_at, cone), members in groups.items():
+        lif, feed = template.layers[lif_at], template.layers[lif_at - 1]
         rest = template.shapes[lif.name][cone:]
-        feed = template.layers[lif_at - 1]
         if feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
             rest = feed.params["weight"].shape[1:]
         cap = max(1, SCREEN_BLOCK_VALUES // (k * template.timesteps * math.prod(rest)))
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
             ds = [d for _, d, _ in block]
-            screened = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
-            k_idx, f_idx = np.nonzero(screened.differs)
-            positions = [pos for pos, _, _ in block]
-            if feed.kind is LayerKind.RECURRENT:  # restart from the feed, on its golden input
-                start, x = lif_at - 1, _golden_input(template, dataset, golden, lif_at - 1)
-                make_rows = partial(_restart_rows, template, lif_at, screened, ds)
-            else:  # from the layer after L, on its golden spikes with the cones written in
-                start, x = lif_at + 1, golden.trace[lif.name]
-                make_rows = partial(_splice_rows, screened)
-            forwards += _replay_pairs(template, start, x, k_idx, f_idx, make_rows, positions,
-                                      golden, outs)
+            if w < lif_at - 1:  # beyond the feed: no screen, every input diverges
+                index = (np.array([d.coords[0] for d in ds]),)
+                screened = _Screened(index, _cut(template.layers[w], ds, index[0]), {}, {}, None,
+                                     np.ones((k, len(ds)), bool))
+            else:
+                screened = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
+            source, fault = np.nonzero(screened.differs)
+            pins = None
+            if w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT:
+                # from the layer after L, on its golden spikes with the cones written in
+                start = lif_at + 1
+                rows = core.Rows(source, fault, cone=(screened.index, screened.spikes))
+            else:  # restart from w: its row or channel, L's columns and pins per fault
+                start = w
+                cut = None if screened.cut is None else (screened.index[0], screened.cut)
+                static = any(d.layer == lif.name and d.parameter.is_static for d in ds)
+                own = _restart_lif(lif, template.shapes[lif.name], screened) if static else None
+                rows = core.Rows(source, fault, cut=cut, lif=own)
+                if screened.pins:
+                    pins = (lif.name, screened.index, screened.pins)
+            forwards += _replay_pairs(template, dataset, golden, start, rows, pins,
+                                      [pos for pos, _, _ in block], outs)
     if tally is not None:
         tally["replay_forwards"] = tally.get("replay_forwards", 0) + forwards
     return outs
@@ -670,7 +653,7 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
 
 def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
                golden: GoldenReference, cells):
-    # What record() takes for a batch: per fault (no-op, screened inputs,
+    # What run_campaign records for a batch: per fault (no-op, screened inputs,
     # replayed inputs, the outcome rows), and the stacked forwards run. A
     # screened input's Prediction is the golden one itself.
     results, tally = [], {"replay_forwards": 0}
@@ -737,58 +720,56 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
     # sched_getaffinity exists only where the platform has it (Linux, not macOS or Windows).
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parallel = 1 if cfg.workers == 1 else min(cfg.workers, cpus or 1)
+    parallel = min(cfg.workers, cpus or 1)
     # A batch, the unit that is screened together and acknowledged at once,
     # holds at most checkpoint_every faults and at most an even share per worker.
     size = max(1, min(cfg.checkpoint_every, -(-len(pending) // parallel)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
-    started = 0  # worker processes; the serial path starts none
+    started = min(parallel, len(batches))  # worker processes
+    if started < 2:  # a pool of one only adds pickling and IPC: run in this process
+        started = 0
     forwards = 0  # stacked replay forwards
-    per_worker: dict[int, int] = {}  # worker pid -> faults it ran, in order of first result
+    per_worker: dict[int, int] = {}  # process pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
 
+    pool = None
     with open(partial_path, "a", encoding="utf-8", newline="\n") as pf:
-        def record(batch: list[FaultDescriptor], results, replay_forwards: int) -> None:
-            """Write a batch's rows, fsync them and acknowledge the log."""
-            nonlocal acked, forwards
-            forwards += replay_forwards
-            for d, (noop, screened, replayed, rows) in zip(batch, results):
-                counts = sites.setdefault(
-                    f"{d.layer}.{d.parameter.value}",
-                    {"faults": 0, "noop_faults": 0, "screened_pairs": 0, "replayed_pairs": 0},
+        try:
+            if started:
+                pool = ProcessPoolExecutor(
+                    started, initializer=_worker_init, initargs=(net, dataset, golden)
                 )
-                counts["faults"] += 1
-                counts["noop_faults"] += noop
-                counts["screened_pairs"] += screened
-                counts["replayed_pairs"] += replayed
-                pf.write(rows)
-            pf.flush()
-            os.fsync(pf.fileno())
-            acked = os.fstat(pf.fileno()).st_size
-            write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
-
-        if cfg.workers == 1:
-            cells = _golden_cells(golden.entries)
-            per_worker[os.getpid()] = len(pending)
-            for batch in batches:
-                record(batch, *_run_batch(net, batch, dataset, golden, cells))
-        elif batches:
-            started = min(parallel, len(batches))
-            pool = ProcessPoolExecutor(
-                started, initializer=_worker_init, initargs=(net, dataset, golden)
-            )
-            try:
                 futures = {pool.submit(_worker_run, batch): batch for batch in batches}
-                for future in as_completed(futures):
-                    pid, (results, replay_forwards) = future.result()
-                    per_worker[pid] = per_worker.get(pid, 0) + len(results)
-                    record(futures[future], results, replay_forwards)
-            except BrokenProcessPool as exc:
-                # every recorded batch is already acknowledged for --resume
-                raise WorkerError(
-                    f"a campaign worker died ({exc}); rerun with --resume to finish"
-                ) from None
-            finally:
+                ran = ((futures[future], future.result()) for future in as_completed(futures))
+            else:
+                cells = _golden_cells(golden.entries)
+                ran = ((batch, (os.getpid(), _run_batch(net, batch, dataset, golden, cells)))
+                       for batch in batches)
+            for batch, (pid, (results, replay_forwards)) in ran:
+                # write the batch's rows, fsync them and acknowledge the log
+                per_worker[pid] = per_worker.get(pid, 0) + len(results)
+                forwards += replay_forwards
+                for d, (noop, screened, replayed, rows) in zip(batch, results):
+                    counts = sites.setdefault(
+                        f"{d.layer}.{d.parameter.value}",
+                        {"faults": 0, "noop_faults": 0, "screened_pairs": 0, "replayed_pairs": 0},
+                    )
+                    counts["faults"] += 1
+                    counts["noop_faults"] += noop
+                    counts["screened_pairs"] += screened
+                    counts["replayed_pairs"] += replayed
+                    pf.write(rows)
+                pf.flush()
+                os.fsync(pf.fileno())
+                acked = os.fstat(pf.fileno()).st_size
+                write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
+        except BrokenProcessPool as exc:
+            # every recorded batch is already acknowledged for --resume
+            raise WorkerError(
+                f"a campaign worker died ({exc}); rerun with --resume to finish"
+            ) from None
+        finally:
+            if pool is not None:
                 pool.shutdown(cancel_futures=True)
     t_faults = time.monotonic()
 
@@ -811,8 +792,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         **binding,
         "workers": cfg.workers,
         "workers_started": started,
-        # a started worker that drew no batch ran 0 faults
-        "faults_per_worker": [*per_worker.values()] + [0] * (started - len(per_worker)),
+        # one entry per started worker, or for this process; one that drew no batch ran 0
+        "faults_per_worker": [*per_worker.values()] + [0] * (max(1, started) - len(per_worker)),
         "wall_seconds": wall,
         "noop_faults": sum(c["noop_faults"] for c in sites.values()),
         "screened_pairs": screened,

@@ -75,14 +75,15 @@ this way.
 
 Given ``Rows``, a forward stacks independent (fault, input) pairs, one per
 batch row, on the network's own parameters. Row p runs on its own row of the
-input, gathered a block of timesteps at a time, and carries its own fault as
-per-row values: a cone of the input overwritten at every step (the screened
-spikes of a fault's LIF layer), a row or channel of one weighted layer
-recomputed from the row's own copy of its parameters (its feedback term too,
-each step, for a recurrent layer), or one LIF layer's beta and threshold.
-The kernels take such per-row parameters as leading axes that broadcast
-against the batch, and each recomputed element keeps the chain it has in a
-forward of an injected copy, so a row's bits are that forward's.
+input, gathered a block of timesteps at a time, under fault ``fault[p]``,
+whose per-fault values the forward gathers once: a cone of the input
+overwritten at every step (the screened spikes of a fault's LIF layer), a row
+or channel of one weighted layer recomputed from the fault's own copy of its
+parameters (its feedback term too, each step, for a recurrent layer), or one
+LIF layer's beta and threshold. The kernels take such per-row parameters as
+leading axes that broadcast against the batch, and each recomputed element
+keeps the chain it has in a forward of an injected copy, so a row's bits are
+that forward's.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ class Network:
         self.by_name: dict[str, LayerSpec] = {}
         self.shapes: dict[str, tuple[int, ...]] = {}
         self.states: dict[str, LifState] = {}
-        self.paired_lif: dict[str, str] = {}  # recurrent layer -> its LIF
+        self.paired_lif: dict[str, str] = {}  # recurrent layer -> its LIF (bench/oracle.py)
 
         for spec in self.layers:
             if spec.name in self.by_name:
@@ -512,30 +513,33 @@ def layer_forward(
 @dataclass
 class Rows:
     """The rows of a stacked forward (see network_forward): row p runs on row
-    ``source[p]`` of the forward's input, with its own fault given by any of
+    ``source[p]`` of the forward's input under fault ``fault[p]``, each of F
+    faults given once by per-fault values in any of
 
-    * ``cone``, ``(index, values, at)``: at every step, the input's elements
-      at the leading coords ``index[0][p], index[1][p], ...`` are
-      ``values[source[p], :, at[p]]``, where ``values`` is [N, T, F, *rest]
+    * ``cone``, ``(index, values)``: at every step, the input's elements at
+      fault f's leading coords ``index[0][f], index[1][f], ...`` are
+      ``values[n, :, f]`` on input row n, where ``values`` is [N, T, F, *rest]
       and ``rest`` the input's shape past the index;
     * ``cut``, ``(touched, spec)``: weighted layer ``spec.name`` computes
-      row p's output row or channel ``touched[p]``, and a recurrent layer
-      also its feedback term, from ``spec.params``, row p's own copy of that
-      row or channel, [P, ...];
-    * ``lif``: a LIF layer whose beta and threshold, [P, *shape], replace
-      that layer's, row p taking its own.
+      fault f's output row or channel ``touched[f]``, and a recurrent layer
+      also its feedback term, from ``spec.params``, fault f's own copy of
+      that row or channel, [F, ...];
+    * ``lif``: a LIF layer whose beta and threshold, [F, *shape], replace
+      that layer's, fault f taking its own.
     """
 
     source: np.ndarray
-    cone: tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray] | None = None
+    fault: np.ndarray
+    cone: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
     cut: tuple[np.ndarray, LayerSpec] | None = None
     lif: LayerSpec | None = None
 
 
-def _rowwise(spec: LayerSpec, axes: int) -> LayerSpec:
-    """A cut's per-row parameters [P, ...] as kernel parameters for ``axes``
-    batch axes: [P, 1, ..., 1, ...], one output per row."""
-    params = {key: v.reshape(len(v), *(1,) * axes, *v.shape[1:]) for key, v in spec.params.items()}
+def _rowwise(spec: LayerSpec, fault: np.ndarray, axes: int) -> LayerSpec:
+    """Per-fault parameters [F, ...] gathered for rows under ``fault`` as
+    kernel parameters for ``axes`` batch axes: [P, 1, ..., 1, ...]."""
+    params = {key: v[fault].reshape(len(fault), *(1,) * axes, *v.shape[1:])
+              for key, v in spec.params.items()}
     return LayerSpec(spec.name, spec.kind, params, spec.hyper)
 
 
@@ -595,12 +599,15 @@ def network_forward(
         return scores
     block = max(1, FORWARD_BLOCK_VALUES // (math.prod(batch) * widest(net, start)))
     axes = (slice(None),) * lead
-    lif = every = touched = cut_name = block_cut = step_cut = None
-    if rows is not None:
-        every, lif = np.arange(len(rows.source)), rows.lif
+    lif = every = cone = touched = cut_name = block_cut = step_cut = None
+    if rows is not None:  # each row's values, gathered by its fault
+        every, at = np.arange(len(rows.source)), rows.fault
+        cone = None if rows.cone is None else tuple(i[at, None] for i in rows.cone[0])
+        lif = None if rows.lif is None else _rowwise(rows.lif, at, 0)
         if rows.cut is not None:  # kernel parameters for a block's rows, and for a step's
-            touched, own = rows.cut
-            cut_name, block_cut, step_cut = own.name, _rowwise(own, lead + 1), _rowwise(own, lead)
+            touched, own = rows.cut[0][at], rows.cut[1]
+            cut_name = own.name
+            block_cut, step_cut = _rowwise(own, at, lead + 1), _rowwise(own, at, lead)
 
     def keep(name: str, out: np.ndarray) -> None:
         if record is not None and name in record:
@@ -626,10 +633,9 @@ def network_forward(
                 x = spikes[steps].astype(DTYPE)
             else:
                 x = spikes[rows.source, t : t + block].astype(DTYPE, copy=False)
-                if rows.cone is not None:
-                    index, values, at = rows.cone
-                    cells = (every[:, None], np.arange(x.shape[1]), *(i[:, None] for i in index))
-                    x[cells] = values[rows.source, t : t + block, at]
+                if cone is not None:
+                    cells = (every[:, None], np.arange(x.shape[1]), *cone)
+                    x[cells] = rows.cone[1][rows.source, t : t + block, rows.fault]
             feedback = None
             for spec in net.layers[start:]:
                 if spec.kind is LayerKind.LIF:

@@ -29,6 +29,7 @@ import bisect
 import math
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import ge
 from pathlib import Path
 from statistics import NormalDist
@@ -304,6 +305,11 @@ _FAULT_ROW = re.compile(
 )
 
 
+def _entry_text(e: UniverseEntry | None) -> str:
+    """A universe entry as its ``# universe`` comment spells it."""
+    return "(none)" if e is None else f"{e.layer} {e.parameter.value} {'x'.join(map(str, e.shape))}"
+
+
 def write_fault_list(fl: FaultList, path) -> None:
     lines = [
         f"# seed={fl.spec.seed} e={fl.spec.error_margin!r} t={fl.spec.quantile!r}"
@@ -311,9 +317,7 @@ def write_fault_list(fl: FaultList, path) -> None:
         f"# polarity={fl.polarity} spike_mode={fl.spike_mode}"
         f" exhaustive={int(fl.spec.exhaustive)}",
     ]
-    for e in fl.universe.entries:
-        dims = "x".join(str(d) for d in e.shape)
-        lines.append(f"# universe {e.layer} {e.parameter.value} {dims}")
+    lines += [f"# universe {_entry_text(e)}" for e in fl.universe.entries]
     lines.append(_HEADER_COLUMNS)
     for d in fl.descriptors:
         coords = ";".join(str(c) for c in d.coords)
@@ -324,11 +328,12 @@ def write_fault_list(fl: FaultList, path) -> None:
 
 
 def read_fault_list(path, net: Network | None = None) -> FaultList:
-    """Parse a fault-list CSV; with a network, also verify addressability.
+    """Parse a fault-list CSV; with a network, also verify it was drawn from it.
 
     Malformed content raises a format error carrying the 1-based line number;
-    descriptors a given network cannot address raise an address error naming
-    the fault_id.
+    a declared universe that is not the network's raises a compatibility
+    error naming the first entry that differs; descriptors the network cannot
+    address raise an address error naming the fault_id.
     """
     lines = read_lines(path, "fault list")
     meta = None
@@ -408,6 +413,12 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         raise FormatError(f"header says n={n_s} but file has {len(descriptors)} rows")
 
     if net is not None:
+        # entry by entry, or a report's percentages would be over another universe
+        own = enumerate_universe(net, {e.parameter for e in entries}).entries
+        for declared, actual in zip_longest(entries, own):
+            if declared != actual:
+                raise CompatibilityError(f"fault list's universe {_entry_text(declared)} is not"
+                                         f" the model's {_entry_text(actual)}")
         # Coords are checked against a shape per (layer, parameter), resolved
         # once; a first sighting or a miss goes through target_tensor, which
         # raises the address error.

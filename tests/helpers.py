@@ -154,9 +154,10 @@ def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None
     in the documented order, on zero state. Calls ``refresh`` after each LIF
     write (potential, then spikes), records as network_forward does, and
     returns the scores [..., classes]. With ``rows`` (a core.Rows), batch
-    row p runs on ``spikes[source[p]]`` with its cone written in, the cut
-    layer's touched row or channel recomputed, one row at a time, from row
-    p's own parameters, and the per-row beta and threshold of rows.lif."""
+    row p runs on ``spikes[source[p]]`` under fault f = ``fault[p]``: with
+    fault f's cone written in, the cut layer's touched row or channel
+    recomputed, one row at a time, from fault f's own parameters, and fault
+    f's beta and threshold from rows.lif."""
     layers = net.layers[start:]
     in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
     if rows is not None:
@@ -167,18 +168,26 @@ def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None
     spike = {n: np.zeros(batch + net.shapes[n], F32) for n in net.states}
     scores = np.zeros(batch + (net.num_classes,), F32)
     cone = cut = lif = None
-    if rows is not None:
-        cone, cut, lif = rows.cone, rows.cut, rows.lif
+    if rows is not None:  # each row's own values, taken from its fault's
+        at = rows.fault
+        if rows.cone is not None:
+            cone = (tuple(i[at] for i in rows.cone[0]), rows.cone[1])
+        if rows.cut is not None:
+            touched, spec = rows.cut
+            cut = (touched[at], {key: v[at] for key, v in spec.params.items()}, spec.name)
+        if rows.lif is not None:
+            lif = LayerSpec(rows.lif.name, rows.lif.kind,
+                            {key: v[at] for key, v in rows.lif.params.items()})
     with np.errstate(all="ignore"):
         for t in range(net.timesteps):
             x = np.take(spikes, t, axis=lead).astype(F32)
             if cone is not None:
-                index, values, at = cone
-                for r, n in enumerate(rows.source):
-                    x[(r, *(i[r] for i in index))] = values[n, t, at[r]]
-            for spec in layers:
+                index, values = cone
+                for r, (n, f) in enumerate(zip(rows.source, rows.fault)):
+                    x[(r, *(i[r] for i in index))] = values[n, t, f]
+            for i, spec in enumerate(layers):
                 p = spec.params
-                own = cut[1].params if cut is not None and cut[1].name == spec.name else None
+                own = cut[1] if cut is not None and cut[2] == spec.name else None
                 if spec.kind is LayerKind.FULLY_CONNECTED:
                     flat = x.reshape(*batch, -1)
                     x = _ref_linear(p["weight"], p.get("bias"), flat)
@@ -186,7 +195,7 @@ def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None
                         row = _ref_linear(own["weight"][r : r + 1], _row(own, "bias", r), flat[r])
                         x[r, cut[0][r]] = row[0]
                 elif spec.kind is LayerKind.RECURRENT:
-                    flat, prev = x.reshape(*batch, -1), spike[net.paired_lif[spec.name]]
+                    flat, prev = x.reshape(*batch, -1), spike[layers[i + 1].name]  # its LIF
                     fwd = _ref_linear(p["weight"], p.get("bias"), flat)
                     x = fwd + _ref_linear(p["feedback_weight"], p.get("feedback_bias"), prev)
                     for r in _rows_of(own, x):

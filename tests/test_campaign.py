@@ -224,6 +224,7 @@ import os, sys
 from snnfault import campaign, cli
 
 run_batch = campaign._run_batch
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so the pool starts on any host
 
 def dying(net, batch, *args):
     if any(d.fault_id == int(sys.argv[1]) for d in batch):
@@ -357,6 +358,25 @@ def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
     assert (summary["workers"], summary["workers_started"]) == (5000, 3)
     run_campaign(cfg_for(workdir, "pool_two_faults", workers=5000), limit=2)  # two batches
     assert _RecordingPool.started == [3, 2]
+
+
+def test_a_pool_of_one_runs_in_process(workdir, monkeypatch):
+    """A run that could start only one worker, for one usable CPU or one
+    pending batch, builds no pool: it runs in this process, as --workers 1
+    does, with the serial run's bytes, and says so in campaign.json."""
+    serial = run_campaign(cfg_for(workdir, "one_serial")).outcomes_path.read_bytes()
+    _record_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    res = run_campaign(cfg_for(workdir, "one_cpu", workers=4))
+    assert res.outcomes_path.read_bytes() == serial
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    assert (summary["workers"], summary["workers_started"]) == (4, 0)
+    assert summary["faults_per_worker"] == [res.total]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    res = run_campaign(cfg_for(workdir, "one_batch", workers=4), limit=1)
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    assert (summary["workers_started"], summary["faults_per_worker"]) == (0, [1])
+    assert _RecordingPool.started == []
 
 
 def test_pool_without_cpu_affinity_is_capped_by_cpu_count(workdir, monkeypatch):
@@ -899,11 +919,21 @@ SCREEN_NETS = {
 }
 
 
-def _screen_net(arch):
+# SCREEN_NETS whose every bias and feedback_bias is dropped: the screen and
+# the replay then compute cuts and windows with no bias term.
+UNBIASED = ("rfc", "conv", "conv-pool-fc")
+
+
+def _screen_net(arch, bias=True):
     """A firing net whose first weight is 1.0 (bit 30 stuck at 1 makes it
     +Inf, and Inf * 0-spike = NaN enters the chain) and whose first LIF has
-    per-neuron beta and threshold; the output LIF keeps shape (1,)."""
+    per-neuron beta and threshold; the output LIF keeps shape (1,). Without
+    ``bias``, no layer holds a bias or feedback_bias."""
     net = synth_model(41, arch, 8, threshold=0.3)
+    if not bias:
+        for spec in net.layers:
+            spec.params.pop("bias", None)
+            spec.params.pop("feedback_bias", None)
     weighted = net.layers[0]
     weighted.params["weight"][(0,) * weighted.params["weight"].ndim] = 1.0
     lif = next(s for s in net.layers if s.kind is LayerKind.LIF)
@@ -943,13 +973,20 @@ def _screen_faults(net, rng):
     return faults
 
 
-@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
-def test_screened_run_faulty_equals_injected_full_forward(arch):
+@pytest.mark.parametrize(
+    "arch, bias",
+    [(arch, True) for arch in SCREEN_NETS.values()]
+    + [(SCREEN_NETS[name], False) for name in UNBIASED],
+    ids=[*SCREEN_NETS, *(f"{name}-unbiased" for name in UNBIASED)],
+)
+def test_screened_run_faulty_equals_injected_full_forward(arch, bias):
     """run_faulty's screen and replay give, bit for bit, the scores of a full
     forward of an injected copy, for every parameter kind, on inputs that
     diverge and on inputs that do not, whichever faults share a batch: one
-    fault per batch, all in one batch, or shuffled into random splits."""
-    net = _screen_net(arch)
+    fault per batch, all in one batch, or shuffled into random splits. Nets
+    with and without bias terms."""
+    net = _screen_net(arch, bias)
+    assert bias == any("bias" in spec.params for spec in net.layers)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     faults = _screen_faults(net, np.random.default_rng(44))

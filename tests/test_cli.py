@@ -47,6 +47,31 @@ def gen_fl(d, model, out="faults.csv", extra=()):
     return d / out
 
 
+def test_inject_refuses_a_fault_list_of_another_model(tmp_path, capsys):
+    """A fault list drawn from FC(8->6)-LIF-FC(6->3)-LIF, injected into
+    FC(8->12)-LIF-FC(12->3)-LIF, whose every fault it can address: inject
+    exits 3 naming the first universe entry that differs, and runs nothing,
+    rather than report percentages over the other model's universe."""
+    small, big, data = tmp_path / "small.sjm", tmp_path / "big.sjm", tmp_path / "d.sjd"
+    for arch, path in (("FC(8->6)-LIF-FC(6->3)-LIF", small), ("FC(8->12)-LIF-FC(12->3)-LIF", big)):
+        assert dispatch(["synth", "model", "--arch", arch, "--seed", "1",
+                         "--timesteps", "5", "--out", str(path)]) == 0
+    assert dispatch(["synth", "dataset", "--samples", "4", "--timesteps", "5", "--shape", "8",
+                     "--classes", "3", "--rate", "0.5", "--seed", "2", "--out", str(data)]) == 0
+    fl = tmp_path / "fl.csv"
+    assert dispatch(["gen-fl", "--model", str(small), "--points", "weight",
+                     "--error-margin", "0.2", "--seed", "3", "--out", str(fl)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert dispatch(["inject", "--model", str(big), "--dataset", str(data), "--fl", str(fl),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "snnfault: error: CompatibilityError: fault list's universe fc1 weight 6x8"
+        " is not the model's fc1 weight 12x8\n"
+    )
+    assert not out.exists()
+
+
 def test_full_pipeline(pipeline, tmp_path, capsys):
     _, model, dataset = pipeline
     fl_path = gen_fl(tmp_path, model)

@@ -529,25 +529,28 @@ def test_empty_batch_forward_returns_zero_rows(arch, batch):
 
 def _rows_cases(net):
     """Per-row faults on a BATCH_NETS net for its five input trains: rows
-    that gather inputs out of order and twice, and (start, Rows) pairs with
-    cones written into the first LIF layer's spikes, or with the first
-    layer's touched rows or channels and that LIF layer's beta and
-    threshold given per row."""
+    that gather inputs out of order and twice, under four faults given once
+    each, which the rows use out of order, two rows to a fault, and one
+    fault none of them uses (so a row that took its values by its own
+    position, not its fault's, would read another fault's or none). Returns
+    (start, Rows) pairs with cones written into the first LIF layer's
+    spikes, or with the first layer's touched rows or channels and that LIF
+    layer's beta and threshold per fault."""
     first, lif = net.layers[0], net.layers[1]
     shape = net.shapes[lif.name]
-    source = np.array([3, 0, 0, 4, 1])
-    every = np.arange(len(source))
+    source, fault = np.array([3, 0, 0, 4, 1]), np.array([2, 0, 2, 1, 0])
+    faults = np.arange(4)
     rng = np.random.default_rng(7)
-    values = (rng.random((5, 8, 2, *shape[1:])) < 0.5).astype(DTYPE)
-    values[0, :, 1] = -0.0  # a cone of negative zeros differs from golden in bits
-    cone = core.Rows(source, cone=((every * 2 % shape[0],), values, every % 2))
-    touched = (every + 1) % shape[0]
+    values = (rng.random((5, 8, 4, *shape[1:])) < 0.5).astype(DTYPE)
+    values[0, :, 2] = -0.0  # a cone of negative zeros differs from golden in bits
+    cone = core.Rows(source, fault, cone=(((faults * 2 + 1) % shape[0],), values))
+    touched = (faults + 1) % shape[0]
     own = {key: value[(touched + 1) % shape[0]] for key, value in first.params.items()}
     own["weight"][2] = -own["weight"][2]
     cut = (touched, LayerSpec(first.name, first.kind, own, first.hyper))
-    params = {key: rng.uniform(0.1, 0.9, (5, *shape)).astype(DTYPE)
+    params = {key: rng.uniform(0.1, 0.9, (4, *shape)).astype(DTYPE)
               for key in ("beta", "threshold")}
-    restart = core.Rows(source, cut=cut, lif=LayerSpec(lif.name, lif.kind, params))
+    restart = core.Rows(source, fault, cut=cut, lif=LayerSpec(lif.name, lif.kind, params))
     return {"cone": (2, cone), "restart": (0, restart)}
 
 
@@ -560,7 +563,7 @@ def test_forward_matches_timestep_major_reference(arch, fault):
     order. That holds from every start layer, on the inputs the full run
     recorded (whose scores it repeats), and with per-row faults (Rows):
     cones written in, or a layer's touched rows and a LIF layer's beta and
-    threshold per row."""
+    threshold, each row taking its fault's values."""
     net, spikes, fault_hook = _batch_case(arch, fault)
 
     def run(forward, x, start=0, rows=None):

@@ -367,6 +367,42 @@ def test_read_bad_coords_on_the_last_row_names_its_fault_id(tmp_path, layer, par
     assert str(caught.value) == want
 
 
+def _with_universe(lines, edit):
+    """A fault list's lines with its ``# universe`` comments edited, and the
+    declared N made to match them."""
+    at = [i for i, ln in enumerate(lines) if ln.startswith("# universe ")]
+    universe = edit(lines[at[0] : at[-1] + 1])
+    n = sum(32 * math.prod(map(int, ln.split()[-1].split("x"))) for ln in universe)
+    head = re.sub(r" N=\d+ ", f" N={n} ", lines[0])
+    return [head, *lines[1 : at[0]], *universe, *lines[at[-1] + 1 :]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda u: [u[0].replace("5x4", "6x4"), *u[1:]],
+         "universe fc1 weight 6x4 is not the model's fc1 weight 5x4"),
+        (lambda u: [u[1], u[0], *u[2:]], "universe fc1 bias 5 is not the model's fc1 weight 5x4"),
+        (lambda u: u[:-1], "universe (none) is not the model's fc2 weight 3x5"),
+        (lambda u: [*u, "# universe fc3 weight 2x2"], "universe fc3 weight 2x2 is not the model's"),
+    ],
+    ids=["shape", "order", "missing", "extra"],
+)
+def test_read_rejects_a_universe_that_is_not_the_networks(tmp_path, edit, message):
+    """A fault list whose declared universe is not the network's over the
+    same kinds was drawn from another network: its percentages would be
+    taken over the wrong universe. With the network, the reader refuses it,
+    naming the first entry that differs; every row still addresses it."""
+    net, lines = _valid_lines(tmp_path)
+    assert lines[2:5] == ["# universe fc1 weight 5x4", "# universe fc1 bias 5",
+                          "# universe fc2 weight 3x5"]
+    p = tmp_path / "other.csv"
+    _write_lines(p, _with_universe(lines, edit))
+    read_fault_list(p)  # well-formed on its own
+    with pytest.raises(CompatibilityError, match=re.escape(message)):
+        read_fault_list(p, net)
+
+
 def test_read_reports_format_errors_before_address_errors(tmp_path):
     """A bad address on the first row and a malformed last row: the format
     error, with its line, is the one raised."""
