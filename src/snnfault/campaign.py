@@ -23,7 +23,10 @@ input) pairs of a block are replayed together, each pair one row of a
 stacked forward (``core.Rows``, which takes every fault's values once and a
 fault index per row) that runs on the network's own parameters, never on a
 copy or an injected one, by one of two routes: from the layer after L, on
-L's golden spikes with the pair's screened cone written in; or, when L is fed
+L's golden spikes with the pair's screened cone written in, or, when that
+layer is an average pool that feeds a weighted layer, from the weighted
+layer, on the pool's golden output with the cone pooled in (each pooled
+cell from its own window, golden spikes around the cone's); or, when L is fed
 back through a recurrent layer or the fault lies beyond the feed, restarting
 from the fed or faulted layer on its golden input, each row recomputing its
 fault's row or channel of that layer, and L's beta, threshold and state pins
@@ -360,6 +363,25 @@ def _restart_lif(lif: LayerSpec, shape: tuple[int, ...], screened: _Screened) ->
     return LayerSpec(lif.name, lif.kind, params)
 
 
+def _pool_cone(pool: LayerSpec, trace: np.ndarray, index: tuple[np.ndarray, ...],
+               values: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A screened cone of L, ``(index, values)`` as ``core.Rows`` takes it,
+    carried through the average pool after L (``trace`` is L's golden
+    spikes): a single neuron's pooled cell, [K, T, F], from the p x p window
+    of golden spikes with the neuron's own written in; a channel's or all of
+    L's pooled planes. Both go through ``core.avgpool2d_forward``, so each
+    pooled cell keeps its row-major window chain."""
+    p = pool.hyper["pool"]
+    if len(index) < 3:  # a channel or all of L: the cone's own planes
+        return index, core.avgpool2d_forward(values, p)
+    c, h, w = index
+    taps = np.arange(p)
+    window = trace[:, :, c[:, None, None], (h - h % p)[:, None, None] + taps[:, None],
+                   (w - w % p)[:, None, None] + taps].astype(DTYPE)  # [K, T, F, p, p]
+    window[:, :, np.arange(len(c)), h % p, w % p] = values
+    return (c, h // p, w // p), core.avgpool2d_forward(window, p)[..., 0, 0]
+
+
 def _pin_hook(name: str, index: tuple[np.ndarray, ...], pins: dict, fault: np.ndarray):
     """A refresh hook for a forward whose row p runs fault ``fault[p]``: it
     pins that fault's cone cell of LIF layer ``name``'s state, in row p, by
@@ -418,9 +440,11 @@ def run_faulty(
     which is neither copied nor injected (its LIF state is reset around each
     forward). When w is a feed that is not recurrent, a row runs from the
     layer after L on L's golden spikes with its fault's screened cone
-    written in. Otherwise it restarts from w on w's golden input and
-    recomputes only what its fault touches: a row or channel of w, L's beta
-    and threshold, and pins on L's state. The other inputs keep their golden
+    written in; when that layer is an average pool that feeds a weighted
+    layer, from the weighted layer on the pool's golden output with the
+    cone pooled in (see ``_pool_cone``). Otherwise it restarts from w on
+    w's golden input and recomputes only what its fault touches: a row or
+    channel of w, L's beta and threshold, and pins on L's state. The other inputs keep their golden
     Prediction. ``tally``, when given, gains the number of stacked forwards
     under "replay_forwards".
     """
@@ -464,8 +488,12 @@ def run_faulty(
             pins = None
             if w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT:
                 # from the layer after L, on its golden spikes with the cones written in
-                start = lif_at + 1
-                rows = core.Rows(source, fault, cone=(screened.index, screened.spikes))
+                start, cone = lif_at + 1, (screened.index, screened.spikes)
+                after = template.layers[start : start + 2]  # a pool is never last
+                if after and after[0].kind is LayerKind.AVGPOOL2D and after[1].kind in WEIGHTED:
+                    # past the pool, on its golden output with the cones pooled in
+                    start, cone = start + 1, _pool_cone(after[0], golden.trace[lif.name], *cone)
+                rows = core.Rows(source, fault, cone=cone)
             else:  # restart from w: its row or channel, L's columns and pins per fault
                 start = w
                 cut = None if screened.cut is None else (screened.index[0], screened.cut)
@@ -742,7 +770,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 futures = {pool.submit(_worker_run, batch): batch for batch in batches}
                 ran = ((futures[future], future.result()) for future in as_completed(futures))
             else:
-                cells = _golden_cells(golden.entries)
+                cells = _golden_cells(golden.entries) if batches else None
                 ran = ((batch, (os.getpid(), _run_batch(net, batch, dataset, golden, cells)))
                        for batch in batches)
             for batch, (pid, (results, replay_forwards)) in ran:

@@ -180,6 +180,19 @@ def test_campaign_resume_with_nothing_done_runs_all(workdir):
     assert res.status == "complete"
 
 
+def test_golden_cells_are_rendered_only_when_a_batch_is_pending(workdir, monkeypatch):
+    """A run with pending faults renders the golden outcome cells once; a
+    run with none (limit=0, or a resume with every fault done) never."""
+    calls, cells = [], campaign._golden_cells
+    monkeypatch.setattr(campaign, "_golden_cells", lambda golden: calls.append(1) or cells(golden))
+    assert run_campaign(cfg_for(workdir, "run_cells"), limit=0).status == "partial"
+    assert calls == []
+    assert run_campaign(cfg_for(workdir, "run_cells", resume=True)).status == "complete"
+    assert calls == [1]
+    assert run_campaign(cfg_for(workdir, "run_cells", resume=True)).status == "complete"
+    assert calls == [1]
+
+
 def test_campaign_dirty_dir_without_resume_rejected(workdir):
     cfg = cfg_for(workdir, "run_dirty")
     run_campaign(cfg, limit=3)
@@ -916,7 +929,12 @@ SCREEN_NETS = {
     "conv": "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF",
     "fc-fc": "FC(6->5)-FC(5->4)-LIF-FC(4->3)-LIF",
     "conv-pool-fc": "CONV(2x6x6->3,k3)-POOL(2)-FC(12->4)-LIF-FC(4->3)-LIF",
+    "conv-pool-pool": "CONV(2x10x10->3,k3)-LIF-POOL(2)-POOL(2)-FC(12->4)-LIF",
+    "conv-shared": "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF",
 }
+
+# SCREEN_NETS whose first LIF keeps synth_model's shared (1,) beta and threshold.
+SHARED = ("conv-shared",)
 
 
 # SCREEN_NETS whose every bias and feedback_bias is dropped: the screen and
@@ -924,12 +942,13 @@ SCREEN_NETS = {
 UNBIASED = ("rfc", "conv", "conv-pool-fc")
 
 
-def _screen_net(arch, bias=True):
-    """A firing net whose first weight is 1.0 (bit 30 stuck at 1 makes it
-    +Inf, and Inf * 0-spike = NaN enters the chain) and whose first LIF has
-    per-neuron beta and threshold; the output LIF keeps shape (1,). Without
-    ``bias``, no layer holds a bias or feedback_bias."""
-    net = synth_model(41, arch, 8, threshold=0.3)
+def _screen_net(name, bias=True):
+    """SCREEN_NETS[name] as a firing net whose first weight is 1.0 (bit 30
+    stuck at 1 makes it +Inf, and Inf * 0-spike = NaN enters the chain) and
+    whose first LIF has per-neuron beta and threshold, unless ``name`` is in
+    SHARED; the output LIF keeps shape (1,). Without ``bias``, no layer
+    holds a bias or feedback_bias."""
+    net = synth_model(41, SCREEN_NETS[name], 8, threshold=0.3)
     if not bias:
         for spec in net.layers:
             spec.params.pop("bias", None)
@@ -937,10 +956,11 @@ def _screen_net(arch, bias=True):
     weighted = net.layers[0]
     weighted.params["weight"][(0,) * weighted.params["weight"].ndim] = 1.0
     lif = next(s for s in net.layers if s.kind is LayerKind.LIF)
-    shape = net.shapes[lif.name]
-    rng = np.random.default_rng(42)
-    lif.params["beta"] = rng.uniform(0.5, 1.0, shape).astype(DTYPE)
-    lif.params["threshold"] = rng.uniform(0.1, 0.5, shape).astype(DTYPE)
+    if name not in SHARED:
+        shape = net.shapes[lif.name]
+        rng = np.random.default_rng(42)
+        lif.params["beta"] = rng.uniform(0.5, 1.0, shape).astype(DTYPE)
+        lif.params["threshold"] = rng.uniform(0.1, 0.5, shape).astype(DTYPE)
     return Network(net.layers, net.timesteps, net.input_shape)
 
 
@@ -974,18 +994,17 @@ def _screen_faults(net, rng):
 
 
 @pytest.mark.parametrize(
-    "arch, bias",
-    [(arch, True) for arch in SCREEN_NETS.values()]
-    + [(SCREEN_NETS[name], False) for name in UNBIASED],
+    "name, bias",
+    [(name, True) for name in SCREEN_NETS] + [(name, False) for name in UNBIASED],
     ids=[*SCREEN_NETS, *(f"{name}-unbiased" for name in UNBIASED)],
 )
-def test_screened_run_faulty_equals_injected_full_forward(arch, bias):
+def test_screened_run_faulty_equals_injected_full_forward(name, bias):
     """run_faulty's screen and replay give, bit for bit, the scores of a full
     forward of an injected copy, for every parameter kind, on inputs that
     diverge and on inputs that do not, whichever faults share a batch: one
     fault per batch, all in one batch, or shuffled into random splits. Nets
     with and without bias terms."""
-    net = _screen_net(arch, bias)
+    net = _screen_net(name, bias)
     assert bias == any("bias" in spec.params for spec in net.layers)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
@@ -1038,15 +1057,15 @@ def _spy_stacked_forwards(monkeypatch):
     return forwards, blocks
 
 
-@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
-def test_stacked_replay_equals_injected_forward_at_any_row_count(arch, monkeypatch):
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_stacked_replay_equals_injected_forward_at_any_row_count(name, monkeypatch):
     """Every diverging (fault, input) pair runs as one row of a stacked
     forward. With FORWARD_BLOCK_VALUES set so that forwards hold 1 row, 3
     rows or more, or all of a screen block's rows, every fault gets
     injected_forward's bytes, run alone or with the whole list as one batch.
     A forward never holds more rows than keep one step of its widest layer
     within FORWARD_BLOCK_VALUES, and none of its LIF blocks more values."""
-    net = _screen_net(arch)
+    net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     faults = _screen_faults(net, np.random.default_rng(44))
@@ -1104,7 +1123,7 @@ def test_fault_beyond_the_feed_is_replayed_whole_unscreened(arch, monkeypatch):
     """A first-layer fault reaches its LIF layer only through further layers:
     no screen, and one stacked forward from its own layer, a row per input,
     on the template's own parameters: no copy, no injection."""
-    net = _screen_net(SCREEN_NETS[arch])
+    net = _screen_net(arch)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     first = net.layers[0]
@@ -1121,6 +1140,86 @@ def test_fault_beyond_the_feed_is_replayed_whole_unscreened(arch, monkeypatch):
     lifs = sum(spec.kind is LayerKind.LIF for spec in net.layers)
     assert steps == [1] * (net.timesteps * lifs)  # the forward's own steps, no screen's
     assert [o.scores.tobytes() for o in outs] == [row.tobytes() for row in want]
+
+
+def _pool_window_faults(net, c, i, j):
+    """Faults on conv-fed LIF layer L (net.layers[1]) whose cones reach L's
+    p x p window under pooled cell (c, i, j): potential and spike bits,
+    sign bit included, and value-stuck spikes at each of the window's
+    neurons; channel c's conv weight and bias; and L's beta and threshold
+    where they are shared (1,)."""
+    conv, lif, pool = net.layers[:3]
+    p, faults = pool.hyper["pool"], []
+
+    def add(*args):
+        faults.append(FaultDescriptor(len(faults), *args))
+
+    state_bits = {ParameterKind.POTENTIAL: (22, 30, 31), ParameterKind.SPIKE: (30, 31)}
+    for r, q in np.ndindex(p, p):
+        coords = (c, p * i + r, p * j + q)
+        for kind, bits in state_bits.items():
+            for bit in bits:
+                for stuck in (0, 1):
+                    add(lif.name, kind, coords, bit, stuck)
+        for stuck in (0, 1):
+            add(lif.name, ParameterKind.SPIKE, coords, 0, stuck, FaultMode.VALUE_STUCK)
+    for key in ("weight", "bias"):
+        coords = (c,) + (0,) * (conv.params[key].ndim - 1)
+        for bit in (30, 31):
+            for stuck in (0, 1):
+                add(conv.name, ParameterKind(key), coords, bit, stuck)
+    for key in ("beta", "threshold"):
+        if lif.params[key].shape == (1,):  # an all-of-L cone
+            for bit in (22, 30, 31):
+                for stuck in (0, 1):
+                    add(lif.name, ParameterKind(key), (0,), bit, stuck)
+    return faults
+
+
+@pytest.mark.parametrize("name, start", [("conv", 3), ("conv-shared", 3), ("conv-pool-pool", 2)])
+def test_conv_replay_starts_past_the_pool(name, start, monkeypatch):
+    """A fault screened in a conv-fed LIF layer L that feeds POOL then FC is
+    replayed from the FC, on the pool's golden output with its cone pooled
+    in; behind POOL-POOL, whose first output is not traced, from the first
+    pool. Single neurons at every offset of a pool window, channels and all
+    of L get injected_forward's bytes. A -0.0 spike of a silent neuron
+    pools to golden bits: its pairs are replayed and keep golden scores.
+    With FORWARD_BLOCK_VALUES capping a forward from the pool at 20 rows,
+    a forward from the FC holds more, and fewer of them run."""
+    net = _screen_net(name)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    lif, pool = net.layers[1:3]
+    p = pool.hyper["pool"]
+    fires = golden.trace[lif.name].any(axis=1)  # [K, C, H, W]
+    # a pooled cell whose window holds a neuron that fires and one silent on some input
+    c, i, j = next(cell for cell in np.ndindex(*net.shapes[pool.name])
+                   if 0 < fires[:, cell[0], p * cell[1] : p * cell[1] + p,
+                                p * cell[2] : p * cell[2] + p].mean() < 1)
+    faults = _pool_window_faults(net, c, i, j)
+    want = {d.fault_id: [row.tobytes() for row in injected_forward(net, d, ds.spikes)]
+            for d in faults}
+    forwards, _ = _spy_stacked_forwards(monkeypatch)
+    cap = 20  # rows of a forward from the pool
+    monkeypatch.setattr(core, "FORWARD_BLOCK_VALUES", cap * core.widest(net, 2))
+    tally, replayed, pooled_to_golden = {}, Counter(), 0
+    for d, outs in zip(faults, run_faulty(net, faults, ds, golden, tally), strict=True):
+        assert [o.scores.tobytes() for o in outs] == want[d.fault_id], d
+        diverging = [o is not g for o, g in zip(outs, golden.entries)]
+        replayed[len(campaign._screen_site(net, d)[2])] += sum(diverging)
+        sign = (ParameterKind.SPIKE, 31, 1, FaultMode.BIT_STUCK)
+        if (d.parameter, d.bit, d.stuck, d.mode) == sign:
+            for n in np.flatnonzero(~fires[(slice(None), *d.coords)]):  # silent: -0.0 throughout
+                assert diverging[n] and want[d.fault_id][n] == golden.entries[n].scores.tobytes()
+                pooled_to_golden += 1
+    assert pooled_to_golden
+    assert {cone for cone, n in replayed.items() if n} == ({0, 1, 3} if name in SHARED else {1, 3})
+    assert {s for s, _ in forwards} == {start}
+    assert tally["replay_forwards"] == len(forwards)
+    assert sum(rows for _, rows in forwards) == sum(replayed.values())
+    if start == 3:
+        assert max(rows for _, rows in forwards) > cap
+        assert len(forwards) < -(-sum(replayed.values()) // cap)
 
 
 def test_group_of_faults_is_screened_in_one_scan(workdir, monkeypatch):
@@ -1141,7 +1240,7 @@ def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
     """Single neurons of a conv-fed LIF layer are screened through their
     [K, T, F, ic, k, k] input windows, so F is capped for those to hold at
     most SCREEN_BLOCK_VALUES values; the outcomes do not change."""
-    net = _screen_net(SCREEN_NETS["conv"])
+    net = _screen_net("conv")
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     lif = net.layers[1]
@@ -1160,13 +1259,13 @@ def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
         assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
 
 
-@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
-def test_forward_block_size_moves_no_bit(arch, monkeypatch):
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_forward_block_size_moves_no_bit(name, monkeypatch):
     """network_forward walks T in blocks of FORWARD_BLOCK_VALUES // (rows x
     widest layer) timesteps. One step, three, or all of T per block give
     the same bytes: scores, recorded layer outputs, golden run and trace,
     and every fault's run_faulty outcomes."""
-    net = _screen_net(arch)
+    net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     faults = _screen_faults(net, np.random.default_rng(44))
     k, widest = ds.num_samples, max(map(math.prod, [net.input_shape, *net.shapes.values()]))
@@ -1193,13 +1292,13 @@ def test_forward_block_size_moves_no_bit(arch, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("arch", SCREEN_NETS.values(), ids=SCREEN_NETS)
-def test_chain_layout_moves_no_bit(arch, monkeypatch):
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_chain_layout_moves_no_bit(name, monkeypatch):
     """linear_forward realizes each chain by np.cumsum, or by a column loop
     that accumulates [rows, out] or [out, rows]. Forcing each one on every
     call gives the bytes of the default choice: golden run and trace,
     recorded layer outputs, and every fault's run_faulty outcomes."""
-    net = _screen_net(arch)
+    net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     faults = _screen_faults(net, np.random.default_rng(44))
     k, huge = ds.num_samples, 1 << 62
