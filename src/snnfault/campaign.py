@@ -40,9 +40,10 @@ batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
 length, bound to the sha256 of the model, dataset and fault list and to K.
 Resume refuses changed inputs (a binding value of another type counts as
 changed), cuts the log back to that length (a torn or unacknowledged tail is
-re-run, never appended to) and parses it strictly. ``outcomes.csv`` is the
-same strict reading of the log sorted by (fault_id, input_id), so its bytes
-are identical for any worker count or interruption history. It, ``golden.csv``,
+re-run, never appended to) and parses it strictly. ``outcomes.csv`` holds
+the log's rows sorted by (fault_id, input_id), kept in memory as they are
+recorded or as resume read them, so its bytes are identical for any worker
+count or interruption history. It, ``golden.csv``,
 ``campaign.json`` and the checkpoint are each written to a temporary file,
 fsynced and renamed into place, so a kill never leaves a truncated one behind.
 The serial path and each pool worker run contiguous batches of at most
@@ -77,7 +78,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -109,10 +109,10 @@ from .dataio import (
     read_lines,
     render_score,
 )
-from .errors import AddressError, FormatError, ResumeError, WorkerError
-from .faults import FaultDescriptor, fault_masks, pin_bits, target_tensor
-# Not called here; bench/tracing.py patches both by name (ROADMAP item 6).
-from .faults import inject_static, make_refresh_hook  # noqa: F401
+from .errors import FormatError, ResumeError, WorkerError
+from .faults import FaultDescriptor, check_addresses, fault_masks, pin_bits
+# Not called here; bench/tracing.py patches all three by name (ROADMAP item 7).
+from .faults import inject_static, make_refresh_hook, target_tensor  # noqa: F401
 from .faultlist import read_fault_list
 
 OUTCOME_HEADER = "fault_id,input_id,golden_class,faulty_class,golden_top_score,faulty_top_score"
@@ -444,9 +444,10 @@ def run_faulty(
     layer, from the weighted layer on the pool's golden output with the
     cone pooled in (see ``_pool_cone``). Otherwise it restarts from w on
     w's golden input and recomputes only what its fault touches: a row or
-    channel of w, L's beta and threshold, and pins on L's state. The other inputs keep their golden
-    Prediction. ``tally``, when given, gains the number of stacked forwards
-    under "replay_forwards".
+    channel of w, L's beta and threshold, and pins on L's state. The other
+    inputs keep their golden Prediction. ``tally``, when given, gains the
+    number of stacked forwards under "replay_forwards", and the seconds spent
+    screening and replaying under "screen_seconds" and "replay_seconds".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -455,20 +456,18 @@ def run_faulty(
     if isinstance(faults, FaultDescriptor):
         return run_faulty(template, [faults], dataset, golden, tally)[0]
     k, outs = len(golden.entries), [golden.entries] * len(faults)
+    check_addresses(template, faults)
     groups: dict[tuple[int, int, int], list[tuple[int, FaultDescriptor, tuple]]] = {}
     for pos, d in enumerate(faults):
-        try:
-            tensor = target_tensor(template, d)  # validate addressability up front
-        except AddressError as exc:
-            raise AddressError(f"fault {d.fault_id}: {exc}") from None
         if d.parameter.is_static:
-            held = (int(tensor[d.coords].view(np.uint32)) >> d.bit) & 1
+            value = template.by_name[d.layer].params[d.parameter.value][d.coords]
+            held = (int(value.view(np.uint32)) >> d.bit) & 1
             if held == d.stuck:
                 continue  # a no-op: the network stays bit-identical
         outs[pos] = list(golden.entries)  # a list of its own, though no input may diverge
         w, lif_at, index = site = _screen_site(template, d)
         groups.setdefault((w, lif_at, len(index)), []).append((pos, d, site))
-    forwards = 0
+    forwards, screen_s, replay_s = 0, 0.0, 0.0
     for (w, lif_at, cone), members in groups.items():
         lif, feed = template.layers[lif_at], template.layers[lif_at - 1]
         rest = template.shapes[lif.name][cone:]
@@ -478,6 +477,7 @@ def run_faulty(
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
             ds = [d for _, d, _ in block]
+            t0 = time.perf_counter()
             if w < lif_at - 1:  # beyond the feed: no screen, every input diverges
                 index = (np.array([d.coords[0] for d in ds]),)
                 screened = _Screened(index, _cut(template.layers[w], ds, index[0]), {}, {}, None,
@@ -485,6 +485,10 @@ def run_faulty(
             else:
                 screened = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
             source, fault = np.nonzero(screened.differs)
+            t1 = time.perf_counter()
+            screen_s += t1 - t0
+            if not len(source):  # every input keeps its golden prediction
+                continue
             pins = None
             if w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT:
                 # from the layer after L, on its golden spikes with the cones written in
@@ -504,8 +508,11 @@ def run_faulty(
                     pins = (lif.name, screened.index, screened.pins)
             forwards += _replay_pairs(template, dataset, golden, start, rows, pins,
                                       [pos for pos, _, _ in block], outs)
+            replay_s += time.perf_counter() - t1
     if tally is not None:
-        tally["replay_forwards"] = tally.get("replay_forwards", 0) + forwards
+        for key, value in (("replay_forwards", forwards), ("screen_seconds", screen_s),
+                           ("replay_seconds", replay_s)):
+            tally[key] = tally.get(key, 0) + value
     return outs
 
 
@@ -682,14 +689,14 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
 def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
                golden: GoldenReference, cells):
     # What run_campaign records for a batch: per fault (no-op, screened inputs,
-    # replayed inputs, the outcome rows), and the stacked forwards run. A
-    # screened input's Prediction is the golden one itself.
-    results, tally = [], {"replay_forwards": 0}
+    # replayed inputs, the outcome rows), and run_faulty's tally. A screened
+    # input's Prediction is the golden one itself.
+    results, tally = [], {}
     for d, outs in zip(batch, run_faulty(net, batch, dataset, golden, tally)):
         replayed = sum(o is not g for o, g in zip(outs, golden.entries))
         rows = _render_rows(d.fault_id, cells, golden.entries, outs)
         results.append((outs is golden.entries, len(outs) - replayed, replayed, rows))
-    return results, tally["replay_forwards"]
+    return results, tally
 
 
 def _worker_run(batch: list[FaultDescriptor]):
@@ -727,7 +734,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     valid_ids = {d.fault_id for d in fl.descriptors}
 
     acked = 0  # bytes of the log the checkpoint vouches for
-    done: set[int] = set()
+    logged: dict[int, str] = {}  # fault id -> its K acknowledged rows, without the last newline
     if not cfg.resume:
         if ckpt_path.exists() or partial_path.exists():
             raise ResumeError(
@@ -737,12 +744,13 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         acked = _read_checkpoint(ckpt_path, binding)
         if not partial_path.exists():
             raise ResumeError("checkpoint exists but the partial outcome file is missing")
-        done = set(_read_log(partial_path, acked, k, valid_ids))
+        logged = {fid: "\n".join(rows) for fid, rows in _read_log(partial_path, acked, k,
+                                                                 valid_ids).items()}
         os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
     elif partial_path.exists() and partial_path.stat().st_size > 0:
         raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
 
-    pending = [d for d in fl.descriptors if d.fault_id not in done]
+    pending = [d for d in fl.descriptors if d.fault_id not in logged]
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
@@ -756,7 +764,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     started = min(parallel, len(batches))  # worker processes
     if started < 2:  # a pool of one only adds pickling and IPC: run in this process
         started = 0
-    forwards = 0  # stacked replay forwards
+    tally = {"replay_forwards": 0, "screen_seconds": 0.0, "replay_seconds": 0.0}  # run_faulty's
     per_worker: dict[int, int] = {}  # process pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
 
@@ -773,10 +781,11 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 cells = _golden_cells(golden.entries) if batches else None
                 ran = ((batch, (os.getpid(), _run_batch(net, batch, dataset, golden, cells)))
                        for batch in batches)
-            for batch, (pid, (results, replay_forwards)) in ran:
+            for batch, (pid, (results, batch_tally)) in ran:
                 # write the batch's rows, fsync them and acknowledge the log
                 per_worker[pid] = per_worker.get(pid, 0) + len(results)
-                forwards += replay_forwards
+                for key, value in batch_tally.items():
+                    tally[key] += value
                 for d, (noop, screened, replayed, rows) in zip(batch, results):
                     counts = sites.setdefault(
                         f"{d.layer}.{d.parameter.value}",
@@ -787,6 +796,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                     counts["screened_pairs"] += screened
                     counts["replayed_pairs"] += replayed
                     pf.write(rows)
+                    logged[d.fault_id] = rows[:-1]
                 pf.flush()
                 os.fsync(pf.fileno())
                 acked = os.fstat(pf.fileno()).st_size
@@ -801,12 +811,11 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 pool.shutdown(cancel_futures=True)
     t_faults = time.monotonic()
 
-    groups = _read_log(partial_path, acked, k, valid_ids)
-    status = "complete" if groups.keys() == valid_ids else "partial"
+    # the log holds exactly these rows, so outcomes.csv comes from memory
+    status = "complete" if logged.keys() == valid_ids else "partial"
     outcomes_path = None
     if status == "complete":
-        rows = (line for fid in sorted(groups) for line in groups[fid])
-        write_atomic(final_path, chain([OUTCOME_HEADER], rows))
+        write_atomic(final_path, [OUTCOME_HEADER, *(logged[fid] for fid in sorted(logged))])
         outcomes_path = final_path
 
     t_merge = time.monotonic()
@@ -816,7 +825,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     summary = {
         "status": status,
         "faults_total": len(valid_ids),
-        "faults_completed": len(groups),
+        "faults_completed": len(logged),
         **binding,
         "workers": cfg.workers,
         "workers_started": started,
@@ -826,7 +835,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         "noop_faults": sum(c["noop_faults"] for c in sites.values()),
         "screened_pairs": screened,
         "replayed_pairs": replayed,
-        "replay_forwards": forwards,
+        "replay_forwards": tally["replay_forwards"],
         "sites": dict(sorted(sites.items())),
         "golden_trace_bytes": sum(a.nbytes for a in golden.trace.values()),
         "fault_pairs_per_s": (screened + replayed) / (t_faults - t_golden) if pending else 0.0,
@@ -836,6 +845,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             "faults": t_faults - t_golden,
             "merge": t_merge - t_faults,
         },
+        # summed over batches in whichever process ran them
+        "fault_seconds": {"screen": tally["screen_seconds"], "replay": tally["replay_seconds"]},
         "argv": sys.argv,
         "versions": {
             "python": platform.python_version(),

@@ -34,6 +34,24 @@ rows (every batch row, a block's steps included) and outputs:
 The chains are independent, so the axis a step vectorizes over moves no bit.
 The test suite pins all three against scalar loops.
 
+Spike inputs are mostly silent, so a call of at least ``SKIP_MIN_TERMS``
+terms (rows x out x in, a property of the call alone) skips its dead columns:
+those whose input is +-0 in every row and whose weights are all finite. It
+runs its realization on the live columns only, and that moves no bit:
+
+* every dropped term is +-0, and adding +-0 leaves a nonzero, infinite or
+  NaN accumulator unchanged (NaN payload included);
+* so the reduced chain and the dense one hold the same bits from their first
+  nonzero term on, and while neither has met one, both hold a zero;
+* a binary32 sum is -0.0 only if both its operands are -0.0, so a chain ends
+  in -0.0 only if every one of its terms is -0.0. A reduced result of +0.0
+  is therefore the dense one too, but a reduced -0.0 is the dense result
+  only if every dropped term is -0.0 as well. A call with a -0.0 result
+  runs again over all its columns, and one with no live column (or no dead
+  one) runs over all of them at once;
+* a column holding an infinite or NaN weight stays live, so Inf x 0 = NaN
+  still poisons its sums.
+
 Membrane dynamics, per neuron and per timestep, with ``V_prev`` the potential
 stored from the previous step:
 
@@ -340,6 +358,10 @@ class Network:
 # rows) and 32->32 (25-50 rows) ones.
 CUMSUM_MAX_WIDTH = 256
 ROWS_PER_OUTPUT = 1
+# linear_forward drops dead columns from calls of at least this many terms
+# (rows x out x in). Below it, the liveness test costs about what it saves:
+# ungated, the recurrent benchmark net's many small cumsum calls ran slower.
+SKIP_MIN_TERMS = 1 << 14
 # A loop forms its products a block of terms per multiply; the block holds at
 # most this many values (128 KiB), so the temporary stays small.
 TERM_BLOCK_VALUES = 32768
@@ -366,26 +388,47 @@ def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chains(weight: np.ndarray, input: np.ndarray, rows: int) -> np.ndarray:
+    """linear_forward's dot products without bias, in the realization that
+    the call's ``rows`` and outputs select."""
+    out_n, in_n = weight.shape[-2:]
+    if weight.ndim > 2 or rows * out_n < CUMSUM_MAX_WIDTH:
+        terms = weight * input[..., None, :]
+        return np.cumsum(terms, axis=-1, out=terms)[..., -1]
+    columns = np.ascontiguousarray(weight.T)  # [in, out]
+    values = np.ascontiguousarray(input.reshape(rows, in_n).T)  # [in, rows]
+    if rows >= ROWS_PER_OUTPUT * out_n:  # accumulate [out, rows]
+        out = _product_chain(columns[:, :, None], values[:, None, :]).T
+    else:  # accumulate [rows, out]
+        out = _product_chain(columns[:, None, :], values[:, :, None])
+    return out.reshape(*input.shape[:-1], out_n)
+
+
 def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarray) -> np.ndarray:
     """out[..., i] = sum_j weight[i,j]*input[..., j] (+ bias[i]), j ascending, binary32.
 
     Per-row parameters, ``weight`` [..., out, in] and ``bias`` [..., out]
     whose leading axes broadcast against the input's batch axes, take the
-    cumsum realization. The result is an owned, C-contiguous array: it keeps
-    no term array or transposed accumulator alive."""
+    cumsum realization. A call of at least ``SKIP_MIN_TERMS`` terms runs its
+    chains on its live columns only, and again on all of them if a result
+    comes out -0.0 (see the module docstring). The result is an owned,
+    C-contiguous array: it keeps no term array or transposed accumulator
+    alive."""
     out_n, in_n = weight.shape[-2:]
     rows = input.size // in_n
-    if weight.ndim > 2 or rows * out_n < CUMSUM_MAX_WIDTH:
-        terms = weight * input[..., None, :]
-        out = np.cumsum(terms, axis=-1, out=terms)[..., -1]
-    else:
-        columns = np.ascontiguousarray(weight.T)  # [in, out]
-        values = np.ascontiguousarray(input.reshape(rows, in_n).T)  # [in, rows]
-        if rows >= ROWS_PER_OUTPUT * out_n:  # accumulate [out, rows]
-            out = _product_chain(columns[:, :, None], values[:, None, :]).T
-        else:  # accumulate [rows, out]
-            out = _product_chain(columns[:, None, :], values[:, :, None])
-        out = out.reshape(*input.shape[:-1], out_n)
+    out = None
+    if rows * out_n * in_n >= SKIP_MIN_TERMS:
+        # a column is live if any row's input in it is nonzero (NaN included)
+        # or any weight in it is not finite
+        live = input.reshape(rows, in_n).any(axis=0)
+        live |= ~np.isfinite(weight).reshape(-1, in_n).all(axis=0)
+        cols = np.flatnonzero(live)
+        if 0 < len(cols) < in_n:
+            out = _chains(weight[..., cols], input[..., cols], rows)
+            if ((out == 0) & np.signbit(out)).any():  # may be +0.0 over all columns
+                out = None
+    if out is None:
+        out = _chains(weight, input, rows)
     if bias is not None:
         return np.add(out, bias, order="C")
     return np.ascontiguousarray(out)

@@ -30,7 +30,6 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import ge
 from pathlib import Path
 from statistics import NormalDist
 
@@ -39,7 +38,7 @@ import numpy as np
 from .core import PARAMETERIZED, LayerKind, Network
 from .dataio import FLOAT, INT, read_lines
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
-from .faults import FaultDescriptor, FaultMode, ParameterKind, target_tensor
+from .faults import FaultDescriptor, FaultMode, ParameterKind, check_addresses
 
 RNG_ID = "np-pcg64-fy1"  # numpy PCG64 + the partial Fisher-Yates below
 BITS_PER_ELEMENT = 32
@@ -419,21 +418,7 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
             if declared != actual:
                 raise CompatibilityError(f"fault list's universe {_entry_text(declared)} is not"
                                          f" the model's {_entry_text(actual)}")
-        # Coords are checked against a shape per (layer, parameter), resolved
-        # once; a first sighting or a miss goes through target_tensor, which
-        # raises the address error.
-        shapes: dict[tuple[str, ParameterKind], tuple[int, ...]] = {}
-        for d in descriptors:
-            shape = shapes.get((d.layer, d.parameter))
-            # coords are never negative, so ge is the whole bounds check
-            if shape is None or len(d.coords) != len(shape) or any(map(ge, d.coords, shape)):
-                try:
-                    tensor = target_tensor(net, d)
-                except AddressError as exc:
-                    raise AddressError(f"fault {d.fault_id}: {exc}") from None
-                shapes[d.layer, d.parameter] = (
-                    net.shapes[d.layer] if d.parameter.is_dynamic else tensor.shape
-                )
+        check_addresses(net, descriptors)
 
     return FaultList(
         descriptors=descriptors,

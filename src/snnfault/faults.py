@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import ge
+from typing import Iterable
 
 import numpy as np
 
@@ -139,6 +141,25 @@ def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
             f"{d.layer}.{d.parameter.value} shape {shape}"
         )
     return tensor
+
+
+def check_addresses(net: Network, faults: Iterable[FaultDescriptor]) -> None:
+    """Raise an AddressError naming the fault for the first descriptor that
+    ``net`` cannot address. Coords are checked against a shape per (layer,
+    parameter), resolved once; a first sighting or a miss goes through
+    target_tensor, which raises the error."""
+    shapes: dict[tuple[str, ParameterKind], tuple[int, ...]] = {}
+    for d in faults:
+        shape = shapes.get((d.layer, d.parameter))
+        # coords are never negative, so ge is the whole bounds check
+        if shape is None or len(d.coords) != len(shape) or any(map(ge, d.coords, shape)):
+            try:
+                tensor = target_tensor(net, d)
+            except AddressError as exc:
+                raise AddressError(f"fault {d.fault_id}: {exc}") from None
+            shapes[d.layer, d.parameter] = (
+                net.shapes[d.layer] if d.parameter.is_dynamic else tensor.shape
+            )
 
 
 def inject_static(net: Network, d: FaultDescriptor) -> None:

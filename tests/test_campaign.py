@@ -27,7 +27,7 @@ from helpers import (
     injected_forward,
     two_layer_net,
 )
-from snnfault import campaign, core
+from snnfault import campaign, core, faults as faults_module
 from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
@@ -44,7 +44,7 @@ from snnfault.campaign import (
 )
 from snnfault.core import DTYPE, LayerKind, Network
 from snnfault.dataio import f32_to_hex, save_dataset, save_model, synth_dataset, synth_model
-from snnfault.errors import FormatError, ResumeError
+from snnfault.errors import AddressError, FormatError, ResumeError
 from snnfault.faultlist import (
     FaultList,
     SamplingSpec,
@@ -174,6 +174,21 @@ def test_campaign_kill_and_resume_byte_identity(workdir):
     assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
 
 
+def test_merge_reads_the_log_only_on_resume(workdir, monkeypatch):
+    """outcomes.csv comes from the rows this run recorded, held in memory: a
+    fresh run never parses the log, and a resume parses it once, for the
+    rows acknowledged before it. Both give an uninterrupted run's bytes."""
+    reads, read_log = [], campaign._read_log
+    monkeypatch.setattr(campaign, "_read_log", lambda *args: reads.append(1) or read_log(*args))
+    straight = run_campaign(cfg_for(workdir, "merge_straight", checkpoint_every=7))
+    assert straight.status == "complete" and reads == []
+    run_campaign(cfg_for(workdir, "merge_kill", checkpoint_every=7), limit=17)
+    assert reads == []
+    resumed = run_campaign(cfg_for(workdir, "merge_kill", checkpoint_every=7, resume=True))
+    assert resumed.status == "complete" and reads == [1]
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+
+
 def test_campaign_resume_with_nothing_done_runs_all(workdir):
     out = cfg_for(workdir, "run_resume_fresh", resume=True)
     res = run_campaign(out)
@@ -292,11 +307,20 @@ def test_campaign_json_explains_the_run(workdir):
     assert summary["faults_per_worker"] == [summary["faults_completed"]]
     assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
     assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
+    seconds = summary["fault_seconds"]  # within the serial fault phase
+    assert list(seconds) == ["screen", "replay"]
+    assert summary["replay_forwards"] > 0 and all(v > 0 for v in seconds.values())
+    assert sum(seconds.values()) <= phases["faults"]
     assert summary["versions"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "snnfault": snnfault.__version__,
     }
+    # a resume with every fault done runs no batch: no forward, no second spent
+    res = run_campaign(cfg_for(workdir, "explained", subset=3, checkpoint_every=5, resume=True))
+    summary = json.loads((res.out_dir / "campaign.json").read_text())
+    assert summary["replay_forwards"] == 0
+    assert summary["fault_seconds"] == {"screen": 0.0, "replay": 0.0}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1292,6 +1316,23 @@ def test_forward_block_size_moves_no_bit(name, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def _forward_bytes(net, ds, faults):
+    """The bytes a chain choice must not move: every layer's output recorded
+    by a full forward, the golden scores and trace, and every fault's
+    run_faulty scores."""
+    record = {s.name: np.empty((ds.num_samples, net.timesteps, *net.shapes[s.name]), DTYPE)
+              for s in net.layers}
+    core.network_forward(net.copy(), ds.spikes, record=record)
+    golden = run_golden(net.copy(), ds)
+    outs = run_faulty(net, faults, ds, golden)
+    return (
+        {name: a.tobytes() for name, a in record.items()},
+        [e.scores.tobytes() for e in golden.entries],
+        {name: a.tobytes() for name, a in golden.trace.items()},
+        [[o.scores.tobytes() for o in out] for out in outs],
+    )
+
+
 @pytest.mark.parametrize("name", SCREEN_NETS)
 def test_chain_layout_moves_no_bit(name, monkeypatch):
     """linear_forward realizes each chain by np.cumsum, or by a column loop
@@ -1301,23 +1342,43 @@ def test_chain_layout_moves_no_bit(name, monkeypatch):
     net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     faults = _screen_faults(net, np.random.default_rng(44))
-    k, huge = ds.num_samples, 1 << 62
+    huge = 1 << 62
     results = []
     for width, rows_per_output in ((core.CUMSUM_MAX_WIDTH, core.ROWS_PER_OUTPUT),
                                    (huge, 0), (0, huge), (0, 0)):
         monkeypatch.setattr(core, "CUMSUM_MAX_WIDTH", width)
         monkeypatch.setattr(core, "ROWS_PER_OUTPUT", rows_per_output)
-        record = {s.name: np.empty((k, 8, *net.shapes[s.name]), DTYPE) for s in net.layers}
-        core.network_forward(net.copy(), ds.spikes, record=record)
-        golden = run_golden(net.copy(), ds)
-        outs = run_faulty(net, faults, ds, golden)
-        results.append((
-            {name: a.tobytes() for name, a in record.items()},
-            [e.scores.tobytes() for e in golden.entries],
-            {name: a.tobytes() for name, a in golden.trace.items()},
-            [[o.scores.tobytes() for o in out] for out in outs],
-        ))
+        results.append(_forward_bytes(net, ds, faults))
     assert results[0] == results[1] == results[2] == results[3]
+
+
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_column_skip_moves_no_bit(name, monkeypatch):
+    """linear_forward drops the columns that are +-0 in every row of a call
+    when it holds at least SKIP_MIN_TERMS terms. Forcing the skip on every
+    call, and off on every call, gives the bytes of the default gate: golden
+    run and trace, recorded layer outputs, and every fault's run_faulty
+    outcomes. Forced on, calls run on fewer columns than they have; forced
+    off, none does."""
+    net = _screen_net(name)
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    faults = _screen_faults(net, np.random.default_rng(44))
+    linear, chains = core.linear_forward, core._chains
+    calls = []  # per linear_forward call: its width, then each width its chains ran on
+    monkeypatch.setattr(core, "linear_forward",
+                        lambda w, b, x: calls.append([w.shape[-1]]) or linear(w, b, x))
+    monkeypatch.setattr(core, "_chains",
+                        lambda w, x, rows: calls[-1].append(w.shape[-1]) or chains(w, x, rows))
+    results, reduced = [], []  # reduced: the calls whose chains ran on fewer columns
+    for gate in (core.SKIP_MIN_TERMS, 0, 1 << 62):
+        monkeypatch.setattr(core, "SKIP_MIN_TERMS", gate)
+        calls.clear()
+        results.append(_forward_bytes(net, ds, faults))
+        reduced.append(sum(min(ran) < width for width, *ran in calls))
+    assert results[0] == results[1] == results[2]
+    assert reduced[1] >= reduced[0] >= reduced[2] == 0
+    # in these two, every pooled column into FC(12->4) is nonzero in some row
+    assert reduced[1] > 0 or name in ("conv", "conv-shared")
 
 
 def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):
@@ -1350,6 +1411,31 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     assert n_replayed == len(golden.entries)
 
 
+@pytest.mark.parametrize("bad", [
+    FaultDescriptor(9, "fc9", ParameterKind.WEIGHT, (0, 0), 3, 1),
+    FaultDescriptor(9, "fc1", ParameterKind.WEIGHT, (0, 6), 3, 1),
+    FaultDescriptor(9, "fc1", ParameterKind.WEIGHT, (0,), 3, 1),
+    FaultDescriptor(9, "lif1", ParameterKind.SPIKE, (5,), 3, 1),
+    FaultDescriptor(9, "fc1", ParameterKind.FEEDBACK_WEIGHT, (0, 0), 3, 1),
+], ids=["layer", "bounds", "rank", "state bounds", "parameter"])
+def test_run_faulty_checks_each_address_once_and_names_a_bad_fault(workdir, monkeypatch, bad):
+    """run_faulty resolves one shape per (layer, parameter), as read_fault_list
+    does, so descriptors that did not come from a fault list are still
+    checked; a bad one raises an AddressError naming its fault, after good
+    ones of the same (layer, parameter)."""
+    _, net, ds, _ = workdir
+    golden = run_golden(net.copy(), ds)
+    resolved, target_tensor = [], faults_module.target_tensor
+    monkeypatch.setattr(faults_module, "target_tensor",
+                        lambda net, d: resolved.append(d.fault_id) or target_tensor(net, d))
+    good = [FaultDescriptor(i, "fc1", ParameterKind.WEIGHT, (i % 5, i % 6), 3, 1) for i in range(6)]
+    good += [FaultDescriptor(6, "lif1", ParameterKind.SPIKE, (4,), 3, 1)]
+    run_faulty(net, good, ds, golden)
+    assert resolved == [0, 6]
+    with pytest.raises(AddressError, match=r"^fault 9: "):
+        run_faulty(net, [*good, bad], ds, golden)
+
+
 def test_run_faulty_rejects_golden_without_trace(workdir, tmp_path):
     _, net, ds, _ = workdir
     p = tmp_path / "golden.csv"
@@ -1377,4 +1463,8 @@ def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
     assert forwards == [(2, K)]  # one forward, from the layer after lif1
     tally = {}
     run_faulty(net, [masked, saturated], ds, golden, tally)
-    assert forwards == [(2, K)] * 2 and tally == {"replay_forwards": 1}
+    assert forwards == [(2, K)] * 2 and tally["replay_forwards"] == 1
+    assert tally.keys() == {"replay_forwards", "screen_seconds", "replay_seconds"}
+    tally = {}
+    run_faulty(net, [masked], ds, golden, tally)  # screened, and nothing to replay
+    assert tally["replay_forwards"] == 0 == tally["replay_seconds"] < tally["screen_seconds"]

@@ -210,6 +210,96 @@ def test_linear_returns_owned_contiguous_result(realization, bias):
     assert (out == in_n + bias).all()
 
 
+# a product of two of these underflows to +-0 although neither factor is zero
+tiny_f32 = st.sampled_from([1e-30, -1e-30])
+skip_weights = finite_f32 | special_f32 | tiny_f32 | st.sampled_from([1.0, -1.0])
+skip_inputs = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | finite_f32 | special_f32 | tiny_f32
+
+
+def _live(weights, x) -> np.ndarray:
+    """The columns the skip must keep: an input that is not +-0 in some row,
+    or a weight that is not finite."""
+    in_n = x.shape[-1]
+    return (x.reshape(-1, in_n) != 0).any(axis=0) | ~np.isfinite(weights.reshape(-1, in_n)).all(axis=0)
+
+
+@given(st.integers(1, 40), st.integers(1, 8), st.booleans(), st.data())
+def test_column_skip_matches_scalar_chain(out_n, in_n, per_row, data):
+    """With the skip forced on every call, each result equals the scalar
+    ascending chain over all columns, in all three realizations and with
+    per-row weights: columns that are +-0 in every row, dead columns holding
+    an Inf or NaN weight (which must give NaN), reduced results of -0.0 that
+    send the call back over all its columns, calls whose every column is
+    dead, and live products that underflow to +-0. A spy on the realization
+    shows the reduced width ran, and ran alone unless it gave a -0.0."""
+    matrix = st.lists(st.lists(skip_weights, min_size=in_n, max_size=in_n),
+                      min_size=out_n, max_size=out_n)
+    mats = [arr(data.draw(matrix)) for _ in range(1 + per_row)]
+    dead = data.draw(st.lists(st.booleans(), min_size=in_n, max_size=in_n))
+    distinct = [[data.draw(st.sampled_from([0.0, -0.0]) if d else skip_inputs) for d in dead]
+                for _ in range(data.draw(st.integers(1, 3)))]
+    want = {}
+    with np.errstate(all="ignore"):
+        for m, w in enumerate(mats):
+            for n, row in enumerate(distinct):
+                want[m, n] = [seq_dot_f32(w[i], row, None) for i in range(out_n)]
+    heights = _rows_for(out_n)
+    if per_row:  # per-row weights always take the cumsum realization
+        heights = {h: "cumsum" for h in list(heights)[-2:]}
+    widths, chains = [], core._chains
+
+    def spy(weight, input, rows):
+        out = chains(weight, input, rows)
+        widths.append((weight.shape[-1], bool((np.signbit(out) & (out == 0)).any())))
+        return out
+
+    for rows, realization in heights.items():
+        x = arr([distinct[r % len(distinct)] for r in range(rows)])
+        w = np.stack([mats[r % len(mats)] for r in range(rows)]) if per_row else mats[0]
+        live = _live(w, x).sum()
+        widths.clear()
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(core, "SKIP_MIN_TERMS", 0)
+            mp.setattr(core, "_chains", spy)
+            out, seen = _realization(lambda: linear_forward(w, None, x))
+        assert set(seen) == {realization}
+        if 0 < live < in_n:
+            assert widths[0][0] == live
+            assert [width for width, _ in widths[1:]] == ([in_n] if widths[0][1] else [])
+        else:
+            assert [width for width, _ in widths] == [in_n]
+        for r in range(rows):
+            assert all(map(_same_f32, out[r], want[r % len(mats), r % len(distinct)]))
+
+
+def test_column_skip_recomputes_negative_zero_dense():
+    """Worked case with the skip forced. Column 1 is +0 in every row, so it
+    is dropped. In row 2 every term is a zero: for output 0 the live terms
+    are -0.0 and the dropped one +0.0, so the reduced chain's -0.0 sends the
+    call back over all columns, for the +0.0 of the full chain; for output 1
+    every term is -0.0 and the result stays -0.0. An Inf weight keeps its
+    column live and poisons every sum, and a call with no live column runs
+    dense. Without row 2, no result is -0.0 and the reduced call stands."""
+    w = arr([[-1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+    x = arr([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    widths, chains = [], core._chains
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(core, "SKIP_MIN_TERMS", 0)
+        mp.setattr(core, "_chains",
+                   lambda weight, input, rows: widths.append(weight.shape[-1]) or chains(weight, input, rows))
+        out = linear_forward(w, None, x)
+        poisoned = linear_forward(arr([[1.0, np.inf, 1.0]]), None, x)
+        silent = linear_forward(w, None, np.zeros_like(x))
+        live = linear_forward(w, None, x[:2])
+    assert widths == [2, 3, 3, 3, 2]
+    assert live.tobytes() == out[:2].tobytes()
+    assert bits_of(out[2, 0]) == bits_of(F32(0.0))
+    assert bits_of(out[2, 1]) == bits_of(F32(-0.0))
+    assert (out[:2] == -1.0).all()
+    assert np.isnan(poisoned).all()
+    assert [bits_of(v) for v in silent[0]] == [bits_of(F32(0.0)), bits_of(F32(-0.0))]
+
+
 # -- recurrent ------------------------------------------------------------
 
 
