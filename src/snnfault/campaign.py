@@ -43,9 +43,11 @@ changed), cuts the log back to that length (a torn or unacknowledged tail is
 re-run, never appended to) and parses it strictly. ``outcomes.csv`` holds
 the log's rows sorted by (fault_id, input_id), kept in memory as they are
 recorded or as resume read them, so its bytes are identical for any worker
-count or interruption history. It, ``golden.csv``,
-``campaign.json`` and the checkpoint are each written to a temporary file,
-fsynced and renamed into place, so a kill never leaves a truncated one behind.
+count or interruption history. It, ``golden.csv``, ``campaign.json`` and the
+checkpoint are each written by ``dataio.write_atomic`` (a temporary file,
+fsynced and renamed into place), so a kill never leaves a truncated one. The
+state checks and the log's cut come before the golden run, so a refused run
+writes nothing.
 The serial path and each pool worker run contiguous batches of at most
 ``checkpoint_every`` faults, and no more than an even share of the pending
 faults per worker; a batch's rows are held in memory until it is recorded, so
@@ -67,7 +69,6 @@ its match.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -79,7 +80,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,11 +103,13 @@ from .dataio import (
     SCORE,
     SpikeDataset,
     f32_to_hex,
+    file_sha256,
     load_dataset,
     load_model,
     parse_score,
     read_lines,
     render_score,
+    write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
 from .faults import FaultDescriptor, check_addresses, fault_masks, pin_bits
@@ -516,16 +518,6 @@ def run_faulty(
     return outs
 
 
-def write_atomic(path: Path, lines: Iterable[str]) -> None:
-    # Readers see the old file or the whole new one, never a torn write.
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(line + "\n" for line in lines)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
 # -- golden reference persistence ----------------------------------------------
 
 
@@ -542,7 +534,7 @@ def write_golden(ref: GoldenReference, path) -> None:
     for e in ref.entries:
         vector = ";".join(f32_to_hex(v) for v in e.scores)
         lines.append(f"{e.input_id},{e.top_class},{render_score(e.top_score)},{vector}")
-    write_atomic(Path(path), lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_golden(path) -> GoldenReference:
@@ -615,13 +607,10 @@ def read_outcomes(path) -> list[OutcomeRow]:
 
 
 def _input_binding(cfg: CampaignConfig, k: int) -> dict:
-    def sha256(path: Path) -> str:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
     return {
-        "model_sha256": sha256(cfg.model),
-        "dataset_sha256": sha256(cfg.dataset),
-        "fault_list_sha256": sha256(cfg.fault_list),
+        "model_sha256": file_sha256(cfg.model),
+        "dataset_sha256": file_sha256(cfg.dataset),
+        "fault_list_sha256": file_sha256(cfg.fault_list),
         "inputs": k,
     }
 
@@ -719,21 +708,12 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     fl = read_fault_list(cfg.fault_list, net)
     k = _subset_count(dataset, cfg.subset)
     binding = _input_binding(cfg, k)
-    t_load = time.monotonic()
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    golden = run_golden(net.copy(), dataset, k)
-    golden_path = out_dir / "golden.csv"
-    write_golden(golden, golden_path)
-    t_golden = time.monotonic()
-
+    out_dir = Path(cfg.out_dir)  # checked before the golden run: a refused run writes nothing
     ckpt_path = out_dir / "checkpoint.txt"
     partial_path = out_dir / "outcomes.partial.csv"
-    final_path = out_dir / "outcomes.csv"
     valid_ids = {d.fault_id for d in fl.descriptors}
 
-    acked = 0  # bytes of the log the checkpoint vouches for
     logged: dict[int, str] = {}  # fault id -> its K acknowledged rows, without the last newline
     if not cfg.resume:
         if ckpt_path.exists() or partial_path.exists():
@@ -741,7 +721,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 f"{out_dir} already holds campaign state; resume it or clean the directory"
             )
     elif ckpt_path.exists():
-        acked = _read_checkpoint(ckpt_path, binding)
+        acked = _read_checkpoint(ckpt_path, binding)  # log bytes the checkpoint vouches for
         if not partial_path.exists():
             raise ResumeError("checkpoint exists but the partial outcome file is missing")
         logged = {fid: "\n".join(rows) for fid, rows in _read_log(partial_path, acked, k,
@@ -749,6 +729,13 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
     elif partial_path.exists() and partial_path.stat().st_size > 0:
         raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
+    t_load = time.monotonic()
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    golden = run_golden(net.copy(), dataset, k)
+    golden_path = out_dir / "golden.csv"
+    write_golden(golden, golden_path)
+    t_golden = time.monotonic()
 
     pending = [d for d in fl.descriptors if d.fault_id not in logged]
     if limit is not None:
@@ -800,7 +787,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 pf.flush()
                 os.fsync(pf.fileno())
                 acked = os.fstat(pf.fileno()).st_size
-                write_atomic(ckpt_path, [json.dumps({"log_bytes": acked, **binding})])
+                write_atomic(ckpt_path, f"{json.dumps({'log_bytes': acked, **binding})}\n".encode())
         except BrokenProcessPool as exc:
             # every recorded batch is already acknowledged for --resume
             raise WorkerError(
@@ -813,10 +800,10 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
     # the log holds exactly these rows, so outcomes.csv comes from memory
     status = "complete" if logged.keys() == valid_ids else "partial"
-    outcomes_path = None
-    if status == "complete":
-        write_atomic(final_path, [OUTCOME_HEADER, *(logged[fid] for fid in sorted(logged))])
-        outcomes_path = final_path
+    outcomes_path = out_dir / "outcomes.csv" if status == "complete" else None
+    if outcomes_path:
+        text = "\n".join([OUTCOME_HEADER, *(logged[fid] for fid in sorted(logged))]) + "\n"
+        write_atomic(outcomes_path, text.encode("utf-8"))
 
     t_merge = time.monotonic()
     wall = t_merge - t0
@@ -854,7 +841,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             "snnfault": __version__,
         },
     }
-    write_atomic(out_dir / "campaign.json", [json.dumps(summary, indent=2)])
+    write_atomic(out_dir / "campaign.json", (json.dumps(summary, indent=2) + "\n").encode("utf-8"))
     return CampaignResult(
         status=status,
         processed=len(pending),

@@ -10,7 +10,6 @@ The default worker count for `inject` comes from SNNFAULT_WORKERS.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -18,8 +17,9 @@ import sys
 from datetime import timedelta
 from pathlib import Path
 
-from .campaign import CampaignConfig, read_golden, read_outcomes, run_campaign, write_atomic
-from .dataio import FLOAT, INT, load_model, save_dataset, save_model, synth_dataset, synth_model
+from .campaign import CampaignConfig, read_golden, read_outcomes, run_campaign
+from .dataio import (FLOAT, INT, file_sha256, load_model, save_dataset, save_model,
+                     synth_dataset, synth_model, write_atomic)
 from .errors import (
     CompatibilityError,
     ConsistencyError,
@@ -140,14 +140,13 @@ def _cmd_report(args) -> int:
         raise FormatError(f"{meta_path} is not a campaign's metadata: {exc!r}") from None
     if status != "complete":
         raise ConsistencyError(f"the campaign in {run} is {status!r}, not complete")
-    if ran != hashlib.sha256(Path(args.fl).read_bytes()).hexdigest():
+    if ran != file_sha256(args.fl):
         raise ConsistencyError(f"{args.fl} is not the fault list the campaign in {run} ran")
     golden = read_golden(run / "golden.csv")
     fl = read_fault_list(args.fl)
     outcomes = read_outcomes(run / "outcomes.csv")
     rep = aggregate(outcomes, golden, fl, fl.universe)
-    data = render_report(rep, args.format)
-    write_atomic(Path(args.out), [data.decode("utf-8").removesuffix("\n")])
+    write_atomic(args.out, render_report(rep, args.format))
     print(f"wrote {args.out}: {len(rep.groups)} groups, {rep.network.pairs} outcome pairs")
     return 0
 

@@ -419,9 +419,11 @@ def linear_forward(weight: np.ndarray, bias: np.ndarray | None, input: np.ndarra
     out = None
     if rows * out_n * in_n >= SKIP_MIN_TERMS:
         # a column is live if any row's input in it is nonzero (NaN included)
-        # or any weight in it is not finite
+        # or, where none is, any weight in it is not finite
         live = input.reshape(rows, in_n).any(axis=0)
-        live |= ~np.isfinite(weight).reshape(-1, in_n).all(axis=0)
+        if not live.all():
+            dead = np.flatnonzero(~live)
+            live[dead] = ~np.isfinite(weight[..., dead]).reshape(-1, len(dead)).all(axis=0)
         cols = np.flatnonzero(live)
         if 0 < len(cols) < in_n:
             out = _chains(weight[..., cols], input[..., cols], rows)

@@ -17,13 +17,16 @@ Score cells elsewhere in the toolkit serialize binary32 values as 8 hex
 digits of the raw bit pattern (authoritative) plus a decimal rendering;
 f32_to_hex/hex_to_f32 implement that exactly. The sub-patterns below are
 what every CSV row grammar, the architecture grammar and every other number
-read from text in the toolkit are written in.
+read from text in the toolkit are written in. write_atomic is the toolkit's
+one file writer, and file_sha256 its one way to identify a file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -89,6 +92,20 @@ def read_lines(path, what: str) -> list[str]:
     return lines
 
 
+def write_atomic(path, data: bytes) -> None:
+    """The one file writer: readers see the old file or the whole new one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 # -- low-level framing --------------------------------------------------------
 
 
@@ -110,13 +127,9 @@ def _read_framed(path, magic: bytes) -> tuple[dict, bytes]:
     return header, data[8 + hlen :]
 
 
-def _write_framed(path, magic: bytes, header: dict, payload: bytes) -> None:
+def _framed(magic: bytes, header: dict, payload: bytes) -> bytes:
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(payload)
+    return b"".join((magic, struct.pack("<I", len(blob)), blob, payload))
 
 
 def _want_int(header: dict, key: str, minimum: int) -> int:
@@ -162,7 +175,7 @@ def save_model(net: Network, path) -> None:
         "layers": layers,
         "tensors": tensors,
     }
-    _write_framed(path, MODEL_MAGIC, header, bytes(payload))
+    write_atomic(path, _framed(MODEL_MAGIC, header, payload))
 
 
 def load_model(path) -> Network:
@@ -275,7 +288,7 @@ def save_dataset(ds: SpikeDataset, path) -> None:
         "classes": ds.classes,
     }
     payload = ds.spikes.astype(np.uint8).tobytes() + ds.labels.astype(_U16LE).tobytes()
-    _write_framed(path, DATASET_MAGIC, header, payload)
+    write_atomic(path, _framed(DATASET_MAGIC, header, payload))
 
 
 def load_dataset(path) -> SpikeDataset:

@@ -30,13 +30,12 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import zip_longest
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import FLOAT, INT, read_lines
+from .dataio import FLOAT, INT, read_lines, write_atomic
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, ParameterKind, check_addresses
 
@@ -323,7 +322,7 @@ def write_fault_list(fl: FaultList, path) -> None:
         lines.append(
             f"{d.fault_id},{d.layer},{d.parameter.value},{coords},{d.bit},{d.stuck},{d.mode.value}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_fault_list(path, net: Network | None = None) -> FaultList:

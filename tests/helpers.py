@@ -5,6 +5,10 @@ fractions. The point is to check the library against code that shares none
 of its implementation.
 """
 
+import builtins
+import io
+from pathlib import Path
+
 import numpy as np
 
 from snnfault import DTYPE, LayerKind, LayerSpec, Network
@@ -283,3 +287,19 @@ class TornFile:
 
     def __exit__(self, *exc):
         self._f.close()
+
+
+def tear_writes(monkeypatch, name: str, budget: int) -> None:
+    """Every open() for writing of a file whose name starts with ``name``
+    dies after ``budget`` characters (or bytes), whichever open() the writer
+    goes through."""
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith(name) and "w" in mode:
+            return TornFile(f, budget)
+        return f
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    monkeypatch.setattr(io, "open", torn_open)

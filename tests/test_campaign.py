@@ -27,7 +27,7 @@ from helpers import (
     injected_forward,
     two_layer_net,
 )
-from snnfault import campaign, core, faults as faults_module
+from snnfault import campaign, core, dataio, faults as faults_module
 from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
@@ -234,7 +234,7 @@ def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
             return TornFile(f, len(reference) // 2)
         return f
 
-    monkeypatch.setattr(campaign, "open", torn_open, raising=False)
+    monkeypatch.setattr(dataio, "open", torn_open, raising=False)  # write_atomic's module
     with pytest.raises(Killed):
         run_campaign(cfg_for(workdir, "tw_killed"))
     monkeypatch.undo()

@@ -1,8 +1,6 @@
 """End-to-end command-line behavior: pipeline, exit codes, stderr contract."""
 
-import builtins
 import hashlib
-import io
 import json
 import re
 import shlex
@@ -13,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, Killed, TornFile
+from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, Killed, tear_writes
 from snnfault import cli
 from snnfault.cli import dispatch
 from snnfault.campaign import read_golden, read_outcomes
@@ -115,16 +113,7 @@ def test_torn_report_write_keeps_the_previous_report(pipeline, monkeypatch):
         assert dispatch(args + ["--format", fmt]) == 0
         assert report.read_bytes() == render_report(rep, fmt)
     previous = report.read_bytes()
-    real_open = io.open
-
-    def torn_open(file, mode="r", *args, **kwargs):
-        f = real_open(file, mode, *args, **kwargs)
-        if Path(file).name.startswith(report.name) and "w" in mode:
-            return TornFile(f, len(render_report(rep, "csv")) // 2)
-        return f
-
-    monkeypatch.setattr(builtins, "open", torn_open)
-    monkeypatch.setattr(io, "open", torn_open)
+    tear_writes(monkeypatch, report.name, len(render_report(rep, "csv")) // 2)
     with pytest.raises(Killed):
         dispatch(args + ["--format", "csv"])
     monkeypatch.undo()
@@ -330,6 +319,31 @@ def test_resume_with_changed_model_exits_4(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("snnfault: error: ResumeError: model_sha256 changed")
     assert err.count("\n") == 1
+
+
+def test_refused_inject_leaves_the_campaign_untouched(tmp_path, capsys):
+    """An inject refused for the directory's state, with or without
+    --resume, writes nothing: a complete campaign keeps every file's bytes
+    (golden.csv included) and still reports."""
+    arch = "FC(8->6)-LIF-FC(6->3)-LIF"
+    for seed in (1, 2):
+        assert dispatch(["synth", "model", "--arch", arch, "--seed", str(seed),
+                         "--timesteps", "5", "--out", str(tmp_path / f"m{seed}.sjm")]) == 0
+    data = tmp_path / "d.sjd"
+    assert dispatch(["synth", "dataset", "--samples", "4", "--timesteps", "5", "--shape", "8",
+                     "--classes", "3", "--rate", "0.5", "--seed", "2", "--out", str(data)]) == 0
+    fl = gen_fl(tmp_path, tmp_path / "m1.sjm")
+    run = tmp_path / "run"
+    inject = ["inject", "--dataset", str(data), "--fl", str(fl), "--out", str(run)]
+    assert dispatch(inject + ["--model", str(tmp_path / "m1.sjm")]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    for extra in ([], ["--resume"]):
+        assert dispatch(inject + ["--model", str(tmp_path / "m2.sjm"), *extra]) == 4
+        assert capsys.readouterr().err.startswith("snnfault: error: ResumeError:")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert dispatch(["report", "--outcomes", str(run), "--fl", str(fl),
+                     "--out", str(tmp_path / "report.csv")]) == 0
 
 
 def _inject_workers(monkeypatch, extra=()):

@@ -272,6 +272,27 @@ def test_column_skip_matches_scalar_chain(out_n, in_n, per_row, data):
             assert all(map(_same_f32, out[r], want[r % len(mats), r % len(distinct)]))
 
 
+def test_column_skip_scans_weights_only_where_the_input_is_dead(monkeypatch):
+    """At its natural gate, the liveness test reads a column's weights only
+    when the input is +-0 in it in every row: an all-live call makes no
+    weight scan, and a call with dead columns scans just theirs. The skip
+    moves no bit against the same call run dense."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(-1.0, 1.0, (32, 32)).astype(DTYPE)
+    x = (rng.random((50, 32)) < 0.3).astype(DTYPE)
+    x[0] = 1.0  # every column live
+    assert x.size * w.shape[0] >= core.SKIP_MIN_TERMS
+    scans, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a.shape) or isfinite(a))
+    linear_forward(w, None, x)
+    assert scans == []
+    x[:, [3, 17, 30]] = 0.0
+    out = linear_forward(w, None, x)
+    assert scans == [(32, 3)]
+    monkeypatch.setattr(core, "SKIP_MIN_TERMS", 1 << 62)
+    assert out.tobytes() == linear_forward(w, None, x).tobytes()
+
+
 def test_column_skip_recomputes_negative_zero_dense():
     """Worked case with the skip forced. Column 1 is +0 in every row, so it
     is dropped. In row 2 every term is a zero: for output 0 the live terms

@@ -1,16 +1,27 @@
 """Model/dataset serialization, synthesis, and the architecture grammar."""
 
+import ast
 import hashlib
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, bits_of, f32_from_bits, two_layer_net
+import snnfault
+from helpers import (
+    MALFORMED_FLOATS,
+    MALFORMED_INTEGERS,
+    Killed,
+    bits_of,
+    f32_from_bits,
+    tear_writes,
+    two_layer_net,
+)
 from snnfault.core import DTYPE, LayerKind
 from snnfault.dataio import (
     SpikeDataset,
@@ -26,6 +37,8 @@ from snnfault.dataio import (
     synth_model,
 )
 from snnfault.errors import DimensionError, FormatError, SnnFaultError
+from snnfault.faultlist import SamplingSpec, generate_fault_list, write_fault_list
+from snnfault.faults import ParameterKind
 
 
 # -- hex score cells -----------------------------------------------------------
@@ -296,6 +309,86 @@ def test_dataset_magic_mismatch_with_model_loader(tmp_path):
     save_dataset(ds, p)
     with pytest.raises(FormatError, match="magic"):
         load_model(p)
+
+
+# -- the one writer ---------------------------------------------------------------
+
+
+def _fault_list(seed: int):
+    spec = SamplingSpec(error_margin=0.05, quantile=2.576, seed=seed)
+    return generate_fault_list(two_layer_net(), spec, {ParameterKind.WEIGHT, ParameterKind.BIAS})
+
+
+@pytest.mark.parametrize(
+    "save, old, new",
+    [
+        (save_model, synth_model(1, "FC(6->4)-LIF", 3), synth_model(2, "FC(6->4)-LIF", 3)),
+        (save_dataset, synth_dataset(1, 4, 3, (6,), 2, 0.5), synth_dataset(2, 4, 3, (6,), 2, 0.5)),
+        (write_fault_list, _fault_list(8), _fault_list(9)),
+    ],
+    ids=["model", "dataset", "fault-list"],
+)
+def test_torn_rewrite_keeps_the_previous_file(tmp_path, monkeypatch, save, old, new):
+    """A kill halfway through rewriting a model, dataset or fault-list file
+    leaves the previous file whole, and the next write replaces it."""
+    path, fresh = tmp_path / "target", tmp_path / "fresh"
+    save(old, path)
+    save(new, fresh)
+    previous, wanted = path.read_bytes(), fresh.read_bytes()
+    tear_writes(monkeypatch, path.name, len(wanted) // 2)
+    with pytest.raises(Killed):
+        save(new, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == previous
+    save(new, path)
+    assert path.read_bytes() == wanted
+
+
+def _file_writes(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, mode or method) of every call in a module that
+    may open a file for writing: an open() or .open() whose mode holds w, a,
+    x or + or is not a literal, and every .write_text() and .write_bytes()."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            f = child.func if isinstance(child, ast.Call) else None
+            if isinstance(f, ast.Attribute) and f.attr in ("write_text", "write_bytes"):
+                found.append((func, f.attr))
+            elif isinstance(f, ast.Name) and f.id == "open" or getattr(f, "attr", None) == "open":
+                # open(file, mode), io.open(file, mode), os.open(file, flags); path.open(mode)
+                module = isinstance(f, ast.Name) or (
+                    isinstance(f.value, ast.Name) and f.value.id in ("builtins", "io", "os"))
+                args = child.args[1:] if module else child.args
+                mode = next((k.value for k in child.keywords if k.arg in ("mode", "flags")),
+                            args[0] if args else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or (
+                        set("wax+") & set(mode.value)):
+                    found.append((func, ast.unparse(mode)))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_write_atomic_is_the_only_writer():
+    """Every file the library writes goes through dataio.write_atomic; the
+    one other write is run_campaign's append-only outcome log."""
+    probe = """
+def writes(p, m, s):
+    open(p, "w"); open(p, mode="a"); io.open(p, "xb"); os.open(p, os.O_WRONLY)
+    p.open("w"); p.open(mode="r+b"); open(p, m); p.write_text(s); p.write_bytes(s)
+def reads(p):
+    open(p); open(p, "rb"); io.open(p, mode="r"); p.open(); p.open("rb"); p.read_text()
+"""
+    assert [how for func, how in _file_writes(probe) if func == "writes"] == [
+        "'w'", "'a'", "'xb'", "os.O_WRONLY", "'w'", "'r+b'", "m", "write_text", "write_bytes"]
+    assert [how for func, how in _file_writes(probe) if func == "reads"] == []
+    package = Path(snnfault.__file__).parent
+    found = sorted((path.name, func, how) for path in package.glob("*.py")
+                   for func, how in _file_writes(path.read_text(encoding="utf-8")))
+    assert found == [("campaign.py", "run_campaign", "'a'"), ("dataio.py", "write_atomic", "'wb'")]
 
 
 # -- synthesis --------------------------------------------------------------------
