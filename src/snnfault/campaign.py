@@ -47,7 +47,8 @@ count or interruption history. It, ``golden.csv``, ``campaign.json`` and the
 checkpoint are each written by ``dataio.write_atomic`` (a temporary file,
 fsynced and renamed into place), so a kill never leaves a truncated one. The
 state checks and the log's cut come before the golden run, so a refused run
-writes nothing.
+writes nothing; a run whose checks pass first deletes the temporary files a
+killed writer left of those four.
 The serial path and each pool worker run contiguous batches of at most
 ``checkpoint_every`` faults, and no more than an even share of the pending
 faults per worker; a batch's rows are held in memory until it is recorded, so
@@ -109,6 +110,7 @@ from .dataio import (
     parse_score,
     read_lines,
     render_score,
+    temporary_of,
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
@@ -119,6 +121,8 @@ from .faultlist import read_fault_list
 
 OUTCOME_HEADER = "fault_id,input_id,golden_class,faulty_class,golden_top_score,faulty_top_score"
 GOLDEN_HEADER = "input_id,top_class,top_score,scores"
+# The files of a campaign directory that write_atomic writes.
+_ATOMIC_OUTPUTS = ("golden.csv", "checkpoint.txt", "outcomes.csv", "campaign.json")
 _OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # A screened group holds its current, its spikes and the golden spikes as
@@ -704,10 +708,14 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
 
     t0 = time.monotonic()
     net = load_model(cfg.model)
+    t_model = time.monotonic()
     dataset = load_dataset(cfg.dataset)
+    t_dataset = time.monotonic()
     fl = read_fault_list(cfg.fault_list, net)
+    t_fault_list = time.monotonic()
     k = _subset_count(dataset, cfg.subset)
     binding = _input_binding(cfg, k)
+    t_hashes = time.monotonic()
 
     out_dir = Path(cfg.out_dir)  # checked before the golden run: a refused run writes nothing
     ckpt_path = out_dir / "checkpoint.txt"
@@ -729,6 +737,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
     elif partial_path.exists() and partial_path.stat().st_size > 0:
         raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
+    for name in _ATOMIC_OUTPUTS:  # what a writer killed mid-write left of them
+        temporary_of(out_dir / name).unlink(missing_ok=True)
     t_load = time.monotonic()
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -831,6 +841,13 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
             "golden": t_golden - t_load,
             "faults": t_faults - t_golden,
             "merge": t_merge - t_faults,
+        },
+        # the load phase's parts; state checks and clean-up take the rest
+        "load_seconds": {
+            "model": t_model - t0,
+            "dataset": t_dataset - t_model,
+            "fault_list": t_fault_list - t_dataset,
+            "hashes": t_hashes - t_fault_list,
         },
         # summed over batches in whichever process ran them
         "fault_seconds": {"screen": tally["screen_seconds"], "replay": tally["replay_seconds"]},

@@ -23,6 +23,7 @@ one file writer, and file_sha256 its one way to identify a file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -92,14 +93,26 @@ def read_lines(path, what: str) -> list[str]:
     return lines
 
 
+def temporary_of(path) -> Path:
+    """Where write_atomic stages ``path``: beside it, with ``.tmp`` appended."""
+    return Path(f"{path}.tmp")
+
+
 def write_atomic(path, data: bytes) -> None:
-    """The one file writer: readers see the old file or the whole new one."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    """The one file writer: readers see the old file or the whole new one.
+    A write or rename that raises removes its temporary file; one that the
+    process dies in leaves it behind."""
+    tmp = temporary_of(path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the write's own error
+            tmp.unlink()
+        raise
 
 
 def file_sha256(path) -> str:

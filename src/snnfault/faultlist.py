@@ -25,7 +25,6 @@ fault with `;`-separated coords. UTF-8, LF line endings.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -121,12 +120,25 @@ class FaultUniverse:
         """Map a global universe index to (entry, element coords, bit)."""
         if not 0 <= index < self.N:
             raise AddressError(f"universe index {index} outside 0..{self.N - 1}")
-        i = bisect.bisect_right(self._bases, index) - 1
-        entry = self.entries[i]
-        rem = index - self._bases[i]
-        elem, bit = divmod(rem, BITS_PER_ELEMENT)
-        coords = tuple(int(c) for c in np.unravel_index(elem, entry.shape))
-        return entry, coords, bit
+        (which,), (coords,), (bit,) = self.locate_all(np.array([index], dtype=np.int64))
+        return self.entries[which], coords, bit
+
+    def locate_all(self, indices: np.ndarray) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+        """locate() for an int64 array of in-range universe indices, in one
+        pass: each index's position in ``entries``, element coords and bit.
+        The indices of one element share one coords tuple."""
+        bases = np.array(self._bases, dtype=np.int64)
+        which = np.searchsorted(bases, indices, side="right") - 1
+        elems, bits = np.divmod(indices - bases[which], BITS_PER_ELEMENT)
+        coords: list[tuple[int, ...]] = [()] * len(indices)
+        for i, entry in enumerate(self.entries):
+            at = np.flatnonzero(which == i)
+            own = elems[at]
+            found = zip(*(axis.tolist() for axis in np.unravel_index(own, entry.shape)))
+            shared: dict[int, tuple[int, ...]] = {}
+            for pos, elem, c in zip(at.tolist(), own.tolist(), found):
+                coords[pos] = shared.setdefault(elem, c)
+        return which.tolist(), coords, bits.tolist()
 
     def layer_spans(self) -> list[tuple[str, int, int]]:
         """(layer, base index, bit count) per layer, in layer order."""
@@ -183,19 +195,20 @@ def sample_size(N: int, spec: SamplingSpec) -> int:
     return min(math.ceil(n), N)
 
 
-def _draw_distinct(rng: np.random.Generator, n: int, k: int) -> list[int]:
+def _draw_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     # Partial Fisher-Yates with a sparse swap map: the first k entries of a
-    # uniform permutation of range(n), without materializing the range.
+    # uniform permutation of range(n), without materializing the range. Draw
+    # i is uniform over [i, n); one call takes all k of them from the stream
+    # exactly as k scalar integers(i, n) calls would.
     swap: dict[int, int] = {}
     out: list[int] = []
-    for i in range(k):
-        j = int(rng.integers(i, n))
+    for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
         vi = swap.get(i, i)
         vj = swap.get(j, j)
         out.append(vj)
         swap[j] = vi
         swap[i] = vj
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass
@@ -234,48 +247,33 @@ def generate_fault_list(
     rng = np.random.default_rng(spec.seed)
 
     if spec.exhaustive:
-        indices = list(range(universe.N))
+        indices = np.arange(universe.N, dtype=np.int64)
     elif spec.scope == "layer":
-        indices = []
-        for _layer, base, size in universe.layer_spans():
-            k = sample_size(size, spec)
-            indices.extend(base + i for i in _draw_distinct(rng, size, k))
+        indices = np.concatenate([
+            base + _draw_distinct(rng, size, sample_size(size, spec))
+            for _layer, base, size in universe.layer_spans()
+        ])
     else:
         indices = _draw_distinct(rng, universe.N, sample_size(universe.N, spec))
 
-    if polarity == "random":
-        stucks = [int(s) for s in rng.integers(0, 2, size=len(indices))]
-    elif polarity == "both":
-        stucks = []
+    which, coords, bits = universe.locate_all(indices)
+    if polarity == "both":  # stuck-at-0, then stuck-at-1, per location/bit
+        which, coords, bits = ([x for x in xs for _ in (0, 1)] for xs in (which, coords, bits))
+        stucks = [0, 1] * len(indices)
+    elif polarity == "random":
+        stucks = rng.integers(0, 2, size=len(indices)).tolist()
     else:
         stucks = [int(polarity)] * len(indices)
-
-    descriptors: list[FaultDescriptor] = []
-
-    def emit(index: int, stuck: int) -> None:
-        entry, coords, bit = universe.locate(index)
-        mode = FaultMode.BIT_STUCK
-        if entry.parameter is ParameterKind.SPIKE and spike_mode == "value":
-            mode = FaultMode.VALUE_STUCK
-        descriptors.append(
-            FaultDescriptor(
-                fault_id=len(descriptors),
-                layer=entry.layer,
-                parameter=entry.parameter,
-                coords=coords,
-                bit=bit,
-                stuck=stuck,
-                mode=mode,
-            )
-        )
-
-    if polarity == "both":
-        for index in indices:
-            emit(index, 0)
-            emit(index, 1)
-    else:
-        for index, stuck in zip(indices, stucks):
-            emit(index, stuck)
+    entries = universe.entries
+    modes = [
+        FaultMode.VALUE_STUCK if spike_mode == "value" and e.parameter is ParameterKind.SPIKE
+        else FaultMode.BIT_STUCK
+        for e in entries
+    ]
+    descriptors = [
+        FaultDescriptor(fid, entries[w].layer, entries[w].parameter, c, b, s, modes[w])
+        for fid, (w, c, b, s) in enumerate(zip(which, coords, bits, stucks))
+    ]
 
     return FaultList(
         descriptors=descriptors,
@@ -296,6 +294,8 @@ _KINDS = "|".join(k.value for k in ParameterKind)
 # The enum members by value, looked up once per row instead of called.
 _KIND_BY_NAME = {k.value: k for k in ParameterKind}
 _MODE_BY_NAME = {m.value: m for m in FaultMode}
+# ... and back: a dict lookup is a fifth of an enum's .value property.
+_NAME_OF = {m: name for name, m in (*_KIND_BY_NAME.items(), *_MODE_BY_NAME.items())}
 _UNIVERSE_RE = re.compile(rf"^# universe (\S+) ({_KINDS}) ({INT}(?:x{INT})*)$")
 _FAULT_ROW = re.compile(
     rf"({INT}),([^,]*),({_KINDS}),({INT}(?:;{INT})*),({INT}),({INT}),"
@@ -317,11 +317,13 @@ def write_fault_list(fl: FaultList, path) -> None:
     ]
     lines += [f"# universe {_entry_text(e)}" for e in fl.universe.entries]
     lines.append(_HEADER_COLUMNS)
-    for d in fl.descriptors:
-        coords = ";".join(str(c) for c in d.coords)
-        lines.append(
-            f"{d.fault_id},{d.layer},{d.parameter.value},{coords},{d.bit},{d.stuck},{d.mode.value}"
-        )
+    name = _NAME_OF
+    # faults share elements: spell each distinct coords tuple once
+    spelled = {c: ";".join(map(str, c)) for c in {d.coords for d in fl.descriptors}}
+    lines += [
+        f"{fid},{layer},{name[parameter]},{spelled[coords]},{bit},{stuck},{name[mode]}"
+        for fid, layer, parameter, coords, bit, stuck, mode in fl.descriptors
+    ]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -390,6 +392,7 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
 
     descriptors: list[FaultDescriptor] = []
     seen_ids: set[int] = set()
+    shared: dict[str, tuple[int, ...]] = {}  # one coords tuple per spelling
     for lineno, line in enumerate(lines[row_start - 1 :], start=row_start):
         m = _FAULT_ROW.fullmatch(line)
         if m is None:
@@ -399,7 +402,9 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         if fid in seen_ids:
             raise FormatError(f"duplicate fault_id {fid}", line=lineno)
         seen_ids.add(fid)
-        coords = tuple(map(int, coords_s.split(";")))
+        coords = shared.get(coords_s)
+        if coords is None:
+            coords = shared[coords_s] = tuple(map(int, coords_s.split(";")))
         try:
             d = FaultDescriptor(fid, layer, _KIND_BY_NAME[pname], coords, int(bit_s),
                                 int(stuck_s), _MODE_BY_NAME[mode_s])

@@ -15,10 +15,9 @@ of an array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import ge
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,10 +54,7 @@ class FaultMode(str, Enum):
     VALUE_STUCK = "value"
 
 
-@dataclass(frozen=True, slots=True)
-class FaultDescriptor:
-    """One injectable fault: a tensor element, a bit, and a stuck polarity."""
-
+class _FaultFields(NamedTuple):
     fault_id: int
     layer: str
     parameter: ParameterKind
@@ -67,18 +63,35 @@ class FaultDescriptor:
     stuck: int
     mode: FaultMode = FaultMode.BIT_STUCK
 
-    def __post_init__(self):
-        if not 0 <= self.bit <= 31:
-            raise AddressError(f"fault {self.fault_id}: bit {self.bit} outside 0..31")
-        if self.stuck not in (0, 1):
-            raise AddressError(f"fault {self.fault_id}: stuck must be 0 or 1, got {self.stuck}")
-        if not self.coords or min(self.coords) < 0:
-            raise AddressError(f"fault {self.fault_id}: bad coords {self.coords}")
-        if self.mode is FaultMode.VALUE_STUCK and self.parameter is not ParameterKind.SPIKE:
+
+class FaultDescriptor(_FaultFields):
+    """One injectable fault: a tensor element, a bit, and a stuck polarity.
+
+    An immutable named tuple whose constructor checks the fields, as does
+    ``_replace``: a fault list holds thousands, and a tuple builds in a third
+    of a frozen dataclass's time.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, fault_id: int, layer: str, parameter: ParameterKind,
+                coords: tuple[int, ...], bit: int, stuck: int,
+                mode: FaultMode = FaultMode.BIT_STUCK):
+        if not 0 <= bit <= 31:
+            raise AddressError(f"fault {fault_id}: bit {bit} outside 0..31")
+        if stuck not in (0, 1):
+            raise AddressError(f"fault {fault_id}: stuck must be 0 or 1, got {stuck}")
+        if not coords or min(coords) < 0:
+            raise AddressError(f"fault {fault_id}: bad coords {coords}")
+        if mode is FaultMode.VALUE_STUCK and parameter is not ParameterKind.SPIKE:
             raise FaultKindError(
-                f"fault {self.fault_id}: value-stuck only applies to spikes, "
-                f"not '{self.parameter.value}'"
+                f"fault {fault_id}: value-stuck only applies to spikes, "
+                f"not '{parameter.value}'"
             )
+        return tuple.__new__(cls, (fault_id, layer, parameter, coords, bit, stuck, mode))
+
+    def _replace(self, **changes) -> FaultDescriptor:
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:

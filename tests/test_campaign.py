@@ -25,6 +25,7 @@ from helpers import (
     bits_of,
     f32_from_bits,
     injected_forward,
+    tear_writes,
     two_layer_net,
 )
 from snnfault import campaign, core, dataio, faults as faults_module
@@ -244,6 +245,32 @@ def test_torn_final_write_leaves_no_outcomes(workdir, monkeypatch):
     assert resumed.outcomes_path.read_bytes() == reference
 
 
+def test_torn_write_leaves_no_temporary_file(workdir, monkeypatch):
+    reference = run_campaign(cfg_for(workdir, "tmp_straight")).outcomes_path.read_bytes()
+    tear_writes(monkeypatch, "outcomes.csv", len(reference) // 2)
+    with pytest.raises(Killed):
+        run_campaign(cfg_for(workdir, "tmp_torn"))
+    monkeypatch.undo()
+    out = cfg_for(workdir, "tmp_torn").out_dir
+    assert not list(out.glob("*.tmp")) and not (out / "outcomes.csv").exists()
+
+
+def test_resume_clears_stale_temporary_files_and_a_refused_run_keeps_them(workdir):
+    """What a writer killed mid-write leaves goes once a run's state checks
+    pass; a run they refuse deletes nothing."""
+    cfg = cfg_for(workdir, "tmp_stale")
+    run_campaign(cfg, limit=3)
+    stale = [cfg.out_dir / f"{name}.tmp" for name in ("outcomes.csv", "campaign.json")]
+    for path in stale:
+        path.write_bytes(b"torn")
+    with pytest.raises(ResumeError):  # campaign state, but no --resume
+        run_campaign(cfg)
+    assert all(path.read_bytes() == b"torn" for path in stale)
+    # a resume that runs nothing writes no outcomes.csv: only the clean-up removes its .tmp
+    assert run_campaign(replace(cfg, resume=True), limit=0).status == "partial"
+    assert not list(cfg.out_dir.glob("*.tmp"))
+
+
 # A CLI run whose pool worker dies outright (as under the OOM killer) when it
 # reaches the batch that holds one fault; workers fork from this process, so
 # they see the patch.
@@ -307,6 +334,9 @@ def test_campaign_json_explains_the_run(workdir):
     assert summary["faults_per_worker"] == [summary["faults_completed"]]
     assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
     assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
+    loads = summary["load_seconds"]  # within the load phase
+    assert list(loads) == ["model", "dataset", "fault_list", "hashes"]
+    assert all(v >= 0 for v in loads.values()) and sum(loads.values()) <= phases["load"]
     seconds = summary["fault_seconds"]  # within the serial fault phase
     assert list(seconds) == ["screen", "replay"]
     assert summary["replay_forwards"] > 0 and all(v > 0 for v in seconds.values())
@@ -1387,7 +1417,7 @@ def test_noop_fault_is_neither_copied_nor_screened(workdir, monkeypatch):
     _, net, ds, _ = workdir
     golden = run_golden(net.copy(), ds)
     flipped = _flipped(net, 0, "fc1", (1, 2), 7)
-    noop = replace(flipped, fault_id=1, stuck=1 - flipped.stuck)
+    noop = flipped._replace(fault_id=1, stuck=1 - flipped.stuck)
     copies, steps = [], []
     copy, lif_step = Network.copy, core.lif_step
     monkeypatch.setattr(Network, "copy", lambda self: copies.append(1) or copy(self))

@@ -35,6 +35,7 @@ from snnfault.dataio import (
     save_model,
     synth_dataset,
     synth_model,
+    write_atomic,
 )
 from snnfault.errors import DimensionError, FormatError, SnnFaultError
 from snnfault.faultlist import SamplingSpec, generate_fault_list, write_fault_list
@@ -342,6 +343,24 @@ def test_torn_rewrite_keeps_the_previous_file(tmp_path, monkeypatch, save, old, 
     assert path.read_bytes() == previous
     save(new, path)
     assert path.read_bytes() == wanted
+
+
+def test_failed_write_removes_its_temporary_file(tmp_path, monkeypatch):
+    """A write torn mid-file or a rename that fails leaves neither a
+    temporary file nor a changed target."""
+    path = tmp_path / "target"
+    write_atomic(path, b"old\n")
+    tear_writes(monkeypatch, path.name, 3)
+    with pytest.raises(Killed):
+        write_atomic(path, b"new contents\n")
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert path.read_bytes() == b"old\n"
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "inside").write_bytes(b"")
+    with pytest.raises(OSError):  # os.replace cannot put a file over a directory
+        write_atomic(tmp_path / "dir", b"new contents\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "target"]
 
 
 def _file_writes(source: str) -> list[tuple[str, str]]:

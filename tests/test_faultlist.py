@@ -12,6 +12,8 @@ Sample-size anchors below were frozen from exact rational arithmetic
     asymptote ceil(t^2 p q / e^2) = 16_590
 """
 
+import hashlib
+import itertools
 import math
 import re
 
@@ -22,9 +24,11 @@ from hypothesis import strategies as st
 
 from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
 from snnfault.core import Network
+from snnfault.dataio import synth_model
 from snnfault.errors import AddressError, CompatibilityError, FormatError
 from snnfault.faultlist import (
     SamplingSpec,
+    _draw_distinct,
     enumerate_universe,
     generate_fault_list,
     quantile_for_confidence,
@@ -249,6 +253,114 @@ def test_generation_draw_is_close_to_uniform():
     # binomial 3-sigma band is therefore a conservative envelope.
     sigma = math.sqrt(total * share * (1 - share))
     assert abs(hits - total * share) <= 3 * sigma
+
+
+def _scalar_draws(rng, n, k):
+    """The partial Fisher-Yates one scalar draw at a time: draw i is
+    integers(i, n), swapped through a dict."""
+    swap, out = {}, []
+    for i in range(k):
+        j = int(rng.integers(i, n))
+        vi, vj = swap.get(i, i), swap.get(j, j)
+        out.append(vj)
+        swap[j], swap[i] = vi, vj
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(70, 70), (1000, 37), (2**32 - 5, 40), (2**32, 40), (2**32 + 3, 40), (5 * 10**9, 300)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_draws_take_the_stream_as_scalar_draws_do(n, k, seed):
+    """k draws in one call give the k scalar draws' values and leave the
+    generator where they leave it, for n below, at and above 2**32."""
+    one, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _draw_distinct(one, n, k).tolist() == _scalar_draws(scalar, n, k)
+    assert one.bit_generator.state == scalar.bit_generator.state
+    assert one.integers(0, 2, size=9).tolist() == scalar.integers(0, 2, size=9).tolist()
+
+
+FC_ARCH = "FC(16->8)-LIF-FC(8->4)-LIF"
+CONV_ARCH = "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF"
+RFC_ARCH = "RFC(8->6)-LIF-FC(6->3)-LIF"
+# (arch, points, spec, polarity, spike_mode, n, sha256 of write_fault_list's
+# bytes); the hashes were recorded from the scalar-draw, per-index generator.
+PINNED_LISTS = {
+    "fc": (FC_ARCH, "weight,bias", dict(error_margin=0.05, seed=3), "random", "bit", 593,
+           "208b5521f2abe79fb53fc7fb7d42bb4b5e9601ba6d875128d6f68bffc7012f90"),
+    "fc-layer": (FC_ARCH, "weight,bias", dict(error_margin=0.05, seed=4, scope="layer"),
+                 "random", "bit", 998,
+                 "8d95a9b4273542130340b9ec39d8989def442aa6bb0a9f04b7537a7eb9f1c056"),
+    "fc-0": (FC_ARCH, "weight,bias", dict(error_margin=0.05, seed=5), "0", "bit", 593,
+             "1572056b323ee699e1ecaed0ae9bcdc045f5ef5164ecd7ca4937482f991f4bba"),
+    "fc-1": (FC_ARCH, "weight,bias", dict(error_margin=0.05, seed=5), "1", "bit", 593,
+             "a6ee3e30aa78526bee21dc6a045aaaeba9cd5508ef49801c5b7a447297b032e6"),
+    "fc-both": (FC_ARCH, "weight,bias", dict(error_margin=0.05, seed=6), "both", "bit", 1186,
+                "4a8ffbe9ce6601315a991463e4eac0d36daf15ac196a8724227f8afe484b9b26"),
+    "fc-lif-value": (FC_ARCH, "beta,threshold,potential,spike", dict(error_margin=0.1, seed=7),
+                     "random", "value", 141,
+                     "a43f4c487139993fc011aa1b257cda949aa68274e545bcd99dbe6dd1258693e8"),
+    "fc-exhaustive": ("FC(3->2)-LIF", "weight,bias", dict(error_margin=0.05, exhaustive=True),
+                      "random", "bit", 256,
+                      "c43a9eb555601fc8f06917ae0881190dbfc76479a58100344a0002e3a22de4ab"),
+    "conv": (CONV_ARCH, "weight,bias,potential,spike", dict(error_margin=0.03, seed=8),
+             "random", "bit", 1452,
+             "47329b66ca888ae14488d8e781361090596ecb1663fc5a8517991d8b00e50af3"),
+    "conv-layer-both": (CONV_ARCH, "weight,potential",
+                        dict(error_margin=0.1, seed=9, scope="layer"), "both", "bit", 1050,
+                        "3c1cda423bda9cfedd396d76496e50708499610ec8f2a9e1a14212ca5f123cc9"),
+    "rfc": (RFC_ARCH, "weight,bias,feedback_weight,feedback_bias",
+            dict(error_margin=0.02, seed=10), "random", "bit", 1968,
+            "541a9f2f2b7f32c90977aef7d797dbb75c6d859b7abf1314627a9a3eca57740d"),
+    "rfc-layer-value": (RFC_ARCH, "feedback_weight,spike",
+                        dict(error_margin=0.05, seed=11, scope="layer"), "random", "value", 656,
+                        "a0435d2295d43e0af5eb56289b7f1000840f99eda6052aae4207fc4ec54b928c"),
+}
+
+
+def _pinned_list(name):
+    arch, points, kw, polarity, spike_mode, *_ = PINNED_LISTS[name]
+    spec = SamplingSpec(quantile=2.576, **kw)
+    kinds = {ParameterKind(p) for p in points.split(",")}
+    return spec, generate_fault_list(synth_model(1, arch, 4), spec, kinds, polarity, spike_mode)
+
+
+@pytest.mark.parametrize("name", PINNED_LISTS)
+def test_fault_list_bytes_are_pinned(tmp_path, name):
+    _, fl = _pinned_list(name)
+    write_fault_list(fl, tmp_path / "fl.csv")
+    assert fl.n == PINNED_LISTS[name][5]
+    assert hashlib.sha256((tmp_path / "fl.csv").read_bytes()).hexdigest() == PINNED_LISTS[name][6]
+
+
+@pytest.mark.parametrize("name", PINNED_LISTS)
+def test_every_descriptor_is_its_drawn_index_located(name):
+    """Redraw each list with scalar draws and check every descriptor against
+    universe.locate of its index, and its stuck against the polarity draws."""
+    spec, fl = _pinned_list(name)
+    u, polarity = fl.universe, fl.polarity
+    rng = np.random.default_rng(spec.seed)
+    if spec.exhaustive:
+        indices = list(range(u.N))
+    elif spec.scope == "layer":
+        indices = [base + i for _, base, size in u.layer_spans()
+                   for i in _scalar_draws(rng, size, sample_size(size, spec))]
+    else:
+        indices = _scalar_draws(rng, u.N, sample_size(u.N, spec))
+    if polarity == "both":
+        indices, stucks = [i for i in indices for _ in (0, 1)], [0, 1] * len(indices)
+    elif polarity == "random":
+        stucks = rng.integers(0, 2, size=len(indices)).tolist()
+    else:
+        stucks = [int(polarity)] * len(indices)
+    assert len(fl.descriptors) == len(indices)
+    for d, index, stuck in zip(fl.descriptors, indices, stucks):
+        entry, coords, bit = u.locate(index)
+        assert (d.layer, d.parameter, d.coords, d.bit, d.stuck) == (
+            entry.layer, entry.parameter, coords, bit, stuck)
+        value = fl.spike_mode == "value" and d.parameter is ParameterKind.SPIKE
+        assert d.mode is (FaultMode.VALUE_STUCK if value else FaultMode.BIT_STUCK)
 
 
 # -- file round trip -----------------------------------------------------------
@@ -533,4 +645,29 @@ def test_read_rejects_row_defects_with_line_number(tmp_path, mutate):
     p = tmp_path / "bad.csv"
     _write_lines(p, lines)
     with pytest.raises(FormatError, match=rf"line {len(lines)}\)$"):
+        read_fault_list(p)
+
+
+def _set_field(lines, i, field, value):
+    fields = lines[i].split(",")
+    fields[field] = value
+    lines[i] = ",".join(fields)
+
+
+ROW_FAULTS = {
+    "bad bit": lambda lines, i: _set_field(lines, i, 4, "32"),
+    "duplicate id": lambda lines, i: _set_field(lines, i, 0, lines[i - 1].split(",")[0]),
+    "bad mode": lambda lines, i: _set_field(lines, i, 6, "value"),  # on a weight or bias
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.product(ROW_FAULTS, repeat=2))
+def test_read_names_the_first_of_two_bad_rows(tmp_path, first, second):
+    net, lines = _valid_lines(tmp_path)
+    i, j = len(lines) - 6, len(lines) - 2
+    ROW_FAULTS[first](lines, i)
+    ROW_FAULTS[second](lines, j)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=rf"\(line {i + 1}\)$"):
         read_fault_list(p)

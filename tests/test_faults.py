@@ -4,6 +4,8 @@ The reference for every bit manipulation is the integer mask oracle:
 (pattern | (1 << bit)) or (pattern & ~(1 << bit)) on the raw 32-bit view.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -98,6 +100,25 @@ def test_value_stuck_reserved_for_spikes():
         FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), 0, 1, FaultMode.VALUE_STUCK)
     d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 0, 1, FaultMode.VALUE_STUCK)
     assert d.mode is FaultMode.VALUE_STUCK
+
+
+def test_descriptor_is_an_immutable_checked_record():
+    """Fields in order, positional or keyword construction, equal values
+    hash alike, no attribute can be set, and a pickle or ``_replace`` copy
+    passes through the same checks."""
+    d = FaultDescriptor(4, "fc1", ParameterKind.WEIGHT, (1, 2), 7, 1)
+    assert d == FaultDescriptor(fault_id=4, layer="fc1", parameter=ParameterKind.WEIGHT,
+                                coords=(1, 2), bit=7, stuck=1, mode=FaultMode.BIT_STUCK)
+    assert d._fields == ("fault_id", "layer", "parameter", "coords", "bit", "stuck", "mode")
+    assert hash(d) == hash(FaultDescriptor(4, "fc1", ParameterKind.WEIGHT, (1, 2), 7, 1))
+    assert len({d, d._replace(stuck=0)}) == 2
+    with pytest.raises(AttributeError):
+        d.bit = 3
+    assert pickle.loads(pickle.dumps(d)) == d
+    with pytest.raises(AddressError, match=r"^fault 4: bit 32 outside 0\.\.31$"):
+        d._replace(bit=32)
+    with pytest.raises(FaultKindError, match="value-stuck only applies to spikes"):
+        d._replace(mode=FaultMode.VALUE_STUCK)
 
 
 # -- addressing -------------------------------------------------------------
