@@ -30,11 +30,12 @@ cell from its own window, golden spikes around the cone's); or, when L is fed
 back through a recurrent layer or the fault lies beyond the feed, restarting
 from the fed or faulted layer on its golden input, each row recomputing its
 fault's row or channel of that layer, and L's beta, threshold and state pins
-as the screen built them. A forward holds at most as many rows as keep one
-step of its widest layer within ``core.FORWARD_BLOCK_VALUES`` values. Rows
-are independent and keep their chains, so each (fault, input) outcome is a
-pure function of (model, descriptor, input), with the bits of a full forward
-of an injected copy, whichever pairs share its forward. Results go into the
+as the screen built them. A block's differing pairs run as one forward, of
+at most F x K rows, F capped so that a step of it holds at most
+``SCREEN_BLOCK_VALUES`` values (or one fault's). Rows are
+independent and keep their chains, so each (fault, input) outcome is a pure
+function of (model, descriptor, input), with the bits of a full forward of
+an injected copy, whichever pairs share its forward. Results go into the
 ``outcomes.partial.csv`` log, their only record, a batch at a time; once a
 batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
 length, bound to the sha256 of the model, dataset and fault list and to K.
@@ -79,7 +80,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +128,11 @@ _OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # A screened group holds its current, its spikes and the golden spikes as
 # [K, T, F, *cone] arrays, and single neurons of a conv-fed L their input
-# windows as [K, T, F, ic, k, k]; F, the faults screened at once, is capped so
-# that one such array holds at most this many values (512 KiB as binary32).
+# windows as [K, T, F, ic, k, k]; a step of its replay, one forward of F x K
+# rows at most, holds F x K times its widest layer's values. F, the faults of a
+# block (screened or beyond the feed), is capped so that each holds at most
+# this many values (512 KiB as binary32), or one fault's. One budget with
+# core.FORWARD_BLOCK_VALUES cost the conv net speed at 2^15 or memory at 2^17.
 SCREEN_BLOCK_VALUES = 1 << 17
 
 
@@ -401,28 +405,6 @@ def _pin_hook(name: str, index: tuple[np.ndarray, ...], pins: dict, fault: np.nd
     return hook
 
 
-def _replay_pairs(template: Network, dataset: SpikeDataset, golden: GoldenReference, start: int,
-                  rows: core.Rows, pins: tuple | None, positions: list[int],
-                  outs: list[list[Prediction]]) -> int:
-    """Run the pairs of ``rows`` (input ``source[p]``, fault ``fault[p]``)
-    from layer ``start`` on its golden input, as stacked forwards on the
-    template's own parameters, each on a slice of the pairs that keeps one
-    step of its widest layer within ``FORWARD_BLOCK_VALUES`` values, with
-    the hook ``_pin_hook(*pins, ...)`` when ``pins`` is given. Each pair's
-    Prediction goes into ``outs[positions[f]]``. Returns the forwards run."""
-    x = _golden_input(template, dataset, golden, start)
-    cap = max(1, core.FORWARD_BLOCK_VALUES // core.widest(template, start))
-    for j in range(0, len(rows.source), cap):
-        part = replace(rows, source=rows.source[j : j + cap], fault=rows.fault[j : j + cap])
-        hook = None if pins is None else _pin_hook(*pins, part.fault)
-        reset_state(template)  # the forward starts from zero state and leaves none behind
-        scores = network_forward(template, x, hook, start=start, rows=part)
-        reset_state(template)
-        for n, f, row in zip(part.source.tolist(), part.fault.tolist(), scores):
-            outs[positions[f]][n] = Prediction(n, row, *_top(row))
-    return -(-len(rows.source) // cap)
-
-
 def run_faulty(
     template: Network,
     faults: list[FaultDescriptor] | FaultDescriptor,
@@ -442,18 +424,19 @@ def run_faulty(
     change first, their LIF layer L and their cone form. A block on L or its
     feed is screened (see ``_screen``); beyond the feed every input diverges.
     The diverging (fault, input) pairs of a block are replayed together, each
-    pair one row of a stacked forward on the template's own parameters,
-    which is neither copied nor injected (its LIF state is reset around each
-    forward). When w is a feed that is not recurrent, a row runs from the
-    layer after L on L's golden spikes with its fault's screened cone
-    written in; when that layer is an average pool that feeds a weighted
-    layer, from the weighted layer on the pool's golden output with the
-    cone pooled in (see ``_pool_cone``). Otherwise it restarts from w on
+    pair one row of a single stacked forward on the template's own
+    parameters, which is neither copied nor injected (its LIF state is reset
+    around the forward). When w is a feed that is not recurrent, a row runs
+    from the layer after L on L's golden spikes with its fault's screened
+    cone written in; when that layer is an average pool that feeds a
+    weighted layer, from the weighted layer on the pool's golden output with
+    the cone pooled in (see ``_pool_cone``). Otherwise it restarts from w on
     w's golden input and recomputes only what its fault touches: a row or
     channel of w, L's beta and threshold, and pins on L's state. The other
     inputs keep their golden Prediction. ``tally``, when given, gains the
-    number of stacked forwards under "replay_forwards", and the seconds spent
-    screening and replaying under "screen_seconds" and "replay_seconds".
+    number of stacked forwards, one per block with a diverging pair, under
+    "replay_forwards", and the seconds spent screening and replaying under
+    "screen_seconds" and "replay_seconds".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -476,10 +459,16 @@ def run_faulty(
     forwards, screen_s, replay_s = 0, 0.0, 0.0
     for (w, lif_at, cone), members in groups.items():
         lif, feed = template.layers[lif_at], template.layers[lif_at - 1]
+        past = w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT  # replayed after L
+        start = lif_at + 1 if past else w
+        after = template.layers[start : start + 2] if past else ()  # a pool is never last
+        pooled = bool(after) and after[0].kind is LayerKind.AVGPOOL2D and after[1].kind in WEIGHTED
+        start += pooled
         rest = template.shapes[lif.name][cone:]
         if feed.kind is LayerKind.CONV2D and not rest:  # single neurons: their windows
             rest = feed.params["weight"].shape[1:]
-        cap = max(1, SCREEN_BLOCK_VALUES // (k * template.timesteps * math.prod(rest)))
+        held = max(template.timesteps * math.prod(rest), core.widest(template, start))
+        cap = max(1, SCREEN_BLOCK_VALUES // (k * held))
         for j in range(0, len(members), cap):
             block = members[j : j + cap]
             ds = [d for _, d, _ in block]
@@ -495,25 +484,26 @@ def run_faulty(
             screen_s += t1 - t0
             if not len(source):  # every input keeps its golden prediction
                 continue
-            pins = None
-            if w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT:
-                # from the layer after L, on its golden spikes with the cones written in
-                start, cone = lif_at + 1, (screened.index, screened.spikes)
-                after = template.layers[start : start + 2]  # a pool is never last
-                if after and after[0].kind is LayerKind.AVGPOOL2D and after[1].kind in WEIGHTED:
-                    # past the pool, on its golden output with the cones pooled in
-                    start, cone = start + 1, _pool_cone(after[0], golden.trace[lif.name], *cone)
-                rows = core.Rows(source, fault, cone=cone)
+            hook = None
+            if past:  # from the layer after L, on its golden spikes with the cones written in
+                written = (screened.index, screened.spikes)
+                if pooled:  # past the pool, on its golden output with the cones pooled in
+                    written = _pool_cone(after[0], golden.trace[lif.name], *written)
+                rows = core.Rows(source, fault, cone=written)
             else:  # restart from w: its row or channel, L's columns and pins per fault
-                start = w
                 cut = None if screened.cut is None else (screened.index[0], screened.cut)
                 static = any(d.layer == lif.name and d.parameter.is_static for d in ds)
                 own = _restart_lif(lif, template.shapes[lif.name], screened) if static else None
                 rows = core.Rows(source, fault, cut=cut, lif=own)
                 if screened.pins:
-                    pins = (lif.name, screened.index, screened.pins)
-            forwards += _replay_pairs(template, dataset, golden, start, rows, pins,
-                                      [pos for pos, _, _ in block], outs)
+                    hook = _pin_hook(lif.name, screened.index, screened.pins, fault)
+            x = _golden_input(template, dataset, golden, start)
+            reset_state(template)  # the forward starts from zero state and leaves none behind
+            scores = network_forward(template, x, hook, start=start, rows=rows)
+            reset_state(template)
+            for n, f, row in zip(source.tolist(), fault.tolist(), scores):
+                outs[block[f][0]][n] = Prediction(n, row, *_top(row))
+            forwards += 1
             replay_s += time.perf_counter() - t1
     if tally is not None:
         for key, value in (("replay_forwards", forwards), ("screen_seconds", screen_s),
@@ -826,6 +816,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         **binding,
         "workers": cfg.workers,
         "workers_started": started,
+        "batch_faults": size,  # the most faults per batch this run cut
         # one entry per started worker, or for this process; one that drew no batch ran 0
         "faults_per_worker": [*per_worker.values()] + [0] * (max(1, started) - len(per_worker)),
         "wall_seconds": wall,

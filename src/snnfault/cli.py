@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", type=_INT_ARG, default=None)
     p.add_argument("--workers", type=_INT_ARG, default=None,
                    help="worker processes (default: $SNNFAULT_WORKERS, else 1)")
-    p.add_argument("--checkpoint-every", type=_INT_ARG, default=100, dest="checkpoint_every",
-                   help="faults per batch (default 100); each batch is recorded and"
+    p.add_argument("--checkpoint-every", type=_INT_ARG, default=CampaignConfig.checkpoint_every,
+                   dest="checkpoint_every",
+                   help="faults per batch (default %(default)s); each batch is recorded and"
                    " acknowledged at once, so a kill loses at most the batches in flight")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True, help="output directory")

@@ -79,10 +79,10 @@ one ``lif_step`` per step in timestep order. A recurrent layer's input term
 needs the previous step's spikes, so the LIF scan adds it step by step. No
 element changes its chain, so the block size moves no bit; ``tb`` is the most
 steps whose widest layer, over all batch rows, fits in
-``FORWARD_BLOCK_VALUES``. The refresh hook therefore runs layer by layer
-within a block: every step of one LIF layer's block, each step's potential
-then spikes, before the next layer runs, and each call still comes after that
-state's write and before any read of it.
+``FORWARD_BLOCK_VALUES``, and at least one. The refresh hook therefore runs
+layer by layer within a block: every step of one LIF layer's block, each
+step's potential then spikes, before the next layer runs, and each call still
+comes after that state's write and before any read of it.
 
 ``network_forward`` can start at any layer, given that layer's input for every
 timestep, and can record chosen layers' outputs for every timestep into
@@ -362,14 +362,12 @@ ROWS_PER_OUTPUT = 1
 # (rows x out x in). Below it, the liveness test costs about what it saves:
 # ungated, the recurrent benchmark net's many small cumsum calls ran slower.
 SKIP_MIN_TERMS = 1 << 14
-# A loop forms its products a block of terms per multiply; the block holds at
-# most this many values (128 KiB), so the temporary stays small.
-TERM_BLOCK_VALUES = 32768
-# network_forward runs each layer once per block of timesteps; a block's
-# widest layer input or output, over all batch rows, holds at most this many
-# values (128 KiB), and so does a linear_forward loop's copy of its input.
-# Measured on the benchmark workloads, half or twice this slowed the conv
-# net's replays, and twice it raised the golden run's peak by 0.7 MiB.
+# network_forward runs each layer once per block of timesteps, as many as keep
+# the block's widest layer input or output, over all batch rows, within this
+# many values (128 KiB as binary32), one step at least; a loop forms its
+# products a block of terms per multiply, as many as keep the block within it,
+# one term at least. A block's slice, a linear_forward loop's copy of its input
+# and a product block thus hold this many values or one step's or term's.
 FORWARD_BLOCK_VALUES = 32768
 
 
@@ -377,7 +375,7 @@ def _product_chain(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * values[j], j ascending, as a strict left-to-right
     binary32 chain from the first term; each step is one vectorized add."""
     step = math.prod(np.broadcast_shapes(weights.shape[1:], values.shape[1:]))
-    block = max(1, TERM_BLOCK_VALUES // step)
+    block = max(1, FORWARD_BLOCK_VALUES // step)
     out = None
     for j in range(0, len(weights), block):
         for term in weights[j : j + block] * values[j : j + block]:

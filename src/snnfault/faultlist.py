@@ -333,7 +333,9 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
     Malformed content raises a format error carrying the 1-based line number;
     a declared universe that is not the network's raises a compatibility
     error naming the first entry that differs; descriptors the network cannot
-    address raise an address error naming the fault_id.
+    address raise an address error naming the fault_id. Then a row whose
+    (layer, parameter) no ``# universe`` comment declares, with or without a
+    network, raises a format error with its line.
     """
     lines = read_lines(path, "fault list")
     meta = None
@@ -423,6 +425,11 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
                 raise CompatibilityError(f"fault list's universe {_entry_text(declared)} is not"
                                          f" the model's {_entry_text(actual)}")
         check_addresses(net, descriptors)
+    declared = {(e.layer, e.parameter) for e in entries}
+    for at, d in enumerate(descriptors):
+        if (d.layer, d.parameter) not in declared:  # no report group would hold it
+            raise FormatError(f"fault {d.fault_id}: {d.layer} {d.parameter.value} is not in the"
+                              " list's universe", line=row_start + at)
 
     return FaultList(
         descriptors=descriptors,

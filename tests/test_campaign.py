@@ -477,6 +477,26 @@ def test_pool_runs_a_long_list_in_batches_of_checkpoint_every(workdir, monkeypat
     assert _RecordingPool.batches == [min(every, n - i) for i in range(0, n, every)]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_json_records_the_batch_size(workdir, monkeypatch, workers):
+    """batch_faults is the most faults per batch the run cut: checkpoint_every,
+    or, when smaller, an even share per worker of the faults this run
+    processes, a limit included."""
+    n = workdir[3].n
+    _record_pool(monkeypatch)
+    sizes, real = [], campaign.run_faulty
+    monkeypatch.setattr(campaign, "run_faulty",
+                        lambda net, batch, *args: sizes.append(len(batch)) or real(net, batch, *args))
+    for name, every, limit, want in (("long", 5, None, 5), ("short", 100, None, -(-n // workers)),
+                                     ("limited", 100, 7, -(-7 // workers))):
+        sizes.clear()
+        cfg = cfg_for(workdir, f"batch_{name}_{workers}", workers=workers, checkpoint_every=every)
+        res = run_campaign(cfg, limit=limit)
+        summary = json.loads((res.out_dir / "campaign.json").read_text())
+        assert summary["batch_faults"] == want == max(sizes), name
+    assert n > 2 * 5 and _RecordingPool.started == ([] if workers == 1 else [2, 2, 2])
+
+
 def _log_state(out: Path) -> tuple[int | None, int, int]:
     """(the bytes checkpoint.txt acknowledges or None, the log's size, its rows)."""
     ckpt, log = out / "checkpoint.txt", out / "outcomes.partial.csv"
@@ -1087,82 +1107,64 @@ def test_screened_run_faulty_equals_injected_full_forward(name, bias):
 
 
 def _spy_stacked_forwards(monkeypatch):
-    """Records each stacked forward the campaign runs, as (start, rows), and
-    the values of every LIF block it scans."""
-    forwards, blocks, inside = [], [], []
-    forward, scan = campaign.network_forward, core.lif_scan
+    """Records each stacked forward the campaign runs, as (start, rows)."""
+    forwards, forward = [], campaign.network_forward
 
     def stacked(net, spikes, *args, rows=None, **kwargs):
         if rows is not None:
             forwards.append((kwargs["start"], len(rows.source)))
-        inside.append(rows is not None)
-        try:
-            return forward(net, spikes, *args, rows=rows, **kwargs)
-        finally:
-            inside.pop()
-
-    def scanned(*args):
-        if inside and inside[-1]:
-            blocks.append(args[2].size)
-        return scan(*args)
+        return forward(net, spikes, *args, rows=rows, **kwargs)
 
     monkeypatch.setattr(campaign, "network_forward", stacked)
-    monkeypatch.setattr(core, "lif_scan", scanned)
-    return forwards, blocks
+    return forwards
 
 
 @pytest.mark.parametrize("name", SCREEN_NETS)
 def test_stacked_replay_equals_injected_forward_at_any_row_count(name, monkeypatch):
     """Every diverging (fault, input) pair runs as one row of a stacked
-    forward. With FORWARD_BLOCK_VALUES set so that forwards hold 1 row, 3
-    rows or more, or all of a screen block's rows, every fault gets
-    injected_forward's bytes, run alone or with the whole list as one batch.
-    A forward never holds more rows than keep one step of its widest layer
-    within FORWARD_BLOCK_VALUES, and none of its LIF blocks more values."""
+    forward, and each block of faults with a diverging pair runs exactly one
+    forward, of all its diverging pairs. With SCREEN_BLOCK_VALUES set so that
+    blocks hold 1 fault, up to 3, or a whole group, every fault gets
+    injected_forward's bytes, run alone or with the whole list as one batch."""
     net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
     faults = _screen_faults(net, np.random.default_rng(44))
     want = {d.fault_id: [row.tobytes() for row in injected_forward(net, d, ds.spikes)]
             for d in faults}
-    forwards, blocks = _spy_stacked_forwards(monkeypatch)
-    diverging, screen = [], campaign._screen
-
-    def screened(*args):
-        result = screen(*args)
-        diverging.append(bool(result.differs.any()))
-        return result
-
-    monkeypatch.setattr(campaign, "_screen", screened)
-    unscreened = {(i, d.layer) for i, d in enumerate(faults) if _beyond_the_feed(net, d)}
-    widest = core.widest(net)
-    for budget in (1, 3 * widest, 1 << 30):
-        monkeypatch.setattr(core, "FORWARD_BLOCK_VALUES", budget)
+    forwards = _spy_stacked_forwards(monkeypatch)
+    blocks, block = [], campaign._Screened  # every block, screened or beyond the feed
+    monkeypatch.setattr(campaign, "_Screened", lambda *args: blocks.append(block(*args))
+                        or blocks[-1])
+    live = [d for d in faults if not _noop(net, d)]
+    groups = {(w, lif_at, len(index))
+              for w, lif_at, index in (campaign._screen_site(net, d) for d in live)}
+    neuron = len(golden.entries) * net.timesteps  # the values of a one-neuron cone's array
+    for budget, most in ((1, 1), (3 * neuron, 3), (1 << 30, None)):
+        monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", budget)
         for how, batches in (("alone", [[d] for d in faults]), ("one batch", [faults])):
-            forwards.clear(), blocks.clear(), diverging.clear()
+            forwards.clear(), blocks.clear()
             outs = [out for batch in batches for out in run_faulty(net, batch, ds, golden)]
             for d, out in zip(faults, outs, strict=True):
                 assert [o.scores.tobytes() for o in out] == want[d.fault_id], (budget, how, d)
             replayed = sum(o is not g for out in outs for o, g in zip(out, golden.entries))
             assert sum(rows for _, rows in forwards) == replayed > 0
-            caps = [max(1, budget // core.widest(net, start)) for start, _ in forwards]
-            assert all(rows <= cap for (_, rows), cap in zip(forwards, caps)), (budget, how)
-            if budget == 1:
-                assert {rows for _, rows in forwards} == {1}
+            assert [rows for _, rows in forwards] == [
+                int(b.differs.sum()) for b in blocks if b.differs.any()], (budget, how)
+            sizes = [b.differs.shape[1] for b in blocks]  # faults per block
+            assert sum(sizes) == len(live)
+            if how == "alone":
+                assert sizes == [1] * len(live)
+            elif most is None:  # each group whole
+                assert len(blocks) == len(groups)
             else:
-                assert max(blocks) <= budget
-            if budget == 1 << 30:  # one forward per screen block or unscreened layer
-                groups = len(unscreened) if how == "alone" else len({lay for _, lay in unscreened})
-                assert len(forwards) == sum(diverging) + groups, how
-        if budget == 3 * widest:
-            assert max(rows for _, rows in forwards) >= 3
+                assert max(sizes) == most, budget
 
 
-def _beyond_the_feed(net, d):
-    """A fault that changes its layer and reaches its LIF layer through further layers."""
-    held = (bits_of(campaign.target_tensor(net, d)[d.coords]) >> d.bit) & 1
-    w, lif_at, _ = campaign._screen_site(net, d)
-    return w < lif_at - 1 and not (d.parameter.is_static and held == d.stuck)
+def _noop(net, d):
+    """A static fault whose bit already holds its stuck value."""
+    held = (bits_of(faults_module.target_tensor(net, d)[d.coords]) >> d.bit) & 1
+    return d.parameter.is_static and held == d.stuck
 
 
 def _flipped(net, fault_id, layer, coords, bit):
@@ -1183,7 +1185,7 @@ def test_fault_beyond_the_feed_is_replayed_whole_unscreened(arch, monkeypatch):
     first = net.layers[0]
     d = _flipped(net, 0, first.name, (0,) * first.params["weight"].ndim, 30)
     want = injected_forward(net, d, ds.spikes)
-    forwards, _ = _spy_stacked_forwards(monkeypatch)
+    forwards = _spy_stacked_forwards(monkeypatch)
     steps, copies, lif_step = [], [], core.lif_step
     monkeypatch.setattr(core, "lif_step",
                         lambda *args: steps.append(len(forwards)) or lif_step(*args))
@@ -1237,9 +1239,7 @@ def test_conv_replay_starts_past_the_pool(name, start, monkeypatch):
     in; behind POOL-POOL, whose first output is not traced, from the first
     pool. Single neurons at every offset of a pool window, channels and all
     of L get injected_forward's bytes. A -0.0 spike of a silent neuron
-    pools to golden bits: its pairs are replayed and keep golden scores.
-    With FORWARD_BLOCK_VALUES capping a forward from the pool at 20 rows,
-    a forward from the FC holds more, and fewer of them run."""
+    pools to golden bits: its pairs are replayed and keep golden scores."""
     net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     golden = run_golden(net.copy(), ds)
@@ -1253,9 +1253,7 @@ def test_conv_replay_starts_past_the_pool(name, start, monkeypatch):
     faults = _pool_window_faults(net, c, i, j)
     want = {d.fault_id: [row.tobytes() for row in injected_forward(net, d, ds.spikes)]
             for d in faults}
-    forwards, _ = _spy_stacked_forwards(monkeypatch)
-    cap = 20  # rows of a forward from the pool
-    monkeypatch.setattr(core, "FORWARD_BLOCK_VALUES", cap * core.widest(net, 2))
+    forwards = _spy_stacked_forwards(monkeypatch)
     tally, replayed, pooled_to_golden = {}, Counter(), 0
     for d, outs in zip(faults, run_faulty(net, faults, ds, golden, tally), strict=True):
         assert [o.scores.tobytes() for o in outs] == want[d.fault_id], d
@@ -1271,9 +1269,6 @@ def test_conv_replay_starts_past_the_pool(name, start, monkeypatch):
     assert {s for s, _ in forwards} == {start}
     assert tally["replay_forwards"] == len(forwards)
     assert sum(rows for _, rows in forwards) == sum(replayed.values())
-    if start == 3:
-        assert max(rows for _, rows in forwards) > cap
-        assert len(forwards) < -(-sum(replayed.values()) // cap)
 
 
 def test_group_of_faults_is_screened_in_one_scan(workdir, monkeypatch):
@@ -1311,6 +1306,45 @@ def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
     assert len(faults) == 48 and sizes == [10, 10, 10, 10, 8]
     for outs, expected in zip(got, want, strict=True):
         assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("name", ["wide", "beyond the feed"])
+def test_replay_steps_keep_within_the_screen_budget(name, monkeypatch):
+    """A block's replay is one forward of F x K rows, and F is capped so that
+    one step of it, those rows of its widest layer, holds at most
+    SCREEN_BLOCK_VALUES values: behind a 512-wide layer at K=64, where one
+    batch's 40 x K rows would hold ten times the budget, and beyond the feed,
+    where each row recomputes the faulted conv layer, at a budget of two
+    faults' rows. No kernel of the screens or replays takes a larger input
+    than that or FORWARD_BLOCK_VALUES values, and the outcomes are those of
+    unbounded blocks."""
+    if name == "wide":
+        net = synth_model(41, "FC(256->512)-LIF-FC(512->10)-LIF", 4, threshold=0.3)
+        k, n, budget = 64, 40, campaign.SCREEN_BLOCK_VALUES
+    else:
+        net = _screen_net("conv-pool-fc")
+        k, n, budget = 6, 3, 2 * 6 * core.widest(net)
+    ds = synth_dataset(43, k, net.timesteps, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    first = net.layers[0]
+    faults = [_flipped(net, o, first.name, (o,) + (0,) * (first.params["weight"].ndim - 1), 30)
+              for o in range(n)]
+    monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", 1 << 30)
+    want = run_faulty(net, faults, ds, golden)
+    monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", budget)
+    forwards, inputs = _spy_stacked_forwards(monkeypatch), []
+    for kernel in ("linear_forward", "conv2d_forward"):
+        real = getattr(core, kernel)
+        monkeypatch.setattr(core, kernel, lambda w, b, x, real=real: inputs.append(x.size)
+                            or real(w, b, x))
+    got = run_faulty(net, faults, ds, golden)
+    steps = [rows * core.widest(net, start) for start, rows in forwards]
+    assert len(forwards) > 1 and max(steps) <= budget < n * k * core.widest(net, forwards[0][0])
+    assert inputs and max(inputs) <= max(budget, core.FORWARD_BLOCK_VALUES)
+    for outs, expected in zip(got, want, strict=True):
+        assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
+    if name == "beyond the feed":
+        assert forwards == [(0, 2 * k), (0, k)]
 
 
 @pytest.mark.parametrize("name", SCREEN_NETS)
@@ -1481,7 +1515,7 @@ def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
     LIF layer, a row per input, and a batch of both runs that forward alone."""
     _, net, ds, _ = workdir
     golden = run_golden(net.copy(), ds)
-    forwards, _ = _spy_stacked_forwards(monkeypatch)
+    forwards = _spy_stacked_forwards(monkeypatch)
     steps, lif_step = [], core.lif_step
     monkeypatch.setattr(core, "lif_step", lambda *args: steps.append(1) or lif_step(*args))
     masked = _flipped(net, 0, "fc1", (0, 0), 5)  # changes a bit, yet no input diverges

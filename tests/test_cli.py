@@ -14,7 +14,7 @@ import pytest
 from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, Killed, tear_writes
 from snnfault import cli
 from snnfault.cli import dispatch
-from snnfault.campaign import read_golden, read_outcomes
+from snnfault.campaign import CampaignConfig, read_golden, read_outcomes
 from snnfault.faultlist import SamplingSpec, read_fault_list, sample_size
 from snnfault.report import aggregate, render_report
 
@@ -66,6 +66,33 @@ def test_inject_refuses_a_fault_list_of_another_model(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "snnfault: error: CompatibilityError: fault list's universe fc1 weight 6x8"
         " is not the model's fc1 weight 12x8\n"
+    )
+    assert not out.exists()
+
+
+def test_inject_refuses_a_row_outside_the_lists_universe(tmp_path, capsys):
+    """A weight-only list for FC(8->6)-LIF-FC(6->3)-LIF with a bias row added
+    (and n bumped): inject exits 3 naming the row's line and writes no
+    campaign state, rather than run a campaign that report then refuses."""
+    model, data, fl = tmp_path / "m.sjm", tmp_path / "d.sjd", tmp_path / "fl.csv"
+    assert dispatch(["synth", "model", "--arch", "FC(8->6)-LIF-FC(6->3)-LIF", "--seed", "1",
+                     "--timesteps", "5", "--out", str(model)]) == 0
+    assert dispatch(["synth", "dataset", "--samples", "4", "--timesteps", "5", "--shape", "8",
+                     "--classes", "3", "--rate", "0.5", "--seed", "2", "--out", str(data)]) == 0
+    assert dispatch(["gen-fl", "--model", str(model), "--points", "weight",
+                     "--error-margin", "0.2", "--seed", "3", "--out", str(fl)]) == 0
+    lines = fl.read_text(encoding="utf-8").splitlines()
+    n = int(re.search(r" n=(\d+) ", lines[0])[1])
+    lines[0] = lines[0].replace(f" n={n} ", f" n={n + 1} ")
+    lines.append(f"{n},fc1,bias,3,1,1,bit")
+    fl.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert dispatch(["inject", "--model", str(model), "--dataset", str(data), "--fl", str(fl),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"snnfault: error: FormatError: fault {n}: fc1 bias is not in the list's universe"
+        f" (line {len(lines)})\n"
     )
     assert not out.exists()
 
@@ -367,6 +394,19 @@ def test_workers_env_default(monkeypatch):
     assert _inject_workers(monkeypatch, ["--workers", "2"]) == (0, [2])
     monkeypatch.delenv("SNNFAULT_WORKERS")
     assert _inject_workers(monkeypatch) == (0, [1])
+
+
+def test_checkpoint_every_defaults_to_the_campaign_configs(monkeypatch, capsys):
+    """--checkpoint-every takes its default, and its help text, from
+    CampaignConfig.checkpoint_every, so the two cannot drift apart."""
+    default, seen = CampaignConfig.checkpoint_every, []
+    monkeypatch.setattr(cli, "run_campaign", lambda cfg: seen.append(cfg.checkpoint_every)
+                        or SimpleNamespace(status="complete", processed=0, total=0,
+                                           wall_seconds=0.0, out_dir=cfg.out_dir))
+    assert dispatch(["inject", "--model", "m", "--dataset", "d", "--fl", "f", "--out", "o"]) == 0
+    assert seen == [default]
+    assert dispatch(["inject", "--help"]) == 0
+    assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bad_workers_env_exits_3_only_for_inject(tmp_path, monkeypatch, capsys):

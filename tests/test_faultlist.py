@@ -490,29 +490,54 @@ def _with_universe(lines, edit):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, message, alone",
     [
         (lambda u: [u[0].replace("5x4", "6x4"), *u[1:]],
-         "universe fc1 weight 6x4 is not the model's fc1 weight 5x4"),
-        (lambda u: [u[1], u[0], *u[2:]], "universe fc1 bias 5 is not the model's fc1 weight 5x4"),
-        (lambda u: u[:-1], "universe (none) is not the model's fc2 weight 3x5"),
-        (lambda u: [*u, "# universe fc3 weight 2x2"], "universe fc3 weight 2x2 is not the model's"),
+         "universe fc1 weight 6x4 is not the model's fc1 weight 5x4", None),
+        (lambda u: [u[1], u[0], *u[2:]], "universe fc1 bias 5 is not the model's fc1 weight 5x4",
+         None),
+        (lambda u: u[:-1], "universe (none) is not the model's fc2 weight 3x5",
+         "fc2 weight is not in the list's universe"),
+        (lambda u: [*u, "# universe fc3 weight 2x2"], "universe fc3 weight 2x2 is not the model's",
+         None),
     ],
     ids=["shape", "order", "missing", "extra"],
 )
-def test_read_rejects_a_universe_that_is_not_the_networks(tmp_path, edit, message):
+def test_read_rejects_a_universe_that_is_not_the_networks(tmp_path, edit, message, alone):
     """A fault list whose declared universe is not the network's over the
     same kinds was drawn from another network: its percentages would be
     taken over the wrong universe. With the network, the reader refuses it,
-    naming the first entry that differs; every row still addresses it."""
+    naming the first entry that differs; every row still addresses it. On
+    its own the list is well-formed, unless it drops the entry of some row."""
     net, lines = _valid_lines(tmp_path)
     assert lines[2:5] == ["# universe fc1 weight 5x4", "# universe fc1 bias 5",
                           "# universe fc2 weight 3x5"]
     p = tmp_path / "other.csv"
     _write_lines(p, _with_universe(lines, edit))
-    read_fault_list(p)  # well-formed on its own
+    if alone is None:
+        read_fault_list(p)
+    else:
+        with pytest.raises(FormatError, match=re.escape(alone)):
+            read_fault_list(p)
     with pytest.raises(CompatibilityError, match=re.escape(message)):
         read_fault_list(p, net)
+
+
+@pytest.mark.parametrize("net_given", [False, True], ids=["alone", "with-network"])
+def test_read_rejects_a_row_outside_the_lists_universe(tmp_path, net_given):
+    """A row whose (layer, parameter) no ``# universe`` comment declares is
+    a format error naming its line, with or without the network: a report
+    would find no group to count it in. A valid address does not save it."""
+    net, lines = _valid_lines(tmp_path)
+    assert not any(ln.startswith("# universe lif1 ") for ln in lines)
+    fid = 1 + max(int(ln.split(",")[0]) for ln in lines if ln[0].isdigit())
+    lines.append(f"{fid},lif1,potential,3,1,1,bit")
+    lines[0] = re.sub(r" n=(\d+) ", lambda m: f" n={int(m[1]) + 1} ", lines[0])
+    p = tmp_path / "outside.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=re.escape(
+            f"fault {fid}: lif1 potential is not in the list's universe (line {len(lines)})")):
+        read_fault_list(p, net if net_given else None)
 
 
 def test_read_reports_format_errors_before_address_errors(tmp_path):
