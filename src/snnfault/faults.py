@@ -16,8 +16,7 @@ of an array.
 from __future__ import annotations
 
 from enum import Enum
-from operator import ge
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,23 +155,41 @@ def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
     return tensor
 
 
-def check_addresses(net: Network, faults: Iterable[FaultDescriptor]) -> None:
+def check_addresses(
+    net: Network, faults: Sequence[FaultDescriptor]
+) -> dict[tuple[str, ParameterKind], tuple[np.ndarray, np.ndarray]]:
     """Raise an AddressError naming the fault for the first descriptor that
-    ``net`` cannot address. Coords are checked against a shape per (layer,
-    parameter), resolved once; a first sighting or a miss goes through
-    target_tensor, which raises the error."""
-    shapes: dict[tuple[str, ParameterKind], tuple[int, ...]] = {}
+    ``net`` cannot address; else return, per (layer, parameter), its faults'
+    positions in ``faults`` and their coords stacked, [n, ndim].
+
+    A group's shape is resolved once, by target_tensor on its first fault,
+    and all its coords are checked against it in one comparison. On a miss,
+    the faults go through target_tensor in order, and the first one it
+    refuses raises its error."""
+    positions: dict[tuple[str, ParameterKind], list[int]] = {}
+    for at, d in enumerate(faults):
+        positions.setdefault(d[1:3], []).append(at)  # (layer, parameter)
+    groups = {}
+    for (layer, parameter), at in positions.items():
+        try:
+            tensor = target_tensor(net, faults[at[0]])
+            # coords of differing lengths raise ValueError, one past int64 OverflowError
+            coords = np.array([faults[i].coords for i in at], np.intp)
+        except (AddressError, ValueError, OverflowError):
+            break
+        shape = net.shapes[layer] if parameter.is_dynamic else tensor.shape
+        # coords are never negative, so >= is the whole bounds check
+        if coords.shape[1] != len(shape) or (coords >= shape).any():
+            break
+        groups[layer, parameter] = np.array(at), coords
+    else:
+        return groups
     for d in faults:
-        shape = shapes.get((d.layer, d.parameter))
-        # coords are never negative, so ge is the whole bounds check
-        if shape is None or len(d.coords) != len(shape) or any(map(ge, d.coords, shape)):
-            try:
-                tensor = target_tensor(net, d)
-            except AddressError as exc:
-                raise AddressError(f"fault {d.fault_id}: {exc}") from None
-            shapes[d.layer, d.parameter] = (
-                net.shapes[d.layer] if d.parameter.is_dynamic else tensor.shape
-            )
+        try:
+            target_tensor(net, d)
+        except AddressError as exc:
+            raise AddressError(f"fault {d.fault_id}: {exc}") from None
+    raise AssertionError("a group of faults missed its shape, yet every fault resolves")
 
 
 def inject_static(net: Network, d: FaultDescriptor) -> None:

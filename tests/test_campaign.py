@@ -554,6 +554,33 @@ def test_run_killed_in_a_batch_resumes_after_the_batches_before_it(workdir, monk
     assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
 
 
+_COUNTS = ("noop_faults", "screened_pairs", "replayed_pairs")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batching_changes_no_result(workdir, workers):
+    """A run stopped after batches of 7 faults and resumed at the default
+    batch size writes a straight run's outcomes.csv bytes, and its two
+    campaign.json files add up to the straight run's counts, per site too."""
+    assert CampaignConfig.checkpoint_every > workdir[3].n > 7 * workers
+    cfg = cfg_for(workdir, f"rebatched_{workers}", workers=workers, checkpoint_every=7)
+    first = run_campaign(cfg, limit=7 * workers + 3)
+    assert first.status == "partial"
+    before = json.loads((cfg.out_dir / "campaign.json").read_text())
+    resumed = run_campaign(replace(cfg, resume=True, checkpoint_every=CampaignConfig.checkpoint_every))
+    after = json.loads((cfg.out_dir / "campaign.json").read_text())
+    straight = run_campaign(cfg_for(workdir, f"rebatched_straight_{workers}", workers=workers))
+    want = json.loads((straight.out_dir / "campaign.json").read_text())
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+    assert before["batch_faults"] <= 7 and after["batch_faults"] > 7
+    for key in _COUNTS:
+        assert before[key] + after[key] == want[key], key
+    sites = {site: Counter(counts) for site, counts in before["sites"].items()}
+    for site, counts in after["sites"].items():
+        sites.setdefault(site, Counter()).update(counts)
+    assert sites == want["sites"]
+
+
 # -- resume-state validation ------------------------------------------------------
 
 
@@ -1471,8 +1498,9 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     assert silent.any()  # inputs whose only difference is -0.0
     d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 31, 1)
     cells = campaign._golden_cells(golden.entries)
-    ((_, _, n_replayed, _),), _ = campaign._run_batch(net, [d], ds, golden, cells)
-    assert n_replayed == len(golden.entries)
+    _, sites, _ = campaign._run_batch(net, [d], ds, golden, cells)
+    assert sites == {"lif1.spike": {"faults": 1, "noop_faults": 0, "screened_pairs": 0,
+                                    "replayed_pairs": len(golden.entries)}}
 
 
 @pytest.mark.parametrize("bad", [
@@ -1498,6 +1526,94 @@ def test_run_faulty_checks_each_address_once_and_names_a_bad_fault(workdir, monk
     assert resolved == [0, 6]
     with pytest.raises(AddressError, match=r"^fault 9: "):
         run_faulty(net, [*good, bad], ds, golden)
+
+
+# One bad address of each kind, and the exact error the walk over the faults
+# in order words for it.
+_BAD_ADDRESSES = {
+    "rank": (("fc1", ParameterKind.WEIGHT, (0,)),
+             "coords [0] out of bounds for fc1.weight shape (5, 6)"),
+    "bounds": (("fc1", ParameterKind.WEIGHT, (0, 6)),
+               "coords [0, 6] out of bounds for fc1.weight shape (5, 6)"),
+    "layer": (("fc9", ParameterKind.WEIGHT, (0, 0)), "no layer named 'fc9'"),
+    "parameter": (("fc1", ParameterKind.FEEDBACK_WEIGHT, (0, 0)),
+                  "layer 'fc1' has no parameter 'feedback_weight'"),
+    "state bounds": (("lif1", ParameterKind.SPIKE, (5,)),
+                     "coords [5] out of bounds for lif1.spike shape (5,)"),
+}
+
+
+def _first_bad_address(net, faults):
+    """The error the scalar walk raises: target_tensor on each fault in order."""
+    for d in faults:
+        try:
+            faults_module.target_tensor(net, d)
+        except AddressError as exc:
+            return f"fault {d.fault_id}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_ADDRESSES))
+def test_array_address_check_names_the_first_bad_fault(workdir, tmp_path, first):
+    """With good faults of several (layer, parameter) groups before it, the
+    first bad fault in list order is named, by run_faulty and by
+    read_fault_list with a network, with the scalar walk's exact text, even
+    when a later bad fault sits in a group that is checked before its own."""
+    _, net, ds, fl = workdir
+    golden = run_golden(net.copy(), ds)
+    good = [FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (1, 2), 3, 1),
+            FaultDescriptor(1, "fc2", ParameterKind.WEIGHT, (2, 4), 3, 1),
+            FaultDescriptor(2, "lif1", ParameterKind.SPIKE, (4,), 3, 1),
+            FaultDescriptor(3, "fc1", ParameterKind.BIAS, (4,), 3, 1)]
+    for second in sorted(_BAD_ADDRESSES):
+        (address, text), (later, _) = _BAD_ADDRESSES[first], _BAD_ADDRESSES[second]
+        faults = [*good[:2], FaultDescriptor(7, *address, 3, 1), *good[2:],
+                  FaultDescriptor(8, *later, 3, 0)]
+        want = f"fault 7: {text}"
+        assert _first_bad_address(net, faults) == want
+        with pytest.raises(AddressError) as caught:
+            run_faulty(net, faults, ds, golden)
+        assert str(caught.value) == want, second
+        path = tmp_path / f"{first}_{second}.csv"
+        write_fault_list(FaultList(faults, fl.universe, fl.spec, len(faults), fl.polarity,
+                                   fl.spike_mode), path)
+        with pytest.raises(AddressError) as caught:
+            read_fault_list(path, net)
+        assert str(caught.value) == want, second
+
+
+# binary32 patterns a gathered bit test must read as they are
+_SPECIAL_PATTERNS = [0x7FC00000, 0x7F800001, 0xFFC00001, 0x7F800000, 0xFF800000, 0x80000000,
+                     0x00000001, 0x807FFFFF, 0x3F800000]
+
+
+def test_gathered_noop_test_matches_the_scalar_one(workdir):
+    """A static fault is a no-op, and gets golden.entries itself, exactly when
+    the scalar test ``(value.view(uint32) >> bit) & 1 == stuck`` says so: on
+    every bit 0-31 at both polarities of weights and biases holding NaNs
+    (quiet and signalling), infinities, -0.0, subnormals and 1.0, in one
+    batch with a dynamic fault."""
+    _, net, ds, _ = workdir
+    net = net.copy()
+    weight, bias = net.layer("fc1").params["weight"], net.layer("fc1").params["bias"]
+    cells = [("weight", (at // 6, at % 6)) for at in range(len(_SPECIAL_PATTERNS))]
+    cells += [("bias", (at,)) for at in range(5)]
+    for (name, coords), pattern in zip(cells, _SPECIAL_PATTERNS + _SPECIAL_PATTERNS[-5:]):
+        (weight if name == "weight" else bias)[coords] = f32_from_bits(pattern)
+    faults = [FaultDescriptor(len(cells) * 64, "lif1", ParameterKind.POTENTIAL, (2,), 30, 1)]
+    faults += [FaultDescriptor(i, "fc1", ParameterKind(name), coords, bit, stuck)
+               for i, ((name, coords), bit, stuck) in enumerate(
+                   (cell, bit, stuck) for cell in cells for bit in range(32) for stuck in (0, 1))]
+    golden = run_golden(net.copy(), ds)
+    outs = run_faulty(net, faults, ds, golden)
+    noops = 0
+    assert outs[0] is not golden.entries  # dynamic: never a no-op
+    for d, out in zip(faults[1:], outs[1:], strict=True):
+        value = net.layer(d.layer).params[d.parameter.value][d.coords]
+        scalar = (int(value.view(np.uint32)) >> d.bit) & 1 == d.stuck
+        assert (out is golden.entries) == scalar, d
+        noops += scalar
+    assert noops == len(cells) * 32
 
 
 def test_run_faulty_rejects_golden_without_trace(workdir, tmp_path):
