@@ -51,15 +51,16 @@ state checks and the log's cut come before the golden run, so a refused run
 writes nothing; a run whose checks pass first deletes the temporary files a
 killed writer left of those four.
 The serial path and each pool worker run contiguous batches of at most
-``checkpoint_every`` faults (1000 by default), and no more than an even share
-of the pending faults per worker. A batch's addresses are checked and its
-no-ops found with one array operation per (layer, parameter). It returns its
-rows, which go to the log in one write, and its counts per site, already
-summed. The rows are held in memory until the batch is recorded, so a kill
-loses at most the batches in flight: at the default, serially on a 2-CPU
-x86-64 host, about 0.8 s of work per batch on the benchmark's conv net,
-0.15 s on its FC net and 0.04 s on its recurrent one. The pool starts no
-more workers than there are usable CPUs or batches, and a run that could
+``checkpoint_every`` faults (1000 by default), and no more than an even
+share of the pending faults per worker. A batch's addresses are checked and
+its no-ops dropped with one array operation per (layer, parameter), whose
+screen site is planned once; each block's cone index is built once. A batch
+returns its rows, which go to the log in one write, and its counts per site,
+already summed. The rows are held in memory until the batch is recorded, so
+a kill loses at most the batches in flight: at the default, serially on a
+2-CPU x86-64 host, about 0.8 s of work per batch on the benchmark's conv
+net, 0.15 s on its FC net and 0.04 s on its recurrent one. The pool starts
+no more workers than there are usable CPUs or batches, and a run that could
 start only one runs in-process instead. A worker that dies ends the run with
 ``WorkerError``; every batch recorded before it is acknowledged, so
 ``--resume`` picks up from there.
@@ -121,7 +122,7 @@ from .dataio import (
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
-from .faults import FaultDescriptor, check_addresses, fault_masks, pin_bits
+from .faults import FaultDescriptor, ParameterKind, check_addresses, fault_masks, pin_bits
 # Not called here; bench/tracing.py patches all three by name (ROADMAP item 7).
 from .faults import inject_static, make_refresh_hook, target_tensor  # noqa: F401
 from .faultlist import read_fault_list
@@ -247,19 +248,19 @@ def _golden_input(net: Network, dataset: SpikeDataset, golden: GoldenReference, 
     return golden.trace[net.layers[w - 1].name]
 
 
-def _screen_site(net: Network, d: FaultDescriptor) -> tuple[int, int, tuple[int, ...]]:
-    """(w, lif_at, index): the first layer whose output the fault changes,
-    the LIF layer L after it (screened only when w feeds L), and the cone,
-    the block of L's neurons the fault can reach directly: L's elements at
-    the leading coords ``index``, with every trailing axis whole."""
-    i = [spec.name for spec in net.layers].index(d.layer)
+def _screen_site(net: Network, layer: str, parameter: ParameterKind) -> tuple[int, int, int]:
+    """(w, lif_at, cone) of the faults on ``layer``'s ``parameter``: the first
+    layer whose output they change, the LIF layer L after it (screened only
+    when w feeds L), and how many leading coords of a fault pick its cone,
+    the block of L's neurons it reaches directly (trailing axes whole)."""
+    i = [spec.name for spec in net.layers].index(layer)
     spec = net.layers[i]
     if spec.kind is not LayerKind.LIF:
         lif_at = i + 1 + [s.kind for s in net.layers[i + 1 :]].index(LayerKind.LIF)
-        return i, lif_at, d.coords[:1]  # a row or channel
-    if d.parameter.is_static and spec.params[d.parameter.value].shape == (1,):
-        return i - 1, i, ()
-    return i - 1, i, d.coords  # one neuron
+        return i, lif_at, 1  # a row or channel
+    if parameter.is_static and spec.params[parameter.value].shape == (1,):
+        return i - 1, i, 0  # all of L
+    return i - 1, i, len(net.shapes[layer])  # one neuron
 
 
 @dataclass
@@ -269,7 +270,6 @@ class _Screened:
     feed is not screened: it holds only its rows or channels of the faulted
     layer, and every input differs."""
 
-    index: tuple[np.ndarray, ...]  # per fault, its cone's leading coords in L
     cut: LayerSpec | None  # the feed's rows or channels under the cones, each fault's own
     columns: dict[str, np.ndarray]  # L's beta and threshold per fault, [F, *rest]
     pins: dict[str, tuple[np.ndarray, np.ndarray]]  # state kind -> per-fault (keep, force)
@@ -287,16 +287,12 @@ def _cut(spec: LayerSpec, faults: list[FaultDescriptor], touched: np.ndarray) ->
     return LayerSpec(spec.name, spec.kind, params, spec.hyper)
 
 
-def _screen(
-    net: Network,
-    dataset: SpikeDataset,
-    golden: GoldenReference,
-    block: list[tuple[FaultDescriptor, tuple[int, int, tuple[int, ...]]]],
-) -> _Screened:
-    """Screen F faults that share L, each on L or on the layer feeding it,
-    and whose cones pin the same number of L's leading axes (``rest`` is L's
-    shape past them): their cone spikes [K, T, F, *rest], and the mask [K, F]
-    of the inputs whose cone spikes differ in any bit from the golden trace.
+def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at: int,
+            index: tuple[np.ndarray, ...], faults: list[FaultDescriptor]) -> _Screened:
+    """Screen F faults on L = ``net.layers[lif_at]`` or its feed, their cones
+    at L's leading coords ``index`` (an array per axis; ``rest`` is L's shape
+    past them): their cone spikes [K, T, F, *rest], and the mask [K, F] of the
+    inputs whose cone spikes differ in any bit from the golden trace.
 
     Only the feed and L run. The current into the cones is computed for all
     K inputs, T steps and F faults at once from the feed's golden input,
@@ -312,12 +308,9 @@ def _screen(
     network_forward runs, each fault with its own beta and threshold column
     and its own state pins.
     """
-    _, lif_at, first = block[0][1]
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
-    k, f, steps = len(golden.entries), len(block), net.timesteps
-    faults = [d for d, _ in block]
-    rest = net.shapes[lif.name][len(first) :]
-    index = tuple(np.array([site[2][a] for _, site in block]) for a in range(len(first)))
+    k, f, steps = len(golden.entries), len(faults), net.timesteps
+    rest = net.shapes[lif.name][len(index) :]
     x = _golden_input(net, dataset, golden, lif_at - 1)  # binary32 once cut to the cones
     prev = cut = None
     if feed.kind is LayerKind.RECURRENT:
@@ -369,13 +362,14 @@ def _screen(
     want = trace[(slice(None), slice(None), *index)] if index else trace[:, :, None]
     differs = spikes.view(np.uint32) != want.astype(DTYPE).view(np.uint32)  # -0.0 differs
     differs = differs.reshape(k, steps, f, -1).any(axis=(1, 3))
-    return _Screened(index, cut, columns, pins, spikes, differs)
+    return _Screened(cut, columns, pins, spikes, differs)
 
 
-def _restart_lif(lif: LayerSpec, shape: tuple[int, ...], screened: _Screened) -> LayerSpec:
+def _restart_lif(lif: LayerSpec, shape: tuple[int, ...], index: tuple[np.ndarray, ...],
+                 screened: _Screened) -> LayerSpec:
     """L with per-fault beta and threshold, [F, *shape]: L's own, but each
-    fault's cone takes the columns the screen built for it."""
-    cells = (np.arange(screened.differs.shape[1]), *screened.index)
+    fault's cone, at ``index``, takes the columns the screen built for it."""
+    cells = (np.arange(screened.differs.shape[1]), *index)
     params = {key: np.broadcast_to(lif.params[key], (len(cells[0]), *shape)).copy()
               for key in screened.columns}
     for key, column in screened.columns.items():
@@ -430,23 +424,25 @@ def run_faulty(
 
     A static fault whose bit already holds its stuck value leaves the network
     bit-identical; its list is ``golden.entries`` itself, which the caller
-    must not modify. The others run in blocks that share the layer w they
-    change first, their LIF layer L and their cone form. A block on L or its
-    feed is screened (see ``_screen``); beyond the feed every input diverges.
-    The diverging (fault, input) pairs of a block are replayed together, each
-    pair one row of a single stacked forward on the template's own
-    parameters, which is neither copied nor injected (its LIF state is reset
-    around the forward). When w is a feed that is not recurrent, a row runs
-    from the layer after L on L's golden spikes with its fault's screened
-    cone written in; when that layer is an average pool that feeds a
-    weighted layer, from the weighted layer on the pool's golden output with
-    the cone pooled in (see ``_pool_cone``). Otherwise it restarts from w on
-    w's golden input and recomputes only what its fault touches: a row or
-    channel of w, L's beta and threshold, and pins on L's state. The other
-    inputs keep their golden Prediction. ``tally``, when given, gains the
-    number of stacked forwards, one per block with a diverging pair, under
-    "replay_forwards", and the seconds spent screening and replaying under
-    "screen_seconds" and "replay_seconds".
+    must not modify. The others run in blocks that share a site, planned once
+    per (layer, parameter): the layer w they change first, their LIF layer L
+    and their cone form. A site's blocks are its live faults in batch order,
+    cut every F, and each block's cone index is built once. A block on L or
+    its feed is screened (see ``_screen``); beyond the feed every input
+    diverges. The diverging (fault, input) pairs of a block are replayed
+    together, each pair one row of a single stacked forward on the template's
+    own parameters, which is neither copied nor injected (its LIF state is
+    reset around the forward). When w is a feed that is not recurrent, a row
+    runs from the layer after L on L's golden spikes with its fault's screened
+    cone written in; when that layer is an average pool that feeds a weighted
+    layer, from the weighted layer on the pool's golden output with the cone
+    pooled in (see ``_pool_cone``). Otherwise it restarts from w on w's golden
+    input and recomputes only what its fault touches: a row or channel of w,
+    L's beta and threshold, and pins on L's state. The other inputs keep their
+    golden Prediction. ``tally``, when given, gains the number of stacked
+    forwards, one per block with a diverging pair, under "replay_forwards",
+    and the seconds spent screening and replaying under "screen_seconds" and
+    "replay_seconds".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -455,25 +451,18 @@ def run_faulty(
     if isinstance(faults, FaultDescriptor):
         return run_faulty(template, [faults], dataset, golden, tally)[0]
     k, outs = len(golden.entries), [golden.entries] * len(faults)
-    noop = np.zeros(len(faults), bool)  # the bit already holds its stuck value
+    sites: dict[tuple[int, int, int], list[np.ndarray]] = {}  # (w, L, cone) -> live positions
     for (layer, parameter), (at, coords) in check_addresses(template, faults).items():
-        if parameter.is_static:  # one gather of the held bits per (layer, parameter)
+        if parameter.is_static:  # one gather of the held bits drops the no-ops
             patterns = template.by_name[layer].params[parameter.value].view(np.uint32)
             bit, stuck = np.array([(faults[i].bit, faults[i].stuck) for i in at]).T
-            noop[at] = (patterns[tuple(coords.T)] >> bit) & 1 == stuck
-    site_of: dict[tuple, tuple[int, int, int]] = {}  # (layer, parameter) -> (w, L, cone length)
-    groups: dict[tuple[int, int, int], list[tuple[int, FaultDescriptor, tuple]]] = {}
-    for pos in np.flatnonzero(~noop).tolist():  # a no-op leaves the network bit-identical
-        d = faults[pos]
-        outs[pos] = list(golden.entries)  # a list of its own, though no input may diverge
-        site = site_of.get(d[1:3])
-        if site is None:  # the first live fault of its (layer, parameter) sets its site
-            w, lif_at, index = _screen_site(template, d)
-            site = site_of[d[1:3]] = (w, lif_at, len(index))
-        w, lif_at, cone = site
-        groups.setdefault(site, []).append((pos, d, (w, lif_at, d.coords[:cone])))
+            at = at[(patterns[tuple(coords.T)] >> bit) & 1 != stuck]
+        sites.setdefault(_screen_site(template, layer, parameter), []).append(at)
     forwards, screen_s, replay_s = 0, 0.0, 0.0
-    for (w, lif_at, cone), members in groups.items():
+    for (w, lif_at, cone), groups in sites.items():
+        live = sorted(np.concatenate(groups).tolist())  # batch order; np.sort: +0.3 MB worker RSS
+        for pos in live:
+            outs[pos] = list(golden.entries)  # a list of its own, though no input may diverge
         lif, feed = template.layers[lif_at], template.layers[lif_at - 1]
         past = w == lif_at - 1 and feed.kind is not LayerKind.RECURRENT  # replayed after L
         start = lif_at + 1 if past else w
@@ -485,16 +474,16 @@ def run_faulty(
             rest = feed.params["weight"].shape[1:]
         held = max(template.timesteps * math.prod(rest), core.widest(template, start))
         cap = max(1, SCREEN_BLOCK_VALUES // (k * held))
-        for j in range(0, len(members), cap):
-            block = members[j : j + cap]
-            ds = [d for _, d, _ in block]
+        for j in range(0, len(live), cap):
+            block = live[j : j + cap]
+            ds = [faults[pos] for pos in block]
             t0 = time.perf_counter()
+            index = tuple(np.array([d.coords[:cone] for d in ds], np.intp).T)  # per axis of L
             if w < lif_at - 1:  # beyond the feed: no screen, every input diverges
-                index = (np.array([d.coords[0] for d in ds]),)
-                screened = _Screened(index, _cut(template.layers[w], ds, index[0]), {}, {}, None,
+                screened = _Screened(_cut(template.layers[w], ds, index[0]), {}, {}, None,
                                      np.ones((k, len(ds)), bool))
             else:
-                screened = _screen(template, dataset, golden, [(d, s) for _, d, s in block])
+                screened = _screen(template, dataset, golden, lif_at, index, ds)
             source, fault = np.nonzero(screened.differs)
             t1 = time.perf_counter()
             screen_s += t1 - t0
@@ -502,23 +491,24 @@ def run_faulty(
                 continue
             hook = None
             if past:  # from the layer after L, on its golden spikes with the cones written in
-                written = (screened.index, screened.spikes)
+                written = (index, screened.spikes)
                 if pooled:  # past the pool, on its golden output with the cones pooled in
                     written = _pool_cone(after[0], golden.trace[lif.name], *written)
                 rows = core.Rows(source, fault, cone=written)
             else:  # restart from w: its row or channel, L's columns and pins per fault
-                cut = None if screened.cut is None else (screened.index[0], screened.cut)
+                cut = None if screened.cut is None else (index[0], screened.cut)
                 static = any(d.layer == lif.name and d.parameter.is_static for d in ds)
-                own = _restart_lif(lif, template.shapes[lif.name], screened) if static else None
+                own = (_restart_lif(lif, template.shapes[lif.name], index, screened)
+                       if static else None)
                 rows = core.Rows(source, fault, cut=cut, lif=own)
                 if screened.pins:
-                    hook = _pin_hook(lif.name, screened.index, screened.pins, fault)
+                    hook = _pin_hook(lif.name, index, screened.pins, fault)
             x = _golden_input(template, dataset, golden, start)
             reset_state(template)  # the forward starts from zero state and leaves none behind
             scores = network_forward(template, x, hook, start=start, rows=rows)
             reset_state(template)
             for n, f, row in zip(source.tolist(), fault.tolist(), scores):
-                outs[block[f][0]][n] = Prediction(n, row, *_top(row))
+                outs[block[f]][n] = Prediction(n, row, *_top(row))
             forwards += 1
             replay_s += time.perf_counter() - t1
     if tally is not None:

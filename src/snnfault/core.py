@@ -183,12 +183,13 @@ def _dim_error(layer: str, msg: str) -> DimensionError:
 class Network:
     """An ordered feed-forward stack of layers plus per-LIF state.
 
-    Construction validates the whole chain: unique names, parameter presence
-    and shapes per kind, adjacent shapes composing, every LIF directly after a
-    weighted layer (its current source), every recurrent layer directly before
-    its LIF, and a 1-D final LIF whose length is the class count. Parameter
-    tensors are coerced to owned contiguous float32 so in-place bit surgery is
-    well-defined.
+    Construction validates the whole chain: unique names that the file
+    formats can carry (non-empty, no whitespace, ',' or '.'), parameter
+    presence and shapes per kind, adjacent shapes composing, every LIF
+    directly after a weighted layer (its current source), every recurrent
+    layer directly before its LIF, and a 1-D final LIF whose length is the
+    class count. Parameter tensors are coerced to owned contiguous float32 so
+    in-place bit surgery is well-defined.
 
     Instances are single-threaded (mutable state); copies are independent.
     """
@@ -210,6 +211,11 @@ class Network:
         self.paired_lif: dict[str, str] = {}  # recurrent layer -> its LIF (bench/oracle.py)
 
         for spec in self.layers:
+            # model tensors are named layer.parameter; fault lists split on spaces and commas
+            if not spec.name or any(c.isspace() or c in ",." for c in spec.name):
+                raise DimensionError(
+                    f"layer name {spec.name!r}: must be non-empty, without whitespace, ',' or '.'"
+                )
             if spec.name in self.by_name:
                 raise DimensionError(f"duplicate layer name '{spec.name}'")
             self.by_name[spec.name] = spec

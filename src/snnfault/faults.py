@@ -23,8 +23,6 @@ import numpy as np
 from .core import LifState, Network, StateHook
 from .errors import AddressError, FaultKindError
 
-_U32 = np.dtype("<u4") if np.little_endian else np.dtype(">u4")
-
 
 class ParameterKind(str, Enum):
     WEIGHT = "weight"
@@ -110,7 +108,7 @@ def pin_bits(tensor: np.ndarray, index, keep, force) -> None:
     """Set the binary32 patterns of ``tensor[index]`` to ``(bits & keep) |
     force``, in place. ``keep`` and ``force`` are uint32 masks that broadcast
     against ``tensor[index]``, so each column can take its own fault."""
-    u = tensor.view(_U32)
+    u = tensor.view(np.uint32)
     u[index] = (u[index] & keep) | force
 
 

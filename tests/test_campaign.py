@@ -1164,8 +1164,7 @@ def test_stacked_replay_equals_injected_forward_at_any_row_count(name, monkeypat
     monkeypatch.setattr(campaign, "_Screened", lambda *args: blocks.append(block(*args))
                         or blocks[-1])
     live = [d for d in faults if not _noop(net, d)]
-    groups = {(w, lif_at, len(index))
-              for w, lif_at, index in (campaign._screen_site(net, d) for d in live)}
+    groups = {campaign._screen_site(net, d.layer, d.parameter) for d in live}
     neuron = len(golden.entries) * net.timesteps  # the values of a one-neuron cone's array
     for budget, most in ((1, 1), (3 * neuron, 3), (1 << 30, None)):
         monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", budget)
@@ -1285,7 +1284,7 @@ def test_conv_replay_starts_past_the_pool(name, start, monkeypatch):
     for d, outs in zip(faults, run_faulty(net, faults, ds, golden, tally), strict=True):
         assert [o.scores.tobytes() for o in outs] == want[d.fault_id], d
         diverging = [o is not g for o, g in zip(outs, golden.entries)]
-        replayed[len(campaign._screen_site(net, d)[2])] += sum(diverging)
+        replayed[campaign._screen_site(net, d.layer, d.parameter)[2]] += sum(diverging)
         sign = (ParameterKind.SPIKE, 31, 1, FaultMode.BIT_STUCK)
         if (d.parameter, d.bit, d.stuck, d.mode) == sign:
             for n in np.flatnonzero(~fires[(slice(None), *d.coords)]):  # silent: -0.0 throughout
@@ -1328,11 +1327,63 @@ def test_screen_blocks_count_conv_windows_in_the_bound(monkeypatch):
     sizes, screen = [], campaign._screen
     monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", bound)
     monkeypatch.setattr(campaign, "_screen",
-                        lambda *args: sizes.append(len(args[3])) or screen(*args))
+                        lambda *args: sizes.append(len(args[-1])) or screen(*args))
     got = run_faulty(net, faults, ds, golden)
     assert len(faults) == 48 and sizes == [10, 10, 10, 10, 8]
     for outs, expected in zip(got, want, strict=True):
         assert [o.scores.tobytes() for o in outs] == [e.scores.tobytes() for e in expected]
+
+
+def test_blocks_keep_batch_order_within_a_site(monkeypatch):
+    """The live faults that share a site (w, L and cone form), whichever
+    (layer, parameter) each is on, are cut into blocks in batch order: a
+    batch that interleaves no-ops with fc1 weight and bias and lif1
+    potential and spike faults (one site) and fc2 faults (another), at a
+    budget of three faults per block. Each block with a diverging pair runs
+    one forward, and every fault gets injected_forward's bytes."""
+    net = _screen_net("fc")
+    ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
+    golden = run_golden(net.copy(), ds)
+    rng = np.random.default_rng(46)
+    cycle = [("fc1", "weight"), None, ("lif1", "potential"), ("fc2", "weight"), ("fc1", "bias"),
+             ("lif1", "spike"), None, ("fc2", "bias")]  # None: a no-op
+    faults = []
+    for i in range(5 * len(cycle)):
+        layer, key = cycle[i % len(cycle)] or [("fc1", "weight"), ("fc2", "bias")][i % 2]
+        kind = ParameterKind(key)
+        shape = net.shapes[layer] if kind.is_dynamic else net.layer(layer).params[key].shape
+        coords = tuple(int(rng.integers(n)) for n in shape)
+        bit, stuck = int(rng.choice([10, 22, 30, 31])), int(rng.integers(2))
+        if kind.is_static:  # a no-op where the cycle says so, else live
+            held = (bits_of(net.layer(layer).params[key][coords]) >> bit) & 1
+            stuck = held if cycle[i % len(cycle)] is None else 1 - held
+        faults.append(FaultDescriptor(i, layer, kind, coords, bit, stuck))
+    want = {d.fault_id: [row.tobytes() for row in injected_forward(net, d, ds.spikes)]
+            for d in faults}
+    blocks, screen = [], campaign._screen  # (fault ids, whether a pair diverges) per block
+
+    def spy(*args):
+        screened = screen(*args)
+        blocks.append(([d.fault_id for d in args[-1]], bool(screened.differs.any())))
+        return screened
+
+    monkeypatch.setattr(campaign, "_screen", spy)
+    monkeypatch.setattr(campaign, "SCREEN_BLOCK_VALUES", 3 * len(golden.entries) * net.timesteps)
+    forwards, tally = _spy_stacked_forwards(monkeypatch), {}
+    outs = run_faulty(net, faults, ds, golden, tally)
+    for d, out in zip(faults, outs, strict=True):
+        assert [o.scores.tobytes() for o in out] == want[d.fault_id], d
+    live = [d for d in faults if not _noop(net, d)]
+    assert len(live) == 3 * len(faults) // 4
+    for layers in (("fc1", "lif1"), ("fc2",)):
+        site = [d.fault_id for d in live if d.layer in layers]  # in batch order
+        got = [ids for ids, _ in blocks if faults[ids[0]].layer in layers]
+        assert got == [site[j : j + 3] for j in range(0, len(site), 3)], layers
+        assert len({faults[i][1:3] for i in got[0]}) > 1  # a block mixes (layer, parameter)s
+    assert sum(len(ids) for ids, _ in blocks) == len(live)
+    diverging = sum(any_ for _, any_ in blocks)
+    assert 0 < diverging < len(blocks)
+    assert tally["replay_forwards"] == len(forwards) == diverging
 
 
 @pytest.mark.parametrize("name", ["wide", "beyond the feed"])

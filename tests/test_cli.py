@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,29 @@ def test_malformed_shape_exits_3(tmp_path, capsys, form):
     err = capsys.readouterr().err
     assert err.startswith("snnfault: error: ValueError: bad shape '")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["fc 1", "fc,1", ""])
+def test_model_with_a_layer_name_no_fault_list_can_carry_exits_3(pipeline, tmp_path, capsys, name):
+    """A model file whose layer fc1 is renamed so that a fault list could not
+    spell it: gen-fl exits 3 naming the layer, and writes no list that inject
+    would then refuse."""
+    _, model, _ = pipeline
+    raw = model.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    header["layers"][0]["name"] = name
+    header["tensors"] = {t.replace("fc1.", f"{name}.", 1): entry
+                         for t, entry in header["tensors"].items()}
+    blob = json.dumps(header).encode()
+    renamed = tmp_path / "renamed.sjm"
+    renamed.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+    code = dispatch(["gen-fl", "--model", str(renamed), "--points", "weight,bias",
+                     "--seed", "1", "--out", str(tmp_path / "faults.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        f"snnfault: error: DimensionError: layer name {name!r}: ")
+    assert not (tmp_path / "faults.csv").exists()
 
 
 def test_dirty_out_dir_exits_4(pipeline, capsys):

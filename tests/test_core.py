@@ -792,6 +792,15 @@ def test_network_rejects_duplicate_names():
         )
 
 
+@pytest.mark.parametrize("name", ["fc.1", "fc 1", "fc\t1", "fc,1", ""])
+def test_network_rejects_names_the_file_formats_cannot_carry(name):
+    """A model names its tensors layer.parameter, and a fault list's comments
+    and rows split on spaces and commas: a layer name that is empty or holds
+    whitespace, ',' or '.' is refused at construction, naming the layer."""
+    with pytest.raises(DimensionError, match=re.escape(f"layer name {name!r}")):
+        Network([fc_layer(name, [[1.0]]), lif_layer("lif1")], timesteps=2, input_shape=(1,))
+
+
 def test_network_rejects_nonvector_final_lif():
     layers = [
         LayerSpec("conv1", LayerKind.CONV2D, {"weight": arr(np.ones((2, 1, 2, 2)))}),
