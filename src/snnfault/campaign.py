@@ -50,18 +50,22 @@ fsynced and renamed into place), so a kill never leaves a truncated one. The
 state checks and the log's cut come before the golden run, so a refused run
 writes nothing; a run whose checks pass first deletes the temporary files a
 killed writer left of those four.
-The serial path and each pool worker run contiguous batches of at most
-``checkpoint_every`` faults (1000 by default), and no more than an even
-share of the pending faults per worker. A batch's addresses are checked and
+Faults run in contiguous batches of at most ``checkpoint_every`` faults
+(1000 by default). A batch's addresses are checked and
 its no-ops dropped with one array operation per (layer, parameter), whose
 screen site is planned once; each block's cone index is built once. A batch
 returns its rows, which go to the log in one write, and its counts per site,
 already summed. The rows are held in memory until the batch is recorded, so
 a kill loses at most the batches in flight: at the default, serially on a
-2-CPU x86-64 host, about 0.8 s of work per batch on the benchmark's conv
-net, 0.15 s on its FC net and 0.04 s on its recurrent one. The pool starts
-no more workers than there are usable CPUs or batches, and a run that could
-start only one runs in-process instead. A worker that dies ends the run with
+2-CPU x86-64 host, about 0.33 s of work per batch on the benchmark's conv
+net, 0.06 s on its FC net and 0.017 s on its recurrent one. A pool of
+workers starts only when it pays. The serial fault phase is estimated as
+``FAULT_FORWARD_SHARE`` times the run's own golden forward seconds per
+pending fault, and n workers (no more than the usable CPUs or the batches)
+start only when the estimate times (1 - 1/n) exceeds ``POOL_COST_SECONDS``;
+each worker's batches then hold at most an even share of the pending faults.
+Otherwise the run stays in this process and cuts the batches that
+``workers=1`` cuts. A worker that dies ends the run with
 ``WorkerError``; every batch recorded before it is acknowledged, so
 ``--resume`` picks up from there.
 
@@ -143,6 +147,16 @@ _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # this many values (512 KiB as binary32), or one fault's. One budget with
 # core.FORWARD_BLOCK_VALUES cost the conv net speed at 2^15 or memory at 2^17.
 SCREEN_BLOCK_VALUES = 1 << 17
+# A serial fault phase takes about this share of one golden forward (run_golden
+# over the same K inputs, timed on the same host) per fault: 0.009-0.035 over
+# the benchmark's three nets, on their seed-0 first chunks (30-400 faults) and
+# full lists (1,027-13,685 faults), serially on a 2-CPU x86-64 host.
+FAULT_FORWARD_SHARE = 0.02
+# What a pool adds to a fault phase beyond its share of the work: start-up
+# and shutdown (6-12 ms bare for 2 forked workers), and each worker paying a
+# batch's per-site and per-block costs again. On those first chunks a 2-worker
+# fault phase took 13-21 ms more than half the serial one, same host.
+POOL_COST_SECONDS = 0.015
 
 
 @dataclass
@@ -154,7 +168,7 @@ class CampaignConfig:
     subset: int | None = None  # first K inputs; None = whole dataset
     workers: int = 1
     # most faults per batch: run, recorded and acknowledged at once, so a kill
-    # loses at most a batch per process (about 0.8 s of the conv net's work)
+    # loses at most a batch per process (about 0.33 s of the conv net's work)
     checkpoint_every: int = 1000
     resume: bool = False
 
@@ -749,7 +763,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     t_load = time.monotonic()
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    t_forward = time.perf_counter()
     golden = run_golden(net.copy(), dataset, k)
+    golden_forward_s = time.perf_counter() - t_forward
     golden_path = out_dir / "golden.csv"
     write_golden(golden, golden_path)
     t_golden = time.monotonic()
@@ -761,13 +777,16 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     # sched_getaffinity exists only where the platform has it (Linux, not macOS or Windows).
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parallel = min(cfg.workers, cpus or 1)
+    estimate = len(pending) * golden_forward_s * FAULT_FORWARD_SHARE  # serial fault seconds
     # A batch, the unit that is screened together and acknowledged at once,
-    # holds at most checkpoint_every faults and at most an even share per worker.
+    # holds at most checkpoint_every faults and, in a pool, at most an even
+    # share per worker.
     size = max(1, min(cfg.checkpoint_every, -(-len(pending) // parallel)))
+    started = min(parallel, -(-len(pending) // size))  # worker processes, no more than batches
+    if started < 2 or estimate * (1 - 1 / started) <= POOL_COST_SECONDS:
+        # the pool would save less than it costs (a pool of one saves nothing)
+        started, size = 0, max(1, min(cfg.checkpoint_every, len(pending)))
     batches = [pending[i : i + size] for i in range(0, len(pending), size)]
-    started = min(parallel, len(batches))  # worker processes
-    if started < 2:  # a pool of one only adds pickling and IPC: run in this process
-        started = 0
     tally = {"replay_forwards": 0, "screen_seconds": 0.0, "replay_seconds": 0.0}  # run_faulty's
     per_worker: dict[int, int] = {}  # process pid -> faults it ran, in order of first result
     sites: dict[str, dict[str, int]] = {}
@@ -828,6 +847,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         **binding,
         "workers": cfg.workers,
         "workers_started": started,
+        "golden_forward_seconds": golden_forward_s,  # run_golden alone, the estimate's unit
+        "fault_seconds_estimate": estimate,  # what the pool decision weighed
         "batch_faults": size,  # the most faults per batch this run cut
         # one entry per started worker, or for this process; one that drew no batch ran 0
         "faults_per_worker": [*per_worker.values()] + [0] * (max(1, started) - len(per_worker)),

@@ -9,6 +9,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,6 +89,13 @@ def cfg_for(workdir_tuple, out, **kw):
     return CampaignConfig(**base)
 
 
+@pytest.fixture
+def pool_always_pays(monkeypatch):
+    """A pool costs nothing, so every run that can start two workers starts
+    them: the tests' short lists would otherwise run in-process."""
+    monkeypatch.setattr(campaign, "POOL_COST_SECONDS", 0.0)
+
+
 # -- golden reference ---------------------------------------------------------
 
 
@@ -159,6 +167,7 @@ def test_campaign_complete_row_coverage(workdir):
     )
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_campaign_worker_pool_byte_identity(workdir):
     r1 = run_campaign(cfg_for(workdir, "run_w1", workers=1))
     r2 = run_campaign(cfg_for(workdir, "run_w2", workers=2))
@@ -280,6 +289,7 @@ from snnfault import campaign, cli
 
 run_batch = campaign._run_batch
 os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so the pool starts on any host
+campaign.POOL_COST_SECONDS = 0.0  # and it pays, though the list is short
 
 def dying(net, batch, *args):
     if any(d.fault_id == int(sys.argv[1]) for d in batch):
@@ -331,6 +341,13 @@ def test_campaign_json_explains_the_run(workdir):
               "replayed_pairs": summary["replayed_pairs"]}
     assert {key: sum(c[key] for c in sites.values()) for key in totals} == totals
     assert summary["workers_started"] == 0  # the serial path runs in this process
+    keys = list(summary)
+    assert keys[keys.index("workers_started") + 1 :][:2] == ["golden_forward_seconds",
+                                                             "fault_seconds_estimate"]
+    assert 0 < summary["golden_forward_seconds"] <= phases["golden"]  # run_golden alone
+    assert summary["fault_seconds_estimate"] == pytest.approx(
+        summary["faults_completed"] * summary["golden_forward_seconds"] * campaign.FAULT_FORWARD_SHARE
+    )
     assert summary["faults_per_worker"] == [summary["faults_completed"]]
     assert summary["golden_trace_bytes"] == 3 * T * (5 + 3)  # both LIF layers' spikes, as bool
     assert summary["fault_pairs_per_s"] == pytest.approx(pairs / phases["faults"])
@@ -354,6 +371,7 @@ def test_campaign_json_explains_the_run(workdir):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("pool_always_pays")
 def test_campaign_json_counts_faults_per_worker(workdir, workers):
     """faults_per_worker holds one count per started worker, one on the
     serial path, and sums to the faults the run processed, also on resume."""
@@ -368,6 +386,7 @@ def test_campaign_json_counts_faults_per_worker(workdir, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("pool_always_pays")
 def test_campaign_json_counts_replay_forwards_and_argv(workdir, workers, monkeypatch):
     """campaign.json holds the command line that ran the campaign, and next
     to replayed_pairs the stacked forwards that replayed them: as many as
@@ -416,6 +435,7 @@ def _record_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "batches", [])
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
     serial = run_campaign(cfg_for(workdir, "pool_serial")).outcomes_path.read_bytes()
     _record_pool(monkeypatch)
@@ -427,6 +447,7 @@ def test_pool_starts_no_more_workers_than_cpus_or_batches(workdir, monkeypatch):
     assert _RecordingPool.started == [3, 2]
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_a_pool_of_one_runs_in_process(workdir, monkeypatch):
     """A run that could start only one worker, for one usable CPU or one
     pending batch, builds no pool: it runs in this process, as --workers 1
@@ -446,6 +467,7 @@ def test_a_pool_of_one_runs_in_process(workdir, monkeypatch):
     assert _RecordingPool.started == []
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_pool_without_cpu_affinity_is_capped_by_cpu_count(workdir, monkeypatch):
     """Where os has no sched_getaffinity (macOS, Windows), the pool is capped
     by os.cpu_count() instead."""
@@ -458,6 +480,7 @@ def test_pool_without_cpu_affinity_is_capped_by_cpu_count(workdir, monkeypatch):
     assert _RecordingPool.started == [3]
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_pool_gives_each_worker_one_batch_of_a_short_list(workdir, monkeypatch):
     """n <= workers x checkpoint_every: one batch per started worker, an even share each."""
     n = workdir[3].n
@@ -468,6 +491,7 @@ def test_pool_gives_each_worker_one_batch_of_a_short_list(workdir, monkeypatch):
     assert _RecordingPool.batches == [share, share, n - 2 * share]
 
 
+@pytest.mark.usefixtures("pool_always_pays")
 def test_pool_runs_a_long_list_in_batches_of_checkpoint_every(workdir, monkeypatch):
     n, every = workdir[3].n, 5
     assert n > 3 * every
@@ -478,6 +502,7 @@ def test_pool_runs_a_long_list_in_batches_of_checkpoint_every(workdir, monkeypat
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("pool_always_pays")
 def test_campaign_json_records_the_batch_size(workdir, monkeypatch, workers):
     """batch_faults is the most faults per batch the run cut: checkpoint_every,
     or, when smaller, an even share per worker of the faults this run
@@ -495,6 +520,65 @@ def test_campaign_json_records_the_batch_size(workdir, monkeypatch, workers):
         summary = json.loads((res.out_dir / "campaign.json").read_text())
         assert summary["batch_faults"] == want == max(sizes), name
     assert n > 2 * 5 and _RecordingPool.started == ([] if workers == 1 else [2, 2, 2])
+
+
+_COUNTS = ("noop_faults", "screened_pairs", "replayed_pairs")
+
+
+def _summary(res) -> dict:
+    return json.loads((res.out_dir / "campaign.json").read_text())
+
+
+def test_a_short_list_at_two_workers_runs_as_the_serial_run(workdir, monkeypatch):
+    """With two usable CPUs, a list whose estimated fault phase would save
+    less than a pool costs starts none: it cuts the batches --workers 1 cuts
+    and writes the serial run's bytes and counts."""
+    serial = run_campaign(cfg_for(workdir, "unpaid_serial"))
+    _record_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    res = run_campaign(cfg_for(workdir, "unpaid_pool", workers=2))
+    want, got = _summary(serial), _summary(res)
+    assert _RecordingPool.started == [] and got["workers_started"] == 0
+    assert got["fault_seconds_estimate"] * (1 - 1 / 2) <= campaign.POOL_COST_SECONDS
+    assert got["batch_faults"] == want["batch_faults"] == res.total
+    assert got["faults_per_worker"] == want["faults_per_worker"] == [res.total]
+    for key in (*_COUNTS, "replay_forwards", "sites"):
+        assert got[key] == want[key], key
+    assert res.outcomes_path.read_bytes() == serial.outcomes_path.read_bytes()
+    assert res.golden_path.read_bytes() == serial.golden_path.read_bytes()
+
+
+def test_a_costly_golden_forward_starts_the_pool(workdir, monkeypatch):
+    """When the golden forward is slow enough that the estimated fault phase
+    outweighs a pool's cost, the pool starts with as many workers as the
+    CPUs and batches allow, each with an even share of the list."""
+    serial = run_campaign(cfg_for(workdir, "paid_serial")).outcomes_path.read_bytes()
+    _record_pool(monkeypatch)  # three usable CPUs
+    golden = campaign.run_golden
+    monkeypatch.setattr(campaign, "run_golden", lambda *args: time.sleep(0.25) or golden(*args))
+    res = run_campaign(cfg_for(workdir, "paid_pool", workers=8))
+    summary, n = _summary(res), res.total
+    assert summary["golden_forward_seconds"] >= 0.25
+    assert summary["fault_seconds_estimate"] * (1 - 1 / 3) > campaign.POOL_COST_SECONDS
+    assert _RecordingPool.started == [3] and summary["workers_started"] == 3
+    share = -(-n // 3)
+    assert _RecordingPool.batches == [share, share, n - 2 * share] and summary["batch_faults"] == share
+    assert res.outcomes_path.read_bytes() == serial
+
+
+def test_a_resume_estimates_from_the_remaining_faults(workdir):
+    """The estimate counts the faults this run processes: a limit's on the
+    first run, and only those not yet acknowledged on the resume."""
+    cfg = cfg_for(workdir, "estimate_resume", checkpoint_every=5)
+    first = run_campaign(cfg, limit=7)
+    first_summary = _summary(first)  # before the resume rewrites campaign.json
+    resumed = run_campaign(replace(cfg, resume=True))
+    for res, summary, faults in ((first, first_summary, 7),
+                                 (resumed, _summary(resumed), resumed.total - 7)):
+        assert res.processed == faults
+        assert summary["fault_seconds_estimate"] == pytest.approx(
+            faults * summary["golden_forward_seconds"] * campaign.FAULT_FORWARD_SHARE
+        )
 
 
 def _log_state(out: Path) -> tuple[int | None, int, int]:
@@ -554,10 +638,8 @@ def test_run_killed_in_a_batch_resumes_after_the_batches_before_it(workdir, monk
     assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
 
 
-_COUNTS = ("noop_faults", "screened_pairs", "replayed_pairs")
-
-
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("pool_always_pays")
 def test_batching_changes_no_result(workdir, workers):
     """A run stopped after batches of 7 faults and resumed at the default
     batch size writes a straight run's outcomes.csv bytes, and its two
