@@ -65,9 +65,13 @@ pending fault, and n workers (no more than the usable CPUs or the batches)
 start only when the estimate times (1 - 1/n) exceeds ``POOL_COST_SECONDS``;
 each worker's batches then hold at most an even share of the pending faults.
 Otherwise the run stays in this process and cuts the batches that
-``workers=1`` cuts. A worker that dies ends the run with
-``WorkerError``; every batch recorded before it is acknowledged, so
-``--resume`` picks up from there.
+``workers=1`` cuts. The decision is timed on the run's own golden forward,
+so two runs of one campaign whose estimate lies near the threshold can
+decide apart: ``campaign.json``'s ``workers_started``, ``batch_faults``,
+``faults_per_worker`` and ``replay_forwards`` then differ between them,
+while ``outcomes.csv`` and the fault and pair counts never do. A worker
+that dies ends the run with ``WorkerError``; every batch recorded before it
+is acknowledged, so ``--resume`` picks up from there.
 
 Outcome CSV: ``fault_id,input_id,golden_class,faulty_class,golden_top_score,
 faulty_top_score`` with scores as ``hex:decimal`` cells (raw binary32 pattern,
@@ -126,7 +130,7 @@ from .dataio import (
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
-from .faults import FaultDescriptor, ParameterKind, check_addresses, fault_masks, pin_bits
+from .faults import FaultDescriptor, ParameterKind, check_addresses, fault_masks, pin_bits, pin_hook
 # Not called here; bench/tracing.py patches all three by name (ROADMAP item 7).
 from .faults import inject_static, make_refresh_hook, target_tensor  # noqa: F401
 from .faultlist import read_fault_list
@@ -285,7 +289,7 @@ class _Screened:
     layer, and every input differs."""
 
     cut: LayerSpec | None  # the feed's rows or channels under the cones, each fault's own
-    columns: dict[str, np.ndarray]  # L's beta and threshold per fault, [F, *rest]
+    columns: dict[str, np.ndarray]  # L's beta and threshold per fault, [F, *rest]; {} unscreened
     pins: dict[str, tuple[np.ndarray, np.ndarray]]  # state kind -> per-fault (keep, force)
     spikes: np.ndarray | None  # the cones' spikes, [K, T, F, *rest]; None unscreened
     differs: np.ndarray  # [K, F]: the input's cone spikes differ from golden in a bit
@@ -319,12 +323,15 @@ def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at
     feedback reads L's golden spikes of the previous step, which is exact
     until the cone first differs, and that is all the screen decides. L then
     advances step by step over [K, F, *rest] in ``core.lif_scan``, the scan
-    network_forward runs, each fault with its own beta and threshold column
-    and its own state pins.
+    network_forward runs, each fault with its own beta and threshold columns,
+    [F, *rest] (L's elements at its cone, or for a ``(1,)`` fault a copy of
+    all of L's, with its bit set), and its own state pins, applied by a
+    ``faults.pin_hook``. A restart replay takes the columns and pins as built.
     """
     lif, feed = net.layers[lif_at], net.layers[lif_at - 1]
     k, f, steps = len(golden.entries), len(faults), net.timesteps
-    rest = net.shapes[lif.name][len(index) :]
+    shape = net.shapes[lif.name]
+    rest = shape[len(index) :]
     x = _golden_input(net, dataset, golden, lif_at - 1)  # binary32 once cut to the cones
     prev = cut = None
     if feed.kind is LayerKind.RECURRENT:
@@ -346,12 +353,11 @@ def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at
                 current = current.reshape(k, steps, f)
             else:
                 current = core.layer_forward(cut, x.astype(DTYPE, copy=False), 2, prev)
-        columns = {}
-        for key, value in lif.params.items():  # [F, *rest], or broadcastable to it
-            if value.shape == (1,):
-                columns[key] = np.repeat(value.reshape((1,) * (1 + len(rest))), f, axis=0)
-            else:
-                columns[key] = value[index] if index else value[None]
+        columns = {  # [F, *rest]: the cones' elements, or a copy of all of L per fault
+            key: np.broadcast_to(value, shape)[index] if index
+            else np.broadcast_to(value, (f, *shape)).copy()
+            for key, value in lif.params.items()
+        }
         pins = {}  # state kind -> per-column (keep, force) masks
         for i, d in enumerate(faults):
             if d.layer != lif.name:
@@ -364,31 +370,14 @@ def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at
                     (np.full(f, 0xFFFFFFFF, np.uint32), np.zeros(f, np.uint32)),
                 )
                 keep[i], force[i] = fault_masks(d)
-
-        def pin(layer: str, kind: str, tensor: np.ndarray) -> None:
-            if kind in pins:
-                pin_bits(tensor, ..., *pins[kind])
-
         state = LifState(np.zeros((k, f, *rest), DTYPE), np.zeros((k, f, *rest), DTYPE))
-        _, spikes = core.lif_scan(lif.name, state, current, columns["beta"],
-                                  columns["threshold"], 1, pin if pins else None)
+        _, spikes = core.lif_scan(lif.name, state, current, columns["beta"], columns["threshold"],
+                                  1, pin_hook(lif.name, ..., pins) if pins else None)
     trace = golden.trace[lif.name]
     want = trace[(slice(None), slice(None), *index)] if index else trace[:, :, None]
     differs = spikes.view(np.uint32) != want.astype(DTYPE).view(np.uint32)  # -0.0 differs
     differs = differs.reshape(k, steps, f, -1).any(axis=(1, 3))
     return _Screened(cut, columns, pins, spikes, differs)
-
-
-def _restart_lif(lif: LayerSpec, shape: tuple[int, ...], index: tuple[np.ndarray, ...],
-                 screened: _Screened) -> LayerSpec:
-    """L with per-fault beta and threshold, [F, *shape]: L's own, but each
-    fault's cone, at ``index``, takes the columns the screen built for it."""
-    cells = (np.arange(screened.differs.shape[1]), *index)
-    params = {key: np.broadcast_to(lif.params[key], (len(cells[0]), *shape)).copy()
-              for key in screened.columns}
-    for key, column in screened.columns.items():
-        params[key][cells] = column
-    return LayerSpec(lif.name, lif.kind, params)
 
 
 def _pool_cone(pool: LayerSpec, trace: np.ndarray, index: tuple[np.ndarray, ...],
@@ -408,19 +397,6 @@ def _pool_cone(pool: LayerSpec, trace: np.ndarray, index: tuple[np.ndarray, ...]
                    (w - w % p)[:, None, None] + taps].astype(DTYPE)  # [K, T, F, p, p]
     window[:, :, np.arange(len(c)), h % p, w % p] = values
     return (c, h // p, w // p), core.avgpool2d_forward(window, p)[..., 0, 0]
-
-
-def _pin_hook(name: str, index: tuple[np.ndarray, ...], pins: dict, fault: np.ndarray):
-    """A refresh hook for a forward whose row p runs fault ``fault[p]``: it
-    pins that fault's cone cell of LIF layer ``name``'s state, in row p, by
-    the fault's masks in ``pins``, state kind -> per-fault (keep, force)."""
-    cells = (np.arange(len(fault)), *(i[fault] for i in index))
-
-    def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
-        if layer == name and kind in pins:
-            pin_bits(tensor, cells, *(mask[fault] for mask in pins[kind]))
-
-    return hook
 
 
 def run_faulty(
@@ -452,11 +428,13 @@ def run_faulty(
     layer, from the weighted layer on the pool's golden output with the cone
     pooled in (see ``_pool_cone``). Otherwise it restarts from w on w's golden
     input and recomputes only what its fault touches: a row or channel of w,
-    L's beta and threshold, and pins on L's state. The other inputs keep their
-    golden Prediction. ``tally``, when given, gains the number of stacked
-    forwards, one per block with a diverging pair, under "replay_forwards",
-    and the seconds spent screening and replaying under "screen_seconds" and
-    "replay_seconds".
+    and L's beta and threshold columns and state pins as the screen built
+    them (``core.Rows.lif`` writes the columns into each row's copy of L's
+    parameters; a ``faults.pin_hook`` pins each row's cone cell by its
+    fault's masks). The other inputs keep their golden Prediction. ``tally``,
+    when given, gains the number of stacked forwards, one per block with a
+    diverging pair, under "replay_forwards", and the seconds spent screening
+    and replaying under "screen_seconds" and "replay_seconds".
     """
     if golden is None:
         golden = run_golden(template.copy(), dataset)
@@ -511,12 +489,13 @@ def run_faulty(
                 rows = core.Rows(source, fault, cone=written)
             else:  # restart from w: its row or channel, L's columns and pins per fault
                 cut = None if screened.cut is None else (index[0], screened.cut)
-                static = any(d.layer == lif.name and d.parameter.is_static for d in ds)
-                own = (_restart_lif(lif, template.shapes[lif.name], index, screened)
-                       if static else None)
-                rows = core.Rows(source, fault, cut=cut, lif=own)
-                if screened.pins:
-                    hook = _pin_hook(lif.name, index, screened.pins, fault)
+                own = (index, LayerSpec(lif.name, lif.kind, screened.columns))
+                rows = core.Rows(source, fault, cut=cut, lif=own if screened.columns else None)
+                if screened.pins:  # row p pins its fault's cone cell by its fault's masks
+                    cells = (np.arange(len(fault)), *(i[fault] for i in index))
+                    pins = {kind: (keep[fault], force[fault])
+                            for kind, (keep, force) in screened.pins.items()}
+                    hook = pin_hook(lif.name, cells, pins)
             x = _golden_input(template, dataset, golden, start)
             reset_state(template)  # the forward starts from zero state and leaves none behind
             scores = network_forward(template, x, hook, start=start, rows=rows)

@@ -19,20 +19,17 @@ same chains as an unbatched call and gets the same bits. A chain is realized
 one of two ways, both strict left-to-right binary32 sums: ``np.cumsum`` along
 the term axis, or a loop over terms whose every step is one elementwise add
 vectorized over all other axes. Convolution and pooling loop over window
-taps. ``linear_forward`` picks one of three realizations per call, from its
+taps. ``linear_forward`` picks one of two realizations per call, from its
 rows (every batch row, a block's steps included) and outputs:
 
 * ``np.cumsum`` while the call is narrow (fewer than ``CUMSUM_MAX_WIDTH``
   sums in flight), where a loop step costs more in call overhead than it
   saves;
 * otherwise the loop over input columns, with an ``[out, rows]``
-  accumulator when the call has at least ``ROWS_PER_OUTPUT`` rows per
-  output, so each add sweeps the batch rows;
-* and with a ``[rows, out]`` accumulator when it has fewer, so each add
-  sweeps the outputs.
+  accumulator, so each add sweeps every output's batch rows.
 
 The chains are independent, so the axis a step vectorizes over moves no bit.
-The test suite pins all three against scalar loops.
+The test suite pins both against scalar loops.
 
 Spike inputs are mostly silent, so a call of at least ``SKIP_MIN_TERMS``
 terms (rows x out x in, a property of the call alone) skips its dead columns:
@@ -98,10 +95,12 @@ whose per-fault values the forward gathers once: a cone of the input
 overwritten at every step (the screened spikes of a fault's LIF layer), a row
 or channel of one weighted layer recomputed from the fault's own copy of its
 parameters (its feedback term too, each step, for a recurrent layer), or one
-LIF layer's beta and threshold. The kernels take such per-row parameters as
-leading axes that broadcast against the batch, and each recomputed element
-keeps the chain it has in a forward of an injected copy, so a row's bits are
-that forward's.
+LIF layer's beta and threshold at the fault's cone (or all of them), written
+into the row's own copy of that layer's parameters. The kernels take such
+per-row parameters as leading axes that broadcast against the batch, and each
+recomputed element keeps the chain it has in a forward of an injected copy,
+so a row's bits are that forward's. State pins need no per-row support: a
+refresh hook may pin a different cell of each row.
 """
 
 from __future__ import annotations
@@ -355,15 +354,14 @@ class Network:
 # Below CUMSUM_MAX_WIDTH sums per call (batch rows x outputs, a block's steps
 # counted as rows), one in-place np.cumsum over the whole [..., out, in] term
 # array beats a loop over the in columns: a loop step costs ~1 us of call
-# overhead, cumsum ~4.5 ns per term. Above it, a call with at least
-# ROWS_PER_OUTPUT rows per output loops over an [out, rows] accumulator, any
-# other over [rows, out], so each add runs along the longer axis. Measured at
-# the benchmark workloads' block shapes (2-CPU x86-64, numpy 2.4): cumsum and
-# the faster loop cross at 180-260 sums on 392->10, 100->10, 96->2 and 32->32
-# layers, and the two layouts at about one row per output on 96->100 (60-320
-# rows) and 32->32 (25-50 rows) ones.
+# overhead, cumsum ~4.5 ns per term. Above it, a call loops over an
+# [out, rows] accumulator. Measured at the benchmark workloads' block shapes
+# (2-CPU x86-64, numpy 2.4): cumsum and the loop cross at 180-260 sums on
+# 392->10, 100->10, 96->2 and 32->32 layers. Over two seed-0 chunks of each
+# benchmark workload, golden runs included, 4 of 269 calls looped with fewer
+# rows than outputs (all on the recurrent net), and a [rows, out] loop for
+# them saved no time beyond the host's noise.
 CUMSUM_MAX_WIDTH = 256
-ROWS_PER_OUTPUT = 1
 # linear_forward drops dead columns from calls of at least this many terms
 # (rows x out x in). Below it, the liveness test costs about what it saves:
 # ungated, the recurrent benchmark net's many small cumsum calls ran slower.
@@ -401,10 +399,7 @@ def _chains(weight: np.ndarray, input: np.ndarray, rows: int) -> np.ndarray:
         return np.cumsum(terms, axis=-1, out=terms)[..., -1]
     columns = np.ascontiguousarray(weight.T)  # [in, out]
     values = np.ascontiguousarray(input.reshape(rows, in_n).T)  # [in, rows]
-    if rows >= ROWS_PER_OUTPUT * out_n:  # accumulate [out, rows]
-        out = _product_chain(columns[:, :, None], values[:, None, :]).T
-    else:  # accumulate [rows, out]
-        out = _product_chain(columns[:, None, :], values[:, :, None])
+    out = _product_chain(columns[:, :, None], values[:, None, :]).T  # accumulates [out, rows]
     return out.reshape(*input.shape[:-1], out_n)
 
 
@@ -573,15 +568,17 @@ class Rows:
       fault f's output row or channel ``touched[f]``, and a recurrent layer
       also its feedback term, from ``spec.params``, fault f's own copy of
       that row or channel, [F, ...];
-    * ``lif``: a LIF layer whose beta and threshold, [F, *shape], replace
-      that layer's, fault f taking its own.
+    * ``lif``, ``(index, spec)``: LIF layer ``spec.name`` runs each row on
+      its own copy of its beta and threshold, whose elements at fault f's
+      leading coords ``index[0][f], ...`` are ``spec.params``' [f], each
+      [F, *rest]; with an empty ``index``, all of its elements are.
     """
 
     source: np.ndarray
     fault: np.ndarray
     cone: tuple[tuple[np.ndarray, ...], np.ndarray] | None = None
     cut: tuple[np.ndarray, LayerSpec] | None = None
-    lif: LayerSpec | None = None
+    lif: tuple[tuple[np.ndarray, ...], LayerSpec] | None = None
 
 
 def _rowwise(spec: LayerSpec, fault: np.ndarray, axes: int) -> LayerSpec:
@@ -652,7 +649,13 @@ def network_forward(
     if rows is not None:  # each row's values, gathered by its fault
         every, at = np.arange(len(rows.source)), rows.fault
         cone = None if rows.cone is None else tuple(i[at, None] for i in rows.cone[0])
-        lif = None if rows.lif is None else _rowwise(rows.lif, at, 0)
+        if rows.lif is not None:  # each row's own copy of L's beta and threshold
+            index, own = rows.lif
+            cells, shape = (every, *(i[at] for i in index)), (len(every), *net.shapes[own.name])
+            lif = LayerSpec(own.name, own.kind, {})
+            for key, value in own.params.items():  # with its fault's values at its cone
+                lif.params[key] = np.broadcast_to(net.by_name[own.name].params[key], shape).copy()
+                lif.params[key][cells] = value[at]
         if rows.cut is not None:  # kernel parameters for a block's rows, and for a step's
             touched, own = rows.cut[0][at], rows.cut[1]
             cut_name = own.name

@@ -4,10 +4,11 @@ A fault pins one bit of one binary32 value (bit 0 = least-significant mantissa
 bit, bit 31 = sign) to 0 or 1. Static parameter kinds (weights, biases, beta,
 threshold) are corrupted once, in place, before inference; dynamic kinds
 (membrane potential, spike) are re-applied after every state write of every
-timestep via a refresh hook, so the stuck value persists no matter how the
-network rewrites the state. Spike faults additionally support a value-stuck
-mode that pins the emitted spike to exactly 0.0 (dead neuron) or 1.0
-(saturated neuron) instead of twiddling its encoding. Every injection goes
+timestep via a refresh hook (a ``pin_hook``, which can pin a different fault
+in each batch row), so the stuck value persists no matter how the network
+rewrites the state. Spike faults additionally support a value-stuck mode
+that pins the emitted spike to exactly 0.0 (dead neuron) or 1.0 (saturated
+neuron) instead of twiddling its encoding. Every injection goes
 through ``pin_bits``, which applies a fault as a (keep, force) pair of masks
 on binary32 patterns, so one call can pin a different fault in each column
 of an array.
@@ -203,21 +204,23 @@ def inject_static(net: Network, d: FaultDescriptor) -> None:
     pin_bits(target_tensor(net, d), d.coords, *fault_masks(d))
 
 
-def make_refresh_hook(d: FaultDescriptor) -> StateHook:
-    """Bind a dynamic descriptor into a network_forward refresh hook.
+def pin_hook(layer: str, cells, pins: dict[str, tuple[np.ndarray, np.ndarray]]) -> StateHook:
+    """A network_forward refresh hook that pins LIF layer ``layer``'s state:
+    each time a state of a kind in ``pins`` is written, before the value
+    feeds anything downstream, its elements ``cells`` take that kind's
+    (keep, force) masks of pin_bits, which broadcast against them."""
 
-    The hook mutates the matching state tensor in place each time it is
-    written, before the value feeds anything downstream, at ``coords`` in
-    every row of the tensor's leading batch axes.
-    """
-    if d.parameter.is_static:
-        raise FaultKindError(f"'{d.parameter.value}' is static; use inject_static")
-    wanted = d.parameter.value
-    index = (Ellipsis, *d.coords)  # the same neuron in every batch row
-    keep, force = fault_masks(d)
-
-    def hook(layer: str, kind: str, tensor: np.ndarray) -> None:
-        if layer == d.layer and kind == wanted:
-            pin_bits(tensor, index, keep, force)
+    def hook(name: str, kind: str, tensor: np.ndarray) -> None:
+        if name == layer and kind in pins:
+            pin_bits(tensor, cells, *pins[kind])
 
     return hook
+
+
+def make_refresh_hook(d: FaultDescriptor) -> StateHook:
+    """Bind a dynamic descriptor into a pin_hook: it pins the matching state
+    tensor at ``coords`` in every row of the tensor's leading batch axes."""
+    if d.parameter.is_static:
+        raise FaultKindError(f"'{d.parameter.value}' is static; use inject_static")
+    # the same neuron in every batch row
+    return pin_hook(d.layer, (Ellipsis, *d.coords), {d.parameter.value: fault_masks(d)})

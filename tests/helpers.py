@@ -160,8 +160,9 @@ def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None
     returns the scores [..., classes]. With ``rows`` (a core.Rows), batch
     row p runs on ``spikes[source[p]]`` under fault f = ``fault[p]``: with
     fault f's cone written in, the cut layer's touched row or channel
-    recomputed, one row at a time, from fault f's own parameters, and fault
-    f's beta and threshold from rows.lif."""
+    recomputed, one row at a time, from fault f's own parameters, and the
+    LIF layer's beta and threshold with fault f's values from rows.lif
+    written into its cone, one row at a time."""
     layers = net.layers[start:]
     in_shape = net.input_shape if start == 0 else net.shapes[net.layers[start - 1].name]
     if rows is not None:
@@ -180,8 +181,15 @@ def reference_forward(net, spikes, refresh=None, start=0, record=None, rows=None
             touched, spec = rows.cut
             cut = (touched[at], {key: v[at] for key, v in spec.params.items()}, spec.name)
         if rows.lif is not None:
-            lif = LayerSpec(rows.lif.name, rows.lif.kind,
-                            {key: v[at] for key, v in rows.lif.params.items()})
+            index, spec = rows.lif
+            shape = net.shapes[spec.name]
+            params = {}
+            for key, v in spec.params.items():
+                params[key] = np.empty((len(at), *shape), F32)
+                for r, f in enumerate(at):
+                    params[key][r] = net.layer(spec.name).params[key]  # broadcasts a (1,)
+                    params[key][(r, *(i[f] for i in index))] = v[f]
+            lif = LayerSpec(spec.name, spec.kind, params)
     with np.errstate(all="ignore"):
         for t in range(net.timesteps):
             x = np.take(spikes, t, axis=lead).astype(F32)

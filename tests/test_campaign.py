@@ -1114,10 +1114,11 @@ SCREEN_NETS = {
     "conv-pool-fc": "CONV(2x6x6->3,k3)-POOL(2)-FC(12->4)-LIF-FC(4->3)-LIF",
     "conv-pool-pool": "CONV(2x10x10->3,k3)-LIF-POOL(2)-POOL(2)-FC(12->4)-LIF",
     "conv-shared": "CONV(2x6x6->3,k3)-LIF-POOL(2)-FC(12->4)-LIF",
+    "rfc-shared": "RFC(6->5)-LIF-FC(5->3)-LIF",
 }
 
 # SCREEN_NETS whose first LIF keeps synth_model's shared (1,) beta and threshold.
-SHARED = ("conv-shared",)
+SHARED = ("conv-shared", "rfc-shared")
 
 
 # SCREEN_NETS whose every bias and feedback_bias is dropped: the screen and
@@ -1560,20 +1561,17 @@ def _forward_bytes(net, ds, faults):
 @pytest.mark.parametrize("name", SCREEN_NETS)
 def test_chain_layout_moves_no_bit(name, monkeypatch):
     """linear_forward realizes each chain by np.cumsum, or by a column loop
-    that accumulates [rows, out] or [out, rows]. Forcing each one on every
-    call gives the bytes of the default choice: golden run and trace,
-    recorded layer outputs, and every fault's run_faulty outcomes."""
+    that accumulates [out, rows]. Forcing each one on every call gives the
+    bytes of the default choice: golden run and trace, recorded layer
+    outputs, and every fault's run_faulty outcomes."""
     net = _screen_net(name)
     ds = synth_dataset(43, 6, 8, net.input_shape, net.num_classes, 0.5)
     faults = _screen_faults(net, np.random.default_rng(44))
-    huge = 1 << 62
     results = []
-    for width, rows_per_output in ((core.CUMSUM_MAX_WIDTH, core.ROWS_PER_OUTPUT),
-                                   (huge, 0), (0, huge), (0, 0)):
+    for width in (core.CUMSUM_MAX_WIDTH, 1 << 62, 0):
         monkeypatch.setattr(core, "CUMSUM_MAX_WIDTH", width)
-        monkeypatch.setattr(core, "ROWS_PER_OUTPUT", rows_per_output)
         results.append(_forward_bytes(net, ds, faults))
-    assert results[0] == results[1] == results[2] == results[3]
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("name", SCREEN_NETS)

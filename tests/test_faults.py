@@ -4,13 +4,16 @@ The reference for every bit manipulation is the integer mask oracle:
 (pattern | (1 << bit)) or (pattern & ~(1 << bit)) on the raw 32-bit view.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import snnfault
 from helpers import bits_of, f32_from_bits, single_neuron_net, spike_train, two_layer_net
 from snnfault.core import DTYPE, network_forward, reset_state
 from snnfault.dataio import synth_model
@@ -246,6 +249,46 @@ def test_refresh_hook_sign_bit_negates():
 def test_refresh_hook_rejects_static_kinds():
     with pytest.raises(FaultKindError):
         make_refresh_hook(FaultDescriptor(0, "fc1", ParameterKind.WEIGHT, (0, 0), 0, 1))
+
+
+def _refresh_hooks(source: str) -> list[str]:
+    """The functions of a module that define a refresh hook: a function or
+    lambda of three parameters, nested in them, that calls pin_bits."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                calls = {getattr(c.func, "id", getattr(c.func, "attr", None))
+                         for c in ast.walk(child) if isinstance(c, ast.Call)}
+                if func is not None and len(child.args.args) == 3 and "pin_bits" in calls:
+                    found.append(func)
+            visit(child, getattr(child, "name", func))
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_pin_hook_is_the_only_refresh_hook_constructor():
+    """Every state pin of the library, a descriptor's, the screen's and a
+    stacked replay's, goes through the hook that faults.pin_hook builds."""
+    probe = """
+def hooks(pins):
+    def hook(layer, kind, tensor):
+        pin_bits(tensor, ..., *pins[kind])
+    return hook, lambda layer, kind, tensor: faults.pin_bits(tensor, 0, *pins[kind])
+def others(pins):
+    def two(kind, tensor):
+        pin_bits(tensor, ..., *pins[kind])
+    def unpinned(layer, kind, tensor):
+        tensor[...] = 0
+    pin_bits(pins, 0, 1, 2)
+"""
+    assert _refresh_hooks(probe) == ["hooks", "hooks"]
+    package = Path(snnfault.__file__).parent
+    found = sorted((path.name, func) for path in package.glob("*.py")
+                   for func in _refresh_hooks(path.read_text(encoding="utf-8")))
+    assert found == [("faults.py", "pin_hook")]
 
 
 def test_dynamic_persistence_all_timesteps():
