@@ -80,7 +80,13 @@ rendered once per input, and only a replayed input's faulty score per row.
 Golden CSV: one row per input with top class, top score, and the full score
 vector as ``;``-joined hex patterns. Each row format is one compiled pattern
 below, written in dataio's sub-patterns; the readers take their fields from
-its match.
+its match. ``read_outcomes`` returns an ``Outcomes`` table: ids and classes
+as uint64 columns (an integer above ``UINT64_MAX`` is a format error) and
+the top scores as uint32 bit patterns. It reads ``OUTCOME_BLOCK_ROWS`` rows
+at a time, each block checked by one match of the whole block and split
+into columns by one ``findall``, so it holds the columns and one block,
+never an object per row. A block that fails is handed to the row-at-a-time
+walk over the whole file, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -92,11 +98,14 @@ import platform
 import re
 import sys
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import is_not
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,6 +127,7 @@ from .dataio import (
     HEX,
     INT,
     SCORE,
+    UINT64_MAX,
     SpikeDataset,
     f32_to_hex,
     file_sha256,
@@ -142,6 +152,13 @@ _ATOMIC_OUTPUTS = ("golden.csv", "checkpoint.txt", "outcomes.csv", "campaign.jso
 # campaign.json's counts per layer.parameter site
 _SITE_COUNTS = ("faults", "noop_faults", "screened_pairs", "replayed_pairs")
 _OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
+# read_outcomes' block: whole rows, each with its LF, and the cells findall
+# takes from it, the four integers and the hex halves of the two scores.
+_OUTCOME_BLOCK = re.compile(rf"(?:{INT},{INT},{INT},{INT},{SCORE},{SCORE}\n)*")
+_OUTCOME_CELLS = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({HEX}):[^,\n]*,({HEX}):[^,\n]*\n")
+# Rows read_outcomes reads, checks and converts at once: about 150 KiB of a
+# benchmark outcomes.csv, and 2.4 MiB at most while findall's cells live.
+OUTCOME_BLOCK_ROWS = 1 << 12
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # A screened group holds its current, its spikes and the golden spikes as
 # [K, T, F, *cone] arrays, and single neurons of a conv-fed L their input
@@ -215,6 +232,42 @@ class OutcomeRow:
     faulty_class: int
     golden_top: np.float32
     faulty_top: np.float32
+
+
+@dataclass(eq=False)
+class Outcomes(Sequence[OutcomeRow]):
+    """Outcome rows as columns: the ids and classes as uint64, the top scores
+    as uint32 binary32 bit patterns. As a sequence it yields OutcomeRow, with
+    int ids and classes and np.float32 scores."""
+
+    fault_id: np.ndarray
+    input_id: np.ndarray
+    golden_class: np.ndarray
+    faulty_class: np.ndarray
+    golden_top: np.ndarray
+    faulty_top: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[OutcomeRow]) -> Outcomes:
+        """The columns of any OutcomeRow iterable, e.g. a filtered list."""
+        cells = [(r.fault_id, r.input_id, r.golden_class, r.faulty_class, r.golden_top, r.faulty_top)
+                 for r in rows]
+        columns = list(zip(*cells)) or [()] * 6
+        return cls(*(np.array(c, np.uint64) for c in columns[:4]),
+                   *(np.array(c, np.float32).view(np.uint32) for c in columns[4:]))
+
+    def __len__(self) -> int:
+        return len(self.fault_id)
+
+    def __getitem__(self, i: int) -> OutcomeRow:
+        return OutcomeRow(int(self.fault_id[i]), int(self.input_id[i]), int(self.golden_class[i]),
+                          int(self.faulty_class[i]), self.golden_top.view(np.float32)[i],
+                          self.faulty_top.view(np.float32)[i])
+
+    def __iter__(self) -> Iterator[OutcomeRow]:
+        return map(OutcomeRow, self.fault_id.tolist(), self.input_id.tolist(),
+                   self.golden_class.tolist(), self.faulty_class.tolist(),
+                   self.golden_top.view(np.float32), self.faulty_top.view(np.float32))
 
 
 @dataclass
@@ -514,9 +567,9 @@ def run_faulty(
 # -- golden reference persistence ----------------------------------------------
 
 
-def _f32s(hexes: str) -> np.ndarray:
-    """binary32 values from concatenated 8-digit hex bit patterns, one conversion."""
-    return np.frombuffer(bytes.fromhex(hexes), ">u4").astype(np.uint32).view(DTYPE)
+def _patterns(hexes: str) -> np.ndarray:
+    """uint32 binary32 bit patterns from concatenated 8-digit hex, one conversion."""
+    return np.frombuffer(bytes.fromhex(hexes), ">u4").astype(np.uint32)
 
 
 def write_golden(ref: GoldenReference, path) -> None:
@@ -541,7 +594,9 @@ def read_golden(path) -> GoldenReference:
         if m is None:
             raise FormatError("malformed golden row", line=lineno)
         input_id, top_class, top_cell, vector = m.groups()
-        scores = _f32s(vector.replace(";", ""))
+        if int(input_id) > UINT64_MAX:
+            raise FormatError(f"input_id {input_id} is above 2**64 - 1", line=lineno)
+        scores = _patterns(vector.replace(";", "")).view(DTYPE)
         if entries and len(scores) != len(entries[0].scores):
             raise FormatError("score vector length varies between rows", line=lineno)
         top_score = parse_score(top_cell)
@@ -584,19 +639,56 @@ def _render_rows(fid: int, cells, golden: list[Prediction], outs: list[Predictio
     )
 
 
-def read_outcomes(path) -> list[OutcomeRow]:
+def read_outcomes(path) -> Outcomes:
+    """outcomes.csv as columns, read OUTCOME_BLOCK_ROWS rows at a time; a
+    malformed file raises the FormatError of its first bad line."""
+    blocks = []
+    with open(path, "rb") as f:
+        good = f.readline().removesuffix(b"\n") == OUTCOME_HEADER.encode()
+        while good and (block := b"".join(islice(f, OUTCOME_BLOCK_ROWS))):
+            columns = _outcome_columns(block)
+            good = columns is not None
+            blocks.append(columns)
+    if not good:
+        _raise_first_bad_outcome_line(path)
+    if not blocks:
+        return Outcomes.from_rows(())
+    return Outcomes(*(np.concatenate(column) for column in zip(*blocks)))
+
+
+def _outcome_columns(block: bytes) -> tuple[np.ndarray, ...] | None:
+    """A block of outcome rows as Outcomes' columns, or None if it is not
+    UTF-8, a row breaks the grammar or an integer is above UINT64_MAX."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text.endswith("\n"):  # the file's last row, without its LF
+        text += "\n"
+    if _OUTCOME_BLOCK.fullmatch(text) is None:
+        return None
+    *ints, golden_top, faulty_top = zip(*_OUTCOME_CELLS.findall(text))
+    try:
+        ints = [np.fromiter(map(int, cells), np.uint64, len(cells)) for cells in ints]
+    except OverflowError:
+        return None
+    return (*ints, _patterns("".join(golden_top)), _patterns("".join(faulty_top)))
+
+
+def _raise_first_bad_outcome_line(path) -> NoReturn:
+    """Walk outcomes.csv a line at a time, after reading it whole, and raise
+    the FormatError of its first bad line."""
     lines = read_lines(path, "outcome file")
     if not lines or lines[0] != OUTCOME_HEADER:
         raise FormatError(f"expected outcome header '{OUTCOME_HEADER}'", line=1)
-    matches = []
     for lineno, line in enumerate(lines[1:], start=2):
         m = _OUTCOME_ROW.fullmatch(line)
         if m is None:
             raise FormatError("malformed outcome row", line=lineno)
-        matches.append(m)
-    tops = _f32s("".join(m[5][:8] + m[6][:8] for m in matches))
-    return [OutcomeRow(int(m[1]), int(m[2]), int(m[3]), int(m[4]), g_top, f_top)
-            for m, g_top, f_top in zip(matches, tops[0::2], tops[1::2])]
+        for name, cell in zip(OUTCOME_HEADER.split(",")[:4], m.groups()):
+            if int(cell) > UINT64_MAX:
+                raise FormatError(f"{name} {cell} is above 2**64 - 1", line=lineno)
+    raise AssertionError(f"{path}: the block reader refused rows that the line walk accepts")
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -44,16 +44,20 @@ _F32LE = np.dtype("<f4")
 _U16LE = np.dtype("<u2")
 
 
-# Sub-patterns of every grammar. An integer field is 1 to 20 ASCII digits (any
-# uint64): int() alone would also take " 5", "+5", "5_0" and non-ASCII digits,
-# and fails with a bare ValueError past 4,300 digits.
+# Sub-patterns of every grammar. An integer field is 1 to 20 ASCII digits: int()
+# alone would also take " 5", "+5", "5_0" and non-ASCII digits, and fails with
+# a bare ValueError past 4,300 digits. Twenty digits reach 10**20 - 1, so a
+# reader that keeps ids or classes as uint64 also refuses any above UINT64_MAX.
 INT = "[0-9]{1,20}"
+UINT64_MAX = 2**64 - 1
 # A float as repr() writes one: ASCII decimal with optional sign, fraction and
 # exponent, or inf/nan. float() alone would also take "1_0", " 0.5",
 # "infinity" and non-ASCII digits.
 FLOAT = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
 HEX = "[0-9a-fA-F]{8}"  # binary32 bit pattern
-SCORE = HEX + ":[^,]*"  # hex:decimal; the decimal half is for people, never read
+# hex:decimal; the decimal half is for people, never read. It holds no LF, as
+# no line does, so a pattern over a block of rows cannot run one into the next.
+SCORE = HEX + ":[^,\n]*"
 _HEX = re.compile(HEX)
 _SCORE = re.compile(SCORE)
 

@@ -34,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import FLOAT, INT, read_lines, write_atomic
+from .dataio import FLOAT, INT, UINT64_MAX, read_lines, write_atomic
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, ParameterKind, check_addresses
 
@@ -401,6 +401,8 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
             raise FormatError("malformed fault row", line=lineno)
         fid_s, layer, pname, coords_s, bit_s, stuck_s, mode_s = m.groups()
         fid = int(fid_s)
+        if fid > UINT64_MAX:
+            raise FormatError(f"fault_id {fid_s} is above 2**64 - 1", line=lineno)
         if fid in seen_ids:
             raise FormatError(f"duplicate fault_id {fid}", line=lineno)
         seen_ids.add(fid)

@@ -9,18 +9,27 @@ percentages of a row always sum to 100 (up to float rounding).
 
 Renderers are deterministic: csv and json carry identical full-precision
 numbers; the text table shows the same rows at two decimals.
+
+aggregate works on an outcome table's columns (campaign.Outcomes) with array
+operations: ids become fault-list and golden positions by searchsorted,
+golden columns are compared as bit patterns, coverage is one bincount over
+the (fault, input) pairs, classes come from classify.classify_patterns, the
+vectorized twin of the scalar oracle classify_pair, and the counts are one
+bincount over (group, class).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .campaign import GoldenReference, OutcomeRow
-from .classify import SdcClass, classify_pair
-from .dataio import f32_to_hex
+import numpy as np
+
+from .campaign import GoldenReference, OutcomeRow, Outcomes
+from .classify import SDC_CLASSES, SdcClass, classify_patterns
+# Not called here; bench/tracing.py patches it by name (ROADMAP item 7).
+from .classify import classify_pair  # noqa: F401
 from .errors import ConsistencyError
 from .faultlist import FaultList, FaultUniverse
 
@@ -76,78 +85,122 @@ def aggregate(
 ) -> Report:
     """Classify every outcome and fold into per-(layer, parameter) rows.
 
-    Each row's golden columns are cross-checked against the golden reference.
-    Unknown fault or input ids, golden disagreements, and any (fault, input)
-    pair of fault list x golden inputs that is missing or appears twice raise
-    a consistency error.
+    ``outcomes`` is an Outcomes table, or any OutcomeRow iterable, which is
+    turned into one. Each row's golden columns are cross-checked against the
+    golden reference. Unknown fault or input ids, golden disagreements, and
+    any (fault, input) pair of fault list x golden inputs that is missing or
+    appears twice raise a consistency error. The first error wins: the rows'
+    own checks in row order (fault id, input id, golden columns), then the
+    duplicate pair first seen earliest, then the first missing pair in fault
+    list x golden order, then the first row's group that is absent from the
+    universe.
     """
     universe = universe if universe is not None else fl.universe
-    by_fault = fl.by_id()
-    golden_by = golden.by_id()
+    o = outcomes if isinstance(outcomes, Outcomes) else Outcomes.from_rows(outcomes)
     element_counts = universe.element_counts()
 
-    counts: dict[tuple[str, str], Counter] = {}
-    pairs: Counter = Counter()
-    seen: Counter = Counter()  # rows per (fault_id, input_id)
-    for o in outcomes:
-        d = by_fault.get(o.fault_id)
-        if d is None:
-            raise ConsistencyError(f"outcome references unknown fault_id {o.fault_id}")
-        ge = golden_by.get(o.input_id)
-        if ge is None:
-            raise ConsistencyError(f"outcome references unknown input_id {o.input_id}")
-        if o.golden_class != ge.top_class or f32_to_hex(o.golden_top) != f32_to_hex(ge.top_score):
-            raise ConsistencyError(
-                f"outcome ({o.fault_id},{o.input_id}) disagrees with the golden reference"
-            )
-        seen[(o.fault_id, o.input_id)] += 1
-        cls = classify_pair(
-            (ge.top_class, float(ge.top_score)), (o.faulty_class, float(o.faulty_top))
-        )
-        key = (d.layer, d.parameter.value)
-        counts.setdefault(key, Counter())[cls] += 1
-        pairs[key] += 1
+    # each descriptor's (layer, parameter) group, numbered in first-seen order
+    group_of: dict = {}
+    groups = np.fromiter((group_of.setdefault((d.layer, d.parameter), len(group_of))
+                          for d in fl.descriptors), np.intp, len(fl.descriptors))
+    # the faults as fl.by_id() holds them: first-seen order, each id's last descriptor
+    fault_at = {d.fault_id: at for at, d in enumerate(fl.descriptors)}
+    fault_ids = np.fromiter(fault_at, np.uint64, len(fault_at))
+    fault_group = groups[np.fromiter(fault_at.values(), np.intp, len(fault_at))]
+    row_group = fault_group[_checked_fault_positions(o, fault_ids, golden.by_id())]
 
-    duplicate = next((pair for pair, n in seen.items() if n > 1), None)
-    if duplicate is not None:
-        raise ConsistencyError(f"outcome {duplicate} appears more than once")
-    if len(seen) != len(by_fault) * len(golden_by):
-        fid, iid = next((f, i) for f in by_fault for i in golden_by if (f, i) not in seen)
-        raise ConsistencyError(f"no outcome for fault_id {fid}, input_id {iid}")
+    names = [(layer, parameter.value) for layer, parameter in group_of]
+    absent = [g for g, key in enumerate(names) if key not in element_counts]
+    if absent:
+        stray = row_group[np.isin(row_group, absent)]
+        if len(stray):
+            raise ConsistencyError(f"group {names[stray[0]]} is absent from the fault universe")
 
-    injected: Counter = Counter((d.layer, d.parameter.value) for d in fl.descriptors)
-    for key in counts:
-        if key not in element_counts:
-            raise ConsistencyError(f"group {key} is absent from the fault universe")
+    code = classify_patterns(o.golden_class, o.golden_top, o.faulty_class, o.faulty_top)
+    width = len(SDC_CLASSES)
+    counts = np.bincount(row_group * width + code, minlength=len(names) * width)
+    counts = counts.reshape(len(names), width)
+    injected = np.bincount(groups, minlength=len(names))
 
     layer_rank = {}
     for e in universe.entries:
         layer_rank.setdefault(e.layer, len(layer_rank))
-    ordered = sorted(counts, key=lambda key: (layer_rank[key[0]], key[1]))
-
-    groups = [
-        GroupStats(
-            layer=layer,
-            parameter=parameter,
-            injected=injected[(layer, parameter)],
-            injectable=element_counts[(layer, parameter)],
-            pairs=pairs[(layer, parameter)],
-            counts=dict(counts[(layer, parameter)]),
-        )
-        for layer, parameter in ordered
-    ]
-    total_counts: Counter = Counter()
-    for g in groups:
-        total_counts.update(g.counts)
-    network = GroupStats(
-        layer="network",
-        parameter="all",
-        injected=len(fl.descriptors),
-        injectable=universe.total_elements,
-        pairs=sum(pairs.values()),
-        counts=dict(total_counts),
+    present = [g for g in range(len(names)) if counts[g].any()]
+    present.sort(key=lambda g: (layer_rank[names[g][0]], names[g][1]))
+    return Report(
+        groups=[
+            GroupStats(
+                layer=names[g][0],
+                parameter=names[g][1],
+                injected=int(injected[g]),
+                injectable=element_counts[names[g]],
+                pairs=int(counts[g].sum()),
+                counts=_class_counts(counts[g]),
+            )
+            for g in present
+        ],
+        network=GroupStats(
+            layer="network",
+            parameter="all",
+            injected=len(fl.descriptors),
+            injectable=universe.total_elements,
+            pairs=len(o),
+            counts=_class_counts(counts.sum(axis=0)),
+        ),
     )
-    return Report(groups=groups, network=network)
+
+
+def _checked_fault_positions(o: Outcomes, fault_ids: np.ndarray, golden_by: dict) -> np.ndarray:
+    """Each row's position in ``fault_ids``, once every row names a known fault
+    and input and agrees with the golden reference, and the rows hold each
+    (fault, input) pair exactly once; the first broken rule raises."""
+    input_ids = np.fromiter(golden_by, np.uint64, len(golden_by))
+    fault_pos, fault_known = _positions(fault_ids, o.fault_id)
+    input_pos, input_known = _positions(input_ids, o.input_id)
+    bad = ~(fault_known & input_known)
+    if golden_by:
+        ge = golden_by.values()
+        golden_class = np.fromiter((e.top_class for e in ge), np.uint64, len(ge))
+        golden_top = np.array([e.top_score for e in ge], np.float32).view(np.uint32)
+        bad |= o.golden_class != golden_class[input_pos]
+        bad |= o.golden_top != golden_top[input_pos]
+    if bad.any():
+        r = int(bad.argmax())
+        fid, iid = int(o.fault_id[r]), int(o.input_id[r])
+        if not fault_known[r]:
+            raise ConsistencyError(f"outcome references unknown fault_id {fid}")
+        if not input_known[r]:
+            raise ConsistencyError(f"outcome references unknown input_id {iid}")
+        raise ConsistencyError(f"outcome ({fid},{iid}) disagrees with the golden reference")
+
+    k = len(input_ids)
+    pair = fault_pos * k + input_pos
+    seen = np.bincount(pair, minlength=len(fault_ids) * k)
+    if (seen > 1).any():
+        r = int((seen[pair] > 1).argmax())
+        duplicate = (int(o.fault_id[r]), int(o.input_id[r]))
+        raise ConsistencyError(f"outcome {duplicate} appears more than once")
+    if len(o) != len(seen):
+        f, i = divmod(int(seen.argmin()), k)
+        raise ConsistencyError(
+            f"no outcome for fault_id {int(fault_ids[f])}, input_id {int(input_ids[i])}"
+        )
+    return fault_pos
+
+
+def _positions(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index in ``ids`` (distinct ids), and whether it is there;
+    an absent value's index is any valid one, or 0 if ``ids`` is empty."""
+    if not len(ids):
+        return np.zeros(len(values), np.intp), np.zeros(len(values), bool)
+    order = np.argsort(ids)
+    pos = order[np.minimum(np.searchsorted(ids, values, sorter=order), len(ids) - 1)]
+    return pos, ids[pos] == values
+
+
+def _class_counts(row: np.ndarray) -> dict[SdcClass, int]:
+    """The classes a row of counts holds, by SDC_CLASSES code."""
+    return {cls: int(n) for cls, n in zip(SDC_CLASSES, row.tolist()) if n}
 
 
 def _row_dict(g: GroupStats) -> dict:

@@ -34,6 +34,7 @@ from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
     GoldenReference,
+    OUTCOME_BLOCK_ROWS,
     OUTCOME_HEADER,
     Prediction,
     _top,
@@ -918,6 +919,94 @@ def test_outcomes_reader_rejects_short_rows(tmp_path):
         read_outcomes(p)
 
 
+# A well-formed outcome row; its four integers are fault_id, input_id,
+# golden_class and faulty_class.
+OUTCOME_ROW = ["3", "0", "1", "1", "40800000:4.0", "40800000:4.0"]
+UINT64_MAX = 2**64 - 1
+
+
+def _outcome_file(path, rows, ending="\n"):
+    """outcomes.csv with these rows; a lone surrogate writes a non-UTF-8 byte."""
+    text = "\n".join([OUTCOME_HEADER, *(",".join(r) for r in rows)]) + ending
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def test_outcome_integers_read_through_2_64_minus_1(tmp_path):
+    """Leading zeros parse, and the largest uint64 reads back in every
+    integer column, as a Python int."""
+    p = _outcome_file(tmp_path / "o.csv", [["007", "0", "01", "2", *OUTCOME_ROW[4:]],
+                                           [str(UINT64_MAX)] * 4 + OUTCOME_ROW[4:]])
+    rows = [(r.fault_id, r.input_id, r.golden_class, r.faulty_class) for r in read_outcomes(p)]
+    assert rows == [(7, 0, 1, 2), (UINT64_MAX,) * 4]
+    assert all(type(v) is int for row in rows for v in row)
+
+
+@pytest.mark.parametrize("value", [2**64, 10**20 - 1])
+@pytest.mark.parametrize("column", range(4), ids=OUTCOME_HEADER.split(",")[:4])
+def test_outcome_integers_above_2_64_minus_1_are_format_errors(tmp_path, column, value):
+    bad = list(OUTCOME_ROW)
+    bad[column] = str(value)
+    p = _outcome_file(tmp_path / "o.csv", [OUTCOME_ROW, bad, OUTCOME_ROW])
+    name = OUTCOME_HEADER.split(",")[column]
+    with pytest.raises(FormatError, match=rf"^{name} {value} is above 2\*\*64 - 1 \(line 3\)$"):
+        read_outcomes(p)
+
+
+def test_golden_input_ids_above_2_64_minus_1_are_format_errors(workdir, tmp_path):
+    _, net, ds, _ = workdir
+    p = tmp_path / "golden.csv"
+    write_golden(run_golden(net.copy(), ds), p)
+    lineno = _mutate_last_row(p, lambda fields: [str(2**64), *fields[1:]])
+    with pytest.raises(FormatError, match=rf"^input_id {2**64} is above 2\*\*64 - 1 \(line {lineno}\)$"):
+        read_golden(p)
+
+
+# Defects deep in a file of several read blocks (row i is on line i + 2), and
+# the error the file must raise: its first bad line's, or, for a file that is
+# not UTF-8 anywhere, that.
+BLOCK_SPAN = 2 * OUTCOME_BLOCK_ROWS + 7
+FAR_DEFECTS = {
+    "malformed row in the second block": (
+        {OUTCOME_BLOCK_ROWS + 9: ["3", "0", "1"], 2 * OUTCOME_BLOCK_ROWS + 3: ["x"]},
+        rf"^malformed outcome row \(line {OUTCOME_BLOCK_ROWS + 11}\)$",
+    ),
+    "an integer above 2**64 - 1 before a malformed row": (
+        {OUTCOME_BLOCK_ROWS: [str(2**64), *OUTCOME_ROW[1:]], OUTCOME_BLOCK_ROWS + 1: ["x"]},
+        rf"^fault_id {2**64} is above 2\*\*64 - 1 \(line {OUTCOME_BLOCK_ROWS + 2}\)$",
+    ),
+    "the last row, past the final block": (
+        {BLOCK_SPAN - 1: ["3", "0", "1", "1", "40800000", "40800000:4.0"]},
+        rf"^malformed outcome row \(line {BLOCK_SPAN + 1}\)$",
+    ),
+    "bad UTF-8 in the last block after a malformed row": (
+        {5: ["x"], 2 * OUTCOME_BLOCK_ROWS + 1: [*OUTCOME_ROW[:5], "40800000:\udcff"]},
+        r"^outcome file is not UTF-8: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("defects, message", FAR_DEFECTS.values(), ids=FAR_DEFECTS)
+def test_outcomes_reader_names_the_first_bad_line_in_any_block(tmp_path, defects, message):
+    p = _outcome_file(tmp_path / "o.csv", [defects.get(i, OUTCOME_ROW) for i in range(BLOCK_SPAN)])
+    with pytest.raises(FormatError, match=message):
+        read_outcomes(p)
+
+
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["LF", "no final LF"])
+def test_outcomes_reader_reads_every_block(tmp_path, ending):
+    """Rows on both sides of each block edge read back in file order."""
+    rows = [[str(i), str(i % 5), "1", str(i % 3), "40800000:4.0", f"{i:08x}:x"]
+            for i in range(2 * OUTCOME_BLOCK_ROWS + 1)]
+    back = read_outcomes(_outcome_file(tmp_path / "o.csv", rows, ending))
+    assert len(back) == len(rows)
+    assert [(r.fault_id, r.input_id, r.faulty_class, bits_of(r.faulty_top)) for r in back] == [
+        (i, i % 5, i % 3, i) for i in range(len(rows))
+    ]
+    last = back[-1]
+    assert (last.fault_id, bits_of(last.golden_top)) == (len(rows) - 1, 0x40800000)
+
+
 def test_golden_header_shape():
     assert GOLDEN_HEADER.split(",")[:3] == ["input_id", "top_class", "top_score"]
 
@@ -1000,7 +1089,7 @@ FLOAT32_BITS = st.one_of(
     ]),
     st.integers(0, 2**32 - 1),
 )
-IDS = st.integers(0, 10**20 - 1)
+IDS = st.integers(0, 2**64 - 1)
 
 
 @given(
@@ -1101,7 +1190,7 @@ def test_empty_fault_list_campaign(workdir, tmp_path):
     )
     res = run_campaign(cfg)
     assert res.status == "complete"
-    assert read_outcomes(res.outcomes_path) == []
+    assert len(read_outcomes(res.outcomes_path)) == 0
 
 
 # -- the screen and the replay ---------------------------------------------------------

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snnfault.classify import SdcClass, classify_pair, relative_deviation_pct
+from snnfault.classify import (
+    SDC_CLASSES,
+    SdcClass,
+    classify_pair,
+    classify_patterns,
+    relative_deviation_pct,
+)
 
 F32 = np.float32
 
@@ -126,3 +132,54 @@ def test_matches_straight_line_oracle(gc, fc, gs, fs):
 def test_every_pair_gets_exactly_one_class(gc, gs, fs):
     got = classify_pair((gc, gs), (gc, fs))
     assert isinstance(got, SdcClass)
+
+
+def _bits(value) -> int:
+    return int(np.array(value, dtype=F32).view(np.uint32))
+
+
+# binary32 patterns of every kind of score: quiet and signalling NaNs, +-Inf,
+# +-0, subnormals, the docstring's 0.80 -> 0.72 example, and faulty scores
+# one ulp either side of each band edge and of the masking threshold around a
+# golden 100.
+SPECIAL_BITS = [
+    0x7FC00000, 0xFFC00123, 0x7F800001, 0xFFBFFFFF,
+    0x7F800000, 0xFF800000,
+    0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x00400000,
+    _bits(0.80), _bits(0.72), _bits(100.0), _bits(1.0), _bits(-2.0),
+    *(
+        _bits(np.nextafter(F32(100.0 - pct), F32(side), dtype=F32))
+        for pct in (1e-4, 5.0, 10.0, 20.0)
+        for side in (-np.inf, np.inf)
+    ),
+    *(_bits(100.0 - pct) for pct in (1e-4, 5.0, 10.0, 20.0)),
+]
+PATTERNS = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**32 - 1))
+
+
+def _vectorized_and_scalar(pairs):
+    g_class, g_top, f_class, f_top = (
+        np.array(column, dtype) for column, dtype in
+        zip(zip(*pairs), (np.uint64, np.uint32, np.uint64, np.uint32))
+    )
+    got = [SDC_CLASSES[code] for code in classify_patterns(g_class, g_top, f_class, f_top)]
+    scores = g_top.view(F32), f_top.view(F32)
+    want = [classify_pair((int(gc), float(gs)), (int(fc), float(fs)))
+            for gc, gs, fc, fs in zip(g_class, scores[0], f_class, scores[1])]
+    return got, want
+
+
+def test_classify_patterns_matches_classify_pair_on_every_special_pair():
+    pairs = [(0, g, c, f) for g in SPECIAL_BITS for f in SPECIAL_BITS for c in (0, 1)]
+    got, want = _vectorized_and_scalar(pairs)
+    assert got == want
+    assert got[pairs.index((0, _bits(0.80), 0, _bits(0.72)))] is SdcClass.SDC_5_10
+    assert {*got} == {*SdcClass}
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), PATTERNS, st.integers(0, 2), PATTERNS),
+                min_size=1, max_size=40))
+def test_classify_patterns_matches_classify_pair(pairs):
+    got, want = _vectorized_and_scalar(pairs)
+    assert got == want
+

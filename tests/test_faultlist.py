@@ -679,6 +679,28 @@ def _set_field(lines, i, field, value):
     lines[i] = ",".join(fields)
 
 
+def test_read_takes_fault_ids_through_2_64_minus_1(tmp_path):
+    """Leading zeros parse, and the largest uint64 is an id like any other."""
+    net, lines = _valid_lines(tmp_path)
+    last = lines[-1].split(",")[0]
+    _set_field(lines, len(lines) - 2, 0, str(2**64 - 1))
+    _set_field(lines, len(lines) - 1, 0, "00" + last)
+    p = tmp_path / "big.csv"
+    _write_lines(p, lines)
+    ids = [d.fault_id for d in read_fault_list(p, net).descriptors]
+    assert ids[-2:] == [2**64 - 1, int(last)]
+
+
+@pytest.mark.parametrize("fault_id", [str(2**64), "9" * 20])
+def test_read_rejects_fault_ids_above_2_64_minus_1(tmp_path, fault_id):
+    net, lines = _valid_lines(tmp_path)
+    _set_field(lines, len(lines) - 1, 0, fault_id)
+    p = tmp_path / "bad.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=rf"^fault_id {fault_id} is above 2\*\*64 - 1 \(line {len(lines)}\)$"):
+        read_fault_list(p)
+
+
 ROW_FAULTS = {
     "bad bit": lambda lines, i: _set_field(lines, i, 4, "32"),
     "duplicate id": lambda lines, i: _set_field(lines, i, 0, lines[i - 1].split(",")[0]),
