@@ -41,12 +41,14 @@ batch's rows are fsynced, ``checkpoint.txt`` acknowledges the log's byte
 length, bound to the sha256 of the model, dataset and fault list and to K.
 Resume refuses changed inputs (a binding value of another type counts as
 changed), cuts the log back to that length (a torn or unacknowledged tail is
-re-run, never appended to) and parses it strictly. ``outcomes.csv`` holds
-the log's rows sorted by (fault_id, input_id), kept in memory as they are
-recorded or as resume read them, so its bytes are identical for any worker
-count or interruption history. It, ``golden.csv``, ``campaign.json`` and the
-checkpoint are each written by ``dataio.write_atomic`` (a temporary file,
-fsynced and renamed into place), so a kill never leaves a truncated one. The
+re-run, never appended to) and parses it strictly. A run keeps each fault's
+id and the byte length of its K consecutive rows, never a row:
+``outcomes.csv`` is the header, then the log's runs copied in fault-id
+order, so its bytes are identical for any worker count or interruption
+history; a complete campaign keeps the log. It, ``golden.csv``,
+``campaign.json`` and the checkpoint are each written by
+``dataio.write_atomic`` (a temporary file, fsynced and renamed into place),
+so a kill never leaves a truncated one. The
 state checks and the log's cut come before the golden run, so a refused run
 writes nothing; a run whose checks pass first deletes the temporary files a
 killed writer left of those four.
@@ -83,10 +85,10 @@ below, written in dataio's sub-patterns; the readers take their fields from
 its match. ``read_outcomes`` returns an ``Outcomes`` table: ids and classes
 as uint64 columns (an integer above ``UINT64_MAX`` is a format error) and
 the top scores as uint32 bit patterns. It reads ``OUTCOME_BLOCK_ROWS`` rows
-at a time, each block checked by one match of the whole block and split
-into columns by one ``findall``, so it holds the columns and one block,
-never an object per row. A block that fails is handed to the row-at-a-time
-walk over the whole file, which names the first bad line.
+at a time, each block checked and split into columns by one ``findall`` of
+the row pattern, so it holds the columns and one block, never an object per
+row, and joins them a column at a time. A block that fails is handed to the
+row-at-a-time walk over the whole file, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ import platform
 import re
 import sys
 import time
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -151,11 +154,9 @@ GOLDEN_HEADER = "input_id,top_class,top_score,scores"
 _ATOMIC_OUTPUTS = ("golden.csv", "checkpoint.txt", "outcomes.csv", "campaign.json")
 # campaign.json's counts per layer.parameter site
 _SITE_COUNTS = ("faults", "noop_faults", "screened_pairs", "replayed_pairs")
-_OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({SCORE}),({SCORE})")
-# read_outcomes' block: whole rows, each with its LF, and the cells findall
-# takes from it, the four integers and the hex halves of the two scores.
-_OUTCOME_BLOCK = re.compile(rf"(?:{INT},{INT},{INT},{INT},{SCORE},{SCORE}\n)*")
-_OUTCOME_CELLS = re.compile(rf"({INT}),({INT}),({INT}),({INT}),({HEX}):[^,\n]*,({HEX}):[^,\n]*\n")
+# An outcome row, its integers and scores' hex halves, anchored at a line's
+# ends: findall over a block returns one match per well-formed row.
+_OUTCOME_ROW = re.compile(rf"^({INT}),({INT}),({INT}),({INT}),({HEX}):[^,\n]*,({HEX}):[^,\n]*$", re.M)
 # Rows read_outcomes reads, checks and converts at once: about 150 KiB of a
 # benchmark outcomes.csv, and 2.4 MiB at most while findall's cells live.
 OUTCOME_BLOCK_ROWS = 1 << 12
@@ -572,11 +573,12 @@ def _patterns(hexes: str) -> np.ndarray:
     return np.frombuffer(bytes.fromhex(hexes), ">u4").astype(np.uint32)
 
 
+def _golden_comment(entries: list[Prediction]) -> str:
+    return f"# golden inputs={len(entries)} classes={len(entries[0].scores)}"
+
+
 def write_golden(ref: GoldenReference, path) -> None:
-    lines = [
-        f"# golden inputs={len(ref.entries)} classes={len(ref.entries[0].scores)}",
-        GOLDEN_HEADER,
-    ]
+    lines = [_golden_comment(ref.entries), GOLDEN_HEADER]
     for e in ref.entries:
         vector = ";".join(f32_to_hex(v) for v in e.scores)
         lines.append(f"{e.input_id},{e.top_class},{render_score(e.top_score)},{vector}")
@@ -584,11 +586,15 @@ def write_golden(ref: GoldenReference, path) -> None:
 
 
 def read_golden(path) -> GoldenReference:
-    lines = enumerate(read_lines(path, "golden file"), start=1)
-    rows = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    """golden.csv; a malformed row, a repeated input_id, or a first-line
+    comment that does not state the rows' inputs and classes, is a FormatError."""
+    lines = read_lines(path, "golden file")
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if line and not line.startswith("#")]
     if not rows or rows[0][1] != GOLDEN_HEADER:
         raise FormatError(f"expected golden header '{GOLDEN_HEADER}'")
     entries: list[Prediction] = []
+    seen: set[int] = set()
     for lineno, line in rows[1:]:
         m = _GOLDEN_ROW.fullmatch(line)
         if m is None:
@@ -596,6 +602,9 @@ def read_golden(path) -> GoldenReference:
         input_id, top_class, top_cell, vector = m.groups()
         if int(input_id) > UINT64_MAX:
             raise FormatError(f"input_id {input_id} is above 2**64 - 1", line=lineno)
+        if int(input_id) in seen:
+            raise FormatError(f"repeated input_id {input_id}", line=lineno)
+        seen.add(int(input_id))
         scores = _patterns(vector.replace(";", "")).view(DTYPE)
         if entries and len(scores) != len(entries[0].scores):
             raise FormatError("score vector length varies between rows", line=lineno)
@@ -606,6 +615,8 @@ def read_golden(path) -> GoldenReference:
         entries.append(Prediction(int(input_id), scores, want_class, top_score))
     if not entries:
         raise FormatError("golden reference holds no inputs")
+    if lines[0] != _golden_comment(entries):
+        raise FormatError(f"expected golden comment '{_golden_comment(entries)}'", line=1)
     return GoldenReference(entries)
 
 
@@ -640,39 +651,38 @@ def _render_rows(fid: int, cells, golden: list[Prediction], outs: list[Predictio
 
 
 def read_outcomes(path) -> Outcomes:
-    """outcomes.csv as columns, read OUTCOME_BLOCK_ROWS rows at a time; a
-    malformed file raises the FormatError of its first bad line."""
+    """outcomes.csv as columns, read OUTCOME_BLOCK_ROWS rows at a time, joined
+    a column at a time; a malformed file raises its first bad line's FormatError."""
     blocks = []
     with open(path, "rb") as f:
         good = f.readline().removesuffix(b"\n") == OUTCOME_HEADER.encode()
-        while good and (block := b"".join(islice(f, OUTCOME_BLOCK_ROWS))):
-            columns = _outcome_columns(block)
+        while good and (lines := list(islice(f, OUTCOME_BLOCK_ROWS))):
+            columns = _outcome_columns(b"".join(lines), len(lines))
             good = columns is not None
             blocks.append(columns)
     if not good:
         _raise_first_bad_outcome_line(path)
     if not blocks:
         return Outcomes.from_rows(())
-    return Outcomes(*(np.concatenate(column) for column in zip(*blocks)))
+    return Outcomes(*(np.concatenate([b.pop(0) for b in blocks]) for _ in range(6)))
 
 
-def _outcome_columns(block: bytes) -> tuple[np.ndarray, ...] | None:
-    """A block of outcome rows as Outcomes' columns, or None if it is not
-    UTF-8, a row breaks the grammar or an integer is above UINT64_MAX."""
+def _outcome_columns(block: bytes, rows: int) -> list[np.ndarray] | None:
+    """A block of ``rows`` outcome rows as Outcomes' columns, or None if it
+    is not UTF-8, a row breaks the grammar or an integer is above UINT64_MAX."""
     try:
         text = block.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if not text.endswith("\n"):  # the file's last row, without its LF
-        text += "\n"
-    if _OUTCOME_BLOCK.fullmatch(text) is None:
+    matches = _OUTCOME_ROW.findall(text)
+    if len(matches) != rows:
         return None
-    *ints, golden_top, faulty_top = zip(*_OUTCOME_CELLS.findall(text))
+    *ints, golden_top, faulty_top = zip(*matches)
     try:
-        ints = [np.fromiter(map(int, cells), np.uint64, len(cells)) for cells in ints]
+        ints = [np.fromiter(map(int, cells), np.uint64, rows) for cells in ints]
     except OverflowError:
         return None
-    return (*ints, _patterns("".join(golden_top)), _patterns("".join(faulty_top)))
+    return [*ints, _patterns("".join(golden_top)), _patterns("".join(faulty_top))]
 
 
 def _raise_first_bad_outcome_line(path) -> NoReturn:
@@ -722,8 +732,8 @@ def _read_checkpoint(path: Path, binding: dict) -> int:
     return length
 
 
-def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int, list[str]]:
-    """Parse the log's first ``length`` bytes strictly: fault id -> its K rows."""
+def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> tuple[array, array]:
+    """Parse the log's first ``length`` bytes strictly: its fault ids and their rows' bytes."""
     with open(path, "rb") as f:
         data = f.read(length)
     if len(data) < length:
@@ -734,8 +744,7 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
         raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
     if text and not text.endswith("\n"):
         raise ResumeError("corrupt acknowledged outcome row: the acknowledged bytes end mid-row")
-    groups: dict[int, list[str]] = {}
-    inputs: dict[int, list[int]] = {}
+    inputs, sizes = {}, {}  # fault id -> its input ids, its rows' bytes; in log order
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         m = _OUTCOME_ROW.fullmatch(line)
         if m is None:
@@ -743,12 +752,14 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> dict[int,
         fid = int(m[1])
         if fid not in valid_ids:
             raise ResumeError(f"acknowledged row names unknown fault {fid}")
-        groups.setdefault(fid, []).append(line)
+        if fid in inputs and fid != next(reversed(inputs)):  # the merge copies each run whole
+            raise ResumeError(f"fault {fid}: acknowledged rows are not consecutive (line {lineno})")
         inputs.setdefault(fid, []).append(int(m[2]))
+        sizes[fid] = sizes.get(fid, 0) + len(line.encode()) + 1
     for fid, iids in inputs.items():
         if iids != list(range(k)):
             raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
-    return groups
+    return array("Q", inputs), array("Q", sizes.values())
 
 
 # -- the campaign loop ------------------------------------------------------------
@@ -814,7 +825,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     partial_path = out_dir / "outcomes.partial.csv"
     valid_ids = {d.fault_id for d in fl.descriptors}
 
-    logged: dict[int, str] = {}  # fault id -> its K acknowledged rows
+    logged, sizes = array("Q"), array("Q")  # acknowledged fault ids in log order, their rows' bytes
     if not cfg.resume:
         if ckpt_path.exists() or partial_path.exists():
             raise ResumeError(
@@ -824,8 +835,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         acked = _read_checkpoint(ckpt_path, binding)  # log bytes the checkpoint vouches for
         if not partial_path.exists():
             raise ResumeError("checkpoint exists but the partial outcome file is missing")
-        logged = {fid: "\n".join(rows) + "\n"
-                  for fid, rows in _read_log(partial_path, acked, k, valid_ids).items()}
+        logged, sizes = _read_log(partial_path, acked, k, valid_ids)
         os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
     elif partial_path.exists() and partial_path.stat().st_size > 0:
         raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
@@ -841,7 +851,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     write_golden(golden, golden_path)
     t_golden = time.monotonic()
 
-    pending = [d for d in fl.descriptors if d.fault_id not in logged]
+    done = set(logged)
+    pending = [d for d in fl.descriptors if d.fault_id not in done]
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
@@ -885,7 +896,8 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                     for key, value in counts.items():
                         total[key] += value
                 pf.write("".join(rows))
-                logged.update(zip([d.fault_id for d in batch], rows))
+                logged.extend(d.fault_id for d in batch)
+                sizes.extend(map(len, rows))  # rendered rows are ASCII: a byte a character
                 pf.flush()
                 os.fsync(pf.fileno())
                 acked = os.fstat(pf.fileno()).st_size
@@ -900,12 +912,15 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 pool.shutdown(cancel_futures=True)
     t_faults = time.monotonic()
 
-    # the log holds exactly these rows, so outcomes.csv comes from memory
-    status = "complete" if logged.keys() == valid_ids else "partial"
+    status = "complete" if len(logged) == len(valid_ids) else "partial"
     outcomes_path = out_dir / "outcomes.csv" if status == "complete" else None
-    if outcomes_path:
-        text = "".join([OUTCOME_HEADER + "\n", *(logged[fid] for fid in sorted(logged))])
-        write_atomic(outcomes_path, text.encode("utf-8"))
+    if outcomes_path:  # the header, then each fault's run of log bytes in id order, unparsed
+        log, lengths = memoryview(partial_path.read_bytes()), np.frombuffer(sizes, np.uint64)
+        order, ends = np.argsort(np.frombuffer(logged, np.uint64)), np.cumsum(lengths)
+        # faults that follow each other both in the log and in id order make one span
+        first, last = order[np.diff(order, prepend=-2) != 1], order[np.diff(order, append=-2) != 1]
+        spans = zip((ends - lengths)[first].tolist(), ends[last].tolist())
+        write_atomic(outcomes_path, f"{OUTCOME_HEADER}\n".encode(), *(log[a:b] for a, b in spans))
 
     t_merge = time.monotonic()
     wall = t_merge - t0

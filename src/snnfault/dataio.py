@@ -102,14 +102,14 @@ def temporary_of(path) -> Path:
     return Path(f"{path}.tmp")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """The one file writer: readers see the old file or the whole new one.
-    A write or rename that raises removes its temporary file; one that the
-    process dies in leaves it behind."""
+def write_atomic(path, *chunks: bytes | memoryview) -> None:
+    """The one file writer: ``path`` becomes the chunks joined, and readers see
+    the old file or the whole new one. A write or rename that raises removes
+    its temporary file; one that the process dies in leaves it behind."""
     tmp = temporary_of(path)
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

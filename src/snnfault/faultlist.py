@@ -220,9 +220,6 @@ class FaultList:
     polarity: str = "random"
     spike_mode: str = "bit"
 
-    def by_id(self) -> dict[int, FaultDescriptor]:
-        return {d.fault_id: d for d in self.descriptors}
-
 
 def generate_fault_list(
     net: Network,

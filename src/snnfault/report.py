@@ -103,7 +103,7 @@ def aggregate(
     group_of: dict = {}
     groups = np.fromiter((group_of.setdefault((d.layer, d.parameter), len(group_of))
                           for d in fl.descriptors), np.intp, len(fl.descriptors))
-    # the faults as fl.by_id() holds them: first-seen order, each id's last descriptor
+    # each fault id's position among the descriptors: first-seen order, a repeated id its last
     fault_at = {d.fault_id: at for at, d in enumerate(fl.descriptors)}
     fault_ids = np.fromiter(fault_at, np.uint64, len(fault_at))
     fault_group = groups[np.fromiter(fault_at.values(), np.intp, len(fault_at))]

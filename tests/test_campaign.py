@@ -1,5 +1,6 @@
 """Campaign engine: golden reference, outcome files, checkpoint/resume."""
 
+import ast
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from helpers import (
     tear_writes,
     two_layer_net,
 )
-from snnfault import campaign, core, dataio, faults as faults_module
+from snnfault import campaign, cli, core, dataio, faults as faults_module
 from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
@@ -186,9 +188,10 @@ def test_campaign_kill_and_resume_byte_identity(workdir):
 
 
 def test_merge_reads_the_log_only_on_resume(workdir, monkeypatch):
-    """outcomes.csv comes from the rows this run recorded, held in memory: a
-    fresh run never parses the log, and a resume parses it once, for the
-    rows acknowledged before it. Both give an uninterrupted run's bytes."""
+    """outcomes.csv is the log's bytes, each fault's run copied in fault-id
+    order without parsing: a fresh run never parses the log, and a resume
+    parses it once, for the fault ids and byte lengths acknowledged before
+    it. Both give an uninterrupted run's bytes."""
     reads, read_log = [], campaign._read_log
     monkeypatch.setattr(campaign, "_read_log", lambda *args: reads.append(1) or read_log(*args))
     straight = run_campaign(cfg_for(workdir, "merge_straight", checkpoint_every=7))
@@ -198,6 +201,48 @@ def test_merge_reads_the_log_only_on_resume(workdir, monkeypatch):
     resumed = run_campaign(cfg_for(workdir, "merge_kill", checkpoint_every=7, resume=True))
     assert resumed.status == "complete" and reads == [1]
     assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+
+
+def test_campaign_holds_one_copy_of_its_outcomes(workdir, tmp_path):
+    """Over 34 batches, run_campaign's peak stays near one copy of
+    outcomes.csv, the log it reads back to merge, plus a fixed allowance:
+    no row is held as text while the faults run."""
+    d, net, _, _ = workdir
+    ds = synth_dataset(seed=32, samples=32, timesteps=T, shape=(6,), classes=3, firing_rate=0.5)
+    save_dataset(ds, tmp_path / "d.sjd")
+    spec = SamplingSpec(error_margin=0.2, quantile=2.576, seed=33, exhaustive=True)
+    fl = generate_fault_list(net, spec, POINTS)
+    write_fault_list(fl, tmp_path / "fl.csv")
+    cfg = CampaignConfig(d / "m.sjm", tmp_path / "d.sjd", tmp_path / "fl.csv", tmp_path / "out",
+                         checkpoint_every=50)
+    tracemalloc.start()
+    try:
+        res = run_campaign(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fl.n == 1696 and res.status == "complete"
+    size = res.outcomes_path.stat().st_size  # 2 MB, 54,272 rows
+    assert peak < 1.25 * size + (1 << 20)
+
+
+def test_resume_refuses_interleaved_fault_rows(workdir, capsys):
+    """The merge copies each fault's rows as one run of the log, so a log
+    whose acknowledged rows alternate between two faults is refused, though
+    each fault's inputs are complete; the CLI exits 4."""
+    out = _state_dir(workdir, "rs_interleaved")
+    partial = out / "outcomes.partial.csv"
+    lines = partial.read_text().splitlines()
+    lines[: 2 * K] = [line for pair in zip(lines[:K], lines[K : 2 * K]) for line in pair]
+    partial.write_text("".join(line + "\n" for line in lines))
+    _acknowledge_whole_log(out)
+    message = r"fault 0: acknowledged rows are not consecutive \(line 3\)"
+    with pytest.raises(ResumeError, match=f"^{message}$"):
+        run_campaign(cfg_for(workdir, "rs_interleaved", checkpoint_every=3, resume=True))
+    d = workdir[0]
+    assert cli.dispatch(["inject", "--model", str(d / "m.sjm"), "--dataset", str(d / "d.sjd"),
+                         "--fl", str(d / "fl.csv"), "--out", str(out), "--resume"]) == 4
+    assert "ResumeError: fault 0: acknowledged rows are not consecutive" in capsys.readouterr().err
 
 
 def test_campaign_resume_with_nothing_done_runs_all(workdir):
@@ -883,6 +928,30 @@ CAMPAIGN_ERRORS = {
         FormatError, "^golden reference holds no inputs$",
         lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: lines[:2]),
     ),
+    "golden repeats an input_id": (
+        FormatError, rf"^repeated input_id {K - 1} \(line {K + 3}\)$",
+        lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: [*lines, lines[-1]]),
+    ),
+    "golden comment states other inputs": (
+        FormatError, rf"^expected golden comment '# golden inputs={K} classes=3' \(line 1\)$",
+        lambda w, tmp: _read_edited_golden(
+            w, tmp, lambda lines: [f"# golden inputs={K + 1} classes=3", *lines[1:]]
+        ),
+    ),
+    "golden comment states other classes": (
+        FormatError, rf"^expected golden comment '# golden inputs={K} classes=3' \(line 1\)$",
+        lambda w, tmp: _read_edited_golden(
+            w, tmp, lambda lines: [f"# golden inputs={K} classes=2", *lines[1:]]
+        ),
+    ),
+    "golden rows missing under the comment": (
+        FormatError, rf"^expected golden comment '# golden inputs={K - 1} classes=3' \(line 1\)$",
+        lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: lines[:-1]),
+    ),
+    "golden without comment": (
+        FormatError, rf"^expected golden comment '# golden inputs={K} classes=3' \(line 1\)$",
+        lambda w, tmp: _read_edited_golden(w, tmp, lambda lines: lines[1:]),
+    ),
     "resume: acknowledged bytes end mid-row": (
         ResumeError, "^corrupt acknowledged outcome row: the acknowledged bytes end mid-row$",
         lambda w, tmp: _resume_edited_log(
@@ -993,6 +1062,25 @@ def test_outcomes_reader_names_the_first_bad_line_in_any_block(tmp_path, defects
         read_outcomes(p)
 
 
+def test_outcomes_reader_joins_a_column_at_a_time(tmp_path):
+    """Over 32 read blocks, read_outcomes peaks at its columns (40 bytes a
+    row) plus one block's allowance: each block's part of a column is dropped
+    as that column is joined, never all blocks beside all columns."""
+    rows = 32 * OUTCOME_BLOCK_ROWS
+    p = tmp_path / "o.csv"
+    with open(p, "w") as f:
+        f.write(OUTCOME_HEADER + "\n")
+        f.writelines(f"{i // 4},{i % 4},1,{i % 3},40800000:4.0,{i:08x}:4.0\n" for i in range(rows))
+    tracemalloc.start()
+    try:
+        back = read_outcomes(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == rows and int(back.faulty_top[-1]) == rows - 1
+    assert peak < 40 * rows + (3 << 20)
+
+
 @pytest.mark.parametrize("ending", ["\n", ""], ids=["LF", "no final LF"])
 def test_outcomes_reader_reads_every_block(tmp_path, ending):
     """Rows on both sides of each block edge read back in file order."""
@@ -1005,6 +1093,19 @@ def test_outcomes_reader_reads_every_block(tmp_path, ending):
     ]
     last = back[-1]
     assert (last.fault_id, bits_of(last.golden_top)) == (len(rows) - 1, 0x40800000)
+
+
+def test_campaign_compiles_one_pattern_per_row_format():
+    """One grammar per CSV row format: the outcome reader's blocks, its line
+    walk and the resume's log all match _OUTCOME_ROW, and golden rows
+    _GOLDEN_ROW; campaign.py compiles or applies no other pattern."""
+    tree = ast.parse(Path(campaign.__file__).read_text(encoding="utf-8"))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("re.")]
+    compiled = [node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "re.compile"]
+    assert calls == ["re.compile", "re.compile"]
+    assert compiled == ["_OUTCOME_ROW", "_GOLDEN_ROW"]
 
 
 def test_golden_header_shape():
@@ -1097,13 +1198,14 @@ IDS = st.integers(0, 2**64 - 1)
                                           min_size=2, max_size=2), max_size=4),
     vectors=st.integers(1, 5).flatmap(lambda classes: st.lists(
         st.tuples(IDS, st.lists(FLOAT32_BITS, min_size=classes, max_size=classes)),
-        min_size=1, max_size=4)),
+        min_size=1, max_size=4, unique_by=lambda vector: vector[0])),
 )
 def test_rows_round_trip_bit_exact(tmp_path_factory, faults, vectors):
-    """_render_rows' rows read back through the outcome log and
-    read_outcomes, and write_golden's through read_golden, bit for bit. A
-    screened row, from the golden cells rendered once, has the bytes of a
-    replayed row with the same values."""
+    """_render_rows' rows read back through read_outcomes, and write_golden's
+    through read_golden, bit for bit; the outcome log reads back as each
+    fault's id and the byte length of its rows. A screened row, from the
+    golden cells rendered once, has the bytes of a replayed row with the
+    same values."""
     d = tmp_path_factory.mktemp("round_trip")
     rows, lines = [], []
     for fid, pairs in faults.items():
@@ -1116,8 +1218,9 @@ def test_rows_round_trip_bit_exact(tmp_path_factory, faults, vectors):
         lines += campaign._render_rows(fid, cells, golden, faulty).splitlines()
     log = d / "outcomes.partial.csv"
     log.write_text("".join(line + "\n" for line in lines))
-    groups = campaign._read_log(log, log.stat().st_size, 2, set(faults))
-    assert groups == {fid: lines[2 * i : 2 * i + 2] for i, fid in enumerate(faults)}
+    ids, sizes = campaign._read_log(log, log.stat().st_size, 2, set(faults))
+    runs = ["".join(line + "\n" for line in lines[2 * i : 2 * i + 2]) for i in range(len(faults))]
+    assert (list(ids), list(sizes)) == (list(faults), [len(run.encode()) for run in runs])
     (d / "outcomes.csv").write_text("\n".join([OUTCOME_HEADER, *lines]) + "\n")
     back = [
         (r.fault_id, r.input_id, r.golden_class, r.faulty_class,
