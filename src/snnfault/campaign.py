@@ -143,7 +143,14 @@ from .dataio import (
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
-from .faults import FaultDescriptor, ParameterKind, check_addresses, fault_masks, pin_bits, pin_hook
+from .faults import (
+    FaultDescriptor,
+    FaultTable,
+    ParameterKind,
+    check_addresses,
+    pin_bits,
+    pin_hook,
+)
 # Not called here; bench/tracing.py patches all three by name (ROADMAP item 7).
 from .faults import inject_static, make_refresh_hook, target_tensor  # noqa: F401
 from .faultlist import read_fault_list
@@ -349,18 +356,20 @@ class _Screened:
     differs: np.ndarray  # [K, F]: the input's cone spikes differ from golden in a bit
 
 
-def _cut(spec: LayerSpec, faults: list[FaultDescriptor], touched: np.ndarray) -> LayerSpec:
+def _cut(spec: LayerSpec, faults: FaultTable, touched: np.ndarray) -> LayerSpec:
     """Weighted layer ``spec``'s rows or channels ``touched``, one per fault,
     each with its fault's bit set in its own copy."""
     params = {key: value[touched] for key, value in spec.params.items()}
-    for i, d in enumerate(faults):
-        if d.layer == spec.name:
-            pin_bits(params[d.parameter.value], (i, *d.coords[1:]), *fault_masks(d))
+    keep, force = faults.masks()
+    for code, (layer, parameter) in enumerate(faults.sites):
+        if layer == spec.name and (own := np.flatnonzero(faults.site == code)).size:
+            rest = faults.coords[own, 1 : faults.rank[own[0]]].astype(np.intp)
+            pin_bits(params[parameter.value], (own, *rest.T), keep[own], force[own])
     return LayerSpec(spec.name, spec.kind, params, spec.hyper)
 
 
 def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at: int,
-            index: tuple[np.ndarray, ...], faults: list[FaultDescriptor]) -> _Screened:
+            index: tuple[np.ndarray, ...], faults: FaultTable) -> _Screened:
     """Screen F faults on L = ``net.layers[lif_at]`` or its feed, their cones
     at L's leading coords ``index`` (an array per axis; ``rest`` is L's shape
     past them): their cone spikes [K, T, F, *rest], and the mask [K, F] of the
@@ -413,17 +422,18 @@ def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at
             for key, value in lif.params.items()
         }
         pins = {}  # state kind -> per-column (keep, force) masks
-        for i, d in enumerate(faults):
-            if d.layer != lif.name:
+        keep, force = faults.masks()
+        for code, (layer, parameter) in enumerate(faults.sites):
+            own = np.flatnonzero(faults.site == code)
+            if layer != lif.name or not own.size:
                 continue
-            if d.parameter.is_static:
-                pin_bits(columns[d.parameter.value], i, *fault_masks(d))
+            if parameter.is_static:  # each fault's column, whole
+                cells = (1,) * (columns[parameter.value].ndim - 1)
+                pin_bits(columns[parameter.value], own, keep[own].reshape(-1, *cells),
+                         force[own].reshape(-1, *cells))
             else:
-                keep, force = pins.setdefault(
-                    d.parameter.value,
-                    (np.full(f, 0xFFFFFFFF, np.uint32), np.zeros(f, np.uint32)),
-                )
-                keep[i], force[i] = fault_masks(d)
+                pin = pins[parameter.value] = (np.full(f, ~np.uint32(0)), np.zeros(f, np.uint32))
+                pin[0][own], pin[1][own] = keep[own], force[own]
         state = LifState(np.zeros((k, f, *rest), DTYPE), np.zeros((k, f, *rest), DTYPE))
         _, spikes = core.lif_scan(lif.name, state, current, columns["beta"], columns["threshold"],
                                   1, pin_hook(lif.name, ..., pins) if pins else None)
@@ -455,7 +465,7 @@ def _pool_cone(pool: LayerSpec, trace: np.ndarray, index: tuple[np.ndarray, ...]
 
 def run_faulty(
     template: Network,
-    faults: list[FaultDescriptor] | FaultDescriptor,
+    faults: FaultTable | Sequence[FaultDescriptor] | FaultDescriptor,
     dataset: SpikeDataset,
     golden: GoldenReference | None = None,
     tally: dict[str, int] | None = None,
@@ -496,13 +506,15 @@ def run_faulty(
         raise ValueError("golden reference holds no trace; pass run_golden's, not read_golden's")
     if isinstance(faults, FaultDescriptor):
         return run_faulty(template, [faults], dataset, golden, tally)[0]
+    if not isinstance(faults, FaultTable):
+        faults = FaultTable.from_rows(faults)
     k, outs = len(golden.entries), [golden.entries] * len(faults)
     sites: dict[tuple[int, int, int], list[np.ndarray]] = {}  # (w, L, cone) -> live positions
-    for (layer, parameter), (at, coords) in check_addresses(template, faults).items():
+    for code, (at, coords) in check_addresses(template, faults).items():
+        layer, parameter = faults.sites[code]
         if parameter.is_static:  # one gather of the held bits drops the no-ops
             patterns = template.by_name[layer].params[parameter.value].view(np.uint32)
-            bit, stuck = np.array([(faults[i].bit, faults[i].stuck) for i in at]).T
-            at = at[(patterns[tuple(coords.T)] >> bit) & 1 != stuck]
+            at = at[(patterns[tuple(coords.T)] >> faults.bit[at]) & 1 != faults.stuck[at]]
         sites.setdefault(_screen_site(template, layer, parameter), []).append(at)
     forwards, screen_s, replay_s = 0, 0.0, 0.0
     for (w, lif_at, cone), groups in sites.items():
@@ -522,14 +534,14 @@ def run_faulty(
         cap = max(1, SCREEN_BLOCK_VALUES // (k * held))
         for j in range(0, len(live), cap):
             block = live[j : j + cap]
-            ds = [faults[pos] for pos in block]
             t0 = time.perf_counter()
-            index = tuple(np.array([d.coords[:cone] for d in ds], np.intp).T)  # per axis of L
+            own = faults.take(block)
+            index = tuple(own.coords[:, :cone].astype(np.intp).T)  # per axis of L
             if w < lif_at - 1:  # beyond the feed: no screen, every input diverges
-                screened = _Screened(_cut(template.layers[w], ds, index[0]), {}, {}, None,
-                                     np.ones((k, len(ds)), bool))
+                screened = _Screened(_cut(template.layers[w], own, index[0]), {}, {}, None,
+                                     np.ones((k, len(block)), bool))
             else:
-                screened = _screen(template, dataset, golden, lif_at, index, ds)
+                screened = _screen(template, dataset, golden, lif_at, index, own)
             source, fault = np.nonzero(screened.differs)
             t1 = time.perf_counter()
             screen_s += t1 - t0
@@ -732,8 +744,10 @@ def _read_checkpoint(path: Path, binding: dict) -> int:
     return length
 
 
-def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> tuple[array, array]:
-    """Parse the log's first ``length`` bytes strictly: its fault ids and their rows' bytes."""
+def _read_log(path: Path, length: int, k: int, fault_ids: np.ndarray) -> tuple[array, array]:
+    """Parse the log's first ``length`` bytes strictly: its fault ids and their
+    rows' bytes. Ids are looked up in ``fault_ids``, the fault list's id
+    column, and each fault's inputs are checked when its rows end."""
     with open(path, "rb") as f:
         data = f.read(length)
     if len(data) < length:
@@ -744,22 +758,36 @@ def _read_log(path: Path, length: int, k: int, valid_ids: set[int]) -> tuple[arr
         raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
     if text and not text.endswith("\n"):
         raise ResumeError("corrupt acknowledged outcome row: the acknowledged bytes end mid-row")
-    inputs, sizes = {}, {}  # fault id -> its input ids, its rows' bytes; in log order
+    known = np.sort(fault_ids)
+    seen = bytearray(len(known))  # per known id: its rows have begun
+    ids, sizes = array("Q"), array("Q")  # per fault, in log order
+    inputs: list[int] = []  # the current fault's input ids
+    incomplete = None  # the first fault whose inputs are not 0..k-1, raised last
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         m = _OUTCOME_ROW.fullmatch(line)
         if m is None:
             raise ResumeError(f"corrupt acknowledged outcome row (line {lineno})")
         fid = int(m[1])
-        if fid not in valid_ids:
-            raise ResumeError(f"acknowledged row names unknown fault {fid}")
-        if fid in inputs and fid != next(reversed(inputs)):  # the merge copies each run whole
-            raise ResumeError(f"fault {fid}: acknowledged rows are not consecutive (line {lineno})")
-        inputs.setdefault(fid, []).append(int(m[2]))
-        sizes[fid] = sizes.get(fid, 0) + len(line.encode()) + 1
-    for fid, iids in inputs.items():
-        if iids != list(range(k)):
-            raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
-    return array("Q", inputs), array("Q", sizes.values())
+        if not ids or fid != ids[-1]:
+            at = int(np.searchsorted(known, min(fid, UINT64_MAX)))
+            if at == len(known) or known[at] != fid:
+                raise ResumeError(f"acknowledged row names unknown fault {fid}")
+            if seen[at]:  # the merge copies each fault's rows as one run
+                raise ResumeError(f"fault {fid}: acknowledged rows are not consecutive (line {lineno})")
+            seen[at] = 1
+            if ids and inputs != list(range(k)):
+                incomplete = incomplete or (ids[-1], inputs)
+            ids.append(fid)
+            sizes.append(0)
+            inputs = []
+        inputs.append(int(m[2]))
+        sizes[-1] += len(line.encode()) + 1
+    if ids and inputs != list(range(k)):
+        incomplete = incomplete or (ids[-1], inputs)
+    if incomplete:
+        fid, iids = incomplete
+        raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
+    return ids, sizes
 
 
 # -- the campaign loop ------------------------------------------------------------
@@ -774,28 +802,29 @@ def _worker_init(net: Network, dataset: SpikeDataset, golden: GoldenReference) -
     _WORKER["cells"] = _golden_cells(golden.entries)
 
 
-def _run_batch(net: Network, batch: list[FaultDescriptor], dataset: SpikeDataset,
+def _run_batch(net: Network, batch: FaultTable, dataset: SpikeDataset,
                golden: GoldenReference, cells):
     # What run_campaign records for a batch: each fault's outcome rows, the
     # batch's counts per site, and run_faulty's tally. A screened input's
     # Prediction is the golden one itself, so a fault with no replayed input
     # renders its rows from the golden cells alone.
     rows, counts, tally, entries = [], {}, {}, golden.entries
-    for d, outs in zip(batch, run_faulty(net, batch, dataset, golden, tally)):
+    outcomes = run_faulty(net, batch, dataset, golden, tally)
+    for fid, code, outs in zip(batch.fault_id.tolist(), batch.site.tolist(), outcomes):
         noop = outs is entries
         replayed = 0 if noop else sum(map(is_not, outs, entries))
-        rows.append(_render_rows(d.fault_id, cells, entries, outs if replayed else entries))
-        site = counts.setdefault(d[1:3], [0, 0, 0, 0])  # (layer, parameter)
+        rows.append(_render_rows(fid, cells, entries, outs if replayed else entries))
+        site = counts.setdefault(code, [0, 0, 0, 0])
         site[0] += 1
         site[1] += noop
         site[2] += len(entries) - replayed
         site[3] += replayed
-    sites = {f"{layer}.{parameter.value}": dict(zip(_SITE_COUNTS, site))
-             for (layer, parameter), site in counts.items()}
+    sites = {f"{batch.sites[code][0]}.{batch.sites[code][1].value}": dict(zip(_SITE_COUNTS, site))
+             for code, site in counts.items()}
     return rows, sites, tally
 
 
-def _worker_run(batch: list[FaultDescriptor]):
+def _worker_run(batch: FaultTable):
     w = _WORKER
     return os.getpid(), _run_batch(w["net"], batch, w["dataset"], w["golden"], w["cells"])
 
@@ -823,7 +852,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     out_dir = Path(cfg.out_dir)  # checked before the golden run: a refused run writes nothing
     ckpt_path = out_dir / "checkpoint.txt"
     partial_path = out_dir / "outcomes.partial.csv"
-    valid_ids = {d.fault_id for d in fl.descriptors}
+    faults = fl.faults
 
     logged, sizes = array("Q"), array("Q")  # acknowledged fault ids in log order, their rows' bytes
     if not cfg.resume:
@@ -835,7 +864,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
         acked = _read_checkpoint(ckpt_path, binding)  # log bytes the checkpoint vouches for
         if not partial_path.exists():
             raise ResumeError("checkpoint exists but the partial outcome file is missing")
-        logged, sizes = _read_log(partial_path, acked, k, valid_ids)
+        logged, sizes = _read_log(partial_path, acked, k, faults.fault_id)
         os.truncate(partial_path, acked)  # unacknowledged rows are re-run, never appended to
     elif partial_path.exists() and partial_path.stat().st_size > 0:
         raise ResumeError(f"{partial_path} holds outcome rows but no checkpoint acknowledges them")
@@ -851,8 +880,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     write_golden(golden, golden_path)
     t_golden = time.monotonic()
 
-    done = set(logged)
-    pending = [d for d in fl.descriptors if d.fault_id not in done]
+    pending = faults
+    if logged:
+        pending = faults.take(np.flatnonzero(~np.isin(faults.fault_id, np.frombuffer(logged, np.uint64))))
     if limit is not None:
         pending = pending[: max(0, int(limit))]
 
@@ -896,7 +926,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                     for key, value in counts.items():
                         total[key] += value
                 pf.write("".join(rows))
-                logged.extend(d.fault_id for d in batch)
+                logged.frombytes(batch.fault_id.tobytes())
                 sizes.extend(map(len, rows))  # rendered rows are ASCII: a byte a character
                 pf.flush()
                 os.fsync(pf.fileno())
@@ -912,7 +942,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
                 pool.shutdown(cancel_futures=True)
     t_faults = time.monotonic()
 
-    status = "complete" if len(logged) == len(valid_ids) else "partial"
+    status = "complete" if len(logged) == len(faults) else "partial"
     outcomes_path = out_dir / "outcomes.csv" if status == "complete" else None
     if outcomes_path:  # the header, then each fault's run of log bytes in id order, unparsed
         log, lengths = memoryview(partial_path.read_bytes()), np.frombuffer(sizes, np.uint64)
@@ -928,7 +958,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     replayed = sum(c["replayed_pairs"] for c in sites.values())
     summary = {
         "status": status,
-        "faults_total": len(valid_ids),
+        "faults_total": len(faults),
         "faults_completed": len(logged),
         **binding,
         "workers": cfg.workers,
@@ -972,7 +1002,7 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     return CampaignResult(
         status=status,
         processed=len(pending),
-        total=len(valid_ids),
+        total=len(faults),
         wall_seconds=wall,
         out_dir=out_dir,
         golden_path=golden_path,

@@ -20,23 +20,39 @@ Fault-list CSV: `# seed=.. e=.. t=.. p=.. N=.. n=.. scope=.. rng=..` comment,
 a second comment with polarity/spike-mode/exhaustive switches, one
 `# universe <layer> <parameter> <dims>` comment per (layer, parameter) group,
 then a `fault_id,layer,parameter,coords,bit,stuck,mode` header and one row per
-fault with `;`-separated coords. UTF-8, LF line endings.
+fault with `;`-separated coords. UTF-8, LF line endings. A (layer,
+parameter) is declared once.
+
+A FaultList holds its faults as a ``faults.FaultTable``, one array per
+field, whose site codes index ``universe.entries``: generate_fault_list
+builds its columns from locate_all's arrays, and write_fault_list spells
+each distinct (site, coords) once. read_fault_list parses the comments a
+line at a time, then reads the rows FAULT_BLOCK_BYTES of whole lines at a
+time with array operations alone: LF and comma positions split each row
+into its seven fields, its ``layer,parameter`` bytes are compared with the
+declared entries' spellings to give its site code, coords are split at
+``;``, and integers come from digit arithmetic, leading zeros and 20-digit
+ids through 2**64 - 1 included. A block holding anything else, or ids that
+repeat, hands the rows to the per-line walk, which raises the first bad
+line's error, so the errors, their texts, lines and order are the walk's.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import zip_longest
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import FLOAT, INT, UINT64_MAX, read_lines, write_atomic
+from .dataio import FLOAT, INT, UINT64_MAX, write_atomic
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
-from .faults import FaultDescriptor, FaultMode, ParameterKind, check_addresses
+from .faults import FaultDescriptor, FaultMode, FaultTable, ParameterKind, Site, check_addresses
 
 RNG_ID = "np-pcg64-fy1"  # numpy PCG64 + the partial Fisher-Yates below
 BITS_PER_ELEMENT = 32
@@ -91,7 +107,7 @@ class UniverseEntry:
 
     @property
     def element_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def bit_count(self) -> int:
@@ -121,24 +137,25 @@ class FaultUniverse:
         if not 0 <= index < self.N:
             raise AddressError(f"universe index {index} outside 0..{self.N - 1}")
         (which,), (coords,), (bit,) = self.locate_all(np.array([index], dtype=np.int64))
-        return self.entries[which], coords, bit
+        entry = self.entries[which]
+        return entry, tuple(coords[: len(entry.shape)].tolist()), int(bit)
 
-    def locate_all(self, indices: np.ndarray) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    def locate_all(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """locate() for an int64 array of in-range universe indices, in one
-        pass: each index's position in ``entries``, element coords and bit.
-        The indices of one element share one coords tuple."""
+        pass: each index's position in ``entries``, its element coords as
+        uint64 [n, R] (R the largest rank, zeros past the entry's) and bit."""
         bases = np.array(self._bases, dtype=np.int64)
         which = np.searchsorted(bases, indices, side="right") - 1
         elems, bits = np.divmod(indices - bases[which], BITS_PER_ELEMENT)
-        coords: list[tuple[int, ...]] = [()] * len(indices)
+        coords = np.zeros((len(indices), max(len(e.shape) for e in self.entries)), np.uint64)
         for i, entry in enumerate(self.entries):
             at = np.flatnonzero(which == i)
-            own = elems[at]
-            found = zip(*(axis.tolist() for axis in np.unravel_index(own, entry.shape)))
-            shared: dict[int, tuple[int, ...]] = {}
-            for pos, elem, c in zip(at.tolist(), own.tolist(), found):
-                coords[pos] = shared.setdefault(elem, c)
-        return which.tolist(), coords, bits.tolist()
+            coords[at, : len(entry.shape)] = np.column_stack(np.unravel_index(elems[at], entry.shape))
+        return which, coords, bits
+
+    def sites(self) -> tuple[Site, ...]:
+        """Each entry's (layer, parameter): a FaultTable's site codes index it."""
+        return tuple((e.layer, e.parameter) for e in self.entries)
 
     def layer_spans(self) -> list[tuple[str, int, int]]:
         """(layer, base index, bit count) per layer, in layer order."""
@@ -211,14 +228,32 @@ def _draw_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-@dataclass
+@dataclass(init=False)
 class FaultList:
-    descriptors: list[FaultDescriptor]
+    """A fault list: its faults as a FaultTable whose site codes index
+    ``universe.entries`` first, and the header it is written with."""
+
+    faults: FaultTable
     universe: FaultUniverse
     spec: SamplingSpec
     n: int
-    polarity: str = "random"
-    spike_mode: str = "bit"
+    polarity: str
+    spike_mode: str
+
+    def __init__(self, descriptors: Sequence[FaultDescriptor], universe: FaultUniverse,
+                 spec: SamplingSpec, n: int, polarity: str = "random", spike_mode: str = "bit"):
+        sites = universe.sites()
+        if isinstance(descriptors, FaultTable) and descriptors.sites[: len(sites)] == sites:
+            self.faults = descriptors
+        else:
+            self.faults = FaultTable.from_rows(descriptors, sites)
+        self.universe, self.spec, self.n = universe, spec, n
+        self.polarity, self.spike_mode = polarity, spike_mode
+
+    @property
+    def descriptors(self) -> FaultTable:
+        """The faults as a read-only sequence of FaultDescriptor rows."""
+        return self.faults
 
 
 def generate_fault_list(
@@ -231,7 +266,7 @@ def generate_fault_list(
     """Draw a reproducible fault list.
 
     polarity: "random" draws stuck-at polarity per fault, "0"/"1" fix it, and
-    "both" emits two descriptors (stuck-at-0 and stuck-at-1) per sampled
+    "both" emits two faults (stuck-at-0 and stuck-at-1) per sampled
     location/bit. spike_mode "value" turns sampled spike faults into
     value-stuck faults (dead/saturated neurons) instead of bit faults.
     exhaustive specs enumerate every (location, bit) exactly once, ascending.
@@ -255,31 +290,19 @@ def generate_fault_list(
 
     which, coords, bits = universe.locate_all(indices)
     if polarity == "both":  # stuck-at-0, then stuck-at-1, per location/bit
-        which, coords, bits = ([x for x in xs for _ in (0, 1)] for xs in (which, coords, bits))
-        stucks = [0, 1] * len(indices)
+        which, coords, bits = (np.repeat(column, 2, axis=0) for column in (which, coords, bits))
+        stucks = np.tile(np.array([0, 1], np.uint8), len(indices))
     elif polarity == "random":
-        stucks = rng.integers(0, 2, size=len(indices)).tolist()
+        stucks = rng.integers(0, 2, size=len(indices))
     else:
-        stucks = [int(polarity)] * len(indices)
+        stucks = np.full(len(indices), int(polarity))
     entries = universe.entries
-    modes = [
-        FaultMode.VALUE_STUCK if spike_mode == "value" and e.parameter is ParameterKind.SPIKE
-        else FaultMode.BIT_STUCK
-        for e in entries
-    ]
-    descriptors = [
-        FaultDescriptor(fid, entries[w].layer, entries[w].parameter, c, b, s, modes[w])
-        for fid, (w, c, b, s) in enumerate(zip(which, coords, bits, stucks))
-    ]
-
-    return FaultList(
-        descriptors=descriptors,
-        universe=universe,
-        spec=spec,
-        n=len(descriptors),
-        polarity=polarity,
-        spike_mode=spike_mode,
-    )
+    ranks = np.array([len(e.shape) for e in entries], np.intp)
+    value = np.array([spike_mode == "value" and e.parameter is ParameterKind.SPIKE
+                      for e in entries])
+    faults = FaultTable(universe.sites(), np.arange(len(which), dtype=np.uint64), which, coords,
+                        ranks[which], bits.astype(np.uint8), stucks.astype(np.uint8), value[which])
+    return FaultList(faults, universe, spec, len(faults), polarity, spike_mode)
 
 
 _HEADER_COLUMNS = "fault_id,layer,parameter,coords,bit,stuck,mode"
@@ -291,8 +314,10 @@ _KINDS = "|".join(k.value for k in ParameterKind)
 # The enum members by value, looked up once per row instead of called.
 _KIND_BY_NAME = {k.value: k for k in ParameterKind}
 _MODE_BY_NAME = {m.value: m for m in FaultMode}
-# ... and back: a dict lookup is a fifth of an enum's .value property.
-_NAME_OF = {m: name for name, m in (*_KIND_BY_NAME.items(), *_MODE_BY_NAME.items())}
+_MODE_NAMES = ("bit", "value")  # by FaultTable.value
+# Fault-list body bytes read, checked and converted at once: about 1,900 rows
+# of the benchmark's recurrent net, and under 1 MiB of temporary arrays.
+FAULT_BLOCK_BYTES = 1 << 16
 _UNIVERSE_RE = re.compile(rf"^# universe (\S+) ({_KINDS}) ({INT}(?:x{INT})*)$")
 _FAULT_ROW = re.compile(
     rf"({INT}),([^,]*),({_KINDS}),({INT}(?:;{INT})*),({INT}),({INT}),"
@@ -306,6 +331,7 @@ def _entry_text(e: UniverseEntry | None) -> str:
 
 
 def write_fault_list(fl: FaultList, path) -> None:
+    faults = fl.faults
     lines = [
         f"# seed={fl.spec.seed} e={fl.spec.error_margin!r} t={fl.spec.quantile!r}"
         f" p={fl.spec.p!r} N={fl.universe.N} n={fl.n} scope={fl.spec.scope} rng={RNG_ID}",
@@ -314,13 +340,20 @@ def write_fault_list(fl: FaultList, path) -> None:
     ]
     lines += [f"# universe {_entry_text(e)}" for e in fl.universe.entries]
     lines.append(_HEADER_COLUMNS)
-    name = _NAME_OF
-    # faults share elements: spell each distinct coords tuple once
-    spelled = {c: ";".join(map(str, c)) for c in {d.coords for d in fl.descriptors}}
-    lines += [
-        f"{fid},{layer},{name[parameter]},{spelled[coords]},{bit},{stuck},{name[mode]}"
-        for fid, layer, parameter, coords, bit, stuck, mode in fl.descriptors
-    ]
+    # faults share elements: spell each distinct (site, coords) once, and
+    # each (bit, stuck, mode) once
+    keys = np.column_stack([faults.site, faults.rank, faults.coords]).astype(np.uint64)
+    width = keys.shape[1]
+    distinct, spelling = np.unique(keys.view(np.dtype((np.void, 8 * width))).ravel(),
+                                   return_inverse=True)  # a row a key: one sort, not R
+    sites = [f"{layer},{parameter.value}" for layer, parameter in faults.sites]
+    spelled = [f"{sites[site]},{';'.join(map(str, coords[:rank]))}"
+               for site, rank, *coords in distinct.view(np.uint64).reshape(-1, width).tolist()]
+    tails = [f"{bit},{stuck},{mode}" for bit in range(32) for stuck in (0, 1) for mode in _MODE_NAMES]
+    tail = (faults.bit.astype(np.intp) << 2) | (faults.stuck << 1) | faults.value
+    lines += map("{},{},{}".format, faults.fault_id.tolist(),
+                 map(spelled.__getitem__, spelling.ravel().tolist()),
+                 map(tails.__getitem__, tail.tolist()))
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -329,17 +362,32 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
 
     Malformed content raises a format error carrying the 1-based line number;
     a declared universe that is not the network's raises a compatibility
-    error naming the first entry that differs; descriptors the network cannot
+    error naming the first entry that differs; faults the network cannot
     address raise an address error naming the fault_id. Then a row whose
     (layer, parameter) no ``# universe`` comment declares, with or without a
     network, raises a format error with its line.
+
+    The rows are read a block at a time by ``_read_rows``; the per-line
+    walk ``_walk_rows`` reads them instead when a block is refused, so the
+    errors and their order do not depend on blocks (see the module doc).
     """
-    lines = read_lines(path, "fault list")
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"fault list is not UTF-8: {exc}") from None
+    if b"\r" in data:  # read as text files are: CRLF and a lone CR end a line
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     meta = None
     polarity, spike_mode, exhaustive = "random", "bit", False
     entries: list[UniverseEntry] = []
     row_start = None
-    for lineno, line in enumerate(lines, start=1):
+    pos = lineno = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        line, lineno, pos = data[pos:end].decode("utf-8"), lineno + 1, end + 1
         if not line.startswith("#"):
             if line != _HEADER_COLUMNS:
                 raise FormatError(f"expected header '{_HEADER_COLUMNS}'", line=lineno)
@@ -363,6 +411,8 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
             shape = tuple(int(d) for d in dims.split("x"))
             if any(d < 1 for d in shape):
                 raise FormatError(f"bad universe shape {dims}", line=lineno)
+            if any((e.layer, e.parameter.value) == (layer, pname) for e in entries):
+                raise FormatError(f"universe {layer} {pname} is declared twice", line=lineno)
             entries.append(UniverseEntry(layer, ParameterKind(pname), shape))
             continue
         raise FormatError("unrecognized comment line", line=lineno)
@@ -389,10 +439,166 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
             f"declared universe size {n_univ_s} != {universe.N} from universe comments"
         )
 
+    faults = _read_rows(data, pos, universe)
+    if faults is None:
+        faults = _walk_rows(data[pos:], row_start, universe.sites())
+    if len(faults) != int(n_s):
+        raise FormatError(f"header says n={n_s} but file has {len(faults)} rows")
+
+    if net is not None:
+        # entry by entry, or a report's percentages would be over another universe
+        own = enumerate_universe(net, {e.parameter for e in entries}).entries
+        for declared, actual in zip_longest(entries, own):
+            if declared != actual:
+                raise CompatibilityError(f"fault list's universe {_entry_text(declared)} is not"
+                                         f" the model's {_entry_text(actual)}")
+        check_addresses(net, faults)
+    outside = faults.site >= len(entries)
+    if outside.any():  # no report group would hold it
+        at = int(outside.argmax())
+        d = faults[at]
+        raise FormatError(f"fault {d.fault_id}: {d.layer} {d.parameter.value} is not in the"
+                          " list's universe", line=row_start + at)
+    return FaultList(faults, universe, spec, len(faults), polarity, spike_mode)
+
+
+def _read_rows(data: bytes, pos: int, universe: FaultUniverse) -> FaultTable | None:
+    """The fault rows of ``data[pos:]`` as a table, read FAULT_BLOCK_BYTES of
+    whole lines at a time, or None if a block holds a row that the walk
+    would refuse or read as another site, or a fault_id repeats."""
+    view = np.frombuffer(data, np.uint8)
+    entries = universe.entries
+    spellings = _spellings([f"{e.layer},{e.parameter.value}".encode() for e in entries])
+    value_ok = np.array([e.parameter is ParameterKind.SPIKE for e in entries])
+    rank = max(len(e.shape) for e in entries)
+    blocks = []
+    while pos < len(data):
+        end = data.rfind(b"\n", pos, pos + FAULT_BLOCK_BYTES) + 1
+        if end <= pos:  # a line longer than a block: take it whole
+            end = data.find(b"\n", pos) + 1 or len(data)
+        block = _block_columns(view[pos:end], spellings, value_ok, rank)
+        if block is None:
+            return None
+        blocks.append(block)
+        pos = end
+    if not blocks:
+        return FaultTable.from_rows((), universe.sites())
+    columns = blocks[0]
+    if len(blocks) > 1:
+        width = max(block[2].shape[1] for block in blocks)  # past ``rank`` only without a network
+        columns = [np.concatenate(parts) for parts in zip(*(
+            (*block[:2], np.pad(block[2], ((0, 0), (0, width - block[2].shape[1]))), *block[3:])
+            for block in blocks))]
+    ids = np.sort(columns[0])
+    if (ids[1:] == ids[:-1]).any():
+        return None
+    return FaultTable(universe.sites(), *columns)
+
+
+_LF, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
+_DIGITS = 20  # the most an integer field may have: UINT64_MAX has 20
+_POW19 = np.uint64(10**19)
+
+
+def _spellings(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``texts`` as _codes compares them, each [width, k, 1]: the texts down
+    columns, and where each has ended; and their lengths, [k, 1]."""
+    width = max(map(len, texts))
+    padded = np.frombuffer(b"".join(t.ljust(width) for t in texts), np.uint8)
+    lengths = np.array([len(t) for t in texts])[:, None]
+    ended = np.arange(width) >= lengths
+    return padded.reshape(len(texts), width).T[:, :, None], ended.T[:, :, None], lengths
+
+
+def _codes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, spellings) -> np.ndarray:
+    """Each field ``p[lo:hi]``'s index in the texts of ``spellings``, -1 if none."""
+    texts, ended, lengths = spellings
+    heads = p[lo + np.arange(len(texts))[:, None]]  # each field's first bytes, down a column
+    match = ((heads[:, None] == texts) | ended).all(axis=0) & (hi - lo == lengths)
+    return np.where(match.any(axis=0), match.argmax(axis=0), -1)
+
+
+def _block_columns(b: np.ndarray, spellings, value_ok: np.ndarray, rank: int) -> tuple | None:
+    """A block of whole fault rows as FaultTable's columns from fault_id on,
+    coords at least ``rank`` wide, or None if a row is not one the walk
+    reads into a FaultDescriptor whose (layer, parameter) spelling is in
+    ``spellings``. Its last row may lack its LF only where the file ends."""
+    nl = (b == _LF).nonzero()[0]
+    if not len(nl) or nl[-1] != len(b) - 1:
+        nl = np.append(nl, len(b))
+    rows = len(nl)
+    comma = (b == _COMMA).nonzero()[0]
+    if len(comma) != 6 * rows:
+        return None
+    comma = comma.reshape(rows, 6).T
+    start = np.concatenate(([0], nl[:-1] + 1))
+    if ((comma[0] < start) | (comma[5] > nl)).any():  # six commas on every line
+        return None
+    # the block and room after it: a field's first bytes may run past its
+    # end, and the 20 before a field at its start wrap round into the room
+    p = np.concatenate((b, np.zeros(max(_DIGITS, len(spellings[0])), np.uint8)))
+    site = _codes(p, comma[0] + 1, comma[2], spellings)
+    value = _codes(p, comma[5] + 1, nl, _MODE_SPELLINGS)
+    if (np.minimum(site, value) < 0).any() or (value > value_ok[site]).any():
+        return None
+    semi = (b == _SEMICOLON).nonzero()[0]
+    line = np.searchsorted(nl, semi)  # the line each ';' is on: it must split its coords
+    if ((semi <= comma[2, line]) | (semi >= comma[3, line])).any():
+        return None
+    ranks = 1 + np.bincount(line, minlength=rows)
+    # the integer fields: fault_id, bit and stuck of every row, then the coords in row order
+    lo = np.concatenate([start, comma[3] + 1, comma[4] + 1,
+                         np.sort(np.concatenate([comma[2] + 1, semi + 1]))])
+    hi = np.concatenate([comma[0], comma[4], comma[5], np.sort(np.concatenate([semi, comma[3]]))])
+    ints = _uint64s(p, lo, hi)
+    if ints is None:
+        return None
+    fault_id, bit, stuck = ints[:rows], ints[rows : 2 * rows], ints[2 * rows : 3 * rows]
+    if ((bit > 31) | (stuck > 1)).any():
+        return None
+    owner = np.repeat(np.arange(rows), ranks)
+    coords = np.zeros((rows, max(rank, int(ranks.max()))), np.uint64)
+    coords[owner, np.arange(len(owner)) - (np.cumsum(ranks) - ranks)[owner]] = ints[3 * rows :]
+    return fault_id, site, coords, ranks, bit.astype(np.uint8), stuck.astype(np.uint8), value == 1
+
+
+_MODE_SPELLINGS = _spellings([name.encode() for name in _MODE_NAMES])
+
+
+def _uint64s(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The decimal fields ``p[lo:hi]`` as uint64, or None if one is empty,
+    longer than 20 characters, not all ASCII digits, or above UINT64_MAX."""
+    n = hi - lo
+    width = int(n.max())
+    if n.min() < 1 or width > _DIGITS:
+        return None
+    j = np.arange(width)[:, None]
+    digits = p[hi + (j - width)] - np.uint8(_ZERO)  # right-aligned, a column per field
+    digits *= j >= width - n  # the bytes before a field are its leading zeros
+    if (digits > 9).any():
+        return None
+    value = np.zeros(len(n), np.uint64)
+    for row in digits[-19:]:  # Horner's rule below 10**19: no overflow
+        value *= np.uint64(10)
+        value += row
+    if width < _DIGITS:
+        return value
+    high = digits[0]  # the digit of 10**19
+    if (high > 1).any() or (value[high == 1] > UINT64_MAX - 10**19).any():
+        return None
+    return value + high * _POW19
+
+
+def _walk_rows(body: bytes, row_start: int, sites: tuple[Site, ...]) -> FaultTable:
+    """The rows read a line at a time: the first bad line's FormatError, or
+    the table, whose sites gain any (layer, parameter) the rows add."""
+    lines = body.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     descriptors: list[FaultDescriptor] = []
     seen_ids: set[int] = set()
     shared: dict[str, tuple[int, ...]] = {}  # one coords tuple per spelling
-    for lineno, line in enumerate(lines[row_start - 1 :], start=row_start):
+    for lineno, line in enumerate(lines, start=row_start):
         m = _FAULT_ROW.fullmatch(line)
         if m is None:
             raise FormatError("malformed fault row", line=lineno)
@@ -406,35 +612,12 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
         coords = shared.get(coords_s)
         if coords is None:
             coords = shared[coords_s] = tuple(map(int, coords_s.split(";")))
+        if max(coords) > UINT64_MAX:
+            raise FormatError(f"coords {coords_s} hold a value above 2**64 - 1", line=lineno)
         try:
             d = FaultDescriptor(fid, layer, _KIND_BY_NAME[pname], coords, int(bit_s),
                                 int(stuck_s), _MODE_BY_NAME[mode_s])
         except SnnFaultError as exc:  # descriptor invariants (bit range, mode legality)
             raise FormatError(str(exc), line=lineno) from None
         descriptors.append(d)
-
-    if len(descriptors) != int(n_s):
-        raise FormatError(f"header says n={n_s} but file has {len(descriptors)} rows")
-
-    if net is not None:
-        # entry by entry, or a report's percentages would be over another universe
-        own = enumerate_universe(net, {e.parameter for e in entries}).entries
-        for declared, actual in zip_longest(entries, own):
-            if declared != actual:
-                raise CompatibilityError(f"fault list's universe {_entry_text(declared)} is not"
-                                         f" the model's {_entry_text(actual)}")
-        check_addresses(net, descriptors)
-    declared = {(e.layer, e.parameter) for e in entries}
-    for at, d in enumerate(descriptors):
-        if (d.layer, d.parameter) not in declared:  # no report group would hold it
-            raise FormatError(f"fault {d.fault_id}: {d.layer} {d.parameter.value} is not in the"
-                              " list's universe", line=row_start + at)
-
-    return FaultList(
-        descriptors=descriptors,
-        universe=universe,
-        spec=spec,
-        n=len(descriptors),
-        polarity=polarity,
-        spike_mode=spike_mode,
-    )
+    return FaultTable.from_rows(descriptors, sites)

@@ -12,12 +12,18 @@ neuron) instead of twiddling its encoding. Every injection goes
 through ``pin_bits``, which applies a fault as a (keep, force) pair of masks
 on binary32 patterns, so one call can pin a different fault in each column
 of an array.
+
+Faults cross the pipeline as a ``FaultTable``: one array per field, a fault
+a row. Its rows read as ``FaultDescriptor`` tuples, built only when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from operator import eq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +98,83 @@ class FaultDescriptor(_FaultFields):
         return type(self)(**{**self._asdict(), **changes})
 
 
+Site = tuple[str, ParameterKind]  # a (layer, parameter) that faults address
+_MODES = (FaultMode.BIT_STUCK, FaultMode.VALUE_STUCK)  # by FaultTable.value
+
+
+@dataclass(frozen=True, eq=False)
+class FaultTable(Sequence[FaultDescriptor]):
+    """Faults as columns, one row per fault: ``fault_id`` (uint64), ``site``
+    (intp, an index into ``sites``), ``coords`` (uint64 [n, R], each row's
+    ``rank`` leading values its coords, zeros after), ``bit``, ``stuck`` and
+    ``value`` (uint8, uint8, bool: value-stuck mode). Every row holds a
+    FaultDescriptor's invariants. As a sequence it yields FaultDescriptor
+    rows, built as they are read; a slice is a table, and two sequences of
+    equal rows are equal."""
+
+    sites: tuple[Site, ...]
+    fault_id: np.ndarray
+    site: np.ndarray
+    coords: np.ndarray
+    rank: np.ndarray
+    bit: np.ndarray
+    stuck: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[FaultDescriptor], sites: Sequence[Site] = ()) -> FaultTable:
+        """The columns of FaultDescriptor rows; ``sites`` gains each (layer,
+        parameter) it lacks, in first-seen order."""
+        rows = list(rows)
+        code = {site: i for i, site in enumerate(sites)}
+        at = [code.setdefault((d.layer, d.parameter), len(code)) for d in rows]
+        ranks = [len(d.coords) for d in rows]
+        coords = np.zeros((len(rows), max(ranks, default=1)), np.uint64)
+        for i, d in enumerate(rows):
+            coords[i, : ranks[i]] = d.coords
+        return cls(tuple(code), np.array([d.fault_id for d in rows], np.uint64),
+                   np.array(at, np.intp), coords, np.array(ranks, np.intp),
+                   np.array([d.bit for d in rows], np.uint8),
+                   np.array([d.stuck for d in rows], np.uint8),
+                   np.array([d.mode is FaultMode.VALUE_STUCK for d in rows], bool))
+
+    def take(self, at) -> FaultTable:
+        """The rows at positions ``at`` (an index array or a slice), as a table."""
+        return FaultTable(self.sites, *(column[at] for column in (
+            self.fault_id, self.site, self.coords, self.rank, self.bit, self.stuck, self.value)))
+
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (keep, force) masks of pin_bits, as fault_masks gives them."""
+        one = np.left_shift(np.uint32(1), self.bit, dtype=np.uint32)
+        stuck = self.stuck.astype(bool)
+        keep = np.where(self.value, np.uint32(0), np.where(stuck, ~np.uint32(0), ~one))
+        force = np.where(self.value, np.float32(1).view(np.uint32), one) * stuck
+        return keep.astype(np.uint32), force.astype(np.uint32)
+
+    def __len__(self) -> int:
+        return len(self.fault_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return next(iter(self.take([i])))
+
+    def __iter__(self) -> Iterator[FaultDescriptor]:
+        # rows already hold the invariants: _make skips the constructor's checks
+        sites, make = self.sites, FaultDescriptor._make
+        for fid, s, coords, rank, bit, stuck, value in zip(
+                self.fault_id.tolist(), self.site.tolist(), self.coords.tolist(),
+                self.rank.tolist(), self.bit.tolist(), self.stuck.tolist(), self.value.tolist()):
+            yield make((fid, *sites[s], tuple(coords[:rank]), bit, stuck, _MODES[value]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
 def apply_bit_stuck(value, bit: int, stuck: int) -> np.float32:
     """Pin one bit of a binary32 value. Total over all values, NaN/Inf included.
 
@@ -154,41 +237,43 @@ def target_tensor(net: Network, d: FaultDescriptor) -> np.ndarray:
     return tensor
 
 
-def check_addresses(
-    net: Network, faults: Sequence[FaultDescriptor]
-) -> dict[tuple[str, ParameterKind], tuple[np.ndarray, np.ndarray]]:
-    """Raise an AddressError naming the fault for the first descriptor that
-    ``net`` cannot address; else return, per (layer, parameter), its faults'
-    positions in ``faults`` and their coords stacked, [n, ndim].
+def check_addresses(net: Network, faults: FaultTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Raise an AddressError naming the fault for the first row that ``net``
+    cannot address; else return, per site code in first-seen order, its
+    rows' positions in ``faults`` and their coords, [n, ndim] intp.
 
-    A group's shape is resolved once, by target_tensor on its first fault,
-    and all its coords are checked against it in one comparison. On a miss,
-    the faults go through target_tensor in order, and the first one it
-    refuses raises its error."""
-    positions: dict[tuple[str, ParameterKind], list[int]] = {}
-    for at, d in enumerate(faults):
-        positions.setdefault(d[1:3], []).append(at)  # (layer, parameter)
-    groups = {}
-    for (layer, parameter), at in positions.items():
+    Each site's shape is resolved once, by target_tensor on its first row
+    (the one row built), and every row's rank and coords are checked against
+    its site's in one comparison. On a miss, the rows go through
+    target_tensor in order, and the first one it refuses raises its error."""
+    codes, first = np.unique(faults.site, return_index=True)
+    bound = np.ones((len(codes), faults.coords.shape[1]), np.uint64)  # past a rank, coords are 0
+    ranks = np.zeros(len(codes), np.intp)
+    for i, at in enumerate(first.tolist()):
         try:
-            tensor = target_tensor(net, faults[at[0]])
-            # coords of differing lengths raise ValueError, one past int64 OverflowError
-            coords = np.array([faults[i].coords for i in at], np.intp)
-        except (AddressError, ValueError, OverflowError):
+            d = faults[at]
+            tensor = target_tensor(net, d)
+        except AddressError:
             break
-        shape = net.shapes[layer] if parameter.is_dynamic else tensor.shape
-        # coords are never negative, so >= is the whole bounds check
-        if coords.shape[1] != len(shape) or (coords >= shape).any():
-            break
-        groups[layer, parameter] = np.array(at), coords
+        shape = net.shapes[d.layer] if d.parameter.is_dynamic else tensor.shape
+        ranks[i] = len(shape)
+        bound[i, : len(shape)] = shape[: bound.shape[1]]  # a longer shape fails on rank
     else:
-        return groups
+        which = np.searchsorted(codes, faults.site)
+        if not ((faults.rank != ranks[which]).any() or (faults.coords >= bound[which]).any()):
+            rows = np.argsort(which, kind="stable")  # each site's rows, in order
+            ends = np.cumsum(np.bincount(which, minlength=len(codes)))
+            groups = {}
+            for i in np.argsort(first).tolist():
+                at = rows[ends[i - 1] if i else 0 : ends[i]]
+                groups[int(codes[i])] = at, faults.coords[at, : ranks[i]].astype(np.intp)
+            return groups
     for d in faults:
         try:
             target_tensor(net, d)
         except AddressError as exc:
             raise AddressError(f"fault {d.fault_id}: {exc}") from None
-    raise AssertionError("a group of faults missed its shape, yet every fault resolves")
+    raise AssertionError("a site's faults missed its shape, yet every fault resolves")
 
 
 def inject_static(net: Network, d: FaultDescriptor) -> None:

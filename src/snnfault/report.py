@@ -10,8 +10,9 @@ percentages of a row always sum to 100 (up to float rounding).
 Renderers are deterministic: csv and json carry identical full-precision
 numbers; the text table shows the same rows at two decimals.
 
-aggregate works on an outcome table's columns (campaign.Outcomes) with array
-operations: ids become fault-list and golden positions by searchsorted,
+aggregate works on an outcome table's columns (campaign.Outcomes) and the
+fault list's (faults.FaultTable) with array operations: a fault's group is
+its site code, ids become fault-list and golden positions by searchsorted,
 golden columns are compared as bit patterns, coverage is one bincount over
 the (fault, input) pairs, classes come from classify.classify_patterns, the
 vectorized twin of the scalar oracle classify_pair, and the counts are one
@@ -99,17 +100,17 @@ def aggregate(
     o = outcomes if isinstance(outcomes, Outcomes) else Outcomes.from_rows(outcomes)
     element_counts = universe.element_counts()
 
-    # each descriptor's (layer, parameter) group, numbered in first-seen order
-    group_of: dict = {}
-    groups = np.fromiter((group_of.setdefault((d.layer, d.parameter), len(group_of))
-                          for d in fl.descriptors), np.intp, len(fl.descriptors))
-    # each fault id's position among the descriptors: first-seen order, a repeated id its last
-    fault_at = {d.fault_id: at for at, d in enumerate(fl.descriptors)}
-    fault_ids = np.fromiter(fault_at, np.uint64, len(fault_at))
-    fault_group = groups[np.fromiter(fault_at.values(), np.intp, len(fault_at))]
+    # a fault's group is its site code; each distinct fault id in first-seen
+    # order, and the group of the id's last row
+    faults = fl.faults
+    groups = faults.site
+    ids, first = np.unique(faults.fault_id, return_index=True)
+    _, last = np.unique(faults.fault_id[::-1], return_index=True)
+    order = np.argsort(first)
+    fault_ids, fault_group = ids[order], groups[len(groups) - 1 - last[order]]
     row_group = fault_group[_checked_fault_positions(o, fault_ids, golden.by_id())]
 
-    names = [(layer, parameter.value) for layer, parameter in group_of]
+    names = [(layer, parameter.value) for layer, parameter in faults.sites]
     absent = [g for g, key in enumerate(names) if key not in element_counts]
     if absent:
         stray = row_group[np.isin(row_group, absent)]
@@ -142,7 +143,7 @@ def aggregate(
         network=GroupStats(
             layer="network",
             parameter="all",
-            injected=len(fl.descriptors),
+            injected=len(faults),
             injectable=universe.total_elements,
             pairs=len(o),
             counts=_class_counts(counts.sum(axis=0)),

@@ -58,7 +58,8 @@ from snnfault.faultlist import (
     read_fault_list,
     write_fault_list,
 )
-from snnfault.faults import FaultDescriptor, FaultMode, ParameterKind
+from snnfault.faults import FaultDescriptor, FaultMode, FaultTable, ParameterKind
+from snnfault.report import aggregate
 
 ARCH = "FC(6->5)-LIF-FC(5->3)-LIF"
 T = 6
@@ -1218,7 +1219,7 @@ def test_rows_round_trip_bit_exact(tmp_path_factory, faults, vectors):
         lines += campaign._render_rows(fid, cells, golden, faulty).splitlines()
     log = d / "outcomes.partial.csv"
     log.write_text("".join(line + "\n" for line in lines))
-    ids, sizes = campaign._read_log(log, log.stat().st_size, 2, set(faults))
+    ids, sizes = campaign._read_log(log, log.stat().st_size, 2, np.array([*faults], np.uint64))
     runs = ["".join(line + "\n" for line in lines[2 * i : 2 * i + 2]) for i in range(len(faults))]
     assert (list(ids), list(sizes)) == (list(faults), [len(run.encode()) for run in runs])
     (d / "outcomes.csv").write_text("\n".join([OUTCOME_HEADER, *lines]) + "\n")
@@ -1821,7 +1822,7 @@ def test_sign_bit_spike_fault_is_replayed(workdir):
     assert silent.any()  # inputs whose only difference is -0.0
     d = FaultDescriptor(0, "lif1", ParameterKind.SPIKE, (0,), 31, 1)
     cells = campaign._golden_cells(golden.entries)
-    _, sites, _ = campaign._run_batch(net, [d], ds, golden, cells)
+    _, sites, _ = campaign._run_batch(net, FaultTable.from_rows([d]), ds, golden, cells)
     assert sites == {"lif1.spike": {"faults": 1, "noop_faults": 0, "screened_pairs": 0,
                                     "replayed_pairs": len(golden.entries)}}
 
@@ -1971,3 +1972,85 @@ def test_forward_runs_only_for_diverging_faults(workdir, monkeypatch):
     tally = {}
     run_faulty(net, [masked], ds, golden, tally)  # screened, and nothing to replay
     assert tally["replay_forwards"] == 0 == tally["replay_seconds"] < tally["screen_seconds"]
+
+
+# -- the fault table crosses the pipeline without a row per fault -----------------
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """Counts FaultDescriptors built: by the checked constructor, or by
+    ``_make``, through which a FaultTable's row view builds them."""
+    built = Counter()
+    new, make = FaultDescriptor.__new__, FaultDescriptor._make.__func__
+
+    def counted_new(cls, *args, **kw):
+        built["rows"] += 1
+        return new(cls, *args, **kw)
+
+    def counted_make(cls, iterable):
+        built["rows"] += 1
+        return make(cls, iterable)
+
+    monkeypatch.setattr(FaultDescriptor, "__new__", counted_new)
+    monkeypatch.setattr(FaultDescriptor, "_make", classmethod(counted_make))
+    return built
+
+
+def test_the_pipeline_builds_no_row_per_fault(workdir, rows_built):
+    """generate_fault_list and write_fault_list, and aggregate, build no
+    FaultDescriptor; run_campaign(limit=0) builds one per site its list
+    addresses (check_addresses resolves each site's tensor through
+    target_tensor on the site's first row), however many faults it holds."""
+    d, net, ds, fl = workdir
+    write_fault_list(generate_fault_list(net, SamplingSpec(0.2, 2.576, seed=33), POINTS),
+                     d / "fl_guard.csv")
+    assert rows_built["rows"] == 0
+    assert (d / "fl_guard.csv").read_bytes() == (d / "fl.csv").read_bytes()
+    run_campaign(cfg_for(workdir, "guard_plan"), limit=0)
+    assert rows_built["rows"] == len(set(fl.faults.site.tolist())) < fl.n
+    done = run_campaign(cfg_for(workdir, "guard_run"))
+    rows_built.clear()
+    aggregate(read_outcomes(done.outcomes_path), read_golden(done.golden_path), fl)
+    assert rows_built["rows"] == 0
+
+
+RFC_BENCH_ARCH = "RFC(32->32)-LIF-FC(32->10)-LIF"
+RFC_POINTS = {ParameterKind.WEIGHT, ParameterKind.BIAS, ParameterKind.FEEDBACK_WEIGHT,
+              ParameterKind.FEEDBACK_BIAS}
+
+
+@pytest.fixture(scope="module")
+def rfc_workdir(tmp_path_factory):
+    """The recurrent benchmark net's shape with its full 13,685-fault list, K=2."""
+    d = tmp_path_factory.mktemp("rfc")
+    net = synth_model(seed=41, arch=RFC_BENCH_ARCH, timesteps=T)
+    save_model(net, d / "m.sjm")
+    save_dataset(synth_dataset(seed=42, samples=2, timesteps=T, shape=(32,), classes=10,
+                               firing_rate=0.3), d / "d.sjd")
+    fl = generate_fault_list(net, SamplingSpec(0.01, 2.576, seed=43), RFC_POINTS)
+    write_fault_list(fl, d / "fl.csv")
+    return d, net, None, fl
+
+
+def test_resume_against_a_13685_fault_list(rfc_workdir):
+    """A run cut after 5,000 of 13,685 faults resumes to the bytes of a
+    straight run; the log's ids are checked against the list's id column,
+    and an id past it is still named."""
+    assert rfc_workdir[3].n == 13_685
+    straight = run_campaign(cfg_for(rfc_workdir, "straight"))
+    cut = run_campaign(cfg_for(rfc_workdir, "cut", checkpoint_every=1000), limit=5000)
+    assert (cut.status, cut.processed) == ("partial", 5000)
+    resumed = run_campaign(cfg_for(rfc_workdir, "cut", resume=True))
+    assert (resumed.status, resumed.processed) == ("complete", 13_685 - 5000)
+    assert resumed.outcomes_path.read_bytes() == straight.outcomes_path.read_bytes()
+
+    out = rfc_workdir[0] / "cut"
+    partial = out / "outcomes.partial.csv"
+    run = [ln for ln in partial.read_text().splitlines() if ln.startswith("13684,")]
+    (out / "outcomes.csv").unlink()
+    with open(partial, "a") as f:
+        f.writelines("13685" + ln[ln.index(","):] + "\n" for ln in run)
+    _acknowledge_whole_log(out)
+    with pytest.raises(ResumeError, match="names unknown fault 13685$"):
+        run_campaign(cfg_for(rfc_workdir, "cut", resume=True))

@@ -16,6 +16,8 @@ import hashlib
 import itertools
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
+from snnfault import faultlist
 from snnfault.core import Network
 from snnfault.dataio import synth_model
 from snnfault.errors import AddressError, CompatibilityError, FormatError
@@ -718,3 +721,117 @@ def test_read_names_the_first_of_two_bad_rows(tmp_path, first, second):
     _write_lines(p, lines)
     with pytest.raises(FormatError, match=rf"\(line {i + 1}\)$"):
         read_fault_list(p)
+
+
+@pytest.mark.parametrize("net_given", [False, True], ids=["alone", "with-network"])
+def test_read_refuses_a_universe_declared_twice(tmp_path, net_given):
+    """A repeated ``# universe`` entry would inflate N and make a row's site
+    ambiguous: the reader refuses it on the repeat's line, network or not."""
+    net, lines = _valid_lines(tmp_path)
+    lines = _with_universe(lines, lambda u: [*u[:2], u[1], *u[2:]])
+    assert lines[3] == lines[4] == "# universe fc1 bias 5"
+    p = tmp_path / "twice.csv"
+    _write_lines(p, lines)
+    with pytest.raises(FormatError, match=r"^universe fc1 bias is declared twice \(line 5\)$"):
+        read_fault_list(p, net if net_given else None)
+
+
+def _columns(faults):
+    """A FaultTable's columns, coords cut to the widest rank."""
+    width = int(faults.rank.max(initial=1))
+    return (faults.sites, faults.fault_id.tolist(), faults.site.tolist(),
+            faults.coords[:, :width].tolist(), faults.rank.tolist(), faults.bit.tolist(),
+            faults.stuck.tolist(), faults.value.tolist())
+
+
+def _walked(path, net=None):
+    """read_fault_list with its rows read by the per-line walk alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faultlist, "_read_rows", lambda *args: None)
+        return read_fault_list(path, net)
+
+
+@pytest.mark.parametrize("name", PINNED_LISTS)
+def test_pinned_lists_read_back_as_their_columns(tmp_path, name):
+    """Each pinned list reads back through the block reader with the
+    columns it was written from, and its row view is the walk's rows."""
+    _, fl = _pinned_list(name)
+    write_fault_list(fl, tmp_path / "fl.csv")
+    back = read_fault_list(tmp_path / "fl.csv", synth_model(1, PINNED_LISTS[name][0], 4))
+    assert _columns(back.faults) == _columns(fl.faults)
+    assert list(back.descriptors) == list(_walked(tmp_path / "fl.csv").descriptors)
+
+
+# Fault-list bodies for the property below: universe entries over a few
+# layer spellings (one not ASCII), rows with leading zeros, ids up to
+# 2**64 - 1 and coords of any rank, which only a network would refuse.
+_LAYERS = ("fc1", "lif1", "ünï字", "r")
+_ENTRY = st.tuples(st.sampled_from(_LAYERS), st.sampled_from(list(ParameterKind)),
+                   st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+
+def _spelled(value, zeros):
+    """``value`` with leading zeros, as many as fit the 20 digits a field may hold."""
+    return "0" * min(zeros, 20 - len(str(value))) + str(value)
+
+
+@st.composite
+def _fault_lists(draw):
+    entries = draw(st.lists(_ENTRY, min_size=1, max_size=4, unique_by=lambda e: e[:2]))
+    spike_mode = draw(st.sampled_from(["bit", "value"]))
+    ids = draw(st.lists(st.one_of(st.integers(0, 50), st.just(2**64 - 1),
+                                  st.integers(0, 2**64 - 1)), max_size=12, unique=True))
+    rows = []
+    for fid in ids:
+        layer, parameter, shape = draw(st.sampled_from(entries))
+        coords = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))  # any rank
+        value = spike_mode == "value" and parameter is ParameterKind.SPIKE and draw(st.booleans())
+        zeros = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+        rows.append(",".join([
+            _spelled(fid, zeros[0]), layer, parameter.value,
+            ";".join(_spelled(c, zeros[1]) for c in coords), _spelled(draw(st.integers(0, 31)), zeros[2]),
+            _spelled(draw(st.integers(0, 1)), zeros[3]), "value" if value else "bit"]))
+    n_universe = sum(32 * math.prod(shape) for _, _, shape in entries)
+    head = [f"# seed=0 e=0.5 t=2.576 p=0.5 N={n_universe} n={len(rows)} scope=network rng=x",
+            f"# polarity=random spike_mode={spike_mode} exhaustive=0",
+            *(f"# universe {layer} {parameter.value} {'x'.join(map(str, shape))}"
+              for layer, parameter, shape in entries),
+            "fault_id,layer,parameter,coords,bit,stuck,mode"]
+    return "".join(line + "\n" for line in head + rows).encode()
+
+
+def _outcome(path, read=read_fault_list):
+    try:
+        return _columns(read(path).faults)
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+@given(_fault_lists(), st.integers(0, 2**16), st.sampled_from(b"0159,;\n\r xa-\x00\xc3"),
+       st.sampled_from(["replace", "insert", "delete", "none"]))
+def test_block_reader_and_walk_agree(text, at, byte, how):
+    """A valid list, or one with a byte replaced, inserted or deleted: the
+    block reader gives the walk's columns, or the walk's error, text and
+    line, and refuses a block only where the walk refuses it or finds a site
+    outside the universe."""
+    if how != "none":
+        body = text.index(b"fault_id,")  # mutate past the sampling comment
+        at = body + at % max(1, len(text) - body)
+        cut = at + (how != "insert")
+        text = text[:at] + (b"" if how == "delete" else bytes([byte])) + text[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fl.csv"
+        path.write_bytes(text)
+        blocked, walked = _outcome(path), _outcome(path, _walked)
+    assert blocked == walked
+    if how == "none":
+        assert isinstance(blocked[0], tuple)  # a valid list reads
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 16])
+def test_blocks_of_any_size_read_the_same_columns(tmp_path, monkeypatch, block_bytes):
+    """Rows split across blocks, down to a line a block, join to one table."""
+    _, fl = _pinned_list("conv")
+    write_fault_list(fl, tmp_path / "fl.csv")
+    monkeypatch.setattr(faultlist, "FAULT_BLOCK_BYTES", block_bytes)
+    assert _columns(read_fault_list(tmp_path / "fl.csv").faults) == _columns(fl.faults)
