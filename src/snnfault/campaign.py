@@ -143,14 +143,7 @@ from .dataio import (
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
-from .faults import (
-    FaultDescriptor,
-    FaultTable,
-    ParameterKind,
-    check_addresses,
-    pin_bits,
-    pin_hook,
-)
+from .faults import FaultDescriptor, FaultTable, ParameterKind, check_addresses, pin_bits, pin_hook
 # Not called here; bench/tracing.py patches all three by name (ROADMAP item 7).
 from .faults import inject_static, make_refresh_hook, target_tensor  # noqa: F401
 from .faultlist import read_fault_list
@@ -424,8 +417,7 @@ def _screen(net: Network, dataset: SpikeDataset, golden: GoldenReference, lif_at
         pins = {}  # state kind -> per-column (keep, force) masks
         keep, force = faults.masks()
         for code, (layer, parameter) in enumerate(faults.sites):
-            own = np.flatnonzero(faults.site == code)
-            if layer != lif.name or not own.size:
+            if layer != lif.name or not (own := np.flatnonzero(faults.site == code)).size:
                 continue
             if parameter.is_static:  # each fault's column, whole
                 cells = (1,) * (columns[parameter.value].ndim - 1)
