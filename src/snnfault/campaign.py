@@ -81,14 +81,19 @@ authoritative, plus a human-readable rendering). The golden cells are
 rendered once per input, and only a replayed input's faulty score per row.
 Golden CSV: one row per input with top class, top score, and the full score
 vector as ``;``-joined hex patterns. Each row format is one compiled pattern
-below, written in dataio's sub-patterns; the readers take their fields from
-its match. ``read_outcomes`` returns an ``Outcomes`` table: ids and classes
-as uint64 columns (an integer above ``UINT64_MAX`` is a format error) and
-the top scores as uint32 bit patterns. It reads ``OUTCOME_BLOCK_ROWS`` rows
-at a time, each block checked and split into columns by one ``findall`` of
-the row pattern, so it holds the columns and one block, never an object per
-row, and joins them a column at a time. A block that fails is handed to the
-row-at-a-time walk over the whole file, which names the first bad line.
+below, written in dataio's sub-patterns. ``read_golden`` takes a row's
+fields from its match. ``read_outcomes`` returns an ``Outcomes`` table: ids
+and classes as uint64 columns (an integer above ``UINT64_MAX`` is a format
+error) and the top scores as uint32 bit patterns. It counts the rows, then
+reads them through dataio's bulk row reader a block of whole lines at a
+time (``_outcome_block``), each block decoded straight into its place in
+columns of that size, so it holds the columns and one block, never an
+object per row. Resume reads the log's acknowledged bytes through the same
+blocks, verbatim and never held as text: it keeps each fault's id, first
+byte and line, and checks the ids, the runs and each fault's inputs with
+array operations. A block that either reader refuses goes to its walk, a
+line at a time, the only user of the outcome-row pattern, which names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from operator import is_not
 from pathlib import Path
 from typing import NoReturn
@@ -134,12 +139,16 @@ from .dataio import (
     SpikeDataset,
     f32_to_hex,
     file_sha256,
+    hex32s,
+    line_blocks,
     load_dataset,
     load_model,
     parse_score,
     read_lines,
     render_score,
+    split_rows,
     temporary_of,
+    uint64s,
     write_atomic,
 )
 from .errors import FormatError, ResumeError, WorkerError
@@ -154,12 +163,8 @@ GOLDEN_HEADER = "input_id,top_class,top_score,scores"
 _ATOMIC_OUTPUTS = ("golden.csv", "checkpoint.txt", "outcomes.csv", "campaign.json")
 # campaign.json's counts per layer.parameter site
 _SITE_COUNTS = ("faults", "noop_faults", "screened_pairs", "replayed_pairs")
-# An outcome row, its integers and scores' hex halves, anchored at a line's
-# ends: findall over a block returns one match per well-formed row.
-_OUTCOME_ROW = re.compile(rf"^({INT}),({INT}),({INT}),({INT}),({HEX}):[^,\n]*,({HEX}):[^,\n]*$", re.M)
-# Rows read_outcomes reads, checks and converts at once: about 150 KiB of a
-# benchmark outcomes.csv, and 2.4 MiB at most while findall's cells live.
-OUTCOME_BLOCK_ROWS = 1 << 12
+# An outcome row and its four integers, as the walks read a line.
+_OUTCOME_ROW = re.compile(rf"({INT}),({INT}),({INT}),({INT}),{SCORE},{SCORE}")
 _GOLDEN_ROW = re.compile(rf"({INT}),({INT}),({SCORE}),({HEX}(?:;{HEX})*)")
 # A screened group holds its current, its spikes and the golden spikes as
 # [K, T, F, *cone] arrays, and single neurons of a conv-fed L their input
@@ -572,11 +577,6 @@ def run_faulty(
 # -- golden reference persistence ----------------------------------------------
 
 
-def _patterns(hexes: str) -> np.ndarray:
-    """uint32 binary32 bit patterns from concatenated 8-digit hex, one conversion."""
-    return np.frombuffer(bytes.fromhex(hexes), ">u4").astype(np.uint32)
-
-
 def _golden_comment(entries: list[Prediction]) -> str:
     return f"# golden inputs={len(entries)} classes={len(entries[0].scores)}"
 
@@ -609,7 +609,7 @@ def read_golden(path) -> GoldenReference:
         if int(input_id) in seen:
             raise FormatError(f"repeated input_id {input_id}", line=lineno)
         seen.add(int(input_id))
-        scores = _patterns(vector.replace(";", "")).view(DTYPE)
+        scores = hex32s(np.frombuffer(vector.encode(), np.uint8), np.arange(0, len(vector), 9)).view(DTYPE)
         if entries and len(scores) != len(entries[0].scores):
             raise FormatError("score vector length varies between rows", line=lineno)
         top_score = parse_score(top_cell)
@@ -655,38 +655,61 @@ def _render_rows(fid: int, cells, golden: list[Prediction], outs: list[Predictio
 
 
 def read_outcomes(path) -> Outcomes:
-    """outcomes.csv as columns, read OUTCOME_BLOCK_ROWS rows at a time, joined
-    a column at a time; a malformed file raises its first bad line's FormatError."""
-    blocks = []
+    """outcomes.csv as columns: its lines are counted, then its rows decoded a
+    block at a time into their place; a malformed file raises its first bad
+    line's FormatError."""
     with open(path, "rb") as f:
-        good = f.readline().removesuffix(b"\n") == OUTCOME_HEADER.encode()
-        while good and (lines := list(islice(f, OUTCOME_BLOCK_ROWS))):
-            columns = _outcome_columns(b"".join(lines), len(lines))
-            good = columns is not None
-            blocks.append(columns)
-    if not good:
-        _raise_first_bad_outcome_line(path)
-    if not blocks:
-        return Outcomes.from_rows(())
-    return Outcomes(*(np.concatenate([b.pop(0) for b in blocks]) for _ in range(6)))
+        rows = sum(block.count(b"\n") + (not block.endswith(b"\n")) for block in line_blocks(f)) - 1
+        f.seek(0)
+        blocks = line_blocks(f)
+        head, _, body = next(blocks, b"").partition(b"\n")
+        if head != OUTCOME_HEADER.encode():
+            _raise_first_bad_outcome_line(path)
+        columns = [np.empty(rows, dtype) for dtype in 4 * [np.uint64] + 2 * [np.uint32]]
+        at = 0
+        for block in chain([body] if body else [], blocks):
+            part = _outcome_block(block)
+            if part is None:
+                _raise_first_bad_outcome_line(path)
+            values, start = part
+            for column, value in zip(columns, values):
+                column[at : at + len(start)] = value
+            at += len(start)
+    return Outcomes(*columns)
 
 
-def _outcome_columns(block: bytes, rows: int) -> list[np.ndarray] | None:
-    """A block of ``rows`` outcome rows as Outcomes' columns, or None if it
-    is not UTF-8, a row breaks the grammar or an integer is above UINT64_MAX."""
+def _outcome_block(block: bytes) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """A block of whole outcome rows as Outcomes' columns and each row's first
+    byte, or None if it holds a CR (never after text_lines), is not UTF-8,
+    or has a row that the walk refuses."""
+    if b"\r" in block:
+        return None
     try:
-        text = block.decode("utf-8")
+        block.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    matches = _OUTCOME_ROW.findall(text)
-    if len(matches) != rows:
+    split = split_rows(block, 5)
+    if split is None:
         return None
-    *ints, golden_top, faulty_top = zip(*matches)
-    try:
-        ints = [np.fromiter(map(int, cells), np.uint64, rows) for cells in ints]
-    except OverflowError:
+    p, start, end, comma = split
+    ints = uint64s(p, np.concatenate([start, *comma[:3] + 1]), comma[:4].ravel())
+    score = np.concatenate([comma[3] + 1, comma[4] + 1])  # HEX, ':', then the decimal half
+    tops = hex32s(p, score)
+    if ints is None or tops is None or (np.concatenate([comma[4], end]) - score < 9).any() \
+            or (p[score + 8] != ord(":")).any():
         return None
-    return [*ints, _patterns("".join(golden_top)), _patterns("".join(faulty_top))]
+    return [*ints.reshape(4, -1), *tops.reshape(2, -1)], start
+
+
+def _row_fault(line: str) -> str | None:
+    """Why the walks refuse an outcome row, or None if they read it."""
+    m = _OUTCOME_ROW.fullmatch(line)
+    if m is None:
+        return "malformed outcome row"
+    for name, cell in zip(OUTCOME_HEADER.split(","), m.groups()):
+        if int(cell) > UINT64_MAX:
+            return f"{name} {cell} is above 2**64 - 1"
+    return None
 
 
 def _raise_first_bad_outcome_line(path) -> NoReturn:
@@ -696,12 +719,8 @@ def _raise_first_bad_outcome_line(path) -> NoReturn:
     if not lines or lines[0] != OUTCOME_HEADER:
         raise FormatError(f"expected outcome header '{OUTCOME_HEADER}'", line=1)
     for lineno, line in enumerate(lines[1:], start=2):
-        m = _OUTCOME_ROW.fullmatch(line)
-        if m is None:
-            raise FormatError("malformed outcome row", line=lineno)
-        for name, cell in zip(OUTCOME_HEADER.split(",")[:4], m.groups()):
-            if int(cell) > UINT64_MAX:
-                raise FormatError(f"{name} {cell} is above 2**64 - 1", line=lineno)
+        if fault := _row_fault(line):
+            raise FormatError(fault, line=lineno)
     raise AssertionError(f"{path}: the block reader refused rows that the line walk accepts")
 
 
@@ -737,49 +756,73 @@ def _read_checkpoint(path: Path, binding: dict) -> int:
 
 
 def _read_log(path: Path, length: int, k: int, fault_ids: np.ndarray) -> tuple[array, array]:
-    """Parse the log's first ``length`` bytes strictly: its fault ids and their
-    rows' bytes. Ids are looked up in ``fault_ids``, the fault list's id
-    column, and each fault's inputs are checked when its rows end."""
+    """The log's first ``length`` bytes read strictly, verbatim and a block at
+    a time: each fault's id and its rows' byte length, in log order. A
+    refused block goes to the walk. Then the first run of rows whose fault
+    ``fault_ids`` (the list's id column) lacks, or had a run before, is
+    raised, and last the first fault whose inputs are not 0..k-1 in order."""
+    heads = []  # per block, the runs that begin in it: fault id, first byte, line
+    last, place = None, 0  # the previous row's fault id and its place in its run
+    misplaced = None  # the first line of the first run with an input out of its place
+    at = line = 0  # the block's first byte and line in the log
+    with open(path, "rb") as f:
+        if (held := os.fstat(f.fileno()).st_size) < length:
+            raise ResumeError(f"checkpoint acknowledges {length} bytes, the log holds {held}")
+        for block in line_blocks(f, length, verbatim=True):
+            part = _outcome_block(block) if block.endswith(b"\n") else None
+            if part is None:
+                _raise_first_bad_log_line(path, length)
+            (fid, iid, *_), start = part
+            row = np.arange(len(fid))
+            new = np.concatenate(([last is None or fid[0] != last], fid[1:] != fid[:-1]))
+            first = np.maximum.accumulate(np.where(new, row, -1 - place))  # each row's run's first row
+            heads.append((fid[new], at + start[new], line + 1 + row[new]))
+            out = np.flatnonzero(iid != row - first)  # an input out of its place in the run
+            if misplaced is None and len(out):
+                misplaced = line + 1 + first[out[0]]
+            last, place = fid[-1], row[-1] - first[-1]
+            at, line = at + len(block), line + len(fid)
+        if not heads:
+            return array("Q"), array("Q")
+        ids, starts, lines = map(np.concatenate, zip(*heads))
+        order = np.argsort(ids, kind="stable")
+        again = np.zeros(len(ids), bool)  # a run of a fault that had one before
+        again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        unknown = ~np.isin(ids, fault_ids)
+        if (unknown | again).any():
+            j = int((unknown | again).argmax())
+            if unknown[j]:
+                raise ResumeError(f"acknowledged row names unknown fault {ids[j]}")
+            # the merge copies each fault's rows as one run
+            raise ResumeError(f"fault {ids[j]}: acknowledged rows are not consecutive (line {lines[j]})")
+        sizes = np.diff(starts, append=length).astype(np.uint64)
+        wrong = np.diff(lines, append=line + 1) != k
+        if misplaced is not None:
+            wrong[np.searchsorted(lines, misplaced)] = True
+        if wrong.any():  # the run's input ids, read again
+            j = int(wrong.argmax())
+            f.seek(starts[j])
+            inputs = [int(row.split(b",")[1]) for row in f.read(int(sizes[j])).splitlines()]
+            raise ResumeError(f"fault {ids[j]}: acknowledged inputs {inputs}, need 0..{k - 1} once")
+    return array("Q", ids.tobytes()), array("Q", sizes.tobytes())
+
+
+def _raise_first_bad_log_line(path: Path, length: int) -> NoReturn:
+    """Walk the log's first ``length`` bytes, verbatim, a line at a time and
+    raise the ResumeError of the first thing wrong: bytes that are not
+    UTF-8, an end mid-row, then the first bad row (a CR in it breaks it)."""
     with open(path, "rb") as f:
         data = f.read(length)
-    if len(data) < length:
-        raise ResumeError(f"checkpoint acknowledges {length} bytes, the log holds {len(data)}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ResumeError(f"corrupt acknowledged outcome row: {exc}") from None
-    if text and not text.endswith("\n"):
+    if not text.endswith("\n"):
         raise ResumeError("corrupt acknowledged outcome row: the acknowledged bytes end mid-row")
-    known = np.sort(fault_ids)
-    seen = bytearray(len(known))  # per known id: its rows have begun
-    ids, sizes = array("Q"), array("Q")  # per fault, in log order
-    inputs: list[int] = []  # the current fault's input ids
-    incomplete = None  # the first fault whose inputs are not 0..k-1, raised last
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
-        m = _OUTCOME_ROW.fullmatch(line)
-        if m is None:
+        if _row_fault(line):
             raise ResumeError(f"corrupt acknowledged outcome row (line {lineno})")
-        fid = int(m[1])
-        if not ids or fid != ids[-1]:
-            at = int(np.searchsorted(known, min(fid, UINT64_MAX)))
-            if at == len(known) or known[at] != fid:
-                raise ResumeError(f"acknowledged row names unknown fault {fid}")
-            if seen[at]:  # the merge copies each fault's rows as one run
-                raise ResumeError(f"fault {fid}: acknowledged rows are not consecutive (line {lineno})")
-            seen[at] = 1
-            if ids and inputs != list(range(k)):
-                incomplete = incomplete or (ids[-1], inputs)
-            ids.append(fid)
-            sizes.append(0)
-            inputs = []
-        inputs.append(int(m[2]))
-        sizes[-1] += len(line.encode()) + 1
-    if ids and inputs != list(range(k)):
-        incomplete = incomplete or (ids[-1], inputs)
-    if incomplete:
-        fid, iids = incomplete
-        raise ResumeError(f"fault {fid}: acknowledged inputs {iids}, need 0..{k - 1} once")
-    return ids, sizes
+    raise AssertionError(f"{path}: the block reader refused log rows that the line walk accepts")
 
 
 # -- the campaign loop ------------------------------------------------------------

@@ -19,6 +19,11 @@ f32_to_hex/hex_to_f32 implement that exactly. The sub-patterns below are
 what every CSV row grammar, the architecture grammar and every other number
 read from text in the toolkit are written in. write_atomic is the toolkit's
 one file writer, and file_sha256 its one way to identify a file.
+
+Every CSV reader ends a line at an LF, a CRLF or a lone CR (text_lines).
+The bulk row reader below reads the fault list's rows, outcomes.csv and
+the resume log a block of whole lines at a time with array operations; a
+refused block goes to the reader's per-line walk, which names the bad line.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ import math
 import os
 import re
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -55,9 +62,9 @@ UINT64_MAX = 2**64 - 1
 # "infinity" and non-ASCII digits.
 FLOAT = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
 HEX = "[0-9a-fA-F]{8}"  # binary32 bit pattern
-# hex:decimal; the decimal half is for people, never read. It holds no LF, as
-# no line does, so a pattern over a block of rows cannot run one into the next.
-SCORE = HEX + ":[^,\n]*"
+# hex:decimal; the decimal half is for people, never read. It holds no line
+# end (LF or CR), as no line does.
+SCORE = HEX + ":[^,\r\n]*"
 _HEX = re.compile(HEX)
 _SCORE = re.compile(SCORE)
 
@@ -86,7 +93,8 @@ def parse_score(cell: str) -> np.float32:
 
 
 def read_lines(path, what: str) -> list[str]:
-    """A CSV file's lines, without the final LF; not UTF-8 is a FormatError."""
+    """A CSV file's lines by text_lines' rule, without the final line end;
+    not UTF-8 is a FormatError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -95,6 +103,96 @@ def read_lines(path, what: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+# -- bulk row reading -----------------------------------------------------------
+
+# Bytes of whole lines that the bulk row reader splits, checks and converts
+# at once: 1,600 to 1,900 rows of the benchmark's files, and under 1 MiB of
+# temporary arrays.
+BLOCK_BYTES = 1 << 16
+DIGITS = 20  # the most an INT field may have: UINT64_MAX has 20
+_LF, _COMMA, _ZERO = b"\n,0"
+_HEX_VALUE = np.full(256, 16, np.uint8)  # each byte's value as a hex digit; 16 if none
+_HEX_VALUE[np.frombuffer(b"0123456789abcdefABCDEF", np.uint8)] = [*range(16), *range(10, 16)]
+
+
+def text_lines(data: bytes) -> bytes:
+    """``data`` with each CRLF and each lone CR read as an LF, as Python reads text."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def line_blocks(f: BinaryIO, limit: float = math.inf, verbatim: bool = False) -> Iterator[bytes]:
+    """The whole lines of ``f`` from its position on, up to ``limit`` bytes,
+    about BLOCK_BYTES at a time (a longer line alone) and read by text_lines
+    unless ``verbatim``. Only the last block may lack a final line end."""
+    rest = b""
+    while chunk := f.read(min(BLOCK_BYTES, limit)):
+        limit -= len(chunk)
+        data = rest + chunk
+        end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1  # a CR last may open a CRLF
+        if end:
+            yield data[:end] if verbatim else text_lines(data[:end])
+        rest = data[end:]
+    if rest:
+        yield rest if verbatim else text_lines(rest)
+
+
+def split_rows(block: bytes, commas: int, room: int = DIGITS) -> tuple[np.ndarray, ...] | None:
+    """A block of whole lines split at LF and comma: the block as uint8 with
+    ``room`` zero bytes after it (a decoder may read past a field, or wrap
+    round into them from before the block), each row's start and end, and
+    its commas as [commas, rows]; None if a row has another comma count."""
+    p = np.zeros(len(block) + room, np.uint8)
+    b = p[: len(block)]
+    b[:] = np.frombuffer(block, np.uint8)
+    end = (b == _LF).nonzero()[0]
+    if not len(end) or end[-1] != len(b) - 1:  # a last row without its LF
+        end = np.append(end, len(b))
+    comma = (b == _COMMA).nonzero()[0]
+    if len(comma) != commas * len(end):
+        return None
+    comma = comma.reshape(len(end), commas).T
+    start = np.concatenate(([0], end[:-1] + 1))
+    if ((comma[0] < start) | (comma[-1] > end)).any():  # ``commas`` on every line
+        return None
+    return p, start, end, comma
+
+
+def uint64s(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The INT fields ``p[lo:hi]`` as uint64, or None if one is empty, longer
+    than 20 characters, not all ASCII digits, or above UINT64_MAX."""
+    n = hi - lo
+    width = int(n.max())
+    if n.min() < 1 or width > DIGITS:
+        return None
+    j = np.arange(width)[:, None]
+    digits = p[hi + (j - width)] - np.uint8(_ZERO)  # right-aligned, a column per field
+    digits *= j >= width - n  # the bytes before a field are its leading zeros
+    if (digits > 9).any():
+        return None
+    value = np.zeros(len(n), np.uint64)
+    for row in digits[-19:]:  # Horner's rule below 10**19: no overflow
+        value *= np.uint64(10)
+        value += row
+    if width < DIGITS:
+        return value
+    high = digits[0]  # the digit of 10**19
+    if (high > 1).any() or (value[high == 1] > UINT64_MAX - 10**19).any():
+        return None
+    return value + high * np.uint64(10**19)
+
+
+def hex32s(p: np.ndarray, lo: np.ndarray) -> np.ndarray | None:
+    """The HEX fields ``p[lo:lo + 8]`` as uint32, or None if one is not HEX."""
+    digits = _HEX_VALUE[p[lo + np.arange(8)[:, None]]]
+    if (digits > 15).any():
+        return None
+    value = np.zeros(len(lo), np.uint32)
+    for row in digits:
+        value <<= np.uint32(4)
+        value |= row
+    return value
 
 
 def temporary_of(path) -> Path:

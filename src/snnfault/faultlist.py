@@ -20,25 +20,26 @@ Fault-list CSV: `# seed=.. e=.. t=.. p=.. N=.. n=.. scope=.. rng=..` comment,
 a second comment with polarity/spike-mode/exhaustive switches, one
 `# universe <layer> <parameter> <dims>` comment per (layer, parameter) group,
 then a `fault_id,layer,parameter,coords,bit,stuck,mode` header and one row per
-fault with `;`-separated coords. UTF-8, LF line endings. A (layer,
-parameter) is declared once.
+fault with `;`-separated coords. UTF-8; an LF, CRLF or lone CR ends a
+line. A (layer, parameter) is declared once.
 
 A FaultList holds its faults as a ``faults.FaultTable``, one array per
 field, whose site codes index ``universe.entries``: generate_fault_list
 builds its columns from locate_all's arrays, and write_fault_list spells
 each distinct (site, coords) once. read_fault_list parses the comments a
-line at a time, then reads the rows FAULT_BLOCK_BYTES of whole lines at a
-time with array operations alone: LF and comma positions split each row
-into its seven fields, its ``layer,parameter`` bytes are compared with the
-declared entries' spellings to give its site code, coords are split at
-``;``, and integers come from digit arithmetic, leading zeros and 20-digit
-ids through 2**64 - 1 included. A block holding anything else, or ids that
+line at a time, then reads the rows through dataio's bulk row reader, a
+block of whole lines at a time: split_rows cuts each row into its seven
+fields, its ``layer,parameter`` bytes are compared with the declared
+entries' spellings to give its site code, coords are split at ``;``, and
+dataio.uint64s decodes the integers, leading zeros and 20-digit ids
+through 2**64 - 1 included. A block holding anything else, or ids that
 repeat, hands the rows to the per-line walk, which raises the first bad
 line's error, so the errors, their texts, lines and order are the walk's.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from collections.abc import Sequence
@@ -50,7 +51,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import FLOAT, INT, UINT64_MAX, write_atomic
+from .dataio import (DIGITS, FLOAT, INT, UINT64_MAX, line_blocks, split_rows, text_lines,
+                     uint64s, write_atomic)
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, FaultTable, ParameterKind, Site, check_addresses
 
@@ -315,9 +317,6 @@ _KINDS = "|".join(k.value for k in ParameterKind)
 _KIND_BY_NAME = {k.value: k for k in ParameterKind}
 _MODE_BY_NAME = {m.value: m for m in FaultMode}
 _MODE_NAMES = ("bit", "value")  # by FaultTable.value
-# Fault-list body bytes read, checked and converted at once: about 1,900 rows
-# of the benchmark's recurrent net, and under 1 MiB of temporary arrays.
-FAULT_BLOCK_BYTES = 1 << 16
 _UNIVERSE_RE = re.compile(rf"^# universe (\S+) ({_KINDS}) ({INT}(?:x{INT})*)$")
 _FAULT_ROW = re.compile(
     rf"({INT}),([^,]*),({_KINDS}),({INT}(?:;{INT})*),({INT}),({INT}),"
@@ -377,8 +376,7 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"fault list is not UTF-8: {exc}") from None
-    if b"\r" in data:  # read as text files are: CRLF and a lone CR end a line
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = text_lines(data)
     meta = None
     polarity, spike_mode, exhaustive = "random", "bit", False
     entries: list[UniverseEntry] = []
@@ -463,24 +461,21 @@ def read_fault_list(path, net: Network | None = None) -> FaultList:
 
 
 def _read_rows(data: bytes, pos: int, universe: FaultUniverse) -> FaultTable | None:
-    """The fault rows of ``data[pos:]`` as a table, read FAULT_BLOCK_BYTES of
-    whole lines at a time, or None if a block holds a row that the walk
-    would refuse or read as another site, or a fault_id repeats."""
-    view = np.frombuffer(data, np.uint8)
+    """The fault rows of ``data[pos:]`` as a table, read by dataio.line_blocks,
+    or None if a block holds a row that the walk would refuse or read as
+    another site, or a fault_id repeats."""
     entries = universe.entries
     spellings = _spellings([f"{e.layer},{e.parameter.value}".encode() for e in entries])
     value_ok = np.array([e.parameter is ParameterKind.SPIKE for e in entries])
     rank = max(len(e.shape) for e in entries)
+    rows = io.BytesIO(data)
+    rows.seek(pos)
     blocks = []
-    while pos < len(data):
-        end = data.rfind(b"\n", pos, pos + FAULT_BLOCK_BYTES) + 1
-        if end <= pos:  # a line longer than a block: take it whole
-            end = data.find(b"\n", pos) + 1 or len(data)
-        block = _block_columns(view[pos:end], spellings, value_ok, rank)
-        if block is None:
+    for block in line_blocks(rows):
+        columns = _block_columns(block, spellings, value_ok, rank)
+        if columns is None:
             return None
-        blocks.append(block)
-        pos = end
+        blocks.append(columns)
     if not blocks:
         return FaultTable.from_rows((), universe.sites())
     columns = blocks[0]
@@ -495,9 +490,7 @@ def _read_rows(data: bytes, pos: int, universe: FaultUniverse) -> FaultTable | N
     return FaultTable(universe.sites(), *columns)
 
 
-_LF, _COMMA, _SEMICOLON, _ZERO = b"\n,;0"
-_DIGITS = 20  # the most an integer field may have: UINT64_MAX has 20
-_POW19 = np.uint64(10**19)
+_SEMICOLON = ord(";")
 
 
 def _spellings(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -518,30 +511,21 @@ def _codes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, spellings) -> np.ndarr
     return np.where(match.any(axis=0), match.argmax(axis=0), -1)
 
 
-def _block_columns(b: np.ndarray, spellings, value_ok: np.ndarray, rank: int) -> tuple | None:
+def _block_columns(block: bytes, spellings, value_ok: np.ndarray, rank: int) -> tuple | None:
     """A block of whole fault rows as FaultTable's columns from fault_id on,
     coords at least ``rank`` wide, or None if a row is not one the walk
     reads into a FaultDescriptor whose (layer, parameter) spelling is in
     ``spellings``. Its last row may lack its LF only where the file ends."""
-    nl = (b == _LF).nonzero()[0]
-    if not len(nl) or nl[-1] != len(b) - 1:
-        nl = np.append(nl, len(b))
+    split = split_rows(block, 6, max(DIGITS, len(spellings[0])))  # room for a spelling's bytes
+    if split is None:
+        return None
+    p, start, nl, comma = split
     rows = len(nl)
-    comma = (b == _COMMA).nonzero()[0]
-    if len(comma) != 6 * rows:
-        return None
-    comma = comma.reshape(rows, 6).T
-    start = np.concatenate(([0], nl[:-1] + 1))
-    if ((comma[0] < start) | (comma[5] > nl)).any():  # six commas on every line
-        return None
-    # the block and room after it: a field's first bytes may run past its
-    # end, and the 20 before a field at its start wrap round into the room
-    p = np.concatenate((b, np.zeros(max(_DIGITS, len(spellings[0])), np.uint8)))
     site = _codes(p, comma[0] + 1, comma[2], spellings)
     value = _codes(p, comma[5] + 1, nl, _MODE_SPELLINGS)
     if (np.minimum(site, value) < 0).any() or (value > value_ok[site]).any():
         return None
-    semi = (b == _SEMICOLON).nonzero()[0]
+    semi = (p == _SEMICOLON).nonzero()[0]
     line = np.searchsorted(nl, semi)  # the line each ';' is on: it must split its coords
     if ((semi <= comma[2, line]) | (semi >= comma[3, line])).any():
         return None
@@ -550,7 +534,7 @@ def _block_columns(b: np.ndarray, spellings, value_ok: np.ndarray, rank: int) ->
     lo = np.concatenate([start, comma[3] + 1, comma[4] + 1,
                          np.sort(np.concatenate([comma[2] + 1, semi + 1]))])
     hi = np.concatenate([comma[0], comma[4], comma[5], np.sort(np.concatenate([semi, comma[3]]))])
-    ints = _uint64s(p, lo, hi)
+    ints = uint64s(p, lo, hi)
     if ints is None:
         return None
     fault_id, bit, stuck = ints[:rows], ints[rows : 2 * rows], ints[2 * rows : 3 * rows]
@@ -563,30 +547,6 @@ def _block_columns(b: np.ndarray, spellings, value_ok: np.ndarray, rank: int) ->
 
 
 _MODE_SPELLINGS = _spellings([name.encode() for name in _MODE_NAMES])
-
-
-def _uint64s(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The decimal fields ``p[lo:hi]`` as uint64, or None if one is empty,
-    longer than 20 characters, not all ASCII digits, or above UINT64_MAX."""
-    n = hi - lo
-    width = int(n.max())
-    if n.min() < 1 or width > _DIGITS:
-        return None
-    j = np.arange(width)[:, None]
-    digits = p[hi + (j - width)] - np.uint8(_ZERO)  # right-aligned, a column per field
-    digits *= j >= width - n  # the bytes before a field are its leading zeros
-    if (digits > 9).any():
-        return None
-    value = np.zeros(len(n), np.uint64)
-    for row in digits[-19:]:  # Horner's rule below 10**19: no overflow
-        value *= np.uint64(10)
-        value += row
-    if width < _DIGITS:
-        return value
-    high = digits[0]  # the digit of 10**19
-    if (high > 1).any() or (value[high == 1] > UINT64_MAX - 10**19).any():
-        return None
-    return value + high * _POW19
 
 
 def _walk_rows(body: bytes, row_start: int, sites: tuple[Site, ...]) -> FaultTable:

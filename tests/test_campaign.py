@@ -10,6 +10,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
@@ -36,7 +37,6 @@ from snnfault.campaign import (
     CampaignConfig,
     GOLDEN_HEADER,
     GoldenReference,
-    OUTCOME_BLOCK_ROWS,
     OUTCOME_HEADER,
     Prediction,
     _top,
@@ -992,6 +992,8 @@ def test_outcomes_reader_rejects_short_rows(tmp_path):
 # A well-formed outcome row; its four integers are fault_id, input_id,
 # golden_class and faulty_class.
 OUTCOME_ROW = ["3", "0", "1", "1", "40800000:4.0", "40800000:4.0"]
+# About as many OUTCOME_ROWs as a read block holds.
+BLOCK_ROWS = dataio.BLOCK_BYTES // len(",".join(OUTCOME_ROW) + "\n")
 UINT64_MAX = 2**64 - 1
 
 
@@ -1035,22 +1037,22 @@ def test_golden_input_ids_above_2_64_minus_1_are_format_errors(workdir, tmp_path
 # Defects deep in a file of several read blocks (row i is on line i + 2), and
 # the error the file must raise: its first bad line's, or, for a file that is
 # not UTF-8 anywhere, that.
-BLOCK_SPAN = 2 * OUTCOME_BLOCK_ROWS + 7
+BLOCK_SPAN = 2 * BLOCK_ROWS + 7
 FAR_DEFECTS = {
     "malformed row in the second block": (
-        {OUTCOME_BLOCK_ROWS + 9: ["3", "0", "1"], 2 * OUTCOME_BLOCK_ROWS + 3: ["x"]},
-        rf"^malformed outcome row \(line {OUTCOME_BLOCK_ROWS + 11}\)$",
+        {BLOCK_ROWS + 9: ["3", "0", "1"], 2 * BLOCK_ROWS + 3: ["x"]},
+        rf"^malformed outcome row \(line {BLOCK_ROWS + 11}\)$",
     ),
     "an integer above 2**64 - 1 before a malformed row": (
-        {OUTCOME_BLOCK_ROWS: [str(2**64), *OUTCOME_ROW[1:]], OUTCOME_BLOCK_ROWS + 1: ["x"]},
-        rf"^fault_id {2**64} is above 2\*\*64 - 1 \(line {OUTCOME_BLOCK_ROWS + 2}\)$",
+        {BLOCK_ROWS: [str(2**64), *OUTCOME_ROW[1:]], BLOCK_ROWS + 1: ["x"]},
+        rf"^fault_id {2**64} is above 2\*\*64 - 1 \(line {BLOCK_ROWS + 2}\)$",
     ),
     "the last row, past the final block": (
         {BLOCK_SPAN - 1: ["3", "0", "1", "1", "40800000", "40800000:4.0"]},
         rf"^malformed outcome row \(line {BLOCK_SPAN + 1}\)$",
     ),
     "bad UTF-8 in the last block after a malformed row": (
-        {5: ["x"], 2 * OUTCOME_BLOCK_ROWS + 1: [*OUTCOME_ROW[:5], "40800000:\udcff"]},
+        {5: ["x"], 2 * BLOCK_ROWS + 1: [*OUTCOME_ROW[:5], "40800000:\udcff"]},
         r"^outcome file is not UTF-8: ",
     ),
 }
@@ -1064,10 +1066,11 @@ def test_outcomes_reader_names_the_first_bad_line_in_any_block(tmp_path, defects
 
 
 def test_outcomes_reader_joins_a_column_at_a_time(tmp_path):
-    """Over 32 read blocks, read_outcomes peaks at its columns (40 bytes a
-    row) plus one block's allowance: each block's part of a column is dropped
-    as that column is joined, never all blocks beside all columns."""
-    rows = 32 * OUTCOME_BLOCK_ROWS
+    """Over about 90 read blocks, read_outcomes peaks at its columns (40
+    bytes a row) plus one block's allowance: each block is decoded into its
+    place in columns as long as the file, never all blocks beside all
+    columns."""
+    rows = 1 << 17
     p = tmp_path / "o.csv"
     with open(p, "w") as f:
         f.write(OUTCOME_HEADER + "\n")
@@ -1086,7 +1089,7 @@ def test_outcomes_reader_joins_a_column_at_a_time(tmp_path):
 def test_outcomes_reader_reads_every_block(tmp_path, ending):
     """Rows on both sides of each block edge read back in file order."""
     rows = [[str(i), str(i % 5), "1", str(i % 3), "40800000:4.0", f"{i:08x}:x"]
-            for i in range(2 * OUTCOME_BLOCK_ROWS + 1)]
+            for i in range(2 * BLOCK_ROWS + 1)]
     back = read_outcomes(_outcome_file(tmp_path / "o.csv", rows, ending))
     assert len(back) == len(rows)
     assert [(r.fault_id, r.input_id, r.faulty_class, bits_of(r.faulty_top)) for r in back] == [
@@ -1097,16 +1100,107 @@ def test_outcomes_reader_reads_every_block(tmp_path, ending):
 
 
 def test_campaign_compiles_one_pattern_per_row_format():
-    """One grammar per CSV row format: the outcome reader's blocks, its line
-    walk and the resume's log all match _OUTCOME_ROW, and golden rows
-    _GOLDEN_ROW; campaign.py compiles or applies no other pattern."""
+    """One grammar per CSV row format: the walk of outcomes.csv and of the
+    resume's log fullmatches _OUTCOME_ROW, and read_golden _GOLDEN_ROW;
+    campaign.py compiles or applies no other pattern and calls no findall,
+    since its blocks of rows are read by dataio's row reader."""
     tree = ast.parse(Path(campaign.__file__).read_text(encoding="utf-8"))
     calls = [ast.unparse(node.func) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("re.")]
     compiled = [node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "re.compile"]
+    applied = sorted(ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) in compiled)
     assert calls == ["re.compile", "re.compile"]
     assert compiled == ["_OUTCOME_ROW", "_GOLDEN_ROW"]
+    assert applied == ["_GOLDEN_ROW.fullmatch", "_OUTCOME_ROW.fullmatch"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "findall"]
+
+
+def _zeros(value, zeros):
+    """``value`` with leading zeros, as many as fit the 20 digits a field may hold."""
+    return "0" * min(zeros, 20 - len(str(value))) + str(value)
+
+
+# A decimal half: any text without a comma or a line end, surrogates aside.
+_DECIMALS = st.text(st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+                    max_size=5)
+
+
+@st.composite
+def _outcome_files(draw):
+    """outcomes.csv bodies: integers with leading zeros up to 2**64 - 1, hex
+    halves in either case, any decimal halves, and LF, CRLF or CR line ends."""
+    ints = st.one_of(st.integers(0, 50), st.just(2**64 - 1), st.integers(0, 2**64 - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [_zeros(draw(ints), draw(st.integers(0, 2))) for _ in range(4)]
+        for _ in range(2):
+            hexes = f"{draw(st.integers(0, 2**32 - 1)):08x}"
+            cells.append(f"{hexes.upper() if draw(st.booleans()) else hexes}:{draw(_DECIMALS)}")
+        rows.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join([OUTCOME_HEADER, *rows]) + draw(st.sampled_from([end, ""]))).encode()
+
+
+def _outcomes_read(path):
+    try:
+        o = read_outcomes(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return [c.tolist() for c in (o.fault_id, o.input_id, o.golden_class, o.faulty_class,
+                                 o.golden_top, o.faulty_top)]
+
+
+def _outcomes_walked(path):
+    """What read_outcomes must give, from its line walk alone: the walk's
+    error, or the columns of the rows that it accepts."""
+    try:
+        campaign._raise_first_bad_outcome_line(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    except AssertionError:  # the walk accepts every row
+        pass
+    rows = [line.split(",") for line in dataio.read_lines(path, "outcome file")[1:]]
+    return ([[int(row[i]) for row in rows] for i in range(4)]
+            + [[int(row[i][:8], 16) for row in rows] for i in (4, 5)])
+
+
+@given(_outcome_files(), st.integers(0, 2**16), st.sampled_from(b"0159,:;\n\r xaF-\x00\xc3\xff"),
+       st.sampled_from(["replace", "insert", "delete", "none"]))
+def test_outcome_blocks_and_walk_agree(text, at, byte, how):
+    """A valid outcomes.csv, or one with a byte replaced, inserted or
+    deleted: read_outcomes gives the columns of the rows its walk accepts,
+    or the walk's error, text and line."""
+    if how != "none":
+        at %= len(text)
+        text = text[:at] + (b"" if how == "delete" else bytes([byte])) + text[at + (how != "insert"):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outcomes.csv"
+        path.write_bytes(text)
+        blocked, walked = _outcomes_read(path), _outcomes_walked(path)
+    assert blocked == walked
+    if how == "none":
+        assert isinstance(blocked, list)  # a valid file reads
+
+
+def test_resume_reads_the_log_a_block_at_a_time(tmp_path):
+    """Over about 75 blocks of a log, _read_log peaks at its arrays per
+    fault (ids, first bytes and lines, and the ids and sizes it returns)
+    plus one block's allowance: the acknowledged bytes are never held
+    whole, decoded as text or split into a str per row."""
+    faults, k = 1 << 15, 4
+    log = tmp_path / "outcomes.partial.csv"
+    with open(log, "w") as f:
+        f.writelines(f"{i // k},{i % k},1,{i % 3},40800000:4.0,{i:08x}:4.0\n" for i in range(faults * k))
+    tracemalloc.start()
+    try:
+        ids, sizes = campaign._read_log(log, log.stat().st_size, k, np.arange(faults, dtype=np.uint64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(ids) == list(range(faults)) and sum(sizes) == log.stat().st_size
+    assert peak < 128 * faults + (1 << 20)
 
 
 def test_golden_header_shape():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -148,6 +149,21 @@ def test_torn_report_write_keeps_the_previous_report(pipeline, monkeypatch):
     assert report.read_bytes() == previous
     assert dispatch(args + ["--format", "table"]) == 0
     assert report.read_bytes() == previous
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+def test_report_reads_outcomes_with_any_line_end(pipeline, tmp_path, ending):
+    """A finished campaign whose outcomes.csv ends its lines in CRLF or a
+    lone CR reports the bytes that its LF file reports."""
+    d, _, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(d / "run", run)
+    outcomes = run / "outcomes.csv"
+    outcomes.write_bytes(outcomes.read_bytes().replace(b"\n", ending))
+    args = ["report", "--fl", str(d / "faults.csv"), "--format", "csv"]
+    assert dispatch(args + ["--outcomes", str(d / "run"), "--out", str(tmp_path / "lf.csv")]) == 0
+    assert dispatch(args + ["--outcomes", str(run), "--out", str(tmp_path / "other.csv")]) == 0
+    assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "lf.csv").read_bytes()
 
 
 def test_golden_comes_only_from_the_campaign_directory(pipeline, capsys):

@@ -25,7 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import MALFORMED_FLOATS, MALFORMED_INTEGERS, fc_layer, lif_layer, two_layer_net
-from snnfault import faultlist
+from snnfault import dataio, faultlist
 from snnfault.core import Network
 from snnfault.dataio import synth_model
 from snnfault.errors import AddressError, CompatibilityError, FormatError
@@ -833,5 +833,5 @@ def test_blocks_of_any_size_read_the_same_columns(tmp_path, monkeypatch, block_b
     """Rows split across blocks, down to a line a block, join to one table."""
     _, fl = _pinned_list("conv")
     write_fault_list(fl, tmp_path / "fl.csv")
-    monkeypatch.setattr(faultlist, "FAULT_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(dataio, "BLOCK_BYTES", block_bytes)
     assert _columns(read_fault_list(tmp_path / "fl.csv").faults) == _columns(fl.faults)

@@ -14,7 +14,6 @@ import pytest
 from helpers import two_layer_net
 from snnfault import report
 from snnfault.campaign import (
-    OUTCOME_BLOCK_ROWS,
     OUTCOME_HEADER,
     GoldenReference,
     OutcomeRow,
@@ -340,10 +339,10 @@ def test_empty_outcomes_give_empty_report():
 
 
 def test_report_holds_columns_and_a_block_not_objects_per_row(tmp_path):
-    """read_outcomes plus aggregate over 16 read blocks peak within three
-    times the table's columns (40 bytes a row) and one block's allowance: no
-    object per row."""
-    faults, k = 4 * OUTCOME_BLOCK_ROWS, 4
+    """read_outcomes plus aggregate over about 40 read blocks peak within
+    three times the table's columns (40 bytes a row) and one block's
+    allowance: no object per row."""
+    faults, k = 1 << 14, 4
     fl = make_fl([FaultDescriptor(i, "fc1", ParameterKind.WEIGHT, (i % 5, i % 4), i % 32, 1)
                   for i in range(faults)])
     golden = make_golden(k=k)
