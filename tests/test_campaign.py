@@ -1220,8 +1220,9 @@ def test_golden_reader_reports_file_line_numbers(workdir, tmp_path):
 
 
 # Per-reader rejection tables: malformed integers in an id field, a score
-# cell without its decimal half, and an extra field. The outcome log is read
-# by --resume, outcomes.csv by read_outcomes.
+# cell without its decimal half, an extra field and, in outcome rows, a class
+# above 2**64 - 1. The outcome log is read by --resume, outcomes.csv by
+# read_outcomes.
 OUTCOME_ROW_DEFECTS = {
     **{
         name: lambda fields, form=form: [fields[0], form(fields[1]), *fields[2:]]
@@ -1229,7 +1230,11 @@ OUTCOME_ROW_DEFECTS = {
     },
     "score cell without ':'": lambda fields: [*fields[:5], fields[5].partition(":")[0]],
     "extra field": lambda fields: [*fields, "0"],
+    "class above 2**64 - 1": lambda fields: [*fields[:2], str(2**64), *fields[3:]],
 }
+# The log is read verbatim, and its rows are copied into outcomes.csv, whose
+# reader would read a CR as a line end: in the log it breaks its row.
+LOG_ROW_DEFECTS = {**OUTCOME_ROW_DEFECTS, "CR before the LF": lambda fields: [*fields[:5], fields[5] + "\r"]}
 GOLDEN_ROW_DEFECTS = {
     **{
         name: lambda fields, form=form: [form(fields[0]), *fields[1:]]
@@ -1255,7 +1260,7 @@ def test_outcomes_reader_rejects_row_defects(workdir, tmp_path, mutate):
         read_outcomes(res.outcomes_path)
 
 
-@pytest.mark.parametrize("mutate", OUTCOME_ROW_DEFECTS.values(), ids=OUTCOME_ROW_DEFECTS)
+@pytest.mark.parametrize("mutate", LOG_ROW_DEFECTS.values(), ids=LOG_ROW_DEFECTS)
 def test_resume_rejects_outcome_log_row_defects(workdir, tmp_path, mutate):
     cfg = cfg_for(workdir, "", out_dir=tmp_path / "out", checkpoint_every=3)
     run_campaign(cfg, limit=3)
