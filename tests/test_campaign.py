@@ -1167,15 +1167,17 @@ def _outcomes_walked(path):
 
 
 @given(_outcome_files(), st.integers(0, 2**16), st.sampled_from(b"0159,:;\n\r xaF-\x00\xc3\xff"),
-       st.sampled_from(["replace", "insert", "delete", "none"]))
-def test_outcome_blocks_and_walk_agree(text, at, byte, how):
+       st.sampled_from(["replace", "insert", "delete", "none"]),
+       st.sampled_from([1, 7, 64, dataio.BLOCK_BYTES]))
+def test_outcome_blocks_and_walk_agree(text, at, byte, how, budget):
     """A valid outcomes.csv, or one with a byte replaced, inserted or
-    deleted: read_outcomes gives the columns of the rows its walk accepts,
-    or the walk's error, text and line."""
+    deleted, read in blocks down to a byte: read_outcomes gives the columns
+    of the rows its walk accepts, or the walk's error, text and line."""
     if how != "none":
         at %= len(text)
         text = text[:at] + (b"" if how == "delete" else bytes([byte])) + text[at + (how != "insert"):]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "BLOCK_BYTES", budget)
         path = Path(tmp) / "outcomes.csv"
         path.write_bytes(text)
         blocked, walked = _outcomes_read(path), _outcomes_walked(path)
