@@ -799,11 +799,11 @@ def _read_log(path: Path, length: int, k: int, fault_ids: np.ndarray) -> tuple[a
         wrong = np.diff(lines, append=line + 1) != k
         if misplaced is not None:
             wrong[np.searchsorted(lines, misplaced)] = True
-        if wrong.any():  # the run's input ids, read again
+        if wrong.any():
             j = int(wrong.argmax())
             f.seek(starts[j])
-            inputs = [int(row.split(b",")[1]) for row in f.read(int(sizes[j])).splitlines()]
-            raise ResumeError(f"fault {ids[j]}: acknowledged inputs {inputs}, need 0..{k - 1} once")
+            (_, inputs, *_), _ = _outcome_block(f.read(int(sizes[j])))  # the run's rows, read again
+            raise ResumeError(f"fault {ids[j]}: acknowledged inputs {inputs.tolist()}, need 0..{k - 1} once")
     return array("Q", ids.tobytes()), array("Q", sizes.tobytes())
 
 
