@@ -138,12 +138,12 @@ def line_blocks(f: BinaryIO, limit: float = math.inf, verbatim: bool = False) ->
         yield rest if verbatim else text_lines(rest)
 
 
-def split_rows(block: bytes, commas: int, room: int = DIGITS) -> tuple[np.ndarray, ...] | None:
+def split_rows(block: bytes, commas: int) -> tuple[np.ndarray, ...] | None:
     """A block of whole lines split at LF and comma: the block as uint8 with
-    ``room`` zero bytes after it (a decoder may read past a field, or wrap
+    DIGITS zero bytes after it (a decoder may read past a field, or wrap
     round into them from before the block), each row's start and end, and
     its commas as [commas, rows]; None if a row has another comma count."""
-    p = np.zeros(len(block) + room, np.uint8)
+    p = np.zeros(len(block) + DIGITS, np.uint8)
     b = p[: len(block)]
     b[:] = np.frombuffer(block, np.uint8)
     end = (b == _LF).nonzero()[0]

@@ -51,8 +51,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import PARAMETERIZED, LayerKind, Network
-from .dataio import (DIGITS, FLOAT, INT, UINT64_MAX, line_blocks, split_rows, text_lines,
-                     uint64s, write_atomic)
+from .dataio import FLOAT, INT, UINT64_MAX, line_blocks, split_rows, text_lines, uint64s, write_atomic
 from .errors import AddressError, CompatibilityError, FormatError, SnnFaultError
 from .faults import FaultDescriptor, FaultMode, FaultTable, ParameterKind, Site, check_addresses
 
@@ -506,7 +505,8 @@ def _spellings(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _codes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, spellings) -> np.ndarray:
     """Each field ``p[lo:hi]``'s index in the texts of ``spellings``, -1 if none."""
     texts, ended, lengths = spellings
-    heads = p[lo + np.arange(len(texts))[:, None]]  # each field's first bytes, down a column
+    # each field's first bytes, down a column; past the block's end the last byte
+    heads = p[np.minimum(lo + np.arange(len(texts))[:, None], len(p) - 1)]
     match = ((heads[:, None] == texts) | ended).all(axis=0) & (hi - lo == lengths)
     return np.where(match.any(axis=0), match.argmax(axis=0), -1)
 
@@ -516,7 +516,7 @@ def _block_columns(block: bytes, spellings, value_ok: np.ndarray, rank: int) -> 
     coords at least ``rank`` wide, or None if a row is not one the walk
     reads into a FaultDescriptor whose (layer, parameter) spelling is in
     ``spellings``. Its last row may lack its LF only where the file ends."""
-    split = split_rows(block, 6, max(DIGITS, len(spellings[0])))  # room for a spelling's bytes
+    split = split_rows(block, 6)
     if split is None:
         return None
     p, start, nl, comma = split
