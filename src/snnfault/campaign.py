@@ -67,8 +67,8 @@ pending fault, and n workers (no more than the usable CPUs or the batches)
 start only when the estimate times (1 - 1/n) exceeds ``POOL_COST_SECONDS``;
 each worker's batches then hold at most an even share of the pending faults.
 Otherwise the run stays in this process and cuts the batches that
-``workers=1`` cuts. The decision is timed on the run's own golden forward,
-so two runs of one campaign whose estimate lies near the threshold can
+``workers=1`` cuts. The decision is timed in this thread's CPU time (a busy
+host does not inflate it), yet two runs of one campaign near the threshold can
 decide apart: ``campaign.json``'s ``workers_started``, ``batch_faults``,
 ``faults_per_worker`` and ``replay_forwards`` then differ between them,
 while ``outcomes.csv`` and the fault and pair counts never do. A worker
@@ -908,9 +908,9 @@ def run_campaign(cfg: CampaignConfig, limit: int | None = None) -> CampaignResul
     t_load = time.monotonic()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    t_forward = time.perf_counter()
+    t_forward = time.thread_time()  # CPU time: a busy host must not tip the pool decision
     golden = run_golden(net.copy(), dataset, k)
-    golden_forward_s = time.perf_counter() - t_forward
+    golden_forward_s = time.thread_time() - t_forward
     golden_path = out_dir / "golden.csv"
     write_golden(golden, golden_path)
     t_golden = time.monotonic()

@@ -602,7 +602,14 @@ def test_a_costly_golden_forward_starts_the_pool(workdir, monkeypatch):
     serial = run_campaign(cfg_for(workdir, "paid_serial")).outcomes_path.read_bytes()
     _record_pool(monkeypatch)  # three usable CPUs
     golden = campaign.run_golden
-    monkeypatch.setattr(campaign, "run_golden", lambda *args: time.sleep(0.25) or golden(*args))
+
+    def costly_golden(*args):  # CPU time, which the estimate counts and a sleep does not spend
+        t0 = time.thread_time()
+        while time.thread_time() - t0 < 0.25:
+            pass
+        return golden(*args)
+
+    monkeypatch.setattr(campaign, "run_golden", costly_golden)
     res = run_campaign(cfg_for(workdir, "paid_pool", workers=8))
     summary, n = _summary(res), res.total
     assert summary["golden_forward_seconds"] >= 0.25
